@@ -20,7 +20,7 @@ from .sensing import (FingerprintTable, LocalizationResult, SensingModel,  # noq
                       received_sensing_power, save_fingerprint)
 from .optimize import (EnhancedLp, SolveReport, SolveStatus, UniformityQp,  # noqa: F401
                        build_enhanced_lp, build_uniformity_qp, kkt_residual,
-                       solve_lp, solve_qp, solve_refined)
+                       solve, solve_lp, solve_qp, solve_refined)
 from .controller import (BenchmarkThresholds, Mode, ScenarioTrace,  # noqa: F401
                          apply_mode, baseline_scenario, benchmark,
                          energy_report, generate_trajectory, run_scenario,

@@ -246,7 +246,7 @@ def _cmd_simulate(args) -> int:
                                     noise_seed=args.noise_seed,
                                     noise_rel=args.noise_sigma)
     baseline = controller.baseline_scenario(scene, trajectory)
-    savings = controller.energy_report(trace, baseline)
+    savings = _savings(trace.total_energy_j, baseline.total_energy_j)
 
     out = _OutputDir(Path(args.out))
     _write_trace(out, "trace.csv", trace, scene.num_leds)
@@ -288,6 +288,25 @@ def _illuminance_range(scene, partition, powers, activity_only):
     return float(vals.min()), float(vals.max())
 
 
+def _savings(energy_j: float, base_energy_j: float) -> float:
+    """Fractional energy saved against the baseline run."""
+    if base_energy_j <= 0:
+        raise ValueError("baseline trace has no energy")
+    return 1.0 - energy_j / base_energy_j
+
+
+def _power_violations(scene: Scene, powers) -> int:
+    """Steps whose LED powers leave the scene's power boxes; one row per step."""
+    lo_b, hi_b = scene.power_bounds()
+    for row in powers:
+        if len(row) != len(lo_b):
+            raise ValueError(f"trace has {len(row)} power columns "
+                             f"but the scene has {len(lo_b)} LEDs")
+    powers = np.array(powers, dtype=float).reshape(-1, len(lo_b))
+    outside = (powers < lo_b - 1e-9) | (powers > hi_b + 1e-9)
+    return int(np.count_nonzero(outside.any(axis=1)))
+
+
 def _summarize(scene, partition, trace, baseline, savings) -> str:
     lines = [f"steps={len(trace.steps)}", f"savings_pct={100.0 * savings:.4f}"]
     p_base = np.array(baseline.steps[0].powers)
@@ -309,11 +328,7 @@ def _summarize(scene, partition, trace, baseline, savings) -> str:
     if len(errors):
         lines.append(f"mean_error_m={_fmt(float(errors.mean()))}")
         lines.append(f"max_error_m={_fmt(float(errors.max()))}")
-    lo_b, hi_b = scene.power_bounds()
-    violations = sum(
-        1 for s in trace.steps
-        if np.any(np.array(s.powers) < lo_b - 1e-9) or np.any(np.array(s.powers) > hi_b + 1e-9)
-    )
+    violations = _power_violations(scene, [s.powers for s in trace.steps])
     lines.append(f"power_violations={violations}")
     return "\n".join(lines) + "\n"
 
@@ -335,18 +350,12 @@ def _cmd_report(args) -> int:
     base_rows = _read_trace_csv(Path(args.baseline))
     if len(rows) != len(base_rows):
         raise SceneError("trace and baseline step counts differ")
-    energy = sum(float(r["energy_J"]) for r in rows)
-    base_energy = sum(float(r["energy_J"]) for r in base_rows)
-    savings = 1.0 - energy / base_energy
+    savings = _savings(sum(float(r["energy_J"]) for r in rows),
+                       sum(float(r["energy_J"]) for r in base_rows))
     errors = [float(r["error_m"]) for r in rows if r["error_m"] not in ("", None)]
 
     power_cols = [c for c in rows[0] if c.startswith("P_")]
-    lo_b, hi_b = scene.power_bounds()
-    violations = 0
-    for r in rows:
-        powers = np.array([float(r[c]) for c in power_cols])
-        if np.any(powers < lo_b - 1e-9) or np.any(powers > hi_b + 1e-9):
-            violations += 1
+    violations = _power_violations(scene, [[float(r[c]) for c in power_cols] for r in rows])
 
     lines = [f"savings={100.0 * savings:.2f}%"]
     partition = build_partition(scene)

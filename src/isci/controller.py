@@ -63,8 +63,8 @@ def select_mode(localization: LocalizationResult, partition: RegionPartition) ->
     return Mode.UNIFORMITY
 
 
-def apply_mode(mode: Mode, scene: Scene, partition: RegionPartition,
-               refine: bool = True) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
+def apply_mode(mode: Mode, scene: Scene,
+               partition: RegionPartition) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
     """Power allocation for a mode.
 
     NO_USER needs no solve.  If a mode's program reports infeasible the
@@ -73,14 +73,8 @@ def apply_mode(mode: Mode, scene: Scene, partition: RegionPartition,
     p_min, p_max = scene.power_bounds()
     if mode is Mode.NO_USER:
         return p_min.copy(), None
-    if mode is Mode.UNIFORMITY:
-        problem = optimize.build_uniformity_qp(scene, partition)
-    else:
-        problem = optimize.build_enhanced_lp(scene, partition)
-    if refine:
-        _, report = optimize.solve_refined(problem, scene, partition)
-    else:
-        report = optimize.solve_qp(problem) if mode is Mode.UNIFORMITY else optimize.solve_lp(problem)
+    build = optimize.build_uniformity_qp if mode is Mode.UNIFORMITY else optimize.build_enhanced_lp
+    _, report = optimize.solve_refined(build(scene, partition), scene, partition)
     if report.status is not optimize.SolveStatus.OPTIMAL:
         logger.warning("%s-mode solve returned %s (%s); falling back to max power",
                        mode.value, report.status.value, report.worst_row)
@@ -94,6 +88,9 @@ def apply_mode(mode: Mode, scene: Scene, partition: RegionPartition,
 
 _REGION_MARGIN = 0.05
 _MAX_SAMPLING_TRIES = 10000
+_WAYPOINTS_IN = 8    # ring waypoints walked before the dwell, entry included
+_WAYPOINTS_OUT = 5   # ring waypoints walked after it
+_ABSENT_STEPS = 2    # empty-room steps before entry and after exit
 
 
 def _sample_non_activity(rng, partition: RegionPartition):
@@ -162,9 +159,7 @@ def _walk(points: Sequence[tuple[float, float]], speed: float, dt: float):
 
 
 def generate_trajectory(partition: RegionPartition, seed: int, dt: float = 0.5,
-                        speed: float = 0.9, n_waypoints: int = 8,
-                        dwell_time: float = 15.0, n_waypoints_out: int = 5,
-                        absent_steps: int = 2) -> list[TrajectoryPoint]:
+                        speed: float = 0.9, dwell_time: float = 15.0) -> list[TrajectoryPoint]:
     """Three-phase user trajectory: random-waypoint walk through the
     non-activity ring, a stationary dwell at a random activity-area point,
     then a walk back out.  Deterministic for a given seed.
@@ -184,17 +179,17 @@ def generate_trajectory(partition: RegionPartition, seed: int, dt: float = 0.5,
         return pts
 
     entry = _sample_non_activity(rng, partition)
-    phase1 = ring_waypoints(entry, n_waypoints - 1)
+    phase1 = ring_waypoints(entry, _WAYPOINTS_IN - 1)
     target = _sample_activity(rng, partition)
     dwell_samples = int(round(dwell_time / dt))
 
-    positions: list[Optional[tuple[float, float]]] = [None] * absent_steps
+    positions: list[Optional[tuple[float, float]]] = [None] * _ABSENT_STEPS
     positions.append(entry)
     positions.extend(_walk(phase1 + [target], speed, dt))
     positions.extend([target] * dwell_samples)
-    exit_wps = ring_waypoints(_sample_non_activity(rng, partition), n_waypoints_out - 1)
+    exit_wps = ring_waypoints(_sample_non_activity(rng, partition), _WAYPOINTS_OUT - 1)
     positions.extend(_walk([target] + exit_wps, speed, dt))
-    positions.extend([None] * absent_steps)
+    positions.extend([None] * _ABSENT_STEPS)
     return [(i * dt, pos) for i, pos in enumerate(positions)]
 
 

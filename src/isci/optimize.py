@@ -12,6 +12,13 @@ Constraint rows are sampled on a coarse grid for tractability; callers can
 re-check on a finer grid and append violated sample points as extra rows
 (see solve_refined), which converges in a few rounds because the underlying
 fields are smooth.
+
+Each mode program lists its sampled constraint families (label, coefficient
+field, bound field, is_floor) in its ``families`` tuple, the one place where
+row order is defined; the power boxes follow them.  A floor row is stored as
+-a.p <= -b.  All families are sampled at the same points and so have equal
+length, which lets solve_refined map a violated row back to its point as
+``row % len(points)``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "build_uniformity_qp",
     "build_enhanced_lp",
     "default_snr_threshold",
+    "solve",
     "solve_qp",
     "solve_lp",
     "solve_inequality_program",
@@ -46,6 +54,10 @@ _MAX_ITER = 100
 _GAP_TOL = 1e-8
 _FEAS_TOL = 1e-9
 _PHASE1_BIG = 1e6
+_ACTIVE_TOL = 1e-4        # scaled slack below which kkt_residual treats a row as active
+_REFINE_ROUNDS = 6        # solve_refined: re-solves after the first
+_REFINE_NEW_POINTS = 200  # solve_refined: most violated rows appended per round
+_REFINE_VIOL_TOL = 1e-12  # solve_refined: scaled fine-grid violation accepted as clean
 
 
 class SolveStatus(Enum):
@@ -90,7 +102,7 @@ def _newton_solve(chol, g_mat, w, s, z, r_d, r_p, r_c):
     return dx, dz, ds
 
 
-def _predictor_corrector(quad, c, g_mat, h_vec, x0, max_iter, gap_tol):
+def _predictor_corrector(quad, c, g_mat, h_vec, x0):
     """Core Mehrotra iteration from a strictly feasible primal start."""
     n = len(c)
     m = len(h_vec)
@@ -103,19 +115,19 @@ def _predictor_corrector(quad, c, g_mat, h_vec, x0, max_iter, gap_tol):
     quad_mat = quad
     h_scale = 1.0 + float(np.abs(h_vec).max(initial=0.0))
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         grad = c + (quad_mat @ x if quad_mat is not None else 0.0)
         r_d = grad + g_mat.T @ z
         r_p = g_mat @ x + s - h_vec
         mu = float(s @ z) / m
         obj = float(c @ x) + (0.5 * float(x @ quad_mat @ x) if quad_mat is not None else 0.0)
         grad_scale = 1.0 + float(np.abs(grad).max(initial=0.0))
-        if (np.abs(r_d).max() <= gap_tol * grad_scale
-                and np.abs(r_p).max() <= gap_tol * h_scale
-                and mu * m <= gap_tol * (1.0 + abs(obj))):
+        if (np.abs(r_d).max() <= _GAP_TOL * grad_scale
+                and np.abs(r_p).max() <= _GAP_TOL * h_scale
+                and mu * m <= _GAP_TOL * (1.0 + abs(obj))):
             return x, z, it, SolveStatus.OPTIMAL
-        if (mu * m <= 1e-3 * gap_tol * (1.0 + abs(obj))
-                and np.abs(r_p).max() <= gap_tol * h_scale):
+        if (mu * m <= 1e-3 * _GAP_TOL * (1.0 + abs(obj))
+                and np.abs(r_p).max() <= _GAP_TOL * h_scale):
             # Complementarity has bottomed out but the dual residual sits at
             # its numerical floor; let the caller certify the iterate.
             return x, z, it, SolveStatus.MAX_ITER
@@ -149,10 +161,10 @@ def _predictor_corrector(quad, c, g_mat, h_vec, x0, max_iter, gap_tol):
         x += alpha * dx
         s += alpha * ds
         z += alpha * dz
-    return x, z, max_iter, SolveStatus.MAX_ITER
+    return x, z, _MAX_ITER, SolveStatus.MAX_ITER
 
 
-def _phase1_start(g_mat: np.ndarray, h_vec: np.ndarray, max_iter: int):
+def _phase1_start(g_mat: np.ndarray, h_vec: np.ndarray):
     """Minimize the worst constraint violation; returns (x, min_violation)."""
     m, n = g_mat.shape
     g1 = np.hstack([g_mat, -np.ones((m, 1))])
@@ -164,15 +176,13 @@ def _phase1_start(g_mat: np.ndarray, h_vec: np.ndarray, max_iter: int):
     c1[n] = 1.0
     x0 = np.zeros(n + 1)
     x0[n] = max(float(np.max(-h_vec)), -_PHASE1_BIG / 2) + 1.0
-    y, _, iters, status = _predictor_corrector(None, c1, g1, h1, x0, max_iter, _GAP_TOL)
+    y, _, iters, status = _predictor_corrector(None, c1, g1, h1, x0)
     return y[:n], float(y[n]), iters, status
 
 
 def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                              g_mat: np.ndarray, h_vec: np.ndarray,
-                             labels: Optional[Sequence[str]] = None,
-                             max_iter: int = _MAX_ITER,
-                             gap_tol: float = _GAP_TOL) -> SolveReport:
+                             labels: Optional[Sequence[str]] = None) -> SolveReport:
     """Minimize 0.5 x'Qx + c'x subject to Gx <= h (Q = None for an LP).
 
     A phase-1 solve finds a strictly feasible interior point first; if the
@@ -188,7 +198,7 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
     g_s = g_raw / scales[:, None]
     h_s = h_raw / scales
 
-    x1, t_star, iters1, status1 = _phase1_start(g_s, h_s, max_iter)
+    x1, t_star, iters1, status1 = _phase1_start(g_s, h_s)
     if status1 is not SolveStatus.OPTIMAL or t_star >= -_FEAS_TOL:
         viol = g_s @ x1 - h_s
         worst = int(np.argmax(viol))
@@ -205,8 +215,7 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                     float(np.abs(quad_arr).max(initial=0.0)) if quad_arr is not None else 0.0,
                     1e-300)
     quad_scaled = None if quad_arr is None else quad_arr / obj_scale
-    x, _, iters2, status = _predictor_corrector(quad_scaled, c / obj_scale, g_s, h_s,
-                                                x1, max_iter, gap_tol)
+    x, _, iters2, status = _predictor_corrector(quad_scaled, c / obj_scale, g_s, h_s, x1)
     objective = float(c @ x) + (0.5 * float(x @ quad_arr @ x) if quad_arr is not None else 0.0)
     viol = g_s @ x - h_s
     resid = kkt_residual((quad_arr, c, g_raw, h_raw), x)
@@ -223,7 +232,7 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                        status=status, worst_row=label if status is not SolveStatus.OPTIMAL else None)
 
 
-def kkt_residual(problem, x: np.ndarray, active_tol: float = 1e-4) -> float:
+def kkt_residual(problem, x: np.ndarray) -> float:
     """Scaled first-order optimality residual of ``x`` for the problem.
 
     Nonnegative least-squares fits multipliers on the (scaled-)active rows;
@@ -240,7 +249,7 @@ def kkt_residual(problem, x: np.ndarray, active_tol: float = 1e-4) -> float:
     grad = np.asarray(c, dtype=float) + (quad @ x if quad is not None else 0.0)
     scales = _row_scales(g_mat, h_vec)
     slack = (h_vec - g_mat @ x) / scales
-    active = slack <= active_tol
+    active = slack <= _ACTIVE_TOL
     denom = max(1.0, float(np.abs(grad).max(initial=0.0)))
     if not np.any(active):
         return float(np.abs(grad).max(initial=0.0)) / denom
@@ -264,13 +273,80 @@ def _region_points(scene: Scene, partition: RegionPartition, pitch: float,
     return pts[keep]
 
 
+def _snr_rows(scene: Scene, points: np.ndarray) -> np.ndarray:
+    return snr_coefficients(scene.leds, points, scene.room.plane_z,
+                            scene.comm_pd, scene.noise)
+
+
+def _illum_rows(scene: Scene, points: np.ndarray) -> np.ndarray:
+    return illuminance_coefficients(scene.leds, points, scene.room.plane_z)
+
+
+# coefficient field of a program -> its per-watt rows at plane points
+_COEFFICIENTS = {"snr_coeffs": _snr_rows, "illum_coeffs": _illum_rows}
+
+
+class _SampledProgram:
+    """Constraint stacking shared by the mode programs.
+
+    A subclass names its sampled constraint families in ``families``, the
+    point array that grows with appended constraint points in
+    ``points_field``, and the region its fine-grid check covers in
+    ``activity_only``.
+    """
+
+    def _coefficients_at(self, scene: Scene, points: np.ndarray) -> dict:
+        fields = dict.fromkeys(field for _, field, _, _ in self.families)
+        return {field: _COEFFICIENTS[field](scene, points) for field in fields}
+
+    def _sampled_rows(self, coeffs: dict):
+        n = len(coeffs[self.families[0][1]])
+        g_mat = np.vstack([-coeffs[field] if floor else coeffs[field]
+                           for _, field, _, floor in self.families])
+        h_vec = np.concatenate([np.full(n, -getattr(self, bound) if floor else getattr(self, bound))
+                                for _, _, bound, floor in self.families])
+        return g_mat, h_vec
+
+    def constraint_system(self):
+        g_rows, h_rows = self._sampled_rows(vars(self))
+        n = len(h_rows) // len(self.families)
+        m = len(self.p_min)
+        eye = np.eye(m)
+        g_mat = np.vstack([g_rows, -eye, eye])
+        h_vec = np.concatenate([h_rows, -self.p_min, self.p_max])
+        labels = ([f"{label}[{i}]" for label, _, _, _ in self.families for i in range(n)]
+                  + [f"power_min[{i}]" for i in range(m)]
+                  + [f"power_max[{i}]" for i in range(m)])
+        return g_mat, h_vec, labels
+
+    def rows_at(self, scene: Scene, partition: RegionPartition, points: np.ndarray):
+        """Sampled constraint rows evaluated at arbitrary plane points."""
+        return self._sampled_rows(self._coefficients_at(scene, points))
+
+    def check_points(self, scene: Scene, partition: RegionPartition,
+                     pitch: float) -> np.ndarray:
+        return _region_points(scene, partition, pitch, self.activity_only)
+
+    def with_extra_points(self, scene: Scene, partition: RegionPartition,
+                          points: np.ndarray):
+        grown = {field: np.vstack([getattr(self, field), coeffs])
+                 for field, coeffs in self._coefficients_at(scene, points).items()}
+        grown[self.points_field] = np.vstack([getattr(self, self.points_field), points])
+        return replace(self, **grown)
+
+
 @dataclass(frozen=True)
-class UniformityQp:
+class UniformityQp(_SampledProgram):
     """SNR-variance QP: minimize p'Qp subject to illuminance and power boxes.
 
     Q = (1/L) A' M A with A the per-watt SNR coefficients at the receiving
     plane samples and M the centering matrix I - (1/L) 11'.
     """
+
+    families = (("illuminance_min", "illum_coeffs", "e_min", True),
+                ("illuminance_max", "illum_coeffs", "e_max", False))
+    points_field = "constraint_points"
+    activity_only = False
 
     samples: np.ndarray            # (L, 2) objective sample points
     snr_coeffs: np.ndarray         # A, (L, M)
@@ -281,6 +357,9 @@ class UniformityQp:
     e_max: float
     p_min: np.ndarray
     p_max: np.ndarray
+
+    # bound in the class body (not only inherited) so it can be wrapped per class
+    rows_at = _SampledProgram.rows_at
 
     def centering_matrix(self) -> np.ndarray:
         n = len(self.samples)
@@ -295,45 +374,17 @@ class UniformityQp:
     def objective(self, p: np.ndarray) -> float:
         return float(p @ self.q_matrix @ p)
 
-    def constraint_system(self):
-        m = len(self.p_min)
-        eye = np.eye(m)
-        g_mat = np.vstack([-self.illum_coeffs, self.illum_coeffs, -eye, eye])
-        h_vec = np.concatenate([
-            np.full(len(self.illum_coeffs), -self.e_min),
-            np.full(len(self.illum_coeffs), self.e_max),
-            -self.p_min, self.p_max,
-        ])
-        labels = ([f"illuminance_min[{i}]" for i in range(len(self.illum_coeffs))]
-                  + [f"illuminance_max[{i}]" for i in range(len(self.illum_coeffs))]
-                  + [f"power_min[{i}]" for i in range(m)]
-                  + [f"power_max[{i}]" for i in range(m)])
-        return g_mat, h_vec, labels
-
-    def rows_at(self, scene: Scene, partition: RegionPartition, points: np.ndarray):
-        """Illuminance constraint rows evaluated at arbitrary plane points."""
-        coeffs = illuminance_coefficients(scene.leds, points, scene.room.plane_z)
-        g_mat = np.vstack([-coeffs, coeffs])
-        h_vec = np.concatenate([np.full(len(points), -self.e_min),
-                                np.full(len(points), self.e_max)])
-        return g_mat, h_vec
-
-    def check_points(self, scene: Scene, partition: RegionPartition,
-                     pitch: float) -> np.ndarray:
-        return _region_points(scene, partition, pitch, activity_only=False)
-
-    def with_extra_points(self, scene: Scene, partition: RegionPartition,
-                          points: np.ndarray) -> "UniformityQp":
-        coeffs = illuminance_coefficients(scene.leds, points, scene.room.plane_z)
-        return replace(self,
-                       constraint_points=np.vstack([self.constraint_points, points]),
-                       illum_coeffs=np.vstack([self.illum_coeffs, coeffs]))
-
 
 @dataclass(frozen=True)
-class EnhancedLp:
+class EnhancedLp(_SampledProgram):
     """Total-power LP: minimize 1'p subject to SNR and illuminance floors on
     the activity area plus power boxes."""
+
+    families = (("snr_min", "snr_coeffs", "snr_threshold", True),
+                ("illuminance_min", "illum_coeffs", "e_min", True),
+                ("illuminance_max", "illum_coeffs", "e_max", False))
+    points_field = "samples"
+    activity_only = True
 
     samples: np.ndarray           # (L, 2) activity-area sample points
     snr_coeffs: np.ndarray        # (L, M)
@@ -344,6 +395,8 @@ class EnhancedLp:
     p_min: np.ndarray
     p_max: np.ndarray
 
+    rows_at = _SampledProgram.rows_at
+
     def quadratic_term(self):
         return None
 
@@ -352,51 +405,6 @@ class EnhancedLp:
 
     def objective(self, p: np.ndarray) -> float:
         return float(np.sum(p))
-
-    def constraint_system(self):
-        m = len(self.p_min)
-        n_s = len(self.samples)
-        eye = np.eye(m)
-        g_mat = np.vstack([-self.snr_coeffs, -self.illum_coeffs, self.illum_coeffs,
-                           -eye, eye])
-        h_vec = np.concatenate([
-            np.full(n_s, -self.snr_threshold),
-            np.full(n_s, -self.e_min),
-            np.full(n_s, self.e_max),
-            -self.p_min, self.p_max,
-        ])
-        labels = ([f"snr_min[{i}]" for i in range(n_s)]
-                  + [f"illuminance_min[{i}]" for i in range(n_s)]
-                  + [f"illuminance_max[{i}]" for i in range(n_s)]
-                  + [f"power_min[{i}]" for i in range(m)]
-                  + [f"power_max[{i}]" for i in range(m)])
-        return g_mat, h_vec, labels
-
-    def rows_at(self, scene: Scene, partition: RegionPartition, points: np.ndarray):
-        illum = illuminance_coefficients(scene.leds, points, scene.room.plane_z)
-        snr = snr_coefficients(scene.leds, points, scene.room.plane_z,
-                               scene.comm_pd, scene.noise)
-        g_mat = np.vstack([-snr, -illum, illum])
-        h_vec = np.concatenate([
-            np.full(len(points), -self.snr_threshold),
-            np.full(len(points), -self.e_min),
-            np.full(len(points), self.e_max),
-        ])
-        return g_mat, h_vec
-
-    def check_points(self, scene: Scene, partition: RegionPartition,
-                     pitch: float) -> np.ndarray:
-        return _region_points(scene, partition, pitch, activity_only=True)
-
-    def with_extra_points(self, scene: Scene, partition: RegionPartition,
-                          points: np.ndarray) -> "EnhancedLp":
-        illum = illuminance_coefficients(scene.leds, points, scene.room.plane_z)
-        snr = snr_coefficients(scene.leds, points, scene.room.plane_z,
-                               scene.comm_pd, scene.noise)
-        return replace(self,
-                       samples=np.vstack([self.samples, points]),
-                       snr_coeffs=np.vstack([self.snr_coeffs, snr]),
-                       illum_coeffs=np.vstack([self.illum_coeffs, illum]))
 
 
 def build_uniformity_qp(scene: Scene, partition: RegionPartition,
@@ -407,15 +415,13 @@ def build_uniformity_qp(scene: Scene, partition: RegionPartition,
     pts = _region_points(scene, partition, pitch, activity_only=False)
     if len(pts) == 0:
         raise ValueError("no receiving-plane samples at this pitch")
-    a_mat = snr_coefficients(scene.leds, pts, scene.room.plane_z,
-                             scene.comm_pd, scene.noise)
+    a_mat = _snr_rows(scene, pts)
     centered = a_mat - a_mat.mean(axis=0, keepdims=True)
     q_matrix = centered.T @ centered / len(pts)
-    illum = illuminance_coefficients(scene.leds, pts, scene.room.plane_z)
     p_min, p_max = scene.power_bounds()
     ctl = scene.controller
     return UniformityQp(samples=pts, snr_coeffs=a_mat, q_matrix=q_matrix,
-                        constraint_points=pts, illum_coeffs=illum,
+                        constraint_points=pts, illum_coeffs=_illum_rows(scene, pts),
                         e_min=ctl.e_uniform_min_lx, e_max=ctl.e_uniform_max_lx,
                         p_min=p_min, p_max=p_max)
 
@@ -424,10 +430,8 @@ def default_snr_threshold(scene: Scene, partition: RegionPartition) -> float:
     """Plane-average simplified SNR at the uniform baseline power."""
     pts = _region_points(scene, partition, scene.controller.field_pitch_m,
                          activity_only=False)
-    a_mat = snr_coefficients(scene.leds, pts, scene.room.plane_z,
-                             scene.comm_pd, scene.noise)
     p_base = np.full(scene.num_leds, scene.controller.baseline_power_w)
-    return float(np.mean(a_mat @ p_base))
+    return float(np.mean(_snr_rows(scene, pts) @ p_base))
 
 
 def build_enhanced_lp(scene: Scene, partition: RegionPartition,
@@ -453,16 +457,16 @@ def build_enhanced_lp(scene: Scene, partition: RegionPartition,
     if len(pts) == 0:
         # Tiny activity areas can fall between grid points; sample the center.
         pts = np.array([[partition.mic.center.x, partition.mic.center.y]])
-    snr = snr_coefficients(scene.leds, pts, scene.room.plane_z,
-                           scene.comm_pd, scene.noise)
-    illum = illuminance_coefficients(scene.leds, pts, scene.room.plane_z)
     p_min, p_max = scene.power_bounds()
-    return EnhancedLp(samples=pts, snr_coeffs=snr, illum_coeffs=illum,
+    return EnhancedLp(samples=pts, snr_coeffs=_snr_rows(scene, pts),
+                      illum_coeffs=_illum_rows(scene, pts),
                       snr_threshold=float(snr_threshold), e_min=float(e_min),
                       e_max=float(e_max), p_min=p_min, p_max=p_max)
 
 
-def _solve_problem(problem) -> SolveReport:
+def solve(problem) -> SolveReport:
+    """Solve a mode program.  The objective is reported in the program's own
+    terms: p'Qp for the uniformity QP, total power for the enhanced LP."""
     g_mat, h_vec, labels = problem.constraint_system()
     report = solve_inequality_program(problem.quadratic_term(), problem.linear_term(),
                                       g_mat, h_vec, labels=labels)
@@ -471,42 +475,30 @@ def _solve_problem(problem) -> SolveReport:
     return report
 
 
-def solve_qp(qp: UniformityQp) -> SolveReport:
-    """Solve the uniformity-mode QP; objective reported as p'Qp."""
-    return _solve_problem(qp)
+solve_qp = solve_lp = solve
 
 
-def solve_lp(lp: EnhancedLp) -> SolveReport:
-    """Solve the enhanced-mode LP; objective reported as total power."""
-    return _solve_problem(lp)
-
-
-def solve_refined(problem, scene: Scene, partition: RegionPartition,
-                  fine_pitch: Optional[float] = None, max_rounds: int = 6,
-                  max_new_points: int = 200,
-                  viol_tol: float = 1e-12):
-    """Solve, then re-check the sampled constraints on a fine grid and
-    re-solve with violated points appended until the fine grid is clean.
+def solve_refined(problem, scene: Scene, partition: RegionPartition):
+    """Solve, then re-check the sampled constraints on the scene's field grid
+    and re-solve with violated points appended until that grid is clean.
 
     Returns (problem, report); the returned problem contains any appended
     constraint points.
     """
-    if fine_pitch is None:
-        fine_pitch = scene.controller.field_pitch_m
-    report = _solve_problem(problem)
-    check_pts = problem.check_points(scene, partition, fine_pitch)
-    for _ in range(max_rounds):
+    report = solve(problem)
+    check_pts = problem.check_points(scene, partition, scene.controller.field_pitch_m)
+    for _ in range(_REFINE_ROUNDS):
         if report.status is not SolveStatus.OPTIMAL:
             return problem, report
         g_mat, h_vec = problem.rows_at(scene, partition, check_pts)
         viol = (g_mat @ report.x - h_vec) / _row_scales(g_mat, h_vec)
-        if viol.max(initial=0.0) <= viol_tol:
+        if viol.max(initial=0.0) <= _REFINE_VIOL_TOL:
             return problem, report
-        bad_rows = np.argsort(viol)[::-1][:max_new_points]
-        bad_rows = bad_rows[viol[bad_rows] > viol_tol]
+        bad_rows = np.argsort(viol)[::-1][:_REFINE_NEW_POINTS]
+        bad_rows = bad_rows[viol[bad_rows] > _REFINE_VIOL_TOL]
         # rows_at stacks equal-length families, so row index mod point count
         # recovers the sample point a violated row belongs to
         bad_points = np.unique(check_pts[bad_rows % len(check_pts)], axis=0)
         problem = problem.with_extra_points(scene, partition, bad_points)
-        report = _solve_problem(problem)
+        report = solve(problem)
     return problem, report

@@ -133,6 +133,16 @@ def _collector_factors(scene: Scene, points: np.ndarray, point_z: float) -> np.n
     return out
 
 
+def _bounce_gains(scene: Scene, points: np.ndarray, z: float, rho_area) -> np.ndarray:
+    """One-bounce gains LED i -> horizontal patch k at height z -> PD j, (M, P, N);
+    ``rho_area`` is reflectance times area, per patch or shared by all."""
+    m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
+    front = (m_ord + 1.0) / (2.0 * math.pi**2)
+    rho_area = np.broadcast_to(rho_area, (len(points),))
+    return np.einsum("i,ik,k,kj->ikj", front, _emitter_factors(scene, points, z),
+                     rho_area, _collector_factors(scene, points, z))
+
+
 class SensingModel:
     """Precomputed one-bounce gain tensors for a fixed scene.
 
@@ -141,25 +151,16 @@ class SensingModel:
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        centers = scene.grid.centers()
-        m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-        emit = _emitter_factors(scene, centers, 0.0)
-        collect = _collector_factors(scene, centers, 0.0)
-        rho_area = scene.grid.reflectance_array() * scene.grid.cell_area
-        front = (m_ord + 1.0) / (2.0 * math.pi**2)
-        self.element_gains = np.einsum("i,ik,k,kj->ikj", front, emit, rho_area, collect)
+        self.element_gains = _bounce_gains(scene, scene.grid.centers(), 0.0,
+                                           scene.grid.reflectance_array() * scene.grid.cell_area)
         self.baseline_gains = self.element_gains.sum(axis=1)  # (M, N)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
-        scene = self.scene
+        user = self.scene.user
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-        emit = _emitter_factors(scene, pt, scene.user.patch_height_m)      # (M, 1)
-        collect = _collector_factors(scene, pt, scene.user.patch_height_m)  # (1, N)
-        rho_area = scene.user.reflectance * scene.user.patch_area_m2
-        front = (m_ord + 1.0) / (2.0 * math.pi**2)
-        return front[:, None] * emit * rho_area * collect
+        return _bounce_gains(self.scene, pt, user.patch_height_m,
+                             user.reflectance * user.patch_area_m2)[:, 0, :]
 
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -210,12 +211,8 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
     n_leds, n_pds = scene.num_leds, scene.num_sensing_pds
     centers = grid.centers()
 
-    m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-    emit = _emitter_factors(scene, centers, scene.user.patch_height_m)
-    collect = _collector_factors(scene, centers, scene.user.patch_height_m)
-    rho_area = scene.user.reflectance * scene.user.patch_area_m2
-    front = (m_ord + 1.0) / (2.0 * math.pi**2) * rho_area
-    user_gains = np.einsum("i,ik,kj->ikj", front, emit, collect)  # (M, K, N)
+    user_gains = _bounce_gains(scene, centers, scene.user.patch_height_m,
+                               scene.user.reflectance * scene.user.patch_area_m2)
 
     # Candidates are cell centers, so occluded cells sit at fixed index
     # offsets; accumulate shifted views instead of looping candidates.

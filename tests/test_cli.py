@@ -172,3 +172,34 @@ def test_summary_contents(tmp_path):
     for key in ("savings_pct=", "snr_variance_baseline=", "power_violations=0",
                 "mean_error_m=", "illuminance_uniformity_lx="):
         assert key in text, key
+
+
+def _write_trace(path, powers, energy_j, steps=3):
+    header = (["t", "x_true", "y_true", "x_est", "y_est", "mode"]
+              + [f"P_{i + 1}" for i in range(len(powers))] + ["energy_J", "error_m"])
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k in range(steps):
+            writer.writerow([0.5 * k, "", "", "", "", "no_user", *powers, energy_j, ""])
+
+
+def test_report_zero_energy_baseline_exit_one(tmp_path, capsys):
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 0.5 * float(p_min.sum()))
+    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 0.0)
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    assert "error: baseline trace has no energy" in capsys.readouterr().err
+
+
+def test_report_power_column_mismatch_exit_one(tmp_path, capsys):
+    p_min, _ = default_scene().power_bounds()
+    short = list(p_min[:-1])
+    _write_trace(tmp_path / "trace.csv", short, 1.0)
+    _write_trace(tmp_path / "base.csv", short, 2.0)
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    err = capsys.readouterr().err
+    assert f"{len(short)} power columns" in err
+    assert f"{len(p_min)} LEDs" in err

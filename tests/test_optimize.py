@@ -305,3 +305,41 @@ def test_refinement_keeps_objective_samples(scene, partition):
     problem, _ = op.solve_refined(qp, scene, partition)
     np.testing.assert_allclose(problem.q_matrix, qp.q_matrix)
     assert len(problem.constraint_points) >= len(qp.constraint_points)
+
+
+@pytest.mark.parametrize("build", [op.build_uniformity_qp, op.build_enhanced_lp])
+def test_sampled_row_layout(scene, partition, build):
+    problem = build(scene, partition)
+    is_qp = isinstance(problem, op.UniformityQp)
+    points = problem.constraint_points if is_qp else problem.samples
+    g_mat, h_vec, labels = problem.constraint_system()
+
+    # the sampled rows lead the stacked system, followed by the power boxes
+    g_pts, h_pts = problem.rows_at(scene, partition, points)
+    np.testing.assert_array_equal(g_mat[:len(h_pts)], g_pts)
+    np.testing.assert_array_equal(h_vec[:len(h_pts)], h_pts)
+
+    families = (["illuminance_min", "illuminance_max"] if is_qp
+                else ["snr_min", "illuminance_min", "illuminance_max"])
+    m = len(problem.p_min)
+    expected = ([f"{name}[{i}]" for name in families for i in range(len(points))]
+                + [f"power_min[{i}]" for i in range(m)]
+                + [f"power_max[{i}]" for i in range(m)])
+    assert labels == expected
+    assert len(h_vec) == len(expected)
+
+    extra = problem.check_points(scene, partition, scene.controller.field_pitch_m)[:3]
+    grown = problem.with_extra_points(scene, partition, extra)
+    if is_qp:
+        grown_fields = ["constraint_points", "illum_coeffs"]
+        np.testing.assert_array_equal(grown.samples, problem.samples)
+        np.testing.assert_array_equal(grown.q_matrix, problem.q_matrix)
+    else:
+        grown_fields = ["samples", "snr_coeffs", "illum_coeffs"]
+    for name in grown_fields:
+        before, after = getattr(problem, name), getattr(grown, name)
+        assert len(after) == len(before) + len(extra), name
+        np.testing.assert_array_equal(after[:len(before)], before)
+    np.testing.assert_array_equal(grown.constraint_points if is_qp else grown.samples,
+                                  np.vstack([points, extra]))
+    assert len(grown.constraint_system()[1]) == len(h_vec) + len(families) * len(extra)
