@@ -237,14 +237,15 @@ def _cmd_simulate(args) -> int:
                                                   step_period_s=args.step_period))
         scene.validate()
     partition = build_partition(scene)
-    table = sensing.build_fingerprint_table(scene)
+    model = sensing.SensingModel(scene)
+    table = sensing.build_fingerprint_table(scene, model)
     trajectory = controller.generate_trajectory(
         partition, seed=args.trajectory_seed, dt=scene.controller.step_period_s,
         speed=scene.controller.user_speed_m_per_s,
         dwell_time=scene.controller.dwell_time_s)
     trace = controller.run_scenario(scene, partition, table, trajectory,
                                     noise_seed=args.noise_seed,
-                                    noise_rel=args.noise_sigma)
+                                    noise_rel=args.noise_sigma, model=model)
     baseline = controller.baseline_scenario(scene, trajectory)
     savings = _savings(trace.total_energy_j, baseline.total_energy_j)
 
@@ -288,6 +289,11 @@ def _illuminance_range(scene, partition, powers, activity_only):
     return float(vals.min()), float(vals.max())
 
 
+def _variance_reduction_pct(var_before: float, var_after: float) -> float:
+    """Percent drop of the SNR variance from ``var_before`` to ``var_after``."""
+    return 100.0 * (1.0 - var_after / var_before)
+
+
 def _savings(energy_j: float, base_energy_j: float) -> float:
     """Fractional energy saved against the baseline run."""
     if base_energy_j <= 0:
@@ -316,7 +322,8 @@ def _summarize(scene, partition, trace, baseline, savings) -> str:
     if p_unif is not None:
         var_after = _snr_variance(scene, partition, p_unif)
         lines.append(f"snr_variance_uniformity={_fmt(var_after)}")
-        lines.append(f"snr_variance_reduction_pct={100.0 * (1.0 - var_after / var_before):.4f}")
+        lines.append(f"snr_variance_reduction_pct="
+                     f"{_variance_reduction_pct(var_before, var_after):.4f}")
         lo, hi = _illuminance_range(scene, partition, p_unif, activity_only=False)
         lines.append(f"illuminance_uniformity_lx=[{_fmt(lo)}, {_fmt(hi)}]")
     p_enh = _mode_powers(trace, "enhanced")
@@ -363,9 +370,9 @@ def _cmd_report(args) -> int:
     if unif is not None:
         p_unif = np.array([float(unif[c]) for c in power_cols])
         p_base = np.array([float(base_rows[0][c]) for c in power_cols])
-        var_b = _snr_variance(scene, partition, p_base)
-        var_a = _snr_variance(scene, partition, p_unif)
-        lines.append(f"variance_reduction={100.0 * (1.0 - var_a / var_b):.2f}%")
+        reduction = _variance_reduction_pct(_snr_variance(scene, partition, p_base),
+                                            _snr_variance(scene, partition, p_unif))
+        lines.append(f"variance_reduction={reduction:.2f}%")
     if errors:
         lines.append(f"mean_error_m={_fmt(float(np.mean(errors)))}")
         lines.append(f"max_error_m={_fmt(float(np.max(errors)))}")

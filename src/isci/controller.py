@@ -232,7 +232,10 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     the previous step (measurement precedes actuation), localizes, selects a
     mode, and re-solves only when the mode changes.  Gaussian measurement
     noise has per-PD sigma ``noise_rel`` times the no-user baseline reading;
-    the detection threshold is three times the largest sigma.
+    the detection threshold is three times the largest sigma.  Localization
+    predictions are memoized on ``table`` per applied power vector, so after
+    the first step at each of the (at most three) allocations a step costs
+    one (K, N) loss scan rather than a pass over the whole deltas table.
     """
     if model is None:
         model = SensingModel(scene)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,10 @@ _MAGIC = b"LFPT"
 _VERSION = 1
 
 NOISELESS_DETECT_EPS = 1e-12
+
+# Distinct power vectors whose predictions a FingerprintTable keeps.  A
+# scenario applies at most three: p_min and the two mode allocations.
+_PREDICTION_MEMO_SIZE = 4
 
 # Shared footprint-boundary guard so the per-candidate occlusion stencil and
 # occluded_set agree on cells whose centers sit exactly at the radius.
@@ -92,55 +96,64 @@ def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
 
     A user outside the room occludes nothing.
     """
+    return _occluded(scene, scene.grid.centers(), user_xy)
+
+
+def _occluded(scene: Scene, centers: np.ndarray, user_xy: Sequence[float]) -> np.ndarray:
     ux, uy = float(user_xy[0]), float(user_xy[1])
     if scene.user.footprint_radius_m <= 0 or not scene.room.contains_xy(ux, uy):
         return np.empty(0, dtype=int)
-    centers = scene.grid.centers()
     dist = np.hypot(centers[:, 0] - ux, centers[:, 1] - uy)
     return np.flatnonzero(dist <= scene.user.footprint_radius_m + _OCCLUSION_TOL)
 
 
-def _emitter_factors(scene: Scene, points: np.ndarray, point_z: float) -> np.ndarray:
-    """cos^m(phi) * cos(alpha) / d^2 for every LED-to-patch pair, (M, P)."""
-    led_pos = scene.led_positions()
-    m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-    dz = led_pos[:, 2][:, None] - point_z
-    dx = led_pos[:, 0][:, None] - points[:, 0][None, :]
-    dy = led_pos[:, 1][:, None] - points[:, 1][None, :]
-    d2 = dx * dx + dy * dy + dz * dz
-    cos_ang = dz / np.sqrt(d2)
-    return cos_ang ** (m_ord[:, None] + 1.0) / d2
+class _BounceKernel:
+    """One-bounce gains LED i -> horizontal patch k at height z -> PD j.
 
+    The per-LED and per-PD constants are computed once per scene, so a
+    per-step call for one user patch only evaluates the geometry.
+    """
 
-def _collector_factors(scene: Scene, points: np.ndarray, point_z: float) -> np.ndarray:
-    """A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 per patch-PD pair, (P, N)."""
-    pd_pos = scene.sensing_pd_positions()
-    dz = pd_pos[:, 2][None, :] - point_z
-    dx = pd_pos[:, 0][None, :] - points[:, 0][:, None]
-    dy = pd_pos[:, 1][None, :] - points[:, 1][:, None]
-    d2 = dx * dx + dy * dy + dz * dz
-    cos_ang = dz / np.sqrt(d2)
-    out = np.zeros_like(d2)
-    for j, pd in enumerate(scene.sensing_pds):
-        cos_fov = math.cos(math.radians(pd.fov_deg))
-        gain = pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2
-        mask = cos_ang[:, j] >= cos_fov - 1e-15
-        out[:, j] = np.where(
-            mask,
-            pd.area_m2 * pd.filter_gain * gain * cos_ang[:, j] ** 2 / d2[:, j],
-            0.0,
-        )
-    return out
+    def __init__(self, scene: Scene):
+        m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
+        self.led_pos = scene.led_positions()
+        self.exponent = m_ord + 1.0
+        self.front = self.exponent / (2.0 * math.pi**2)
+        self.pd_pos = scene.sensing_pd_positions()
+        # FOV cut-off on cos(psi) and A_s * T_s * g(psi) inside the FOV, per PD
+        self.cos_fov = np.array([math.cos(math.radians(pd.fov_deg)) - 1e-15
+                                 for pd in scene.sensing_pds])
+        self.collector_gain = np.array([
+            pd.area_m2 * pd.filter_gain
+            * (pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2)
+            for pd in scene.sensing_pds])
 
+    def gains(self, points: np.ndarray, z: float, rho_area) -> np.ndarray:
+        """Gains (M, P, N); ``rho_area`` is reflectance times area, per patch
+        or shared by all."""
+        rho_area = np.broadcast_to(rho_area, (len(points),))
+        return np.einsum("i,ik,k,kj->ikj", self.front, self._emitter(points, z),
+                         rho_area, self._collector(points, z))
 
-def _bounce_gains(scene: Scene, points: np.ndarray, z: float, rho_area) -> np.ndarray:
-    """One-bounce gains LED i -> horizontal patch k at height z -> PD j, (M, P, N);
-    ``rho_area`` is reflectance times area, per patch or shared by all."""
-    m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-    front = (m_ord + 1.0) / (2.0 * math.pi**2)
-    rho_area = np.broadcast_to(rho_area, (len(points),))
-    return np.einsum("i,ik,k,kj->ikj", front, _emitter_factors(scene, points, z),
-                     rho_area, _collector_factors(scene, points, z))
+    def _emitter(self, points: np.ndarray, z: float) -> np.ndarray:
+        """cos^m(phi) * cos(alpha) / d^2 for every LED-to-patch pair, (M, P)."""
+        led_pos = self.led_pos
+        dz = led_pos[:, 2][:, None] - z
+        dx = led_pos[:, 0][:, None] - points[:, 0][None, :]
+        dy = led_pos[:, 1][:, None] - points[:, 1][None, :]
+        d2 = dx * dx + dy * dy + dz * dz
+        cos_ang = dz / np.sqrt(d2)
+        return cos_ang ** self.exponent[:, None] / d2
+
+    def _collector(self, points: np.ndarray, z: float) -> np.ndarray:
+        """A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 per patch-PD pair, (P, N)."""
+        pd_pos = self.pd_pos
+        dz = pd_pos[:, 2][None, :] - z
+        dx = pd_pos[:, 0][None, :] - points[:, 0][:, None]
+        dy = pd_pos[:, 1][None, :] - points[:, 1][:, None]
+        d2 = dx * dx + dy * dy + dz * dz
+        cos_ang = dz / np.sqrt(d2)
+        return np.where(cos_ang >= self.cos_fov, self.collector_gain * cos_ang ** 2 / d2, 0.0)
 
 
 class SensingModel:
@@ -151,16 +164,18 @@ class SensingModel:
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        self.element_gains = _bounce_gains(scene, scene.grid.centers(), 0.0,
-                                           scene.grid.reflectance_array() * scene.grid.cell_area)
+        self._kernel = _BounceKernel(scene)
+        self._centers = scene.grid.centers()
+        self.element_gains = self._kernel.gains(
+            self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.baseline_gains = self.element_gains.sum(axis=1)  # (M, N)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
         user = self.scene.user
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        return _bounce_gains(self.scene, pt, user.patch_height_m,
-                             user.reflectance * user.patch_area_m2)[:, 0, :]
+        return self._kernel.gains(pt, user.patch_height_m,
+                                  user.reflectance * user.patch_area_m2)[:, 0, :]
 
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -168,7 +183,7 @@ class SensingModel:
         powers = np.asarray(powers, dtype=float)
         gains = self.baseline_gains
         if user_xy is not None:
-            occ = occluded_set(self.scene, user_xy)
+            occ = _occluded(self.scene, self._centers, user_xy)
             occluded = self.element_gains[:, occ, :].sum(axis=1) if len(occ) else 0.0
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
@@ -182,11 +197,22 @@ def received_sensing_power(scene: Scene, powers: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class FingerprintTable:
-    """Per-candidate gain deltas for power-scaled variation prediction."""
+    """Per-candidate gain deltas for power-scaled variation prediction.
+
+    The arrays are made read-only on construction, so the predictions that
+    predict_power_deltas memoizes on the table cannot go stale.
+    """
 
     candidates: np.ndarray  # (K, 2) candidate positions (floor cell centers)
     baseline: np.ndarray    # (M, N) no-user gain sums
     deltas: np.ndarray      # (K, M, N) user-at-k gain minus occluded-cell gains
+    _predictions: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("candidates", "baseline", "deltas"):
+            arr = np.asarray(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -211,8 +237,8 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
     n_leds, n_pds = scene.num_leds, scene.num_sensing_pds
     centers = grid.centers()
 
-    user_gains = _bounce_gains(scene, centers, scene.user.patch_height_m,
-                               scene.user.reflectance * scene.user.patch_area_m2)
+    user_gains = model._kernel.gains(centers, scene.user.patch_height_m,
+                                     scene.user.reflectance * scene.user.patch_area_m2)
 
     # Candidates are cell centers, so occluded cells sit at fixed index
     # offsets; accumulate shifted views instead of looping candidates.
@@ -238,9 +264,28 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
 
 
 def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
-    """Predicted per-PD power variation for every candidate, (K, N)."""
+    """Predicted per-PD power variation for every candidate, (K, N).
+
+    Predictions are memoized on the table per power vector, keyed by its
+    exact float64 bytes, for the last few distinct vectors.  The returned
+    array is read-only and shared between calls with equal powers.
+    """
     powers = np.asarray(powers, dtype=float)
-    return np.abs(np.einsum("kij,i->kj", table.deltas, powers))
+    n_leds = table.deltas.shape[1]
+    if powers.ndim != 1:
+        raise ValueError(f"powers must be a 1-D vector, got shape {powers.shape}")
+    if len(powers) != n_leds:
+        raise ValueError(f"{len(powers)} powers but the fingerprint table has {n_leds} LEDs")
+    memo = table._predictions
+    key = powers.tobytes()
+    predicted = memo.pop(key, None)
+    if predicted is None:
+        predicted = np.abs(np.einsum("kij,i->kj", table.deltas, powers))
+        predicted.flags.writeable = False
+        if len(memo) >= _PREDICTION_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[key] = predicted  # (re)inserted last: the memo evicts the least recently used
+    return predicted
 
 
 def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
@@ -250,7 +295,9 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
 
     The user counts as detected when any PD's variation reaches
     ``epsilon_detect``; the estimate is the loss-minimizing candidate, ties
-    broken toward the lowest index.
+    broken toward the lowest index.  The predicted variations come from
+    predict_power_deltas, so a call with a power vector seen recently reuses
+    the table's memoized (K, N) prediction instead of re-reading the deltas.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)

@@ -7,7 +7,7 @@ from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
 from isci.geometry import Region, classify_point, classify_points
-from isci.sensing import LocalizationResult
+from isci.sensing import FingerprintTable, LocalizationResult
 
 
 def _loc(pos, detected=True):
@@ -168,6 +168,38 @@ def test_scenario_reoptimizes_once_per_mode(scene, partition, table):
         by_mode.setdefault(s.mode, set()).add(s.powers)
     for mode, power_sets in by_mode.items():
         assert len(power_sets) == 1
+
+
+def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model):
+    # a fresh table (same arrays, empty memo) so the memo's keys are this run's
+    fresh = FingerprintTable(table.candidates, table.baseline, table.deltas)
+    traj = ct.generate_trajectory(partition, seed=3)
+    trace = ct.run_scenario(scene, partition, fresh, traj, noise_seed=9)
+    assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
+
+    # the same loop, with losses from a direct contraction of the deltas
+    rng = np.random.default_rng(9)
+    noise_rel = scene.controller.noise_rel_sigma
+    allocations = {ct.Mode.NO_USER: scene.power_bounds()[0]}
+    applied = allocations[ct.Mode.NO_USER]
+    for step, (_, pos) in zip(trace.steps, traj):
+        base = sensing_model.received_power(applied)
+        reading = sensing_model.received_power(applied, pos) if pos is not None else base
+        sigma = noise_rel * base
+        measured = reading + rng.standard_normal(len(reading)) * sigma
+        actual = np.abs(measured - base)
+        predicted = np.abs(np.einsum("kij,i->kj", table.deltas, applied))
+        losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
+        detected = bool(actual.max() >= 3.0 * float(sigma.max()))
+        k = int(np.argmin(losses))
+        estimate = tuple(float(c) for c in table.candidates[k]) if detected else None
+        mode = ct.select_mode(LocalizationResult(position=estimate, index=k, losses=losses,
+                                                 detected=detected), partition)
+        if mode not in allocations:
+            allocations[mode], _ = ct.apply_mode(mode, scene, partition)
+        assert (step.mode, step.detected, step.estimate) == (mode.value, detected, estimate)
+        applied = allocations[mode]
+    assert len(fresh._predictions) == 3
 
 
 def test_uniformity_variance_strictly_improves(scene, partition):

@@ -237,6 +237,82 @@ def test_localize_dimension_mismatch(table, scene):
         sn.localize(np.ones(5), np.ones(5), p, table)
 
 
+def test_localize_rejects_bad_power_vector(scene, table):
+    base = np.ones(scene.num_sensing_pds)
+    p = scene.power_vector()
+    fresh = sn.FingerprintTable(table.candidates, table.baseline, table.deltas)
+    with pytest.raises(ValueError, match="7 powers but the fingerprint table has 8 LEDs"):
+        sn.predict_power_deltas(fresh, p[:7])
+    with pytest.raises(ValueError, match="1-D"):
+        sn.predict_power_deltas(fresh, np.stack([p, p]))
+    with pytest.raises(ValueError, match="9 powers but"):
+        sn.localize(base, base, np.append(p, 1.0), fresh)
+    assert fresh._predictions == {}
+
+
+# ---------------------------------------------------------------------------
+# prediction memo
+# ---------------------------------------------------------------------------
+
+def _small_table(rng, k=40, m=3, n=4):
+    return sn.FingerprintTable(candidates=rng.uniform(0, 5, (k, 2)),
+                               baseline=rng.uniform(0, 1, (m, n)),
+                               deltas=rng.standard_normal((k, m, n)))
+
+
+def test_predict_memo_hits_on_equal_powers(rng):
+    t = _small_table(rng)
+    p = np.array([1.0, 2.5, 0.75])
+    first = sn.predict_power_deltas(t, p)
+    assert sn.predict_power_deltas(t, p) is first
+    assert sn.predict_power_deltas(t, p.copy()) is first
+    assert sn.predict_power_deltas(t, [1.0, 2.5, 0.75]) is first
+    assert np.array_equal(first, np.abs(np.einsum("kij,i->kj", t.deltas, p)))
+
+
+def test_predict_memo_never_stale_and_bounded(rng):
+    t = _small_table(rng)
+    vectors = [rng.uniform(0.1, 3.0, 3) for _ in range(3 * sn._PREDICTION_MEMO_SIZE)]
+    # revisit vectors in an order that both hits and evicts
+    for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
+        p = vectors[i]
+        got = sn.predict_power_deltas(t, p)
+        assert np.array_equal(got, np.abs(np.einsum("kij,i->kj", t.deltas, p)))
+        assert 1 <= len(t._predictions) <= sn._PREDICTION_MEMO_SIZE
+    # a vector one ulp away is a different key
+    p = vectors[2]
+    nudged = p.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    assert sn.predict_power_deltas(t, nudged) is not sn.predict_power_deltas(t, p)
+
+
+def test_predict_memo_evicts_least_recently_used(rng):
+    t = _small_table(rng)
+    size = sn._PREDICTION_MEMO_SIZE
+    vectors = [np.full(3, 1.0 + i) for i in range(size + 1)]
+    kept = sn.predict_power_deltas(t, vectors[0])
+    for p in vectors[1:size]:
+        sn.predict_power_deltas(t, p)
+    assert sn.predict_power_deltas(t, vectors[0]) is kept  # now most recent
+    sn.predict_power_deltas(t, vectors[size])              # evicts vectors[1]
+    assert sn.predict_power_deltas(t, vectors[0]) is kept
+    assert vectors[1].tobytes() not in t._predictions
+
+
+def test_predictions_and_table_read_only(rng, table):
+    t = _small_table(rng)
+    got = sn.predict_power_deltas(t, np.ones(3))
+    for arr in (got, t.candidates, t.baseline, t.deltas,
+                table.candidates, table.baseline, table.deltas):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.deltas[0, 0, 0] = 1.0
+    loaded = sn.load_fingerprint(sn.save_fingerprint(table))
+    assert not loaded.deltas.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
