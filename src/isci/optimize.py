@@ -6,7 +6,9 @@ subject to SNR and illuminance floors over the activity area (an LP).  Both
 are handled by one small dense primal-dual interior-point solver
 (Mehrotra-style predictor-corrector; a zero quadratic term degenerates to
 the LP case), preceded by a phase-1 feasibility solve so infeasible
-instances are detected cleanly rather than by divergence.
+instances are detected cleanly rather than by divergence.  The KKT
+certificate fits its multipliers with a small numpy Lawson-Hanson
+nonnegative least-squares solve (``_nnls``), so the module needs only numpy.
 
 Constraint rows are sampled on a coarse grid for tractability; callers can
 re-check on a finer grid and append violated sample points as extra rows
@@ -28,7 +30,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import Region, RegionPartition, classify_points
 from .photometry import illuminance_coefficients, plane_grid, snr_coefficients
@@ -232,13 +233,64 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                        status=status, worst_row=label if status is not SolveStatus.OPTIMAL else None)
 
 
+def _nnls_max_iter(n_cols: int) -> int:
+    """Iteration cap of _nnls, scipy.optimize.nnls's default."""
+    return 3 * n_cols
+
+
+def _nnls(a: np.ndarray, b: np.ndarray):
+    """Minimize |a x - b|_2 subject to x >= 0; returns (x, residual norm).
+
+    Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): move the free column with the largest gradient into the
+    passive set and solve least squares on that set, stepping back whenever
+    a passive coefficient would go negative.  Each column moved in and each
+    step back is one iteration.  At the cap the current nonnegative iterate
+    is returned, so its residual bounds the optimum from above.  Non-finite
+    input raises ValueError.
+    """
+    a = np.asarray_chkfinite(a, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    m, n = a.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    # gradient entries at or below this are roundoff, not descent directions
+    tol = (10.0 * max(m, n) * np.finfo(float).eps
+           * np.abs(a).sum(axis=0).max(initial=0.0) * np.linalg.norm(b))
+    settled = True  # x is the least-squares point on the passive set
+    for _ in range(_nnls_max_iter(n)):
+        if settled:
+            w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+            k = int(np.argmax(w))
+            # m passive columns already span the rows; nothing can improve the fit
+            if w[k] <= tol or np.count_nonzero(passive) == m:
+                break
+            passive[k] = True
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        settled = bool(np.all(z[passive] >= 0))
+        if settled:
+            x = z
+            continue
+        # step toward z until the first negative coefficient reaches zero and
+        # free it; the clamp and the explicit zero absorb rounding in the step
+        blocking = np.flatnonzero(passive & (z < 0))
+        ratios = x[blocking] / (x[blocking] - z[blocking])
+        j = int(np.argmin(ratios))
+        x = np.maximum(x + ratios[j] * (z - x), 0.0)
+        x[blocking[j]] = 0.0
+        passive &= x > 0
+    return x, float(np.linalg.norm(a @ x - b))
+
+
 def kkt_residual(problem, x: np.ndarray) -> float:
     """Scaled first-order optimality residual of ``x`` for the problem.
 
-    Nonnegative least-squares fits multipliers on the (scaled-)active rows;
-    the residual is the infinity norm of the remaining Lagrangian gradient,
-    divided by max(1, |gradient|).  Zero at an exact optimum; equal to the
-    scaled objective-gradient norm at an unconstrained interior point.
+    A Lawson-Hanson nonnegative least-squares solve (``_nnls``) fits
+    multipliers on the (scaled-)active rows; the residual is the infinity
+    norm of the remaining Lagrangian gradient, divided by max(1, |gradient|).
+    Zero at an exact optimum; equal to the scaled objective-gradient norm at
+    an unconstrained interior point.
     """
     if isinstance(problem, tuple):
         quad, c, g_mat, h_vec = problem
@@ -254,7 +306,7 @@ def kkt_residual(problem, x: np.ndarray) -> float:
     if not np.any(active):
         return float(np.abs(grad).max(initial=0.0)) / denom
     g_act = (g_mat / scales[:, None])[active]
-    mult, _ = nnls(g_act.T, -grad)
+    mult, _ = _nnls(g_act.T, -grad)
     return float(np.abs(grad + g_act.T @ mult).max()) / denom
 
 

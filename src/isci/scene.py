@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
-import yaml
 
 __all__ = [
     "SceneError",
@@ -437,6 +436,8 @@ def load_scene(config_text: str) -> Scene:
     Raises SceneError naming the offending line (parse errors) or field
     (invariant violations).
     """
+    import yaml  # deferred: the built-in scene and the JSON manifest never parse YAML
+
     try:
         cfg = yaml.safe_load(config_text)
     except yaml.YAMLError as exc:
@@ -480,6 +481,8 @@ def scene_to_dict(scene: Scene) -> dict[str, Any]:
 
 def dump_scene(scene: Scene) -> str:
     """Serialize a Scene to YAML that reloads to a value-equal Scene."""
+    import yaml
+
     return yaml.safe_dump(scene_to_dict(scene), sort_keys=False)
 
 

@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
-
+import isci
 from isci.cli import main
 from isci.scene import default_scene, dump_scene
 
@@ -203,3 +207,19 @@ def test_report_power_column_mismatch_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{len(short)} power columns" in err
     assert f"{len(p_min)} LEDs" in err
+
+
+def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
+    code = (
+        "import sys\n"
+        "from isci.cli import main\n"
+        f"assert main(['simulate', '--config', 'default', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(isci.__file__).parents[1]))
+    env.pop("ISCI_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "trace.csv").is_file()

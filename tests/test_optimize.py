@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isci import optimize as op
-from isci.geometry import Region, classify_points
+from isci.geometry import Region, build_partition, classify_points
 from isci.photometry import plane_grid
 from isci.scene import default_scene
 
@@ -343,3 +343,113 @@ def test_sampled_row_layout(scene, partition, build):
     np.testing.assert_array_equal(grown.constraint_points if is_qp else grown.samples,
                                   np.vstack([points, extra]))
     assert len(grown.constraint_system()[1]) == len(h_vec) + len(families) * len(extra)
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares behind the KKT certificate
+# ---------------------------------------------------------------------------
+
+def _nnls_cases():
+    """(name, a, b): tall, wide, rank-deficient, all-negative b, zero column."""
+    rng = np.random.default_rng(7)
+    tall = rng.standard_normal((30, 8))
+    wide = rng.standard_normal((8, 25))
+    rank3 = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10))
+    zero_col = rng.standard_normal((15, 6))
+    zero_col[:, 2] = 0.0
+    cases = [("tall", tall, rng.standard_normal(30)),
+             ("wide", wide, rng.standard_normal(8)),
+             ("rank-deficient", rank3, rng.standard_normal(12)),
+             ("all-negative b", np.abs(rng.standard_normal((10, 5))),
+              -np.abs(rng.standard_normal(10))),
+             ("zero column", zero_col, rng.standard_normal(15))]
+    for seed in range(40):
+        # a shared column component makes some solves free a passive column
+        r = np.random.default_rng(seed)
+        m, n = r.integers(2, 20, size=2)
+        a = r.standard_normal((m, n)) + r.uniform(0.0, 3.0) * r.standard_normal((m, 1))
+        cases.append((f"random[{seed}]", a, r.standard_normal(m)))
+    return cases
+
+
+def test_nnls_matches_scipy_oracle():
+    sp_opt = pytest.importorskip("scipy.optimize")
+    for name, a, b in _nnls_cases():
+        x, rnorm = op._nnls(a, b)
+        x_ref, _ = sp_opt.nnls(a, b)
+        assert np.all(x >= 0), name
+        assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-15, abs=0.0), name
+        ref_norm = np.linalg.norm(a @ x_ref - b)
+        assert abs(rnorm - ref_norm) <= 1e-12 * np.linalg.norm(b), name
+        if name == "all-negative b":
+            np.testing.assert_array_equal(x, 0.0)
+        if name == "zero column":
+            assert x[2] == 0.0
+
+
+def test_kkt_residual_matches_scipy_nnls(monkeypatch):
+    sp_opt = pytest.importorskip("scipy.optimize")
+    solved = []
+    for seed in range(50):
+        scene = default_scene(seed)
+        partition = build_partition(scene)
+        for build in (op.build_uniformity_qp, op.build_enhanced_lp):
+            problem, report = op.solve_refined(build(scene, partition), scene, partition)
+            if report.status is op.SolveStatus.OPTIMAL:
+                solved.append((problem, report.x, op.kkt_residual(problem, report.x)))
+    assert len(solved) == 93  # seven refined enhanced programs are infeasible
+    monkeypatch.setattr(op, "_nnls", sp_opt.nnls)
+    for problem, x, resid in solved:
+        assert abs(resid - op.kkt_residual(problem, x)) <= 1e-12
+
+
+def test_nnls_iteration_cap_returns_nonnegative_upper_bound(monkeypatch, scene, partition):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((20, 6))
+    b = a @ np.array([1.0, 2.0, 0.5, 3.0, 0.0, 1.5]) + 0.1 * rng.standard_normal(20)
+    _, full_rnorm = op._nnls(a, b)
+    problem, report = op.solve_refined(op.build_enhanced_lp(scene, partition), scene, partition)
+    full_kkt = op.kkt_residual(problem, report.x)
+
+    monkeypatch.setattr(op, "_nnls_max_iter", lambda n_cols: 1)
+    x, rnorm = op._nnls(a, b)
+    assert np.all(x >= 0)
+    assert np.count_nonzero(x) <= 1
+    assert rnorm > full_rnorm
+    # a capped fit can only overstate the residual, so the certificate fails safe
+    assert op.kkt_residual(problem, report.x) >= full_kkt
+
+
+def test_nnls_iterates_descend_to_a_kkt_point(monkeypatch):
+    # capped after any number of iterations, _nnls returns a nonnegative point
+    # whose residual never rises with the cap and ends at the full solve's
+    for name, a, b in _nnls_cases():
+        x_full, full_rnorm = op._nnls(a, b)
+        # the full solve is optimal: no column can lower the residual, and
+        # the gradient vanishes on the positive coefficients
+        grad = a.T @ (a @ x_full - b)
+        tol = 1e-12 * np.abs(a).sum(axis=0).max() * np.linalg.norm(b)
+        assert grad.min(initial=0.0) >= -tol, name
+        assert np.abs(grad[x_full > 0]).max(initial=0.0) <= tol, name
+        previous = np.linalg.norm(b)
+        for cap in range(3 * a.shape[1] + 1):
+            monkeypatch.setattr(op, "_nnls_max_iter", lambda n_cols, cap=cap: cap)
+            x, rnorm = op._nnls(a, b)
+            assert np.all(x >= 0), (name, cap)
+            assert rnorm <= previous + 1e-12 * np.linalg.norm(b), (name, cap)
+            previous = rnorm
+        assert rnorm == full_rnorm, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nnls_rejects_non_finite_input(bad):
+    a = np.eye(3)
+    b = np.ones(3)
+    a_bad = a.copy()
+    a_bad[1, 2] = bad
+    b_bad = b.copy()
+    b_bad[0] = bad
+    with pytest.raises(ValueError):
+        op._nnls(a_bad, b)
+    with pytest.raises(ValueError):
+        op._nnls(a, b_bad)
