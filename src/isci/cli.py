@@ -162,7 +162,7 @@ def _cmd_fingerprint(args) -> int:
     out = _OutputDir(Path(args.out))
     out.write_bytes("fingerprint.lfpt", sensing.save_fingerprint(table))
     out.write_manifest("fingerprint", scene, {"scene": args.scene_seed})
-    k, m, n = table.deltas.shape
+    k, m, n = table.shape
     print(f"candidates={k} leds={m} pds={n}")
     return EXIT_OK
 

@@ -9,14 +9,16 @@ precomputed per-candidate signatures yields the position estimate.
 
 Fingerprints store per-LED, per-PD *gain* deltas rather than power deltas,
 so predictions stay valid when the controller changes the LED powers: the
-predicted variation for candidate k is |sum_i P_i * dH[k, i, j]|.
+predicted variation for candidate k is |sum_i P_i * dH[k, i, j]|.  Every
+one-bounce gain is an emitter factor times a collector factor, and the
+sensing model and built tables store those factors, not (M, K, N) tensors.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,14 +103,37 @@ def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
 
 def _occluded(scene: Scene, centers: np.ndarray, user_xy: Sequence[float]) -> np.ndarray:
     ux, uy = float(user_xy[0]), float(user_xy[1])
-    if scene.user.footprint_radius_m <= 0 or not scene.room.contains_xy(ux, uy):
+    radius = scene.user.footprint_radius_m
+    if radius <= 0 or not scene.room.contains_xy(ux, uy):
         return np.empty(0, dtype=int)
-    dist = np.hypot(centers[:, 0] - ux, centers[:, 1] - uy)
-    return np.flatnonzero(dist <= scene.user.footprint_radius_m + _OCCLUSION_TOL)
+    # Only cells in the footprint's bounding box, widened by a cell against
+    # rounding, can be inside it; x-major indices keep the result ascending.
+    grid = scene.grid
+    limit = radius + _OCCLUSION_TOL
+    ix = np.arange(max(0, int((ux - limit) / grid.pitch) - 1),
+                   min(grid.nx, int((ux + limit) / grid.pitch) + 2))
+    iy = np.arange(max(0, int((uy - limit) / grid.pitch) - 1),
+                   min(grid.ny, int((uy + limit) / grid.pitch) + 2))
+    box = (ix[:, None] * grid.ny + iy).ravel()
+    dist = np.hypot(centers[box, 0] - ux, centers[box, 1] - uy)
+    return box[dist <= limit]
+
+
+def _outer(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
+    """Gains (M, P, N) from the factors (M, P) and (P, N) of P patches."""
+    return emitter[:, :, None] * collector[None, :, :]
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.asarray(values)
+    arr.flags.writeable = False
+    return arr
 
 
 class _BounceKernel:
-    """One-bounce gains LED i -> horizontal patch k at height z -> PD j.
+    """One-bounce gains LED i -> horizontal patch k at height z -> PD j, as
+    an emitter factor (M, P) and a collector factor (P, N) whose _outer
+    product is the gain.
 
     The per-LED and per-PD constants are computed once per scene, so a
     per-step call for one user patch only evaluates the geometry.
@@ -128,12 +153,12 @@ class _BounceKernel:
             * (pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2)
             for pd in scene.sensing_pds])
 
-    def gains(self, points: np.ndarray, z: float, rho_area) -> np.ndarray:
-        """Gains (M, P, N); ``rho_area`` is reflectance times area, per patch
-        or shared by all."""
-        rho_area = np.broadcast_to(rho_area, (len(points),))
-        return np.einsum("i,ik,k,kj->ikj", self.front, self._emitter(points, z),
-                         rho_area, self._collector(points, z))
+    def factors(self, points: np.ndarray, z: float,
+                rho_area) -> tuple[np.ndarray, np.ndarray]:
+        """Emitter factor (M, P), with ``rho_area`` (reflectance times area,
+        per patch or shared by all) folded in, and collector factor (P, N)."""
+        emitter = self.front[:, None] * self._emitter(points, z) * rho_area
+        return emitter, self._collector(points, z)
 
     def _emitter(self, points: np.ndarray, z: float) -> np.ndarray:
         """cos^m(phi) * cos(alpha) / d^2 for every LED-to-patch pair, (M, P)."""
@@ -157,25 +182,38 @@ class _BounceKernel:
 
 
 class SensingModel:
-    """Precomputed one-bounce gain tensors for a fixed scene.
+    """One-bounce floor channels of a fixed scene, stored as their factors.
 
-    element_gains has shape (M, K, N): LED i via floor cell k to PD j.
+    The first-order diffuse gain LED i -> floor cell k -> PD j separates into
+    emitter[i, k] * collector[k, j] (Kahn & Barry, Proc. IEEE 1997):
+    ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
+    times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
+    read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
+    summed one LED at a time, ``received_power`` forms only the occluded
+    cells' gains, and ``element_gains`` builds the full tensor on each access.
     """
 
     def __init__(self, scene: Scene):
         self.scene = scene
         self._kernel = _BounceKernel(scene)
-        self._centers = scene.grid.centers()
-        self.element_gains = self._kernel.gains(
+        self._centers = _read_only(scene.grid.centers())
+        emitter, collector = self._kernel.factors(
             self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
-        self.baseline_gains = self.element_gains.sum(axis=1)  # (M, N)
+        self.emitter, self.collector = _read_only(emitter), _read_only(collector)
+        self.baseline_gains = np.array([(e[:, None] * collector).sum(axis=0)
+                                        for e in emitter])
+
+    @property
+    def element_gains(self) -> np.ndarray:
+        """Gains (M, K, N): LED i via floor cell k to PD j."""
+        return _outer(self.emitter, self.collector)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
         user = self.scene.user
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        return self._kernel.gains(pt, user.patch_height_m,
-                                  user.reflectance * user.patch_area_m2)[:, 0, :]
+        return _outer(*self._kernel.factors(pt, user.patch_height_m,
+                                            user.reflectance * user.patch_area_m2))[:, 0, :]
 
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -184,7 +222,8 @@ class SensingModel:
         gains = self.baseline_gains
         if user_xy is not None:
             occ = _occluded(self.scene, self._centers, user_xy)
-            occluded = self.element_gains[:, occ, :].sum(axis=1) if len(occ) else 0.0
+            occluded = (_outer(self.emitter[:, occ], self.collector[occ]).sum(axis=1)
+                        if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
 
@@ -195,24 +234,95 @@ def received_sensing_power(scene: Scene, powers: np.ndarray,
     return SensingModel(scene).received_power(powers, user_xy)
 
 
+def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
+    """Grid index offsets (di, dj) of the cells that a user centred on a cell
+    occludes."""
+    grid, radius = scene.grid, scene.user.footprint_radius_m
+    reach = int(radius / grid.pitch) + 1 if radius > 0 else -1
+    limit = radius + _OCCLUSION_TOL
+    return tuple((di, dj) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)
+                 if grid.pitch * math.hypot(di, dj) <= limit)
+
+
+def _stencil_sum(cells: np.ndarray, offsets: Sequence[tuple[int, int]],
+                 grid_shape: tuple[int, int]) -> np.ndarray:
+    """For every cell k, the sum of ``cells[:, c, :]`` over the cells
+    c = k + offset that lie on the grid, (L, K, N).
+
+    ``cells`` is (L, K, N) over the x-major (nx, ny) grid; the sum runs over
+    shifted views, offsets in the given order.
+    """
+    nx, ny = grid_shape
+    lead, _, n = cells.shape
+    src = cells.reshape(lead, nx, ny, n)
+    out = np.zeros_like(src)
+    for di, dj in offsets:
+        out[:, max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)] += \
+            src[:, max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)]
+    return out.reshape(lead, nx * ny, n)
+
+
 @dataclass(frozen=True, eq=False)
+class _SeparableDeltas:
+    """Fingerprint deltas as read-only factors: the gain change of a user at
+    cell k is the user-patch gain outer(user_emitter[:, k], user_collector[k])
+    minus the floor gains outer(floor_emitter[:, c], floor_collector[c])
+    summed over the occluded cells c = k + offset."""
+
+    user_emitter: np.ndarray     # (M, K) at the patch height
+    user_collector: np.ndarray   # (K, N)
+    floor_emitter: np.ndarray    # (M, K)
+    floor_collector: np.ndarray  # (K, N)
+    offsets: tuple[tuple[int, int], ...]
+    grid_shape: tuple[int, int]  # (nx, ny)
+
+    def dense(self) -> np.ndarray:
+        """The (K, M, N) deltas."""
+        occluded = _stencil_sum(_outer(self.floor_emitter, self.floor_collector),
+                                self.offsets, self.grid_shape)
+        deltas = _outer(self.user_emitter, self.user_collector) - occluded
+        return np.ascontiguousarray(deltas.transpose(1, 0, 2))
+
+    def predict(self, powers: np.ndarray) -> np.ndarray:
+        """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
+        user = (powers @ self.user_emitter)[:, None] * self.user_collector
+        floor = (powers @ self.floor_emitter)[:, None] * self.floor_collector
+        return user - _stencil_sum(floor[None], self.offsets, self.grid_shape)[0]
+
+
 class FingerprintTable:
     """Per-candidate gain deltas for power-scaled variation prediction.
 
-    The arrays are made read-only on construction, so the predictions that
-    predict_power_deltas memoizes on the table cannot go stale.
+    deltas[k, i, j] is the change in the gain LED i -> PD j that a user at
+    candidate k causes.  ``FingerprintTable(candidates, baseline, deltas)``
+    holds a dense (K, M, N) array, as load_fingerprint builds it.  A table
+    from build_fingerprint_table holds the deltas' factors instead and keeps
+    no (K, M, N) array: reading ``deltas`` builds one, on every access.
+    ``shape`` is (K, M, N) for both.
+
+    The arrays are read-only, so the predictions that predict_power_deltas
+    memoizes on the table cannot go stale.
     """
 
-    candidates: np.ndarray  # (K, 2) candidate positions (floor cell centers)
-    baseline: np.ndarray    # (M, N) no-user gain sums
-    deltas: np.ndarray      # (K, M, N) user-at-k gain minus occluded-cell gains
-    _predictions: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, candidates: np.ndarray, baseline: np.ndarray,
+                 deltas: Optional[np.ndarray] = None, *,
+                 factors: Optional[_SeparableDeltas] = None):
+        if (deltas is None) == (factors is None):
+            raise ValueError("a fingerprint table takes either deltas or factors")
+        self.candidates = _read_only(candidates)  # (K, 2) floor cell centers
+        self.baseline = _read_only(baseline)      # (M, N) no-user gain sums
+        self._dense = None if deltas is None else _read_only(deltas)
+        self._factors = factors
+        self.shape = (self._dense.shape if factors is None
+                      else (len(self.candidates), *self.baseline.shape))
+        self._predictions: dict[bytes, np.ndarray] = {}
 
-    def __post_init__(self):
-        for name in ("candidates", "baseline", "deltas"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    @property
+    def deltas(self) -> np.ndarray:
+        """The (K, M, N) gain deltas, read-only."""
+        if self._factors is None:
+            return self._dense
+        return _read_only(self._factors.dense())
 
 
 @dataclass(frozen=True)
@@ -224,54 +334,37 @@ class LocalizationResult:
 
 
 def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) -> FingerprintTable:
-    """Precompute gain deltas for a user at every floor-cell candidate.
+    """Fingerprint table of a user at every floor-cell center, in factored form.
 
     delta[k, i, j] = user-patch gain at candidate k minus the summed gains of
-    the floor cells the footprint occludes there.  Deterministic; independent
-    of the LED powers.
+    the floor cells the footprint occludes there.  Both terms are separable,
+    so the table keeps the user-patch factors at ``patch_height_m``, (M, K)
+    and (K, N), the model's floor factors, and the stencil of grid offsets
+    that a footprint centred on a cell covers: K * (2M + 2N) numbers instead
+    of K * M * N.  Deterministic; independent of the LED powers.
     """
     if model is None:
         model = SensingModel(scene)
-    grid = scene.grid
-    nx, ny = grid.nx, grid.ny
-    n_leds, n_pds = scene.num_leds, scene.num_sensing_pds
-    centers = grid.centers()
-
-    user_gains = model._kernel.gains(centers, scene.user.patch_height_m,
-                                     scene.user.reflectance * scene.user.patch_area_m2)
-
-    # Candidates are cell centers, so occluded cells sit at fixed index
-    # offsets; accumulate shifted views instead of looping candidates.
-    reach = (int(scene.user.footprint_radius_m / grid.pitch) + 1
-             if scene.user.footprint_radius_m > 0 else -1)
-    gains4 = model.element_gains.reshape(n_leds, nx, ny, n_pds)
-    occ4 = np.zeros_like(gains4)
-    limit = scene.user.footprint_radius_m + _OCCLUSION_TOL
-    for di in range(-reach, reach + 1):
-        for dj in range(-reach, reach + 1):
-            if grid.pitch * math.hypot(di, dj) > limit:
-                continue
-            dst_x = slice(max(0, -di), nx - max(0, di))
-            dst_y = slice(max(0, -dj), ny - max(0, dj))
-            src_x = slice(max(0, di), nx + min(0, di))
-            src_y = slice(max(0, dj), ny + min(0, dj))
-            occ4[:, dst_x, dst_y, :] += gains4[:, src_x, src_y, :]
-
-    deltas = user_gains - occ4.reshape(n_leds, nx * ny, n_pds)
-    return FingerprintTable(candidates=centers,
-                            baseline=model.baseline_gains.copy(),
-                            deltas=np.ascontiguousarray(deltas.transpose(1, 0, 2)))
+    user = scene.user
+    user_emitter, user_collector = map(_read_only, model._kernel.factors(
+        model._centers, user.patch_height_m, user.reflectance * user.patch_area_m2))
+    factors = _SeparableDeltas(user_emitter, user_collector, model.emitter, model.collector,
+                               _stencil_offsets(scene), (scene.grid.nx, scene.grid.ny))
+    return FingerprintTable(model._centers, model.baseline_gains.copy(), factors=factors)
 
 
 def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
     """Predicted per-PD power variation for every candidate, (K, N).
 
+    The prediction is |sum_i P_i * deltas[k, i, j]|.  A factored table forms
+    it as (P @ user_emitter) times user_collector minus the stencil sum of
+    (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
     Predictions are memoized on the table per power vector, keyed by its
     exact float64 bytes, for the last few distinct vectors.  The returned
     array is read-only and shared between calls with equal powers.
     """
     powers = np.asarray(powers, dtype=float)
-    n_leds = table.deltas.shape[1]
+    n_leds = table.shape[1]
     if powers.ndim != 1:
         raise ValueError(f"powers must be a 1-D vector, got shape {powers.shape}")
     if len(powers) != n_leds:
@@ -280,7 +373,10 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     key = powers.tobytes()
     predicted = memo.pop(key, None)
     if predicted is None:
-        predicted = np.abs(np.einsum("kij,i->kj", table.deltas, powers))
+        if table._factors is None:
+            predicted = np.abs(np.einsum("kij,i->kj", table.deltas, powers))
+        else:
+            predicted = np.abs(table._factors.predict(powers))
         predicted.flags.writeable = False
         if len(memo) >= _PREDICTION_MEMO_SIZE:
             del memo[next(iter(memo))]
@@ -297,15 +393,15 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
     ``epsilon_detect``; the estimate is the loss-minimizing candidate, ties
     broken toward the lowest index.  The predicted variations come from
     predict_power_deltas, so a call with a power vector seen recently reuses
-    the table's memoized (K, N) prediction instead of re-reading the deltas.
+    the table's memoized (K, N) prediction instead of forming it again.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
     if measured.shape != baseline.shape:
         raise ValueError(f"measured shape {measured.shape} != baseline {baseline.shape}")
-    if measured.shape[0] != table.deltas.shape[2]:
+    if measured.shape[0] != table.shape[2]:
         raise ValueError(f"{measured.shape[0]} PD readings for a "
-                         f"{table.deltas.shape[2]}-PD fingerprint table")
+                         f"{table.shape[2]}-PD fingerprint table")
     actual = np.abs(measured - baseline)
     predicted = predict_power_deltas(table, powers)
     losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
@@ -325,11 +421,12 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
 def save_fingerprint(table: FingerprintTable) -> bytes:
     """Serialize: magic, u16 version, u32 K/M/N, then baseline (M*N f64),
     candidate coordinates (K*2 f64) and deltas (K*M*N f64), little-endian."""
-    k, m, n = table.deltas.shape
+    deltas = table.deltas
+    k, m, n = deltas.shape
     head = _MAGIC + struct.pack("<H", _VERSION) + struct.pack("<III", k, m, n)
     body = (np.ascontiguousarray(table.baseline, dtype="<f8").tobytes()
             + np.ascontiguousarray(table.candidates, dtype="<f8").tobytes()
-            + np.ascontiguousarray(table.deltas, dtype="<f8").tobytes())
+            + np.ascontiguousarray(deltas, dtype="<f8").tobytes())
     return head + body
 
 

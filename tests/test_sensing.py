@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -6,7 +7,29 @@ import pytest
 
 from isci import sensing as sn
 from isci.photometry import concentrator_gain, lambertian_order
-from isci.scene import UserModel
+from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
+
+
+def _mixed_scene():
+    """Default layout with a different FOV per PD and half-angle per LED."""
+    s = default_scene()
+    pds = tuple(replace(pd, fov_deg=f)
+                for pd, f in zip(s.sensing_pds, (30, 45, 60, 75, 50, 40, 85, 70)))
+    leds = tuple(replace(led, half_power_angle_deg=h)
+                 for led, h in zip(s.leds, (30, 45, 60, 75, 50, 40, 65, 70)))
+    return replace(s, sensing_pds=pds, leds=leds)
+
+
+def _lattice_scene(size=10.0, per_side=5, pitch=0.1, spacing=2.0):
+    """Square room with an n x n LED lattice and one PD beside each LED."""
+    first = (size - (per_side - 1) * spacing) / 2
+    xs = [first + i * spacing for i in range(per_side)]
+    return scene_from_dict({
+        "room": {"size_x": size, "size_y": size},
+        "grid": {"pitch": pitch},
+        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
+        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +133,41 @@ def test_occluded_outside_room_empty(scene):
     assert len(sn.occluded_set(scene, (2.0, 7.0))) == 0
 
 
+@pytest.mark.parametrize("pitch, nx, ny, radius", [
+    (0.1, 50, 50, 0.3),     # the default grid: the radius is a multiple of the pitch
+    (0.1, 30, 70, 0.3),     # nx != ny
+    (0.07, 40, 25, 0.25),   # the pitch does not divide the radius
+    (0.25, 12, 5, 0.4),
+    (0.05, 20, 60, 0.013),  # footprint inside one cell
+    (0.3, 7, 9, 1.9),       # footprint wider than the room
+])
+def test_occluded_bounding_box_matches_full_scan(scene, pitch, nx, ny, radius):
+    room = replace(scene.room, size_x=nx * pitch, size_y=ny * pitch)
+    grid = SurfaceGrid(pitch=pitch, nx=nx, ny=ny, reflectance=(0.8,) * (nx * ny))
+    s = replace(scene, room=room, grid=grid,
+                user=replace(scene.user, footprint_radius_m=radius))
+    centers = grid.centers()
+    sx, sy = room.size_x, room.size_y
+    rng = np.random.default_rng(11)
+    on_cells = centers[rng.integers(0, grid.count, 40)]
+    ang = rng.uniform(0.0, 2 * math.pi, (40, 1))
+    one_radius = on_cells + radius * np.hstack([np.cos(ang), np.sin(ang)])
+    axis_radius = np.vstack([on_cells[:10] + [radius, 0.0], on_cells[10:20] - [radius, 0.0],
+                             on_cells[20:30] + [0.0, radius], on_cells[30:] - [0.0, radius]])
+    walls = [(0.0, 0.0), (sx, 0.0), (0.0, sy), (sx, sy), (0.0, sy / 3), (sx, sy / 2),
+             (sx / 4, 0.0), (sx / 3, sy), (pitch / 2, sy - pitch / 2)]
+    outside = [(-1e-9, sy / 2), (sx + 1e-9, sy / 2), (sx / 2, -0.5), (sx / 2, sy + 0.2),
+               (-radius / 2, -radius / 2), (sx + radius / 2, sy)]
+    random = rng.uniform(0.0, 1.0, (40, 2)) * [sx, sy]
+    for xy in np.vstack([on_cells, one_radius, axis_radius, walls, outside, random]):
+        if room.contains_xy(*xy):
+            dist = np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
+            expected = np.flatnonzero(dist <= radius + sn._OCCLUSION_TOL)
+        else:
+            expected = np.empty(0, dtype=int)
+        assert np.array_equal(sn.occluded_set(s, xy), expected), xy
+
+
 # ---------------------------------------------------------------------------
 # received power
 # ---------------------------------------------------------------------------
@@ -130,6 +188,36 @@ def test_received_power_wrapper_matches_model(scene, sensing_model):
     p = scene.power_vector()
     np.testing.assert_allclose(sn.received_sensing_power(scene, p, (2.1, 3.3)),
                                sensing_model.received_power(p, (2.1, 3.3)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene])
+def test_received_power_bitwise_matches_dense_reference(make_scene):
+    # the reference builds the full (M, K, N) tensor with one einsum, gathers
+    # the occluded cells by a full scan and sums them
+    s = make_scene()
+    model = sn.SensingModel(s)
+    kernel = model._kernel
+    centers = s.grid.centers()
+    rho_area = s.grid.reflectance_array() * s.grid.cell_area
+    element = np.einsum("i,ik,k,kj->ikj", kernel.front, kernel._emitter(centers, 0.0),
+                        rho_area, kernel._collector(centers, 0.0))
+    baseline = element.sum(axis=1)
+    assert np.array_equal(model.baseline_gains, baseline)
+    assert np.array_equal(model.element_gains, element)
+    user = s.user
+    rng = np.random.default_rng(3)
+    p = s.power_vector() * rng.uniform(0.5, 1.5, s.num_leds)
+    for xy in rng.uniform(-0.2, s.room.size_x + 0.2, (100, 2)):
+        pt = xy[None, :]
+        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front,
+                              kernel._emitter(pt, user.patch_height_m),
+                              np.full(1, user.reflectance * user.patch_area_m2),
+                              kernel._collector(pt, user.patch_height_m))[:, 0, :]
+        occ = (np.flatnonzero(np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
+                              <= user.footprint_radius_m + sn._OCCLUSION_TOL)
+               if s.room.contains_xy(*xy) else [])
+        expected = p @ (baseline - element[:, occ, :].sum(axis=1) + user_gain)
+        assert np.array_equal(model.received_power(p, xy), expected), xy
 
 
 def test_user_reading_matches_fingerprint_identity(scene, sensing_model, table):
@@ -165,6 +253,61 @@ def test_inert_user_gives_zero_deltas(scene):
     inert = replace(scene, user=user)
     t = sn.build_fingerprint_table(inert)
     assert np.all(t.deltas == 0.0)
+
+
+def _arrays_reachable(obj):
+    """Every ndarray reachable from ``obj`` through attributes, dict values
+    and sequences."""
+    seen, stack, found = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (str, bytes, int, float)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return found
+
+
+def test_model_and_table_hold_no_full_tensor(scene):
+    model = sn.SensingModel(scene)
+    table = sn.build_fingerprint_table(scene, model)
+    sn.predict_power_deltas(table, scene.power_vector())
+    full = scene.grid.count * scene.num_leds * scene.num_sensing_pds
+    for _ in range(2):
+        arrays = _arrays_reachable(model) + _arrays_reachable(table)
+        assert arrays and all(a.size < full for a in arrays)
+        assert table.deltas.size == full  # built on request, not kept
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
+def test_factored_predictions_match_dense_contraction(make_scene):
+    s = make_scene()
+    table = sn.build_fingerprint_table(s)
+    deltas = table.deltas
+    p_min, p_max = s.power_bounds()
+    rng = np.random.default_rng(5)
+    for p in (s.power_vector(), p_min, p_max, rng.uniform(p_min, p_max)):
+        got = sn.predict_power_deltas(table, p)
+        dense = np.abs(np.einsum("kij,i->kj", deltas, p))
+        assert np.abs(got - dense).max() <= 1e-14 * got.max()
+
+
+def test_localize_exact_at_every_candidate_mixed_fov():
+    s = _mixed_scene()
+    model = sn.SensingModel(s)
+    table = sn.build_fingerprint_table(s, model)
+    p = s.power_vector()
+    base = model.received_power(p)
+    missed = [k for k, xy in enumerate(table.candidates)
+              if sn.localize(model.received_power(p, xy), base, p, table).index != k]
+    assert missed == []
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +488,16 @@ def test_fingerprint_rejects_garbage(table):
     blob = sn.save_fingerprint(table)
     with pytest.raises(ValueError, match="bytes"):
         sn.load_fingerprint(blob[:-8])
+
+
+# sha256 of the LFPT bytes of default_scene(seed)'s built table, taken before
+# the table was stored in factored form: reading the deltas from the factors
+# must reproduce the dense build bit for bit.
+@pytest.mark.parametrize("seed, digest", [
+    (0, "49331489c3f6628a9a53dbf4bb9d797230918d2c6a875328a22f12309e729397"),
+    (14, "081732f8650fbc9162035d66597e8e2f5be5fed46b4768e3f94bb7e63873629b"),
+    (57, "bc75d54c2b93885d9cafaa87199908647d2062b0beb521dcc8976e0051580dba"),
+])
+def test_fingerprint_bytes_pinned(seed, digest):
+    blob = sn.save_fingerprint(sn.build_fingerprint_table(default_scene(seed)))
+    assert hashlib.sha256(blob).hexdigest() == digest
