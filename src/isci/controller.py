@@ -235,7 +235,8 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     the detection threshold is three times the largest sigma.  Localization
     predictions are memoized on ``table`` per applied power vector, so after
     the first step at each of the (at most three) allocations a step costs
-    one (K, N) loss scan rather than a new prediction.
+    one loss scan over the memoized prediction, N column passes over K
+    candidates, rather than a new prediction.
     """
     if model is None:
         model = SensingModel(scene)

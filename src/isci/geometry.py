@@ -254,7 +254,9 @@ def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
     """
     from . import optimize  # deferred: optimize depends on this module
 
-    normals, offsets = poly.inward_normals()
+    # A non-finite vertex raises ValueError here, before the LP and lstsq
+    # (which does not return on a NaN matrix with some BLAS builds) see it.
+    normals, offsets = map(np.asarray_chkfinite, poly.inward_normals())
     n_edges = len(offsets)
     # Variables (cx, cy, r): minimize -r subject to -n.c + r <= -d.
     g_mat = np.column_stack([-normals, np.ones(n_edges)])

@@ -146,6 +146,9 @@ def _predictor_corrector(quad, c, g_mat, h_vec, x0):
                 y = np.linalg.solve(l_fac, b)
                 return np.linalg.solve(l_fac.T, y)
         except np.linalg.LinAlgError:
+            # lstsq does not return on a NaN matrix with some BLAS builds.
+            k_mat = np.asarray_chkfinite(k_mat)
+
             def chol(b, k_mat=k_mat):
                 return np.linalg.lstsq(k_mat, b, rcond=None)[0]
 

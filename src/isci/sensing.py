@@ -54,6 +54,11 @@ _PREDICTION_MEMO_SIZE = 4
 # occluded_set agree on cells whose centers sit exactly at the radius.
 _OCCLUSION_TOL = 1e-9
 
+# Bytes of partial sums that _stencil_sum keeps per block of grid rows.  On a
+# 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
+# they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
+_STENCIL_BLOCK_BYTES = 1 << 19
+
 
 def nlos_element_gain(led: Led, element_xy: Sequence[float], element_area: float,
                       reflectance: float, pd: SensingPd) -> float:
@@ -250,15 +255,22 @@ def _stencil_sum(cells: np.ndarray, offsets: Sequence[tuple[int, int]],
     c = k + offset that lie on the grid, (L, K, N).
 
     ``cells`` is (L, K, N) over the x-major (nx, ny) grid; the sum runs over
-    shifted views, offsets in the given order.
+    shifted views, offsets in the given order.  It is taken one block of
+    grid rows at a time, so a block's partial sums stay in cache across all
+    offsets; each output element still gets its additions in offset order.
     """
     nx, ny = grid_shape
     lead, _, n = cells.shape
     src = cells.reshape(lead, nx, ny, n)
     out = np.zeros_like(src)
-    for di, dj in offsets:
-        out[:, max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)] += \
-            src[:, max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)]
+    rows = max(1, _STENCIL_BLOCK_BYTES // src[:, 0].nbytes)
+    for start in range(0, nx, rows):
+        stop = min(start + rows, nx)
+        for di, dj in offsets:
+            lo, hi = max(start, -di), min(stop, nx - di)
+            if lo < hi:
+                block = out[:, lo:hi, max(0, -dj):ny - max(0, dj)]
+                np.add(block, src[:, lo + di:hi + di, max(0, dj):ny + min(0, dj)], out=block)
     return out.reshape(lead, nx * ny, n)
 
 
@@ -361,7 +373,9 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
     Predictions are memoized on the table per power vector, keyed by its
     exact float64 bytes, for the last few distinct vectors.  The returned
-    array is read-only and shared between calls with equal powers.
+    array is read-only and shared between calls with equal powers.  It is
+    the transpose view of a C-contiguous (N, K) array, so each PD's
+    predictions are one contiguous K-vector for localize's loss scan.
     """
     powers = np.asarray(powers, dtype=float)
     n_leds = table.shape[1]
@@ -373,15 +387,55 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     key = powers.tobytes()
     predicted = memo.pop(key, None)
     if predicted is None:
-        if table._factors is None:
-            predicted = np.abs(np.einsum("kij,i->kj", table.deltas, powers))
-        else:
-            predicted = np.abs(table._factors.predict(powers))
-        predicted.flags.writeable = False
+        signed = (np.einsum("kij,i->kj", table.deltas, powers) if table._factors is None
+                  else table._factors.predict(powers))
+        columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
+        columns.flags.writeable = False
+        predicted = columns.T
         if len(memo) >= _PREDICTION_MEMO_SIZE:
             del memo[next(iter(memo))]
     memo[key] = predicted  # (re)inserted last: the memo evicts the least recently used
     return predicted
+
+
+def _row_losses(actual: np.ndarray, predicted_t: np.ndarray) -> np.ndarray:
+    """``((actual[None, :] - P) ** 2).sum(axis=1)`` for a C-contiguous (K, N)
+    P equal to ``predicted_t.T``, bit for bit.
+
+    numpy sums each length-N row of that array with its pairwise summation,
+    one short inner loop per candidate.  This replays the same additions in
+    the same order on the K-long rows of the (N, K) ``predicted_t``, so each
+    numpy call covers every candidate at once.  The 0.0 that numpy's
+    reduction starts from is left out: adding it does not change a sum of
+    squares.
+    """
+    n, k = predicted_t.shape
+    if n > 128:  # numpy's PW_BLOCKSIZE
+        half = n // 2 - (n // 2) % 8
+        acc = _row_losses(actual[:half], predicted_t[:half])
+        acc += _row_losses(actual[half:], predicted_t[half:])
+        return acc
+    scratch = np.empty(k)
+
+    def square(j: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(actual[j], predicted_t[j], out=out)
+        return np.multiply(out, out, out=out)
+
+    if n < 8:
+        acc, rest = np.zeros(k), 0
+    else:
+        r = [square(j, np.empty(k)) for j in range(8)]
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            for j in range(8):
+                r[j] += square(i + j, scratch)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        acc = r[0]
+    for j in range(rest, n):
+        acc += square(j, scratch)
+    return acc
 
 
 def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
@@ -393,7 +447,11 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
     ``epsilon_detect``; the estimate is the loss-minimizing candidate, ties
     broken toward the lowest index.  The predicted variations come from
     predict_power_deltas, so a call with a power vector seen recently reuses
-    the table's memoized (K, N) prediction instead of forming it again.
+    the table's memoized prediction instead of forming it again.  The losses
+    are summed over that prediction's (N, K) layout, one K-long PD column at
+    a time, in the order numpy's row sum adds them on a row-major (K, N)
+    array, so they equal ``((actual - predicted) ** 2).sum(axis=1)`` on a
+    C-contiguous copy of the prediction bit for bit.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
@@ -404,7 +462,7 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
                          f"{table.shape[2]}-PD fingerprint table")
     actual = np.abs(measured - baseline)
     predicted = predict_power_deltas(table, powers)
-    losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
+    losses = _row_losses(actual, predicted.T)
     detected = bool(actual.max() >= epsilon_detect)
     if not detected:
         return LocalizationResult(position=None, index=None, losses=losses,

@@ -143,6 +143,14 @@ def test_mic_equilateral_triangle():
     assert abs(mic.radius - 1 / math.sqrt(3)) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf edge
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mic_rejects_non_finite_vertex(bad):
+    poly = ConvexPolygon((Point2(0, 0), Point2(2, 0), Point2(bad, 1)))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        max_inscribed_circle(poly)
+
+
 def _mic_grid_oracle(poly, coarse=0.01, fine=0.001):
     """Two-stage grid search; valid because the inradius field is concave."""
     normals, offsets = poly.inward_normals()

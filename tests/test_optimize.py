@@ -453,3 +453,12 @@ def test_nnls_rejects_non_finite_input(bad):
         op._nnls(a_bad, b)
     with pytest.raises(ValueError):
         op._nnls(a, b_bad)
+
+
+def test_lstsq_fallback_rejects_nan_matrix():
+    # Cholesky fails on the indefinite first pivot, so the Newton solve falls
+    # back to lstsq, which must not be handed the NaN
+    quad = np.array([[-10.0, 0.0], [0.0, np.nan]])
+    g_mat = np.vstack([np.eye(2), -np.eye(2)])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        op.solve_inequality_program(quad, np.ones(2), g_mat, np.ones(4))

@@ -394,6 +394,84 @@ def test_localize_rejects_bad_power_vector(scene, table):
 
 
 # ---------------------------------------------------------------------------
+# stencil sum and loss scan
+# ---------------------------------------------------------------------------
+
+def _spread(rng, shape):
+    """Values spread over 1e-8 to 1, so a change of summation order shows."""
+    return 10.0 ** rng.uniform(-8.0, 0.0, shape)
+
+
+@pytest.mark.parametrize("nx, ny, reach, rows", [
+    (11, 7, 4, 3),    # nx != ny, 3 does not divide 11, stencil 9 rows wide
+    (7, 11, 2, 1),
+    (6, 6, 1, 4),
+    (5, 9, 3, 50),    # one block holds the whole grid
+])
+def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows):
+    lead, n = 2, 3
+    cells = _spread(rng, (lead, nx * ny, n)) * rng.choice([-1.0, 1.0], (lead, nx * ny, n))
+    disk = [(di, dj) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)
+            if math.hypot(di, dj) <= reach]
+    offsets = [disk[i] for i in rng.permutation(len(disk))]  # any order is kept
+    monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * lead * ny * n * 8)
+    got = sn._stencil_sum(cells, offsets, (nx, ny))
+    want = np.zeros_like(cells)
+    for x in range(nx):
+        for y in range(ny):
+            for di, dj in offsets:
+                if 0 <= x + di < nx and 0 <= y + dj < ny:
+                    want[:, x * ny + y] += cells[:, (x + di) * ny + y + dj]
+    assert np.array_equal(got, want)
+
+
+def _numpy_row_losses(actual, predicted):
+    """numpy's row sum over a C-contiguous (K, N) prediction, pairwise per
+    row (over a column-major one it would add the columns in sequence)."""
+    return ((actual[None, :] - np.ascontiguousarray(predicted)) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 16, 25, 64, 129, 200])
+def test_row_losses_match_numpy_row_sum(rng, n):
+    predicted = _spread(rng, (301, n))
+    actual = _spread(rng, n)
+    got = sn._row_losses(actual, np.ascontiguousarray(predicted.T))
+    assert np.array_equal(got, _numpy_row_losses(actual, predicted))
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
+def test_row_losses_match_on_built_tables(make_scene):
+    s = make_scene()
+    model = sn.SensingModel(s)
+    table = sn.build_fingerprint_table(s, model)
+    p_min, p_max = s.power_bounds()
+    rng = np.random.default_rng(11)
+    for p in (p_min, p_max, rng.uniform(p_min, p_max)):
+        predicted = sn.predict_power_deltas(table, p)
+        baseline = model.received_power(p)
+        for _ in range(3):
+            measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
+            measured = measured * (1.0 + 1e-3 * rng.standard_normal(len(measured)))
+            want = _numpy_row_losses(np.abs(measured - baseline), predicted)
+            assert np.array_equal(sn._row_losses(np.abs(measured - baseline), predicted.T), want)
+            assert np.array_equal(sn.localize(measured, baseline, p, table).losses, want)
+
+
+def test_row_losses_exact_tie_goes_to_lower_index():
+    # candidates 1 and 3 miss the reading by 0.25 on different PDs: equal
+    # losses, summed at different positions
+    rows = [[2.0, 2.0, 2.0], [1.25, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 2.25, 0.5], [3.0, 1.0, 1.0]]
+    deltas = np.zeros((5, 2, 3))
+    deltas[:, 0] = rows
+    table = sn.FingerprintTable(candidates=np.arange(10.0).reshape(5, 2),
+                                baseline=np.zeros((2, 3)), deltas=deltas)
+    result = sn.localize(np.array([1.0, 2.0, 0.5]), np.zeros(3), np.array([1.0, 1.0]), table)
+    assert result.losses[1] == result.losses[3] == 0.0625
+    assert result.losses.min() == 0.0625
+    assert result.index == 1 and result.position == (2.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
 # prediction memo
 # ---------------------------------------------------------------------------
 
@@ -454,6 +532,17 @@ def test_predictions_and_table_read_only(rng, table):
         t.deltas[0, 0, 0] = 1.0
     loaded = sn.load_fingerprint(sn.save_fingerprint(table))
     assert not loaded.deltas.flags.writeable
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_memoized_prediction_read_only_through_every_view(table, dense):
+    t = sn.load_fingerprint(sn.save_fingerprint(table)) if dense else table
+    got = sn.predict_power_deltas(t, 2.0 * np.ones(t.shape[1]))
+    assert got.shape == (t.shape[0], t.shape[2])
+    assert got.base.flags.c_contiguous and got.base.shape == (t.shape[2], t.shape[0])
+    for view in (got, got.T, got.base):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
