@@ -11,16 +11,14 @@ from .scene import (Scene, SceneError, default_scene, dump_scene, load_scene)  #
 from .geometry import (Circle, ConvexPolygon, GeometryError, Point2, Region,  # noqa: F401
                        RegionPartition, build_partition, classify_point,
                        convex_hull, max_inscribed_circle, min_enclosing_circle)
-from .photometry import (FieldGrid, SimplificationError, concentrator_gain,  # noqa: F401
-                         field, illuminance_at, lambertian_order, los_gain,
-                         snr_full, snr_simplified)
+from .photometry import (FieldGrid, SimplificationError, field,  # noqa: F401
+                         lambertian_order, snr_full)
 from .sensing import (FingerprintTable, LocalizationResult, SensingModel,  # noqa: F401
                       build_fingerprint_table, load_fingerprint, localize,
-                      nlos_element_gain, nlos_user_gain, occluded_set,
-                      received_sensing_power, save_fingerprint)
+                      occluded_set, save_fingerprint)
 from .optimize import (EnhancedLp, SolveReport, SolveStatus, UniformityQp,  # noqa: F401
                        build_enhanced_lp, build_uniformity_qp, kkt_residual,
-                       solve, solve_lp, solve_qp, solve_refined)
+                       solve, solve_refined)
 from .controller import (BenchmarkThresholds, Mode, ScenarioTrace,  # noqa: F401
                          apply_mode, baseline_scenario, benchmark,
                          energy_report, generate_trajectory, run_scenario,

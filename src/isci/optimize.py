@@ -44,8 +44,6 @@ __all__ = [
     "build_enhanced_lp",
     "default_snr_threshold",
     "solve",
-    "solve_qp",
-    "solve_lp",
     "solve_inequality_program",
     "solve_refined",
     "kkt_residual",
@@ -191,11 +189,13 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
 
     A phase-1 solve finds a strictly feasible interior point first; if the
     best achievable worst-violation is not strictly negative the problem is
-    reported infeasible, naming the most-violated row.
+    reported infeasible, naming the most-violated row.  Non-finite program
+    data raises ValueError.
     """
-    c = np.asarray(c, dtype=float)
-    g_raw = np.asarray(g_mat, dtype=float).reshape(-1, len(c))
-    h_raw = np.asarray(h_vec, dtype=float).ravel()
+    quad_arr = None if quad is None else np.asarray_chkfinite(quad, dtype=float)
+    c = np.asarray_chkfinite(c, dtype=float)
+    g_raw = np.asarray_chkfinite(g_mat, dtype=float).reshape(-1, len(c))
+    h_raw = np.asarray_chkfinite(h_vec, dtype=float).ravel()
     if g_raw.shape[0] != h_raw.shape[0]:
         raise ValueError("G and h row counts differ")
     scales = _row_scales(g_raw, h_raw)
@@ -212,7 +212,6 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                            kkt_residual=float("nan"), iterations=iters1,
                            status=SolveStatus.INFEASIBLE, worst_row=label)
 
-    quad_arr = None if quad is None else np.asarray(quad, dtype=float)
     # Normalize the objective magnitude; the minimizer is unaffected and the
     # unit dual start is sensible regardless of the problem's natural units.
     obj_scale = max(float(np.abs(c).max(initial=0.0)),
@@ -416,10 +415,6 @@ class UniformityQp(_SampledProgram):
     # bound in the class body (not only inherited) so it can be wrapped per class
     rows_at = _SampledProgram.rows_at
 
-    def centering_matrix(self) -> np.ndarray:
-        n = len(self.samples)
-        return np.eye(n) - np.ones((n, n)) / n
-
     def quadratic_term(self) -> np.ndarray:
         return 2.0 * self.q_matrix
 
@@ -528,9 +523,6 @@ def solve(problem) -> SolveReport:
     if report.status is SolveStatus.OPTIMAL:
         report = replace(report, objective=problem.objective(report.x))
     return report
-
-
-solve_qp = solve_lp = solve
 
 
 def solve_refined(problem, scene: Scene, partition: RegionPartition):

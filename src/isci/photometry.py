@@ -1,11 +1,15 @@
 """Line-of-sight channel gains, illuminance and SNR fields.
 
-All angles are derived from coordinate geometry: LEDs point straight down,
-plane photodiodes straight up, so irradiance and incidence cosines both
-equal dz/d.  Two SNR models are provided: the full shot+thermal model for
-reporting, and the high-SNR simplification (shot noise only, first-order
-Lambertian, 90 deg FOV) whose closed form is linear in the power vector and
-is what the optimizers consume.
+Illumination, communication and NLOS sensing share one physical model
+(Kahn & Barry, Proc. IEEE 1997): a Lambertian LED lighting a horizontal
+point.  LEDs point straight down and plane photodiodes straight up, so the
+irradiance and incidence cosines both equal dz/d; _lambertian_geometry
+computes d^2 and dz/d for every source-point pair, and this module and the
+one-bounce kernel in ``sensing`` both build on it.  Two SNR models are
+provided, both vectorized over receiving-plane points: the full shot +
+thermal model for reporting, and the high-SNR simplification (shot noise
+only, first-order Lambertian, 90 deg FOV) whose closed form is linear in
+the power vector and is what the optimizers consume.
 """
 
 from __future__ import annotations
@@ -16,17 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Region, RegionPartition, classify_points
-from .scene import CommPd, Led, NoiseParams, Room, Scene
+from .geometry import RegionPartition, classify_points
+from .scene import CommPd, Led, NoiseParams, Room, Scene, SensingPd
 
 __all__ = [
     "SimplificationError",
     "lambertian_order",
-    "concentrator_gain",
-    "los_gain",
-    "illuminance_at",
     "snr_full",
-    "snr_simplified",
     "snr_constant",
     "illuminance_coefficients",
     "snr_coefficients",
@@ -47,63 +47,113 @@ def lambertian_order(half_power_angle_deg: float) -> float:
     return -math.log(2.0) / math.log(math.cos(math.radians(half_power_angle_deg)))
 
 
-def concentrator_gain(psi_deg: float, refractive_index: float, fov_deg: float) -> float:
-    """Optical concentrator gain: n^2 / sin^2(FOV) inside the FOV, else 0."""
-    if refractive_index < 1.0:
-        raise ValueError("refractive index must be >= 1")
-    if 0.0 <= psi_deg <= fov_deg:
-        return refractive_index**2 / math.sin(math.radians(fov_deg)) ** 2
-    return 0.0
+def _lambertian_orders(leds: Sequence[Led]) -> np.ndarray:
+    """Lambertian mode numbers of the LEDs, (M,)."""
+    return np.array([lambertian_order(led.half_power_angle_deg) for led in leds])
 
 
-def _check_below(led_z: float, point_z: float) -> float:
-    dz = led_z - point_z
-    if dz <= 0:
-        raise ValueError(f"point at z={point_z} is not strictly below the LED plane z={led_z}")
-    return dz
+def _collector_terms(pds: Sequence[CommPd | SensingPd]) -> tuple[np.ndarray, np.ndarray]:
+    """Per PD, the cut-off cos(FOV) - 1e-15 on cos(psi) and the gain
+    A * T * n^2 / sin^2(FOV) inside the FOV, both (N,)."""
+    cos_fov = np.array([math.cos(math.radians(pd.fov_deg)) - 1e-15 for pd in pds])
+    gain = np.array([pd.area_m2 * pd.filter_gain
+                     * (pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2)
+                     for pd in pds])
+    return cos_fov, gain
 
 
-def los_gain(led: Led, point: Sequence[float], pd: CommPd) -> float:
-    """DC channel gain from one LED to a photodiode at ``point`` (facing up)."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    dz = _check_below(led.position[2], z)
-    d2 = (led.position[0] - x) ** 2 + (led.position[1] - y) ** 2 + dz * dz
-    d = math.sqrt(d2)
-    cos_psi = dz / d  # equals cos(irradiance angle) for vertical normals
-    if cos_psi < math.cos(math.radians(pd.fov_deg)) - 1e-15:
-        return 0.0
-    m = lambertian_order(led.half_power_angle_deg)
-    g = pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2
-    return ((m + 1.0) * pd.area_m2 * pd.filter_gain * g
-            * cos_psi**m * cos_psi / (2.0 * math.pi * d2))
+def _lambertian_geometry(sources: np.ndarray, points: np.ndarray,
+                         z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances d^2 and cosines dz/d, both (S, P), from downward
+    ``sources`` (S, 3) to ``points`` (P, 2) on the upward plane at height
+    ``z``; dz/d is the cosine of the angle at both ends of the path."""
+    dz = sources[:, 2][:, None] - z
+    dx = sources[:, 0][:, None] - points[:, 0][None, :]
+    dy = sources[:, 1][:, None] - points[:, 1][None, :]
+    d2 = dx * dx + dy * dy + dz * dz
+    return d2, dz / np.sqrt(d2)
 
 
-def illuminance_at(leds: Sequence[Led], point: Sequence[float]) -> float:
-    """Horizontal illuminance (lux) at ``point`` from all LEDs.
+def _plane_geometry(leds: Sequence[Led], points: np.ndarray,
+                    plane_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """_lambertian_geometry from the LEDs to receiving-plane points, as
+    C-contiguous (L, M) arrays; the plane must lie below every LED."""
+    led_pos = np.array([led.position for led in leds], dtype=float)
+    if np.any(led_pos[:, 2] <= plane_z):
+        raise ValueError("receiving plane must lie below the LEDs")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    d2, cos_ang = _lambertian_geometry(led_pos, pts, plane_z)
+    return np.ascontiguousarray(d2.T), np.ascontiguousarray(cos_ang.T)
 
-    Each LED contributes I0 * cos^m(phi) * cos(psi) / d^2 with center
-    intensity I0 = (m+1) * efficacy * power / (2 pi).
+
+def _check_simplification(leds: Sequence[Led], pd: CommPd) -> None:
+    for i, m in enumerate(_lambertian_orders(leds)):
+        if abs(m - 1.0) > 1e-9:
+            raise SimplificationError(
+                f"leds[{i}]: Lambertian order {m:.6g} != 1 "
+                "(high-SNR model needs a 60 deg half-power angle)")
+    if abs(pd.fov_deg - 90.0) > 1e-9:
+        raise SimplificationError(
+            f"comm PD FOV {pd.fov_deg} deg != 90 (high-SNR model requirement)")
+    heights = [led.position[2] for led in leds]
+    if max(heights) - min(heights) > 1e-9:
+        raise SimplificationError("all LEDs must sit at the same ceiling height")
+
+
+def snr_constant(drop: float, pd: CommPd, noise: NoiseParams) -> float:
+    """Coefficient C = R*A_c*h^2*n^2 / (2*q*pi*B) of the simplified SNR,
+    where h is the vertical LED-to-plane distance."""
+    return (pd.responsivity_a_per_w * pd.area_m2 * drop**2 * pd.refractive_index**2
+            / (2.0 * noise.electron_charge_c * math.pi * noise.bandwidth_hz))
+
+
+# ---------------------------------------------------------------------------
+# Vectorized per-watt coefficient matrices (points on the receiving plane)
+# ---------------------------------------------------------------------------
+
+def illuminance_coefficients(leds: Sequence[Led], points: np.ndarray,
+                             plane_z: float) -> np.ndarray:
+    """Matrix E (L, M): illuminance at sample l is (E @ p)_l for powers p.
+
+    LED i contributes I0 * cos^m(phi) * cos(psi) / d^2 per watt, with center
+    intensity I0 = (m+1) * efficacy / (2 pi).
     """
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    total = 0.0
-    for led in leds:
-        dz = _check_below(led.position[2], z)
-        d2 = (led.position[0] - x) ** 2 + (led.position[1] - y) ** 2 + dz * dz
-        m = lambertian_order(led.half_power_angle_deg)
-        i0 = (m + 1.0) / (2.0 * math.pi) * led.efficacy_lm_per_w * led.power_w
-        cos_ang = dz / math.sqrt(d2)
-        total += i0 * cos_ang**m * cos_ang / d2
-    return total
+    d2, cos_ang = _plane_geometry(leds, points, plane_z)
+    m = _lambertian_orders(leds)
+    eff = np.array([led.efficacy_lm_per_w for led in leds])
+    return (m + 1.0) / (2.0 * math.pi) * eff * cos_ang ** (m + 1.0) / d2
 
 
-def _received_power(leds: Sequence[Led], point, pd: CommPd) -> float:
-    return sum(los_gain(led, point, pd) * led.power_w for led in leds)
+def snr_coefficients(leds: Sequence[Led], points: np.ndarray, plane_z: float,
+                     pd: CommPd, noise: NoiseParams) -> np.ndarray:
+    """Matrix A (L, M) of the simplified SNR: SNR at sample l is (A @ p)_l.
+
+    Entries are C / d_{i,l}^4 with C the coefficient from snr_constant.
+    Requires Lambertian order 1, a 90 deg FOV and a common LED height;
+    raises SimplificationError otherwise.
+    """
+    _check_simplification(leds, pd)
+    d2, _ = _plane_geometry(leds, points, plane_z)
+    dz = leds[0].position[2] - plane_z
+    return snr_constant(dz, pd, noise) / (d2 * d2)
 
 
-def snr_full(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
-             noise: NoiseParams) -> float:
-    """Electrical SNR with the full shot + thermal noise model."""
-    p_r = _received_power(leds, point, pd)
+def _los_gains(leds: Sequence[Led], points: np.ndarray, plane_z: float,
+               pd: CommPd) -> np.ndarray:
+    """DC channel gains (L, M) from the LEDs to an upward PD at plane points:
+    (m+1) * A * T * g * cos^m(phi) * cos(psi) / (2 pi d^2) inside the FOV."""
+    d2, cos_ang = _plane_geometry(leds, points, plane_z)
+    m = _lambertian_orders(leds)
+    (cos_fov,), (gain,) = _collector_terms([pd])
+    return np.where(cos_ang >= cos_fov,
+                    (m + 1.0) * gain * cos_ang**m * cos_ang / (2.0 * math.pi * d2), 0.0)
+
+
+def snr_full(leds: Sequence[Led], points: np.ndarray, plane_z: float, pd: CommPd,
+             noise: NoiseParams) -> np.ndarray:
+    """Electrical SNR (L,) with the full shot + thermal noise model at
+    receiving-plane points."""
+    p_r = _los_gains(leds, points, plane_z, pd) @ np.array([led.power_w for led in leds])
     q = noise.electron_charge_c
     bw = noise.bandwidth_hz
     shot = (2.0 * q * pd.responsivity_a_per_w * p_r * bw
@@ -116,84 +166,6 @@ def snr_full(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
                / noise.fet_transconductance_s
                * cap_area**2 * noise.noise_factor_i3 * bw**3)
     return (pd.responsivity_a_per_w * p_r) ** 2 / (shot + thermal)
-
-
-def _check_simplification(leds: Sequence[Led], pd: CommPd) -> None:
-    for i, led in enumerate(leds):
-        m = lambertian_order(led.half_power_angle_deg)
-        if abs(m - 1.0) > 1e-9:
-            raise SimplificationError(
-                f"leds[{i}]: Lambertian order {m:.6g} != 1 "
-                "(high-SNR model needs a 60 deg half-power angle)")
-    if abs(pd.fov_deg - 90.0) > 1e-9:
-        raise SimplificationError(
-            f"comm PD FOV {pd.fov_deg} deg != 90 (high-SNR model requirement)")
-
-
-def snr_constant(drop: float, pd: CommPd, noise: NoiseParams) -> float:
-    """Coefficient C = R*A_c*h^2*n^2 / (2*q*pi*B) of the simplified SNR,
-    where h is the vertical LED-to-plane distance."""
-    return (pd.responsivity_a_per_w * pd.area_m2 * drop**2 * pd.refractive_index**2
-            / (2.0 * noise.electron_charge_c * math.pi * noise.bandwidth_hz))
-
-
-def snr_simplified(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
-                   noise: NoiseParams) -> float:
-    """High-SNR shot-noise-limited SNR: C * sum_i P_i / d_i^4.
-
-    Requires Lambertian order 1 and a 90 deg FOV; raises SimplificationError
-    otherwise.
-    """
-    _check_simplification(leds, pd)
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    dz = _check_below(leds[0].position[2], z)
-    c = snr_constant(dz, pd, noise)
-    total = 0.0
-    for led in leds:
-        if abs(led.position[2] - leds[0].position[2]) > 1e-9:
-            raise SimplificationError("all LEDs must sit at the same ceiling height")
-        d2 = (led.position[0] - x) ** 2 + (led.position[1] - y) ** 2 + dz * dz
-        total += led.power_w / d2**2
-    return c * total
-
-
-# ---------------------------------------------------------------------------
-# Vectorized per-watt coefficient matrices (points on the receiving plane)
-# ---------------------------------------------------------------------------
-
-def _plane_distances_sq(leds: Sequence[Led], points: np.ndarray, plane_z: float) -> tuple[np.ndarray, float]:
-    """Squared LED-to-point distances (L, M) and the common vertical drop."""
-    led_pos = np.array([led.position for led in leds], dtype=float)
-    if np.ptp(led_pos[:, 2]) > 1e-9:
-        raise SimplificationError("all LEDs must sit at the same ceiling height")
-    dz = led_pos[0, 2] - plane_z
-    if dz <= 0:
-        raise ValueError("receiving plane must lie below the LEDs")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    dx = pts[:, 0][:, None] - led_pos[:, 0][None, :]
-    dy = pts[:, 1][:, None] - led_pos[:, 1][None, :]
-    return dx * dx + dy * dy + dz * dz, dz
-
-
-def illuminance_coefficients(leds: Sequence[Led], points: np.ndarray,
-                             plane_z: float) -> np.ndarray:
-    """Matrix E (L, M): illuminance at sample l is (E @ p)_l for powers p."""
-    d2, dz = _plane_distances_sq(leds, points, plane_z)
-    m = np.array([lambertian_order(led.half_power_angle_deg) for led in leds])
-    eff = np.array([led.efficacy_lm_per_w for led in leds])
-    cos_ang = dz / np.sqrt(d2)
-    return (m + 1.0) / (2.0 * math.pi) * eff * cos_ang ** (m + 1.0) / d2
-
-
-def snr_coefficients(leds: Sequence[Led], points: np.ndarray, plane_z: float,
-                     pd: CommPd, noise: NoiseParams) -> np.ndarray:
-    """Matrix A (L, M) of the simplified SNR: SNR at sample l is (A @ p)_l.
-
-    Entries are C / d_{i,l}^4 with C the coefficient from snr_constant.
-    """
-    _check_simplification(leds, pd)
-    d2, dz = _plane_distances_sq(leds, points, plane_z)
-    return snr_constant(dz, pd, noise) / (d2 * d2)
 
 
 def plane_grid(room: Room, pitch: float) -> np.ndarray:
@@ -216,13 +188,6 @@ class FieldGrid:
     regions: np.ndarray   # (L,) int8 Region codes
     pitch: float
     quantity: str
-
-    def mask(self, *regions: Region) -> np.ndarray:
-        codes = {r.value for r in regions}
-        return np.isin(self.regions, list(codes))
-
-    def region_values(self, *regions: Region) -> np.ndarray:
-        return self.values[self.mask(*regions)]
 
 
 _FIELD_QUANTITIES = ("snr", "snr_full", "illuminance")
@@ -249,9 +214,6 @@ def field(scene: Scene, partition: RegionPartition, pitch: float | None = None,
     elif quantity == "snr":
         values = snr_coefficients(scene.leds, pts, plane_z, scene.comm_pd, scene.noise) @ powers
     else:
-        values = np.array([
-            snr_full(scene.leds, (x, y, plane_z), scene.comm_pd, scene.noise)
-            for x, y in pts
-        ])
+        values = snr_full(scene.leds, pts, plane_z, scene.comm_pd, scene.noise)
     return FieldGrid(points=pts, values=values, regions=regions,
                      pitch=pitch, quantity=quantity)

@@ -284,13 +284,6 @@ class Scene:
     def num_sensing_pds(self) -> int:
         return len(self.sensing_pds)
 
-    def led_positions(self) -> np.ndarray:
-        """LED positions, shape (M, 3)."""
-        return np.array([led.position for led in self.leds], dtype=float)
-
-    def sensing_pd_positions(self) -> np.ndarray:
-        return np.array([pd.position for pd in self.sensing_pds], dtype=float)
-
     def power_vector(self) -> np.ndarray:
         """Currently configured LED optical powers, shape (M,)."""
         return np.array([led.power_w for led in self.leds], dtype=float)

@@ -23,17 +23,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .photometry import concentrator_gain, lambertian_order
-from .scene import Led, Scene, SensingPd, UserModel
+from .photometry import _collector_terms, _lambertian_geometry, _lambertian_orders
+from .scene import Led, Scene, SensingPd
 
 __all__ = [
     "SensingModel",
     "FingerprintTable",
     "LocalizationResult",
-    "nlos_element_gain",
-    "nlos_user_gain",
     "occluded_set",
-    "received_sensing_power",
     "build_fingerprint_table",
     "predict_power_deltas",
     "localize",
@@ -58,44 +55,6 @@ _OCCLUSION_TOL = 1e-9
 # 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
 # they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
 _STENCIL_BLOCK_BYTES = 1 << 19
-
-
-def nlos_element_gain(led: Led, element_xy: Sequence[float], element_area: float,
-                      reflectance: float, pd: SensingPd) -> float:
-    """One-bounce gain LED -> floor element -> sensing PD (scalar reference)."""
-    ex, ey = float(element_xy[0]), float(element_xy[1])
-    return _one_bounce_gain(led, (ex, ey, 0.0), element_area, reflectance, pd)
-
-
-def nlos_user_gain(led: Led, user_xy: Sequence[float], user: UserModel,
-                   pd: SensingPd) -> float:
-    """One-bounce gain LED -> user body patch -> sensing PD (scalar reference)."""
-    ux, uy = float(user_xy[0]), float(user_xy[1])
-    return _one_bounce_gain(led, (ux, uy, user.patch_height_m), user.patch_area_m2,
-                            user.reflectance, pd)
-
-
-def _one_bounce_gain(led: Led, patch: tuple[float, float, float], area: float,
-                     reflectance: float, pd: SensingPd) -> float:
-    px, py, pz = patch
-    dz1 = led.position[2] - pz
-    dz2 = pd.position[2] - pz
-    if dz1 <= 0 or dz2 <= 0:
-        raise ValueError("reflecting patch must lie below the ceiling")
-    d1sq = (led.position[0] - px) ** 2 + (led.position[1] - py) ** 2 + dz1 * dz1
-    d2sq = (pd.position[0] - px) ** 2 + (pd.position[1] - py) ** 2 + dz2 * dz2
-    cos_emit = dz1 / math.sqrt(d1sq)       # irradiance angle at the LED
-    cos_in = cos_emit                      # incidence on the horizontal patch
-    cos_out = dz2 / math.sqrt(d2sq)        # emission from the patch
-    cos_pd = cos_out                       # incidence at the ceiling PD
-    psi_deg = math.degrees(math.acos(min(1.0, cos_pd)))
-    if psi_deg > pd.fov_deg + 1e-12:
-        return 0.0
-    g = concentrator_gain(psi_deg, pd.refractive_index, pd.fov_deg)
-    m = lambertian_order(led.half_power_angle_deg)
-    return (reflectance * (m + 1.0) * pd.area_m2 * area
-            * cos_emit**m * cos_pd * cos_in * cos_out * pd.filter_gain * g
-            / (2.0 * math.pi**2 * d1sq * d2sq))
 
 
 def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
@@ -138,25 +97,19 @@ def _read_only(values) -> np.ndarray:
 class _BounceKernel:
     """One-bounce gains LED i -> horizontal patch k at height z -> PD j, as
     an emitter factor (M, P) and a collector factor (P, N) whose _outer
-    product is the gain.
+    product is the gain, both on photometry's Lambertian geometry.
 
-    The per-LED and per-PD constants are computed once per scene, so a
-    per-step call for one user patch only evaluates the geometry.
+    The per-LED and per-PD constants are computed once, so a per-step call
+    for one user patch only evaluates the geometry.
     """
 
-    def __init__(self, scene: Scene):
-        m_ord = np.array([lambertian_order(led.half_power_angle_deg) for led in scene.leds])
-        self.led_pos = scene.led_positions()
-        self.exponent = m_ord + 1.0
+    def __init__(self, leds: Sequence[Led], pds: Sequence[SensingPd]):
+        self.led_pos = np.array([led.position for led in leds], dtype=float)
+        self.exponent = _lambertian_orders(leds) + 1.0
         self.front = self.exponent / (2.0 * math.pi**2)
-        self.pd_pos = scene.sensing_pd_positions()
+        self.pd_pos = np.array([pd.position for pd in pds], dtype=float)
         # FOV cut-off on cos(psi) and A_s * T_s * g(psi) inside the FOV, per PD
-        self.cos_fov = np.array([math.cos(math.radians(pd.fov_deg)) - 1e-15
-                                 for pd in scene.sensing_pds])
-        self.collector_gain = np.array([
-            pd.area_m2 * pd.filter_gain
-            * (pd.refractive_index**2 / math.sin(math.radians(pd.fov_deg)) ** 2)
-            for pd in scene.sensing_pds])
+        self.cos_fov, self.collector_gain = _collector_terms(pds)
 
     def factors(self, points: np.ndarray, z: float,
                 rho_area) -> tuple[np.ndarray, np.ndarray]:
@@ -167,23 +120,15 @@ class _BounceKernel:
 
     def _emitter(self, points: np.ndarray, z: float) -> np.ndarray:
         """cos^m(phi) * cos(alpha) / d^2 for every LED-to-patch pair, (M, P)."""
-        led_pos = self.led_pos
-        dz = led_pos[:, 2][:, None] - z
-        dx = led_pos[:, 0][:, None] - points[:, 0][None, :]
-        dy = led_pos[:, 1][:, None] - points[:, 1][None, :]
-        d2 = dx * dx + dy * dy + dz * dz
-        cos_ang = dz / np.sqrt(d2)
+        d2, cos_ang = _lambertian_geometry(self.led_pos, points, z)
         return cos_ang ** self.exponent[:, None] / d2
 
     def _collector(self, points: np.ndarray, z: float) -> np.ndarray:
         """A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 per patch-PD pair, (P, N)."""
-        pd_pos = self.pd_pos
-        dz = pd_pos[:, 2][None, :] - z
-        dx = pd_pos[:, 0][None, :] - points[:, 0][:, None]
-        dy = pd_pos[:, 1][None, :] - points[:, 1][:, None]
-        d2 = dx * dx + dy * dy + dz * dz
-        cos_ang = dz / np.sqrt(d2)
-        return np.where(cos_ang >= self.cos_fov, self.collector_gain * cos_ang ** 2 / d2, 0.0)
+        d2, cos_ang = _lambertian_geometry(self.pd_pos, points, z)
+        gains = np.where(cos_ang >= self.cos_fov[:, None],
+                         self.collector_gain[:, None] * cos_ang ** 2 / d2, 0.0)
+        return np.ascontiguousarray(gains.T)
 
 
 class SensingModel:
@@ -194,24 +139,19 @@ class SensingModel:
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
     read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
-    summed one LED at a time, ``received_power`` forms only the occluded
-    cells' gains, and ``element_gains`` builds the full tensor on each access.
+    summed one LED at a time, and ``received_power`` forms only the occluded
+    cells' gains.
     """
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        self._kernel = _BounceKernel(scene)
+        self._kernel = _BounceKernel(scene.leds, scene.sensing_pds)
         self._centers = _read_only(scene.grid.centers())
         emitter, collector = self._kernel.factors(
             self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
         self.baseline_gains = np.array([(e[:, None] * collector).sum(axis=0)
                                         for e in emitter])
-
-    @property
-    def element_gains(self) -> np.ndarray:
-        """Gains (M, K, N): LED i via floor cell k to PD j."""
-        return _outer(self.emitter, self.collector)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
@@ -231,12 +171,6 @@ class SensingModel:
                         if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
-
-
-def received_sensing_power(scene: Scene, powers: np.ndarray,
-                           user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
-    """One-shot wrapper around SensingModel.received_power."""
-    return SensingModel(scene).received_power(powers, user_xy)
 
 
 def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:

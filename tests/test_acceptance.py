@@ -109,9 +109,8 @@ def test_criterion_3_solver_certification():
     for seed in range(50):
         s = default_scene(seed)
         part = build_partition(s)
-        for build, solve in ((op.build_uniformity_qp, op.solve_qp),
-                             (op.build_enhanced_lp, op.solve_lp)):
-            report = solve(build(s, part))
+        for build in (op.build_uniformity_qp, op.build_enhanced_lp):
+            report = op.solve(build(s, part))
             if report.status is op.SolveStatus.OPTIMAL:
                 n_optimal += 1
                 worst_kkt = max(worst_kkt, report.kkt_residual)
@@ -119,10 +118,10 @@ def test_criterion_3_solver_certification():
     from tests.test_optimize import (_qp_refined_minimum, _lp_vertex_oracle,
                                      _toy_qp, _toy_lp)
     qp = _toy_qp()
-    qp_report = op.solve_qp(qp)
+    qp_report = op.solve(qp)
     qp_ref, _ = _qp_refined_minimum(qp)
     lp = _toy_lp()
-    lp_report = op.solve_lp(lp)
+    lp_report = op.solve(lp)
     lp_ref = _lp_vertex_oracle(lp)
     qp_gap = abs(qp_report.objective - qp_ref) / qp_ref
     lp_gap = abs(lp_report.objective - lp_ref) / lp_ref

@@ -44,6 +44,22 @@ def test_field_outputs(tmp_path):
     assert "vmin=" in sidecar and "vmax=" in sidecar
 
 
+def test_field_snr_full_matches_oracle(tmp_path, capsys):
+    from tests.oracles import snr_full_at
+    out = tmp_path / "f"
+    assert run("field", "--quantity", "snr-full", "--pitch", "0.5", "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("samples=100 ")
+    rows = list(csv.DictReader((out / "field.csv").open()))
+    assert len(rows) == 100
+    assert "quantity=snr_full" in (out / "field_range.txt").read_text()
+    scene = default_scene()
+    z = scene.room.plane_z
+    for row in rows[::17]:
+        x, y, value = float(row["x"]), float(row["y"]), float(row["value"])
+        expected = snr_full_at(scene.leds, (x, y, z), scene.comm_pd, scene.noise)
+        assert abs(value - expected) <= 1e-12 * expected
+
+
 def test_fingerprint_file(tmp_path):
     out = tmp_path / "fp"
     assert run("fingerprint", "--out", str(out)) == 0

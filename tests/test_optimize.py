@@ -79,7 +79,8 @@ def test_qp_identity_against_direct_variance(scene, partition, rng):
 
 def test_qp_matrix_matches_centering_definition(scene, partition):
     qp = op.build_uniformity_qp(scene, partition)
-    m_c = qp.centering_matrix()
+    n = len(qp.samples)
+    m_c = np.eye(n) - np.ones((n, n)) / n
     explicit = qp.snr_coeffs.T @ m_c @ qp.snr_coeffs / len(qp.samples)
     np.testing.assert_allclose(qp.q_matrix, explicit, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(qp.q_matrix, qp.q_matrix.T, atol=1e-12)
@@ -133,7 +134,7 @@ def test_simplification_precondition_enforced(scene, partition):
 
 def test_toy_qp_matches_grid_oracle():
     qp = _toy_qp()
-    report = op.solve_qp(qp)
+    report = op.solve(qp)
     assert report.status is op.SolveStatus.OPTIMAL
     coarse_obj, _ = _qp_grid_minimum(qp)
     assert report.objective <= coarse_obj + 1e-12
@@ -143,7 +144,7 @@ def test_toy_qp_matches_grid_oracle():
 
 
 def test_toy_qp_certificates():
-    report = op.solve_qp(_toy_qp())
+    report = op.solve(_toy_qp())
     assert report.max_violation <= 1e-6
     assert report.kkt_residual <= 1e-6
 
@@ -153,7 +154,7 @@ def test_degenerate_single_sample_qp():
     from dataclasses import replace as dreplace
     single = dreplace(qp, samples=qp.samples[:1], snr_coeffs=qp.snr_coeffs[:1],
                       q_matrix=np.zeros((2, 2)))
-    report = op.solve_qp(single)
+    report = op.solve(single)
     assert report.status is op.SolveStatus.OPTIMAL
     assert abs(report.objective) <= 1e-9
     assert report.max_violation <= 1e-6
@@ -161,16 +162,16 @@ def test_degenerate_single_sample_qp():
 
 def test_qp_row_permutation_invariance(rng):
     qp = _toy_qp()
-    base = op.solve_qp(qp).objective
+    base = op.solve(qp).objective
     from dataclasses import replace as dreplace
     perm = rng.permutation(len(qp.samples))
     shuffled = dreplace(qp, samples=qp.samples[perm], snr_coeffs=qp.snr_coeffs[perm])
-    again = op.solve_qp(shuffled).objective
+    again = op.solve(shuffled).objective
     assert abs(base - again) <= 1e-8 * max(1.0, base)
 
 
 def test_default_scene_qp_solves(scene, partition):
-    report = op.solve_qp(op.build_uniformity_qp(scene, partition))
+    report = op.solve(op.build_uniformity_qp(scene, partition))
     assert report.status is op.SolveStatus.OPTIMAL
     lo, hi = scene.power_bounds()
     assert np.all(report.x >= lo - 1e-9) and np.all(report.x <= hi + 1e-9)
@@ -205,7 +206,7 @@ def _lp_vertex_oracle(lp):
 
 def test_toy_lp_matches_vertex_enumeration():
     lp = _toy_lp()
-    report = op.solve_lp(lp)
+    report = op.solve(lp)
     assert report.status is op.SolveStatus.OPTIMAL
     oracle = _lp_vertex_oracle(lp)
     assert abs(report.objective - oracle) <= 1e-6 * abs(oracle)
@@ -213,14 +214,14 @@ def test_toy_lp_matches_vertex_enumeration():
 
 def test_lp_infeasible_reports_worst_row(scene, partition):
     lp = op.build_enhanced_lp(scene, partition, snr_threshold=1e12)
-    report = op.solve_lp(lp)
+    report = op.solve(lp)
     assert report.status is op.SolveStatus.INFEASIBLE
     assert report.worst_row is not None and report.worst_row.startswith("snr_min")
 
 
 def test_lp_zero_threshold_hits_power_floor(scene, partition):
     lp = op.build_enhanced_lp(scene, partition, snr_threshold=0.0, e_min=0.0, e_max=1e9)
-    report = op.solve_lp(lp)
+    report = op.solve(lp)
     assert report.status is op.SolveStatus.OPTIMAL
     np.testing.assert_allclose(report.x, lp.p_min, atol=1e-5)
 
@@ -229,14 +230,14 @@ def test_lp_threshold_monotonicity(scene, partition):
     base = op.default_snr_threshold(scene, partition)
     objectives = []
     for f in (0.4, 0.6, 0.8, 1.0):
-        report = op.solve_lp(op.build_enhanced_lp(scene, partition, snr_threshold=f * base))
+        report = op.solve(op.build_enhanced_lp(scene, partition, snr_threshold=f * base))
         assert report.status is op.SolveStatus.OPTIMAL
         objectives.append(report.objective)
     assert all(b >= a - 1e-6 for a, b in zip(objectives, objectives[1:]))
 
 
 def test_lp_objective_within_power_box(scene, partition):
-    report = op.solve_lp(op.build_enhanced_lp(scene, partition))
+    report = op.solve(op.build_enhanced_lp(scene, partition))
     lo, hi = scene.power_bounds()
     assert lo.sum() - 1e-6 <= report.objective <= hi.sum() + 1e-6
 
@@ -261,7 +262,7 @@ def test_kkt_residual_small_at_grid_optimum():
 
 def test_kkt_residual_larger_off_optimum():
     qp = _toy_qp()
-    report = op.solve_qp(qp)
+    report = op.solve(qp)
     at_solution = op.kkt_residual(qp, report.x)
     lo, hi = qp.p_min, qp.p_max
     perturbed = np.clip(report.x + np.array([5.0, -4.0]), lo + 1.0, hi - 1.0)
@@ -279,7 +280,7 @@ def test_kkt_residual_interior_lp_is_gradient_norm():
 
 def test_solver_reports_pass_certificates(scene, partition):
     for build in (op.build_uniformity_qp, op.build_enhanced_lp):
-        report = (op.solve_qp if build is op.build_uniformity_qp else op.solve_lp)(
+        report = (op.solve)(
             build(scene, partition))
         assert report.status is op.SolveStatus.OPTIMAL
         assert report.max_violation <= 1e-6
@@ -457,8 +458,28 @@ def test_nnls_rejects_non_finite_input(bad):
 
 def test_lstsq_fallback_rejects_nan_matrix():
     # Cholesky fails on the indefinite first pivot, so the Newton solve falls
-    # back to lstsq, which must not be handed the NaN
+    # back to lstsq, which must not be handed the NaN; solve_inequality_program
+    # rejects such a quad at entry, so the iteration is called directly
     quad = np.array([[-10.0, 0.0], [0.0, np.nan]])
     g_mat = np.vstack([np.eye(2), -np.eye(2)])
     with pytest.raises(ValueError, match="infs or NaNs"):
+        op._predictor_corrector(quad, np.ones(2), g_mat, np.ones(4), np.zeros(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
         op.solve_inequality_program(quad, np.ones(2), g_mat, np.ones(4))
+
+
+_BOX = np.vstack([np.eye(2), -np.eye(2)])  # -1 <= x <= 1 with h = ones(4)
+
+
+@pytest.mark.parametrize("quad, c, g_mat, h_vec", [
+    (None, np.ones(2), _BOX, np.array([1.0, np.nan, 1.0, 1.0])),
+    (None, np.array([np.nan, 1.0]), _BOX, np.ones(4)),
+    (None, np.ones(2), np.array([[1.0, np.inf], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+     np.ones(4)),
+    (np.array([[1.0, 0.0], [0.0, -np.inf]]), np.ones(2), _BOX, np.ones(4)),
+], ids=["h-nan", "c-nan", "g-inf", "quad-inf"])
+def test_solver_rejects_non_finite_program_data(quad, c, g_mat, h_vec):
+    # Cholesky returns NaN factors on NaN data instead of raising, so without
+    # this check a NaN h or c runs to an INFEASIBLE or MAX_ITER report
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        op.solve_inequality_program(quad, c, g_mat, h_vec)

@@ -39,10 +39,10 @@ def test_grid_tiles_floor(scene):
 
 
 def test_emitters_on_ceiling_inside_room(scene):
-    for pos in scene.led_positions():
+    for pos in [led.position for led in scene.leds]:
         assert pos[2] == scene.room.size_z
         assert scene.room.contains_xy(pos[0], pos[1])
-    for pos in scene.sensing_pd_positions():
+    for pos in [pd.position for pd in scene.sensing_pds]:
         assert pos[2] == scene.room.size_z
         assert scene.room.contains_xy(pos[0], pos[1])
 

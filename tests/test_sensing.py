@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from isci import sensing as sn
-from isci.photometry import concentrator_gain, lambertian_order
+from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
+from tests.oracles import concentrator_gain, nlos_element_gain, nlos_user_gain
 
 
 def _mixed_scene():
@@ -33,20 +34,42 @@ def _lattice_scene(size=10.0, per_side=5, pitch=0.1, spacing=2.0):
 
 
 # ---------------------------------------------------------------------------
-# scalar channel gains
+# one-bounce channel gains
 # ---------------------------------------------------------------------------
+
+def _bounce_gain_vec(led, patch_xy, z, rho_area, pd):
+    """One LED-patch-PD gain from the kernel's factors, as SensingModel forms it."""
+    factors = sn._BounceKernel([led], [pd]).factors(np.array([patch_xy], dtype=float),
+                                                    z, rho_area)
+    return float(sn._outer(*factors)[0, 0, 0])
+
+
+def _element_gain_vec(led, element_xy, element_area, reflectance, pd):
+    return _bounce_gain_vec(led, element_xy, 0.0, reflectance * element_area, pd)
+
+
+def _user_gain_vec(led, user_xy, user, pd):
+    return _bounce_gain_vec(led, user_xy, user.patch_height_m,
+                            user.reflectance * user.patch_area_m2, pd)
+
+
+ELEMENT_GAINS = (nlos_element_gain, _element_gain_vec)
+USER_GAINS = (nlos_user_gain, _user_gain_vec)
+
 
 def test_element_gain_outside_fov_is_zero(scene):
     led = scene.leds[0]
     pd = replace(scene.sensing_pds[0], fov_deg=20.0)
     # element far to the side of the PD: incidence angle way past 20 deg
     far = (pd.position[0] + 4.0, pd.position[1])
-    assert sn.nlos_element_gain(led, far, 0.01, 0.8, pd) == 0.0
+    for element_gain in ELEMENT_GAINS:
+        assert element_gain(led, far, 0.01, 0.8, pd) == 0.0
 
 
 def test_element_gain_zero_reflectance(scene):
     led, pd = scene.leds[0], scene.sensing_pds[0]
-    assert sn.nlos_element_gain(led, (2.0, 2.0), 0.01, 0.0, pd) == 0.0
+    for element_gain in ELEMENT_GAINS:
+        assert element_gain(led, (2.0, 2.0), 0.01, 0.0, pd) == 0.0
 
 
 def test_element_gain_term_by_term(scene):
@@ -60,8 +83,9 @@ def test_element_gain_term_by_term(scene):
     g = concentrator_gain(0.0, pd.refractive_index, pd.fov_deg)
     expected = (rho * (m + 1) * pd.area_m2 * area * 1.0 * 1.0 * 1.0 * 1.0
                 * pd.filter_gain * g / (2 * math.pi**2 * d1**2 * d2**2))
-    got = sn.nlos_element_gain(led, elem, area, rho, pd)
-    assert abs(got - expected) <= 1e-15 * expected
+    for element_gain in ELEMENT_GAINS:
+        got = element_gain(led, elem, area, rho, pd)
+        assert abs(got - expected) <= 1e-15 * expected
 
 
 def test_element_gain_matches_tensor(scene, sensing_model, rng):
@@ -69,23 +93,27 @@ def test_element_gain_matches_tensor(scene, sensing_model, rng):
         i = int(rng.integers(0, scene.num_leds))
         j = int(rng.integers(0, scene.num_sensing_pds))
         k = int(rng.integers(0, scene.grid.count))
-        ref = sn.nlos_element_gain(scene.leds[i], scene.grid.centers()[k],
-                                   scene.grid.cell_area, scene.grid.reflectance[k],
-                                   scene.sensing_pds[j])
-        assert abs(sensing_model.element_gains[i, k, j] - ref) <= 1e-12 * max(ref, 1e-30)
+        ref = nlos_element_gain(scene.leds[i], scene.grid.centers()[k],
+                                scene.grid.cell_area, scene.grid.reflectance[k],
+                                scene.sensing_pds[j])
+        got = sensing_model.emitter[i, k] * sensing_model.collector[k, j]
+        assert abs(got - ref) <= 1e-12 * max(ref, 1e-30)
 
 
 def test_user_gain_zero_reflectance(scene):
     led, pd = scene.leds[0], scene.sensing_pds[0]
     user = replace(scene.user, reflectance=0.0)
-    assert sn.nlos_user_gain(led, (2.5, 2.5), user, pd) == 0.0
+    for user_gain in USER_GAINS:
+        assert user_gain(led, (2.5, 2.5), user, pd) == 0.0
+    assert np.all(sn.SensingModel(replace(scene, user=user)).user_gain((2.5, 2.5)) == 0.0)
 
 
 def test_user_gain_outside_fov(scene):
     led = scene.leds[0]
     pd = replace(scene.sensing_pds[0], fov_deg=15.0)
     far = (pd.position[0] + 4.0, pd.position[1])
-    assert sn.nlos_user_gain(led, far, scene.user, pd) == 0.0
+    for user_gain in USER_GAINS:
+        assert user_gain(led, far, scene.user, pd) == 0.0
 
 
 def test_user_patch_beats_floor_element(scene, rng):
@@ -102,9 +130,10 @@ def test_user_patch_beats_floor_element(scene, rng):
         r = rng.uniform(0.0, 1.2)
         ang = rng.uniform(0.0, 2 * math.pi)
         ex, ey = x + r * math.cos(ang), y + r * math.sin(ang)
-        floor = sn.nlos_element_gain(led, (ex, ey), area, rho, pd)
-        raised = sn.nlos_user_gain(led, (ex, ey), user, pd)
-        assert raised > floor
+        for element_gain, user_gain in zip(ELEMENT_GAINS, USER_GAINS):
+            floor = element_gain(led, (ex, ey), area, rho, pd)
+            raised = user_gain(led, (ex, ey), user, pd)
+            assert raised > floor
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +213,6 @@ def test_received_power_linear(scene, sensing_model):
     assert np.allclose(two, 2 * one, rtol=1e-12)
 
 
-def test_received_power_wrapper_matches_model(scene, sensing_model):
-    p = scene.power_vector()
-    np.testing.assert_allclose(sn.received_sensing_power(scene, p, (2.1, 3.3)),
-                               sensing_model.received_power(p, (2.1, 3.3)), rtol=1e-12)
-
-
 @pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene])
 def test_received_power_bitwise_matches_dense_reference(make_scene):
     # the reference builds the full (M, K, N) tensor with one einsum, gathers
@@ -203,7 +226,10 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
                         rho_area, kernel._collector(centers, 0.0))
     baseline = element.sum(axis=1)
     assert np.array_equal(model.baseline_gains, baseline)
-    assert np.array_equal(model.element_gains, element)
+    assert np.array_equal(sn._outer(model.emitter, model.collector), element)
+    # the collector's row-major (K, N) layout fixes the order of the
+    # baseline sums, so the LFPT bytes depend on it
+    assert model.collector.flags.c_contiguous and model.emitter.flags.c_contiguous
     user = s.user
     rng = np.random.default_rng(3)
     p = s.power_vector() * rng.uniform(0.5, 1.5, s.num_leds)
