@@ -178,10 +178,11 @@ def _cmd_optimize(args) -> int:
                                              pitch=args.pitch)
     _, report = optimize.solve_refined(problem, scene, partition)
     out = _OutputDir(Path(args.out))
-    status = report.status.value
+    value = report.status.value
+    status = "MaxIter" if value == "max_iter" else value.capitalize()
     lines = [
         f"mode={args.mode}",
-        f"status={status.capitalize() if status != 'max_iter' else 'MaxIter'}",
+        f"status={status}",
         f"objective={_fmt(report.objective)}",
         f"max_violation={_fmt(report.max_violation)}",
         f"kkt_residual={_fmt(report.kkt_residual)}",
@@ -189,15 +190,15 @@ def _cmd_optimize(args) -> int:
     ]
     if report.worst_row:
         lines.append(f"worst_row={report.worst_row}")
+    summary = f"status={status}"
     if report.status is optimize.SolveStatus.OPTIMAL:
         out.write_csv("powers.csv", ["led", "power_w"],
                       [[i, p] for i, p in enumerate(report.x)])
-        lines.append(f"total_W={_fmt(float(np.sum(report.x)))}")
+        total = f"total_W={_fmt(float(np.sum(report.x)))}"
+        lines.append(total)
+        summary += f" {total}"
     out.write_text("report.txt", "\n".join(lines) + "\n")
     out.write_manifest("optimize", scene, {"scene": args.scene_seed})
-    summary = f"status={status.capitalize() if status != 'max_iter' else 'MaxIter'}"
-    if report.status is optimize.SolveStatus.OPTIMAL:
-        summary += f" total_W={_fmt(float(np.sum(report.x)))}"
     print(summary)
     return EXIT_INFEASIBLE if report.status is optimize.SolveStatus.INFEASIBLE else EXIT_OK
 

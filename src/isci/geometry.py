@@ -90,10 +90,6 @@ class ConvexPolygon:
     def as_array(self) -> np.ndarray:
         return np.array([(v.x, v.y) for v in self.vertices], dtype=float)
 
-    def edges(self) -> list[tuple[Point2, Point2]]:
-        verts = self.vertices
-        return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-
     def inward_normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit inward normals N (E, 2) and offsets d (E,) with the interior
         characterized by N @ p >= d."""

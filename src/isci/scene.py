@@ -13,6 +13,8 @@ Config files are YAML with the top-level sections ``room``, ``grid``,
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -80,6 +82,14 @@ class Room:
                  "room.plane_drop", "must lie strictly between 0 and size_z")
 
 
+def _require_on_ceiling(position: tuple[float, float, float], room: Room, where: str) -> None:
+    """A ceiling LED or PD must sit at the ceiling height, inside the room."""
+    x, y, z = position
+    _require(abs(z - room.size_z) <= 1e-9, f"{where}.position",
+             f"z={z} must equal the ceiling height {room.size_z}")
+    _require(room.contains_xy(x, y), f"{where}.position", "must lie inside the room")
+
+
 @dataclass(frozen=True)
 class Led:
     """Ceiling LED with a generalized Lambertian beam."""
@@ -92,7 +102,6 @@ class Led:
     power_max_w: float = 80.0
 
     def validate(self, room: Room, where: str) -> None:
-        x, y, z = self.position
         _require(0.0 < self.half_power_angle_deg < 90.0, f"{where}.half_power_angle_deg",
                  "must be in (0, 90) degrees")
         _require(self.efficacy_lm_per_w > 0, f"{where}.efficacy_lm_per_w", "must be positive")
@@ -101,9 +110,7 @@ class Led:
         _require(self.power_min_w >= 0, f"{where}.power_min_w", "must be nonnegative")
         _require(self.power_min_w <= self.power_w <= self.power_max_w, f"{where}.power_w",
                  f"{self.power_w} outside bounds [{self.power_min_w}, {self.power_max_w}]")
-        _require(abs(z - room.size_z) <= 1e-9, f"{where}.position",
-                 f"z={z} must equal the ceiling height {room.size_z}")
-        _require(room.contains_xy(x, y), f"{where}.position", "must lie inside the room")
+        _require_on_ceiling(self.position, room, where)
 
 
 @dataclass(frozen=True)
@@ -136,14 +143,11 @@ class SensingPd:
     filter_gain: float = 1.0
 
     def validate(self, room: Room, where: str) -> None:
-        x, y, z = self.position
         _require(self.area_m2 > 0, f"{where}.area_m2", "must be positive")
         _require(0.0 < self.fov_deg <= 90.0, f"{where}.fov_deg", "must be in (0, 90] degrees")
         _require(self.refractive_index >= 1.0, f"{where}.refractive_index", "must be >= 1")
         _require(self.filter_gain > 0, f"{where}.filter_gain", "must be positive")
-        _require(abs(z - room.size_z) <= 1e-9, f"{where}.position",
-                 f"z={z} must equal the ceiling height {room.size_z}")
-        _require(room.contains_xy(x, y), f"{where}.position", "must lie inside the room")
+        _require_on_ceiling(self.position, room, where)
 
 
 @dataclass(frozen=True)
@@ -339,37 +343,72 @@ def _section(cfg: Mapping[str, Any], name: str) -> Mapping[str, Any]:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    """A finite int or float; a YAML boolean is not a number."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _number(value: Any, where: str) -> Any:
+    if not _is_number(value):
+        raise SceneError(f"{where}: must be a finite number, got {value!r}")
+    return value
+
+
 def _build(cls, data: Mapping[str, Any], where: str, **extra):
+    """``cls`` from ``extra`` and ``data``, whose values are all numbers
+    (or None, for a field whose default is None)."""
     names = [f.name for f in fields(cls) if f.name not in extra]
     _check_keys(where, data, names)
     kwargs = dict(extra)
     for f in fields(cls):
         if f.name in data:
-            kwargs[f.name] = data[f.name]
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise SceneError(f"{where}: {exc}") from exc
+            value = data[f.name]
+            if value is not None or f.default is not None:
+                _number(value, f"{where}.{f.name}")
+            kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def _as_position(value: Any, where: str) -> tuple[float, float, float]:
-    if not isinstance(value, Sequence) or len(value) != 3:
+    if not (isinstance(value, Sequence) and len(value) == 3 and all(map(_is_number, value))):
         raise SceneError(f"{where}: position must be a list of three numbers")
     return (float(value[0]), float(value[1]), float(value[2]))
 
 
+def _entries(cfg: Mapping[str, Any], name: str, what: str, cls) -> tuple:
+    """The list section ``name``: one ``cls`` per entry, each with a position."""
+    entries = cfg.get(name)
+    if not entries:
+        raise SceneError(f"{name}: at least one {what} entry is required")
+    if not isinstance(entries, (list, tuple)):
+        raise SceneError(f"{name}: expected a list, got {type(entries).__name__}")
+    built = []
+    for i, entry in enumerate(entries):
+        where = f"{name}[{i}]"
+        if not isinstance(entry, Mapping):
+            raise SceneError(f"{where}: expected a mapping")
+        if "position" not in entry:
+            raise SceneError(f"{where}.position: required")
+        pos = _as_position(entry["position"], where)
+        rest = {k: v for k, v in entry.items() if k != "position"}
+        built.append(_build(cls, rest, where, position=pos))
+    return tuple(built)
+
+
 def _grid_from_config(data: Mapping[str, Any], room: Room) -> SurfaceGrid:
     _check_keys("grid", data, ("pitch", "reflectance"))
-    pitch = float(data.get("pitch", 0.1))
-    if pitch <= 0:
+    pitch = float(_number(data.get("pitch", 0.1), "grid.pitch"))
+    if not pitch > 0:
         raise SceneError("grid.pitch: must be positive")
     nx = int(round(room.size_x / pitch))
     ny = int(round(room.size_y / pitch))
     rho = data.get("reflectance", 0.8)
-    if isinstance(rho, (int, float)):
-        reflectance = (float(rho),) * (nx * ny)
+    if isinstance(rho, (list, tuple)):
+        reflectance = tuple(float(_number(r, f"grid.reflectance[{k}]"))
+                            for k, r in enumerate(rho))
     else:
-        reflectance = tuple(float(r) for r in rho)
+        reflectance = (float(_number(rho, "grid.reflectance")),) * (nx * ny)
     return SurfaceGrid(pitch=pitch, nx=nx, ny=ny, reflectance=reflectance)
 
 
@@ -380,40 +419,13 @@ def scene_from_dict(cfg: Mapping[str, Any]) -> Scene:
     _check_keys("top level", cfg, _SECTIONS)
 
     room = _build(Room, _section(cfg, "room"), "room")
-
-    leds_cfg = cfg.get("leds")
-    if not leds_cfg:
-        raise SceneError("leds: at least one LED entry is required")
-    leds = []
-    for i, entry in enumerate(leds_cfg):
-        where = f"leds[{i}]"
-        if not isinstance(entry, Mapping):
-            raise SceneError(f"{where}: expected a mapping")
-        if "position" not in entry:
-            raise SceneError(f"{where}.position: required")
-        pos = _as_position(entry["position"], where)
-        rest = {k: v for k, v in entry.items() if k != "position"}
-        leds.append(_build(Led, rest, where, position=pos))
-
-    pds_cfg = cfg.get("sensing_pds")
-    if not pds_cfg:
-        raise SceneError("sensing_pds: at least one sensing PD entry is required")
-    pds = []
-    for j, entry in enumerate(pds_cfg):
-        where = f"sensing_pds[{j}]"
-        if not isinstance(entry, Mapping):
-            raise SceneError(f"{where}: expected a mapping")
-        if "position" not in entry:
-            raise SceneError(f"{where}.position: required")
-        pos = _as_position(entry["position"], where)
-        rest = {k: v for k, v in entry.items() if k != "position"}
-        pds.append(_build(SensingPd, rest, where, position=pos))
-
+    leds = _entries(cfg, "leds", "LED", Led)
+    pds = _entries(cfg, "sensing_pds", "sensing PD", SensingPd)
     scene = Scene(
         room=room,
-        leds=tuple(leds),
+        leds=leds,
         comm_pd=_build(CommPd, _section(cfg, "comm_pd"), "comm_pd"),
-        sensing_pds=tuple(pds),
+        sensing_pds=pds,
         user=_build(UserModel, _section(cfg, "user"), "user"),
         noise=_build(NoiseParams, _section(cfg, "noise"), "noise"),
         grid=_grid_from_config(_section(cfg, "grid"), room),

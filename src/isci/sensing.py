@@ -309,7 +309,8 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     exact float64 bytes, for the last few distinct vectors.  The returned
     array is read-only and shared between calls with equal powers.  It is
     the transpose view of a C-contiguous (N, K) array, so each PD's
-    predictions are one contiguous K-vector for localize's loss scan.
+    predictions are one contiguous K-vector, and localize sums the losses
+    over those vectors in PD order.
     """
     powers = np.asarray(powers, dtype=float)
     n_leds = table.shape[1]
@@ -332,46 +333,6 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     return predicted
 
 
-def _row_losses(actual: np.ndarray, predicted_t: np.ndarray) -> np.ndarray:
-    """``((actual[None, :] - P) ** 2).sum(axis=1)`` for a C-contiguous (K, N)
-    P equal to ``predicted_t.T``, bit for bit.
-
-    numpy sums each length-N row of that array with its pairwise summation,
-    one short inner loop per candidate.  This replays the same additions in
-    the same order on the K-long rows of the (N, K) ``predicted_t``, so each
-    numpy call covers every candidate at once.  The 0.0 that numpy's
-    reduction starts from is left out: adding it does not change a sum of
-    squares.
-    """
-    n, k = predicted_t.shape
-    if n > 128:  # numpy's PW_BLOCKSIZE
-        half = n // 2 - (n // 2) % 8
-        acc = _row_losses(actual[:half], predicted_t[:half])
-        acc += _row_losses(actual[half:], predicted_t[half:])
-        return acc
-    scratch = np.empty(k)
-
-    def square(j: int, out: np.ndarray) -> np.ndarray:
-        np.subtract(actual[j], predicted_t[j], out=out)
-        return np.multiply(out, out, out=out)
-
-    if n < 8:
-        acc, rest = np.zeros(k), 0
-    else:
-        r = [square(j, np.empty(k)) for j in range(8)]
-        rest = n - n % 8
-        for i in range(8, rest, 8):
-            for j in range(8):
-                r[j] += square(i + j, scratch)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[a] += r[b]
-        acc = r[0]
-    for j in range(rest, n):
-        acc += square(j, scratch)
-    return acc
-
-
 def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
              table: FingerprintTable,
              epsilon_detect: float = NOISELESS_DETECT_EPS) -> LocalizationResult:
@@ -382,10 +343,10 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
     broken toward the lowest index.  The predicted variations come from
     predict_power_deltas, so a call with a power vector seen recently reuses
     the table's memoized prediction instead of forming it again.  The losses
-    are summed over that prediction's (N, K) layout, one K-long PD column at
-    a time, in the order numpy's row sum adds them on a row-major (K, N)
-    array, so they equal ``((actual - predicted) ** 2).sum(axis=1)`` on a
-    C-contiguous copy of the prediction bit for bit.
+    are summed one PD at a time, in PD order, over that prediction's
+    contiguous K-long rows, so they equal
+    ``((actual - predicted) ** 2).sum(axis=1)`` on the returned prediction
+    bit for bit.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
@@ -396,7 +357,10 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
                          f"{table.shape[2]}-PD fingerprint table")
     actual = np.abs(measured - baseline)
     predicted = predict_power_deltas(table, powers)
-    losses = _row_losses(actual, predicted.T)
+    losses, scratch = np.zeros(len(predicted)), np.empty(len(predicted))
+    for miss, row in zip(actual, predicted.T):
+        np.subtract(miss, row, out=scratch)
+        losses += np.multiply(scratch, scratch, out=scratch)
     detected = bool(actual.max() >= epsilon_detect)
     if not detected:
         return LocalizationResult(position=None, index=None, losses=losses,

@@ -165,10 +165,15 @@ def test_config_file_resolution(tmp_path, capsys):
     assert run("regions", "--config", str(cfg), "--out", str(out)) == 0
 
 
-def test_invalid_config_exit_one(tmp_path):
+def test_invalid_config_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("room:\n  size_x: -4\nleds: []\n")
     assert run("regions", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    # a value of the wrong type is a validation error naming the field, not a traceback
+    cfg.write_text(dump_scene(default_scene()).replace("size_x: 5.0", "size_x: abc", 1))
+    capsys.readouterr()
+    assert run("regions", "--config", str(cfg), "--out", str(tmp_path / "y")) == 1
+    assert capsys.readouterr().err == "error: room.size_x: must be a finite number, got 'abc'\n"
 
 
 def test_unknown_flag_exit_one(capsys):

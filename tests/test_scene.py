@@ -95,3 +95,26 @@ def test_nonuniform_reflectance_round_trip(scene):
     s2 = scene_from_dict(cfg)
     assert s2.grid.reflectance[7] == 0.25
     assert load_scene(dump_scene(s2)) == s2
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("leds",), 5, "leds"),
+    (("leds",), {"position": [1.0, 1.0, 3.0]}, "leds"),
+    (("room", "size_x"), "abc", "room.size_x"),
+    (("room", "size_x"), float("inf"), "room.size_x"),
+    (("room", "plane_drop"), True, "room.plane_drop"),
+    (("leds", 0, "power_w"), "x", r"leds\[0\].power_w"),
+    (("leds", 0, "position"), "abc", r"leds\[0\]"),
+    (("controller", "snr_threshold"), [1], "controller.snr_threshold"),
+    (("controller", "step_period_s"), None, "controller.step_period_s"),
+    (("grid", "pitch"), float("nan"), "grid.pitch"),
+    (("grid", "reflectance"), ["a"], r"grid.reflectance\[0\]"),
+])
+def test_malformed_values_name_the_field(scene, path, value, field):
+    cfg = scene_to_dict(scene)
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SceneError, match=rf"^{field}: "):
+        scene_from_dict(cfg)

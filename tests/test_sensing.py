@@ -451,22 +451,8 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
     assert np.array_equal(got, want)
 
 
-def _numpy_row_losses(actual, predicted):
-    """numpy's row sum over a C-contiguous (K, N) prediction, pairwise per
-    row (over a column-major one it would add the columns in sequence)."""
-    return ((actual[None, :] - np.ascontiguousarray(predicted)) ** 2).sum(axis=1)
-
-
-@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 16, 25, 64, 129, 200])
-def test_row_losses_match_numpy_row_sum(rng, n):
-    predicted = _spread(rng, (301, n))
-    actual = _spread(rng, n)
-    got = sn._row_losses(actual, np.ascontiguousarray(predicted.T))
-    assert np.array_equal(got, _numpy_row_losses(actual, predicted))
-
-
 @pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
-def test_row_losses_match_on_built_tables(make_scene):
+def test_localize_losses_sum_pds_in_order(make_scene):
     s = make_scene()
     model = sn.SensingModel(s)
     table = sn.build_fingerprint_table(s, model)
@@ -478,12 +464,12 @@ def test_row_losses_match_on_built_tables(make_scene):
         for _ in range(3):
             measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
             measured = measured * (1.0 + 1e-3 * rng.standard_normal(len(measured)))
-            want = _numpy_row_losses(np.abs(measured - baseline), predicted)
-            assert np.array_equal(sn._row_losses(np.abs(measured - baseline), predicted.T), want)
+            actual = np.abs(measured - baseline)
+            want = ((actual[None, :] - predicted) ** 2).sum(axis=1)
             assert np.array_equal(sn.localize(measured, baseline, p, table).losses, want)
 
 
-def test_row_losses_exact_tie_goes_to_lower_index():
+def test_localize_exact_tie_goes_to_lower_index():
     # candidates 1 and 3 miss the reading by 0.25 on different PDs: equal
     # losses, summed at different positions
     rows = [[2.0, 2.0, 2.0], [1.25, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 2.25, 0.5], [3.0, 1.0, 1.0]]
