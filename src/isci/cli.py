@@ -5,6 +5,8 @@ command resolves one scene config, writes its outputs into --out, and
 finishes with a manifest.json recording the resolved config, seeds and
 SHA-256 digests of every emitted file.  All randomness comes from explicit
 seed flags, so identical invocations produce byte-identical outputs.
+--pitch, --snr-threshold, --noise-sigma and --step-period set their key of
+the config's controller section, validated and recorded like the rest.
 
 Exit codes: 0 success, 1 validation/usage error, 2 infeasible optimization,
 3 I/O error.
@@ -19,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -95,12 +97,18 @@ class _OutputDir:
 
 
 def _resolve_scene(args) -> Scene:
+    """The configured scene with every given flag whose dest names a
+    ControllerConfig field written into its controller, then validated."""
     source = args.config
     if source is None:
         source = os.environ.get(_CONFIG_ENV, "default")
-    if source == "default":
-        return default_scene(args.scene_seed)
-    return load_scene(Path(source).read_text())
+    scene = (default_scene(args.scene_seed) if source == "default"
+             else load_scene(Path(source).read_text()))
+    names = {f.name for f in fields(scene.controller)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    ctl = replace(scene.controller, **overrides)
+    ctl.validate()  # the rest of the scene was validated when it was built
+    return replace(scene, controller=ctl)
 
 
 def _write_pgm(out: _OutputDir, name: str, field: photometry.FieldGrid):
@@ -141,7 +149,7 @@ def _cmd_field(args) -> int:
     scene = _resolve_scene(args)
     partition = build_partition(scene)
     quantity = args.quantity.replace("-", "_")
-    grid = photometry.field(scene, partition, pitch=args.pitch, quantity=quantity)
+    grid = photometry.field(scene, partition, quantity=quantity)
     out = _OutputDir(Path(args.out))
     region_names = {r.value: r.name.lower() for r in Region}
     rows = [
@@ -170,13 +178,9 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_optimize(args) -> int:
     scene = _resolve_scene(args)
     partition = build_partition(scene)
-    if args.mode == "uniformity":
-        problem = optimize.build_uniformity_qp(scene, partition, pitch=args.pitch)
-    else:
-        problem = optimize.build_enhanced_lp(scene, partition,
-                                             snr_threshold=args.snr_threshold,
-                                             pitch=args.pitch)
-    _, report = optimize.solve_refined(problem, scene, partition)
+    build = (optimize.build_uniformity_qp if args.mode == "uniformity"
+             else optimize.build_enhanced_lp)
+    _, report = optimize.solve_refined(build(scene, partition), scene, partition)
     out = _OutputDir(Path(args.out))
     value = report.status.value
     status = "MaxIter" if value == "max_iter" else value.capitalize()
@@ -222,9 +226,9 @@ def _write_trace(out: _OutputDir, name: str, trace: controller.ScenarioTrace, m:
     out.write_csv(name, header, _trace_rows(trace))
 
 
-def _benchmark_rows(scene, partition, pitch=None):
+def _benchmark_rows(scene, partition):
     for quantity in ("snr", "illuminance"):
-        grid = photometry.field(scene, partition, pitch=pitch, quantity=quantity)
+        grid = photometry.field(scene, partition, quantity=quantity)
         bench = controller.benchmark(grid)
         for region in ("reference", "mec", "mic"):
             yield [quantity, region, bench.average, bench.deviation, bench.minimum,
@@ -233,10 +237,6 @@ def _benchmark_rows(scene, partition, pitch=None):
 
 def _cmd_simulate(args) -> int:
     scene = _resolve_scene(args)
-    if args.step_period is not None:
-        scene = replace(scene, controller=replace(scene.controller,
-                                                  step_period_s=args.step_period))
-        scene.validate()
     partition = build_partition(scene)
     model = sensing.SensingModel(scene)
     table = sensing.build_fingerprint_table(scene, model)
@@ -245,10 +245,9 @@ def _cmd_simulate(args) -> int:
         speed=scene.controller.user_speed_m_per_s,
         dwell_time=scene.controller.dwell_time_s)
     trace = controller.run_scenario(scene, partition, table, trajectory,
-                                    noise_seed=args.noise_seed,
-                                    noise_rel=args.noise_sigma, model=model)
+                                    noise_seed=args.noise_seed, model=model)
     baseline = controller.baseline_scenario(scene, trajectory)
-    savings = _savings(trace.total_energy_j, baseline.total_energy_j)
+    savings = controller.savings(trace.total_energy_j, baseline.total_energy_j)
 
     out = _OutputDir(Path(args.out))
     _write_trace(out, "trace.csv", trace, scene.num_leds)
@@ -293,13 +292,6 @@ def _illuminance_range(scene, partition, powers, activity_only):
 def _variance_reduction_pct(var_before: float, var_after: float) -> float:
     """Percent drop of the SNR variance from ``var_before`` to ``var_after``."""
     return 100.0 * (1.0 - var_after / var_before)
-
-
-def _savings(energy_j: float, base_energy_j: float) -> float:
-    """Fractional energy saved against the baseline run."""
-    if base_energy_j <= 0:
-        raise ValueError("baseline trace has no energy")
-    return 1.0 - energy_j / base_energy_j
 
 
 def _power_violations(scene: Scene, powers) -> int:
@@ -358,8 +350,8 @@ def _cmd_report(args) -> int:
     base_rows = _read_trace_csv(Path(args.baseline))
     if len(rows) != len(base_rows):
         raise SceneError("trace and baseline step counts differ")
-    savings = _savings(sum(float(r["energy_J"]) for r in rows),
-                       sum(float(r["energy_J"]) for r in base_rows))
+    savings = controller.savings(sum(float(r["energy_J"]) for r in rows),
+                                 sum(float(r["energy_J"]) for r in base_rows))
     errors = [float(r["error_m"]) for r in rows if r["error_m"] not in ("", None)]
 
     power_cols = [c for c in rows[0] if c.startswith("P_")]
@@ -409,7 +401,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("field", help="SNR or illuminance field (CSV + PGM heatmap)")
     common(p)
     p.add_argument("--quantity", choices=["snr", "snr-full", "illuminance"], default="snr")
-    p.add_argument("--pitch", type=float, default=None)
+    p.add_argument("--pitch", dest="field_pitch_m", type=float)
 
     p = sub.add_parser("fingerprint", help="build and persist the fingerprint table")
     common(p)
@@ -417,16 +409,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="solve one mode's power allocation")
     common(p)
     p.add_argument("--mode", choices=["uniformity", "enhanced"], required=True)
-    p.add_argument("--pitch", type=float, default=None)
-    p.add_argument("--snr-threshold", type=float, default=None)
+    p.add_argument("--pitch", dest="opt_pitch_m", type=float)
+    p.add_argument("--snr-threshold", dest="snr_threshold", type=float)
 
     p = sub.add_parser("simulate", help="run the adaptive scenario loop")
     common(p)
     p.add_argument("--trajectory-seed", type=int, default=7)
     p.add_argument("--noise-seed", type=int, default=1)
-    p.add_argument("--noise-sigma", type=float, default=None,
-                   help="relative measurement noise (default: config value)")
-    p.add_argument("--step-period", type=float, default=None)
+    p.add_argument("--noise-sigma", dest="noise_rel_sigma", type=float)
+    p.add_argument("--step-period", dest="step_period_s", type=float)
 
     p = sub.add_parser("report", help="aggregate metrics from trace CSVs")
     common(p)

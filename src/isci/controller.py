@@ -36,6 +36,7 @@ __all__ = [
     "generate_trajectory",
     "run_scenario",
     "baseline_scenario",
+    "savings",
     "energy_report",
     "benchmark",
 ]
@@ -224,24 +225,23 @@ class ScenarioTrace:
 
 def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTable,
                  trajectory: Sequence[TrajectoryPoint], noise_seed: int = 0,
-                 noise_rel: Optional[float] = None,
                  model: Optional[SensingModel] = None) -> ScenarioTrace:
     """Replay a trajectory through the adaptive loop.
 
     Each step synthesizes sensing-PD measurements at the powers applied in
     the previous step (measurement precedes actuation), localizes, selects a
     mode, and re-solves only when the mode changes.  Gaussian measurement
-    noise has per-PD sigma ``noise_rel`` times the no-user baseline reading;
-    the detection threshold is three times the largest sigma.  Localization
-    predictions are memoized on ``table`` per applied power vector, so after
-    the first step at each of the (at most three) allocations a step costs
-    one loss scan over the memoized prediction, N in-place passes over K
-    candidates that sum the losses in PD order, rather than a new prediction.
+    noise has per-PD sigma ``noise_rel_sigma`` (from the scene's controller
+    config) times the no-user baseline reading; the detection threshold is
+    three times the largest sigma.  Localization predictions are memoized on
+    ``table`` per applied power vector, so after the first step at each of
+    the (at most three) allocations a step costs one loss scan over the
+    memoized prediction, N in-place passes over K candidates that sum the
+    losses in PD order, rather than a new prediction.
     """
     if model is None:
         model = SensingModel(scene)
-    if noise_rel is None:
-        noise_rel = scene.controller.noise_rel_sigma
+    noise_rel = scene.controller.noise_rel_sigma
     rng = np.random.default_rng(noise_seed)
     dt = scene.controller.step_period_s
     p_min, _ = scene.power_bounds()
@@ -277,11 +277,9 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     return ScenarioTrace(steps=tuple(steps), dt=dt)
 
 
-def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint],
-                      power_per_led: Optional[float] = None) -> ScenarioTrace:
-    """Non-adaptive comparison run: every LED at a fixed power at every step."""
-    if power_per_led is None:
-        power_per_led = scene.controller.baseline_power_w
+def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint]) -> ScenarioTrace:
+    """Non-adaptive comparison run: every LED at ``baseline_power_w`` at every step."""
+    power_per_led = scene.controller.baseline_power_w
     dt = scene.controller.step_period_s
     powers = tuple([float(power_per_led)] * scene.num_leds)
     energy = dt * power_per_led * scene.num_leds
@@ -293,14 +291,18 @@ def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint],
     return ScenarioTrace(steps=steps, dt=dt)
 
 
+def savings(energy_j: float, base_energy_j: float) -> float:
+    """Fractional energy saved against a baseline run's total energy."""
+    if base_energy_j <= 0:
+        raise ValueError("baseline trace has no energy")
+    return 1.0 - energy_j / base_energy_j
+
+
 def energy_report(trace: ScenarioTrace, baseline: ScenarioTrace) -> float:
     """Fractional energy savings of the adaptive run versus the baseline."""
     if len(trace.steps) != len(baseline.steps):
         raise ValueError(f"step count mismatch: {len(trace.steps)} vs {len(baseline.steps)}")
-    base = baseline.total_energy_j
-    if base <= 0:
-        raise ValueError("baseline trace has no energy")
-    return 1.0 - trace.total_energy_j / base
+    return savings(trace.total_energy_j, baseline.total_energy_j)
 
 
 # ---------------------------------------------------------------------------

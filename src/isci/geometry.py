@@ -274,6 +274,8 @@ def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
         r_new = float(np.min(normals @ sol[:2] - offsets))
         if r_new >= radius:
             center, radius = sol[:2], r_new
+    if not radius > 0:  # a stalled solve on a sliver polygon can end outside it
+        raise GeometryError(f"inscribed-circle LP ended outside the polygon (radius {radius:.3g})")
     return Circle(Point2(float(center[0]), float(center[1])), radius)
 
 

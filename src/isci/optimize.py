@@ -457,12 +457,9 @@ class EnhancedLp(_SampledProgram):
         return float(np.sum(p))
 
 
-def build_uniformity_qp(scene: Scene, partition: RegionPartition,
-                        pitch: Optional[float] = None) -> UniformityQp:
-    """Assemble the SNR-variance QP on the receiving-plane sample grid."""
-    if pitch is None:
-        pitch = scene.controller.opt_pitch_m
-    pts = _region_points(scene, partition, pitch, activity_only=False)
+def build_uniformity_qp(scene: Scene, partition: RegionPartition) -> UniformityQp:
+    """Assemble the SNR-variance QP on the receiving-plane grid at ``opt_pitch_m``."""
+    pts = _region_points(scene, partition, scene.controller.opt_pitch_m, activity_only=False)
     if len(pts) == 0:
         raise ValueError("no receiving-plane samples at this pitch")
     a_mat = _snr_rows(scene, pts)
@@ -484,26 +481,19 @@ def default_snr_threshold(scene: Scene, partition: RegionPartition) -> float:
     return float(np.mean(_snr_rows(scene, pts) @ p_base))
 
 
-def build_enhanced_lp(scene: Scene, partition: RegionPartition,
-                      snr_threshold: Optional[float] = None,
-                      e_min: Optional[float] = None,
-                      e_max: Optional[float] = None,
-                      pitch: Optional[float] = None) -> EnhancedLp:
-    """Assemble the total-power LP on the activity-area sample grid."""
-    if pitch is None:
-        pitch = scene.controller.opt_pitch_m
+def build_enhanced_lp(scene: Scene, partition: RegionPartition) -> EnhancedLp:
+    """Assemble the total-power LP on the activity-area grid at the scene's
+    ``opt_pitch_m``.  The range checks guard scenes that skipped validation."""
     ctl = scene.controller
-    if snr_threshold is None:
-        snr_threshold = ctl.snr_threshold
+    snr_threshold = ctl.snr_threshold
     if snr_threshold is None:
         snr_threshold = default_snr_threshold(scene, partition)
     if snr_threshold < 0:
         raise ValueError(f"SNR threshold must be nonnegative, got {snr_threshold}")
-    e_min = ctl.e_enhanced_min_lx if e_min is None else e_min
-    e_max = ctl.e_enhanced_max_lx if e_max is None else e_max
+    e_min, e_max = ctl.e_enhanced_min_lx, ctl.e_enhanced_max_lx
     if not 0 <= e_min <= e_max:
         raise ValueError(f"invalid illuminance range [{e_min}, {e_max}]")
-    pts = _region_points(scene, partition, pitch, activity_only=True)
+    pts = _region_points(scene, partition, ctl.opt_pitch_m, activity_only=True)
     if len(pts) == 0:
         # Tiny activity areas can fall between grid points; sample the center.
         pts = np.array([[partition.mic.center.x, partition.mic.center.y]])

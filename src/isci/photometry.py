@@ -193,9 +193,9 @@ class FieldGrid:
 _FIELD_QUANTITIES = ("snr", "snr_full", "illuminance")
 
 
-def field(scene: Scene, partition: RegionPartition, pitch: float | None = None,
-          quantity: str = "snr") -> FieldGrid:
-    """Evaluate an SNR or illuminance field over the receiving plane.
+def field(scene: Scene, partition: RegionPartition, quantity: str = "snr") -> FieldGrid:
+    """Evaluate an SNR or illuminance field over the receiving plane at the
+    scene's ``field_pitch_m``.
 
     ``snr`` uses the simplified high-SNR model (the one the optimizers see);
     ``snr_full`` the shot+thermal model.  Sample ordering is deterministic
@@ -203,8 +203,7 @@ def field(scene: Scene, partition: RegionPartition, pitch: float | None = None,
     """
     if quantity not in _FIELD_QUANTITIES:
         raise ValueError(f"quantity must be one of {_FIELD_QUANTITIES}, got {quantity!r}")
-    if pitch is None:
-        pitch = scene.controller.field_pitch_m
+    pitch = scene.controller.field_pitch_m
     pts = plane_grid(scene.room, pitch)
     regions = classify_points(pts, partition)
     plane_z = scene.room.plane_z

@@ -257,7 +257,7 @@ class ControllerConfig:
         _require(0.0 < self.e_enhanced_min_lx <= self.e_enhanced_max_lx,
                  "controller.e_enhanced_min_lx", "bounds must be positive and ordered")
         if self.snr_threshold is not None:
-            _require(self.snr_threshold > 0, "controller.snr_threshold", "must be positive")
+            _require(self.snr_threshold >= 0, "controller.snr_threshold", "must be nonnegative")
         _require(self.opt_pitch_m > 0, "controller.opt_pitch_m", "must be positive")
         _require(self.field_pitch_m > 0, "controller.field_pitch_m", "must be positive")
         _require(self.noise_rel_sigma >= 0, "controller.noise_rel_sigma",

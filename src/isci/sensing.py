@@ -40,6 +40,7 @@ __all__ = [
 
 _MAGIC = b"LFPT"
 _VERSION = 1
+_HEADER_LEN = 18  # magic, u16 version, u32 K/M/N
 
 NOISELESS_DETECT_EPS = 1e-12
 
@@ -389,11 +390,13 @@ def save_fingerprint(table: FingerprintTable) -> bytes:
 def load_fingerprint(blob: bytes) -> FingerprintTable:
     if blob[:4] != _MAGIC:
         raise ValueError("not a fingerprint table (bad magic)")
+    if len(blob) < _HEADER_LEN:
+        raise ValueError(f"fingerprint blob is {len(blob)} bytes, expected at least {_HEADER_LEN}")
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported fingerprint version {version}")
     k, m, n = struct.unpack_from("<III", blob, 6)
-    offset = 18
+    offset = _HEADER_LEN
     expected = offset + 8 * (m * n + 2 * k + k * m * n)
     if len(blob) != expected:
         raise ValueError(f"fingerprint blob is {len(blob)} bytes, expected {expected}")

@@ -1,16 +1,21 @@
-"""Scalar, one-point-at-a-time references for the vectorized channel code.
+"""Independent references that tests compare the package against.
 
-Each function evaluates one LED-point pair (or one point's sum over LEDs)
-with ``math`` on Python floats, written out term by term from the
-Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
-array code in ``isci.photometry`` and ``isci.sensing``.  Tests compare the
-vector paths that the package runs against these.
+Most functions are scalar, one-point-at-a-time references for the
+vectorized channel code: each evaluates one LED-point pair (or one point's
+sum over LEDs) with ``math`` on Python floats, written out term by term from
+the Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
+array code in ``isci.photometry`` and ``isci.sensing``.  ``highs_lp`` and
+``mic_radius_highs`` solve linear programs with scipy's HiGHS (Huangfu &
+Hall, 2018) in place of the package's interior-point solver.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
+import pytest
 
 from isci.photometry import (SimplificationError, _check_simplification, lambertian_order,
                              snr_constant)
@@ -144,3 +149,22 @@ def _one_bounce_gain(led: Led, patch: tuple[float, float, float], area: float,
     return (reflectance * (m + 1.0) * pd.area_m2 * area
             * cos_emit**m * cos_pd * cos_in * cos_out * pd.filter_gain * g
             / (2.0 * math.pi**2 * d1sq * d2sq))
+
+
+def highs_lp(c, g_mat, h_vec):
+    """scipy's ``linprog`` result for min c'x subject to Gx <= h, x free."""
+    sp_opt = pytest.importorskip("scipy.optimize")
+    return sp_opt.linprog(c, A_ub=g_mat, b_ub=h_vec, bounds=(None, None), method="highs")
+
+
+def mic_radius_highs(vertices) -> float:
+    """Radius of the largest circle inside the CCW convex polygon ``vertices``
+    (K, 2): max r subject to n_e . c - r >= n_e . v_e for each edge e from
+    vertex v_e, with n_e its unit inward normal."""
+    v = np.asarray(vertices, dtype=float)
+    edges = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / np.hypot(*edges.T)[:, None]
+    offsets = np.einsum("ij,ij->i", normals, v)
+    result = highs_lp([0.0, 0.0, -1.0], np.column_stack([-normals, np.ones(len(v))]), -offsets)
+    assert result.status == 0, result.message
+    return -float(result.fun)

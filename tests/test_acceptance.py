@@ -5,6 +5,7 @@ tolerance and runtime budget."""
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,8 @@ def test_criterion_6_localization(scene, partition, sensing_model, table):
 
 def test_criterion_7_energy_savings(scene, partition, sensing_model, table):
     t0 = time.monotonic()
+    base_scene = replace(scene, controller=replace(scene.controller,
+                                                   baseline_power_w=BASELINE_PER_LED_W))
     savings = []
     for seed in range(10):
         traj = ct.generate_trajectory(partition, seed=seed,
@@ -214,7 +217,7 @@ def test_criterion_7_energy_savings(scene, partition, sensing_model, table):
                                       dwell_time=scene.controller.dwell_time_s)
         trace = ct.run_scenario(scene, partition, table, traj,
                                 noise_seed=1000 + seed, model=sensing_model)
-        base = ct.baseline_scenario(scene, traj, power_per_led=BASELINE_PER_LED_W)
+        base = ct.baseline_scenario(base_scene, traj)
         savings.append(ct.energy_report(trace, base))
     savings = np.array(savings)
     elapsed = time.monotonic() - t0

@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+import yaml
+
 import isci
 from isci.cli import main
 from isci.scene import default_scene, dump_scene
@@ -89,6 +92,50 @@ def test_optimize_infeasible_exit_code(tmp_path):
     assert run("optimize", "--mode", "enhanced", "--snr-threshold", "1e15",
                "--out", str(out)) == 2
     assert "status=Infeasible" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("command, flags, settings", [
+    (["simulate"], ["--noise-sigma", "0.02", "--step-period", "0.25"],
+     {"noise_rel_sigma": 0.02, "step_period_s": 0.25}),
+    (["field"], ["--pitch", "0.5"], {"field_pitch_m": 0.5}),
+    (["optimize", "--mode", "enhanced"], ["--pitch", "0.2", "--snr-threshold", "2e7"],
+     {"opt_pitch_m": 0.2, "snr_threshold": 2e7}),
+], ids=["simulate", "field", "optimize"])
+def test_setting_flags_are_recorded_and_replayable(tmp_path, command, flags, settings):
+    flagged, replayed = tmp_path / "flagged", tmp_path / "replayed"
+    assert run(*command, *flags, "--out", str(flagged)) == 0
+    config = json.loads((flagged / "manifest.json").read_text())["config"]
+    for key, value in settings.items():
+        assert config["controller"][key] == value
+    if command == ["simulate"]:
+        times = [float(r["t"]) for r in csv.DictReader((flagged / "trace.csv").open())]
+        assert times[:3] == [0.0, 0.25, 0.5]
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    assert run(*command, "--config", str(cfg), "--out", str(replayed)) == 0
+    names = sorted(p.name for p in flagged.iterdir())
+    assert names == sorted(p.name for p in replayed.iterdir())
+    for name in names:
+        assert (flagged / name).read_bytes() == (replayed / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--noise-sigma", "-0.5"], "controller.noise_rel_sigma: must be nonnegative"),
+    (["simulate", "--noise-sigma", "nan"], "controller.noise_rel_sigma: must be nonnegative"),
+    (["field", "--pitch", "nan"], "controller.field_pitch_m: must be positive"),
+], ids=["noise-negative", "noise-nan", "pitch-nan"])
+def test_invalid_setting_flag_exit_one(tmp_path, capsys, args, message):
+    out = tmp_path / "x"
+    assert run(*args, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_optimize_zero_snr_threshold(tmp_path, capsys):
+    out = tmp_path / "z"
+    assert run("optimize", "--mode", "enhanced", "--snr-threshold", "0",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("status=Optimal total_W=")
 
 
 def test_simulate_deterministic(tmp_path):

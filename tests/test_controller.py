@@ -125,9 +125,13 @@ def test_trajectory_rejects_bad_dt(partition):
 # scenario replay
 # ---------------------------------------------------------------------------
 
+def _noiseless(scene):
+    return replace(scene, controller=replace(scene.controller, noise_rel_sigma=0.0))
+
+
 def test_scenario_all_absent_is_no_user(scene, partition, table):
     traj = [(i * 0.5, None) for i in range(12)]
-    trace = ct.run_scenario(scene, partition, table, traj, noise_seed=0, noise_rel=0.0)
+    trace = ct.run_scenario(_noiseless(scene), partition, table, traj, noise_seed=0)
     assert all(s.mode == "no_user" for s in trace.steps)
     assert all(s.energy_j == pytest.approx(0.5 * 80.0) for s in trace.steps)
 
@@ -135,7 +139,7 @@ def test_scenario_all_absent_is_no_user(scene, partition, table):
 def test_scenario_noiseless_on_candidates_zero_error(scene, partition, table, rng):
     picks = rng.integers(0, scene.grid.count, 12)
     traj = [(i * 0.5, tuple(table.candidates[k])) for i, k in enumerate(picks)]
-    trace = ct.run_scenario(scene, partition, table, traj, noise_rel=0.0)
+    trace = ct.run_scenario(_noiseless(scene), partition, table, traj)
     errs = trace.errors()
     assert len(errs) == len(traj)
     assert np.all(errs == 0.0)
@@ -220,13 +224,13 @@ def test_uniformity_variance_strictly_improves(scene, partition):
 
 def test_energy_report_identical_traces(scene, partition, table):
     traj = [(i * 0.5, None) for i in range(5)]
-    trace = ct.run_scenario(scene, partition, table, traj, noise_rel=0.0)
+    trace = ct.run_scenario(_noiseless(scene), partition, table, traj)
     assert ct.energy_report(trace, trace) == pytest.approx(0.0)
 
 
 def test_energy_report_no_user_vs_baseline(scene, partition, table):
     traj = [(i * 0.5, None) for i in range(20)]
-    trace = ct.run_scenario(scene, partition, table, traj, noise_rel=0.0)
+    trace = ct.run_scenario(_noiseless(scene), partition, table, traj)
     base = ct.baseline_scenario(scene, traj)
     expected = 1.0 - 10.0 / 45.2
     assert ct.energy_report(trace, base) == pytest.approx(expected, rel=1e-12)
@@ -234,7 +238,7 @@ def test_energy_report_no_user_vs_baseline(scene, partition, table):
 
 def test_energy_report_mismatch_raises(scene, partition, table):
     traj = [(i * 0.5, None) for i in range(5)]
-    trace = ct.run_scenario(scene, partition, table, traj, noise_rel=0.0)
+    trace = ct.run_scenario(_noiseless(scene), partition, table, traj)
     base = ct.baseline_scenario(scene, traj[:-1])
     with pytest.raises(ValueError):
         ct.energy_report(trace, base)

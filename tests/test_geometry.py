@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isci.geometry import (ConvexPolygon, GeometryError, Point2,
                            Region, build_partition, classify_point,
                            classify_points, convex_hull, max_inscribed_circle,
                            min_enclosing_circle)
+from isci.scene import default_scene
+from tests.oracles import mic_radius_highs
 
 
 def _square(size=1.0):
@@ -267,3 +271,112 @@ def test_degenerate_led_layout_rejected(scene):
     bad = replace(scene, leds=tuple(collinear))
     with pytest.raises(GeometryError):
         build_partition(bad)
+
+
+def test_mic_radius_matches_highs():
+    for layout in range(50):
+        partition = build_partition(default_scene(layout))
+        vertices = partition.hull.as_array()
+        assert abs(partition.mic.radius - mic_radius_highs(vertices)) <= 1e-9, layout
+
+
+# ---------------------------------------------------------------------------
+# properties on degenerate inputs (hypothesis, derandomized)
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Coordinates on a 1/1024 m grid inside the 5 m room: sums and differences of
+# them are exact in floating point, so a translation by a grid vector moves
+# every point exactly.
+_GRID = 1024
+_coordinate = st.integers(0, 5 * _GRID).map(lambda k: k / _GRID)
+_point_sets = st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=10,
+                       unique=True)
+
+
+def _check_circles(points, hull):
+    """MEC: holds every point, equals the exhaustive search, and lies within
+    Jung's bound.  MIC: inside the polygon, and within the interior-point
+    gap tolerance of HiGHS unless the hull is a sliver (inradius under 1e-4
+    of the MEC radius), which it may refuse or under-fill."""
+    pts = np.array(points)
+    diameter = max(math.dist(p, q) for p in points for q in points)
+    mec = min_enclosing_circle(points)
+    assert np.hypot(*(pts - mec.center.as_tuple()).T).max() <= mec.radius * (1 + 1e-12)
+    assert diameter / 2 - 1e-12 <= mec.radius <= diameter / math.sqrt(3) + 1e-12
+    assert abs(mec.radius - _mec_exhaustive(list(set(points)))) <= 1e-9
+    oracle = mic_radius_highs(hull.as_array())
+    sliver = oracle < 1e-4 * mec.radius
+    try:
+        mic = max_inscribed_circle(hull)
+    except GeometryError:
+        assert sliver
+        return
+    normals, offsets = hull.inward_normals()
+    assert 0 < mic.radius <= (normals @ mic.center.as_tuple() - offsets).min() + 1e-12
+    assert mic.radius <= oracle + 1e-8 * (1 + oracle)
+    assert sliver or abs(mic.radius - oracle) <= 1e-8 * (1 + oracle)
+
+
+@_PROPERTY
+@given(_point_sets, st.data())
+def test_duplicated_points_change_nothing(points, data):
+    extra = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=10))
+    repeated = data.draw(st.permutations(points + extra))
+    try:
+        hull = convex_hull(points)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            convex_hull(repeated)
+        return
+    assert convex_hull(repeated) == hull
+    mec, again = min_enclosing_circle(points), min_enclosing_circle(repeated)
+    assert abs(again.radius - mec.radius) <= 1e-12 * mec.radius
+    assert math.dist(again.center.as_tuple(), mec.center.as_tuple()) <= 1e-12 * mec.radius
+    _check_circles(repeated, hull)
+
+
+@_PROPERTY
+@given(_point_sets, st.tuples(st.integers(-4 * _GRID, 4 * _GRID),
+                              st.integers(-4 * _GRID, 4 * _GRID)))
+def test_translation_moves_hull_and_circles(points, grid_shift):
+    shift = np.array(grid_shift) / _GRID
+    moved = [(x + shift[0], y + shift[1]) for x, y in points]
+    try:
+        hull = convex_hull(points)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            convex_hull(moved)
+        return
+    moved_hull = convex_hull(moved)
+    assert np.array_equal(moved_hull.as_array(), hull.as_array() + shift)
+    mec, moved_mec = min_enclosing_circle(points), min_enclosing_circle(moved)
+    assert abs(moved_mec.radius - mec.radius) <= 1e-9
+    assert np.allclose(moved_mec.center.as_tuple(), np.add(mec.center.as_tuple(), shift),
+                       rtol=0, atol=1e-9)
+    _check_circles(points, hull)
+    _check_circles(moved, moved_hull)
+
+
+@_PROPERTY
+@given(st.lists(st.integers(0, 5 * _GRID), min_size=3, max_size=10, unique=True),
+       st.floats(-1.0, 1.0), st.data())
+def test_near_collinear_points(xs, slope, data):
+    # points on a line, each lifted off it by at most 1e-6 m
+    lifts = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)),
+                               min_size=len(xs), max_size=len(xs)))
+    points = [(x / _GRID, 2.5 + slope * (x / _GRID - 2.5) + lift)
+              for x, lift in zip(xs, lifts)]
+    try:
+        hull = convex_hull(points)
+    except GeometryError:
+        return
+    vertices = hull.as_array()
+    assert {tuple(v) for v in vertices} <= set(points)
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+    assert np.all(turns > 0)  # strictly convex, counter-clockwise
+    normals, offsets = hull.inward_normals()
+    assert (np.array(points) @ normals.T - offsets).min() >= -1e-9
+    _check_circles(points, hull)

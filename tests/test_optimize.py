@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from isci import optimize as op
 from isci.geometry import Region, build_partition, classify_points
 from isci.photometry import plane_grid
 from isci.scene import default_scene
+from tests.oracles import highs_lp
 
 
 def _toy_qp():
@@ -102,8 +104,12 @@ def test_single_source_variance_positive(rng):
         assert float(p @ q @ p) > 0.0
 
 
+def _with_controller(scene, **changes):
+    return replace(scene, controller=replace(scene.controller, **changes))
+
+
 def test_qp_samples_are_mec_grid(scene, partition):
-    qp = op.build_uniformity_qp(scene, partition, pitch=0.25)
+    qp = op.build_uniformity_qp(_with_controller(scene, opt_pitch_m=0.25), partition)
     pts = plane_grid(scene.room, 0.25)
     keep = classify_points(pts, partition) != Region.OUTSIDE.value
     np.testing.assert_allclose(qp.samples, pts[keep])
@@ -213,14 +219,15 @@ def test_toy_lp_matches_vertex_enumeration():
 
 
 def test_lp_infeasible_reports_worst_row(scene, partition):
-    lp = op.build_enhanced_lp(scene, partition, snr_threshold=1e12)
+    lp = op.build_enhanced_lp(_with_controller(scene, snr_threshold=1e12), partition)
     report = op.solve(lp)
     assert report.status is op.SolveStatus.INFEASIBLE
     assert report.worst_row is not None and report.worst_row.startswith("snr_min")
 
 
 def test_lp_zero_threshold_hits_power_floor(scene, partition):
-    lp = op.build_enhanced_lp(scene, partition, snr_threshold=0.0, e_min=0.0, e_max=1e9)
+    lp = op.build_enhanced_lp(_with_controller(scene, snr_threshold=0.0, e_enhanced_min_lx=0.0,
+                                               e_enhanced_max_lx=1e9), partition)
     report = op.solve(lp)
     assert report.status is op.SolveStatus.OPTIMAL
     np.testing.assert_allclose(report.x, lp.p_min, atol=1e-5)
@@ -230,7 +237,8 @@ def test_lp_threshold_monotonicity(scene, partition):
     base = op.default_snr_threshold(scene, partition)
     objectives = []
     for f in (0.4, 0.6, 0.8, 1.0):
-        report = op.solve(op.build_enhanced_lp(scene, partition, snr_threshold=f * base))
+        lp = op.build_enhanced_lp(_with_controller(scene, snr_threshold=f * base), partition)
+        report = op.solve(lp)
         assert report.status is op.SolveStatus.OPTIMAL
         objectives.append(report.objective)
     assert all(b >= a - 1e-6 for a, b in zip(objectives, objectives[1:]))
@@ -240,6 +248,28 @@ def test_lp_objective_within_power_box(scene, partition):
     report = op.solve(op.build_enhanced_lp(scene, partition))
     lo, hi = scene.power_bounds()
     assert lo.sum() - 1e-6 <= report.objective <= hi.sum() + 1e-6
+
+
+# Phase 1 of the refined program stops at MAX_ITER after 23 iterations at a
+# strictly feasible point (worst row snr_min[41], max_violation -0.0168), and
+# solve_inequality_program reports every phase-1 stop short of OPTIMAL as
+# INFEASIBLE.  HiGHS solves the same program at 338.88 W.
+_PHASE1_STALL = "phase-1 MAX_ITER stop reported as INFEASIBLE; HiGHS: optimal at 338.88 W"
+
+
+@pytest.mark.parametrize("layout", [
+    pytest.param(s, marks=pytest.mark.xfail(raises=AssertionError, strict=True,
+                                           reason=_PHASE1_STALL)) if s == 23 else s
+    for s in range(50)])
+def test_refined_enhanced_lp_matches_highs(layout):
+    scene = default_scene(layout)
+    partition = build_partition(scene)
+    problem, report = op.solve_refined(op.build_enhanced_lp(scene, partition), scene, partition)
+    g_mat, h_vec, _ = problem.constraint_system()
+    oracle = highs_lp(problem.linear_term(), g_mat, h_vec)
+    assert report.status.value == {0: "optimal", 2: "infeasible"}[oracle.status]
+    if oracle.status == 0:
+        assert abs(report.objective - oracle.fun) <= 1e-6 * abs(oracle.fun)
 
 
 def test_chebyshev_lp_unit_square():

@@ -454,8 +454,10 @@ def test_field_variance_matches_qp(scene, partition):
     # the sampled field's variance over the receiving plane must equal the
     # optimizer's quadratic form at the same pitch
     from isci.optimize import build_uniformity_qp
-    qp = build_uniformity_qp(scene, partition, pitch=0.25)
-    grid = ph.field(scene, partition, pitch=0.25, quantity="snr")
+    scene = replace(scene, controller=replace(scene.controller, opt_pitch_m=0.25,
+                                              field_pitch_m=0.25))
+    qp = build_uniformity_qp(scene, partition)
+    grid = ph.field(scene, partition, quantity="snr")
     vals = grid.values[grid.regions != Region.OUTSIDE.value]
     variance = float(np.mean((vals - vals.mean()) ** 2))
     p = scene.power_vector()

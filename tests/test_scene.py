@@ -78,6 +78,15 @@ def test_bad_grid_pitch_rejected(scene):
         scene_from_dict(cfg)
 
 
+def test_zero_snr_threshold_loads(scene):
+    cfg = scene_to_dict(scene)
+    cfg["controller"]["snr_threshold"] = 0
+    assert scene_from_dict(cfg).controller.snr_threshold == 0
+    cfg["controller"]["snr_threshold"] = -1.0
+    with pytest.raises(SceneError, match="^controller.snr_threshold: must be nonnegative$"):
+        scene_from_dict(cfg)
+
+
 def test_with_powers(scene):
     p = np.linspace(12, 70, scene.num_leds)
     s2 = scene.with_powers(p)

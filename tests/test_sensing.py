@@ -591,6 +591,14 @@ def test_fingerprint_rejects_garbage(table):
         sn.load_fingerprint(blob[:-8])
 
 
+@pytest.mark.parametrize("blob", [b"LFPT\x01", b"LFPT\x01\x00", b"LFPT\x01\x00" + bytes(10)],
+                         ids=["5-bytes", "6-bytes", "16-bytes"])
+def test_fingerprint_rejects_truncated_header(blob):
+    with pytest.raises(ValueError, match=f"^fingerprint blob is {len(blob)} bytes, "
+                                         "expected at least 18$"):
+        sn.load_fingerprint(blob)
+
+
 # sha256 of the LFPT bytes of default_scene(seed)'s built table, taken before
 # the table was stored in factored form: reading the deltas from the factors
 # must reproduce the dense build bit for bit.
