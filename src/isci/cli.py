@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, controller, optimize, photometry, sensing
-from .geometry import GeometryError, Region, build_partition
+from .geometry import GeometryError, Region, build_partition, unique_rows
 from .photometry import SimplificationError
 from .scene import DEFAULT_LAYOUT_SEED, Scene, SceneError, default_scene, load_scene, scene_to_dict
 
@@ -112,9 +112,7 @@ def _resolve_scene(args) -> Scene:
 
 
 def _write_pgm(out: _OutputDir, name: str, field: photometry.FieldGrid):
-    xs = np.unique(field.points[:, 0])
-    ys = np.unique(field.points[:, 1])
-    nx, ny = len(xs), len(ys)
+    nx, ny = (len(unique_rows(field.points[:, [axis]])) for axis in (0, 1))
     grid = field.values.reshape(nx, ny)  # points are x-major
     vmin, vmax = float(grid.min()), float(grid.max())
     span = vmax - vmin

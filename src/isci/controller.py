@@ -11,6 +11,7 @@ plane-average thresholds.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -81,6 +82,19 @@ def apply_mode(mode: Mode, scene: Scene,
                        mode.value, report.status.value, report.worst_row)
         return p_max.copy(), report
     return np.clip(report.x, p_min, p_max), report
+
+
+# Hashing a Scene walks its grid's reflectance tuple, one float per cell, so
+# callers look up once per mode, not once per step.  Eight entries bound the
+# scenes the memo keeps alive.
+@functools.lru_cache(maxsize=8)
+def _allocation(mode: Mode, scene: Scene, partition: RegionPartition) -> np.ndarray:
+    """apply_mode's powers, read-only, kept per (mode, scene, partition)
+    value across runs: a mode's program is built from the room alone, never
+    from the user's position.  A memo hit logs no fallback warning."""
+    powers, _ = apply_mode(mode, scene, partition)
+    powers.flags.writeable = False
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +243,15 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     """Replay a trajectory through the adaptive loop.
 
     Each step synthesizes sensing-PD measurements at the powers applied in
-    the previous step (measurement precedes actuation), localizes, selects a
-    mode, and re-solves only when the mode changes.  Gaussian measurement
-    noise has per-PD sigma ``noise_rel_sigma`` (from the scene's controller
-    config) times the no-user baseline reading; the detection threshold is
-    three times the largest sigma.  Localization predictions are memoized on
+    the previous step (measurement precedes actuation), localizes and
+    selects a mode.  A mode's allocation depends on the room alone: it is
+    solved the first time a run on an equal scene and partition enters that
+    mode, kept for the eight most recent (mode, scene, partition) values and
+    shared read-only with later runs; a run looks each mode up only when it
+    first enters it.  Gaussian measurement noise has per-PD sigma
+    ``noise_rel_sigma`` (from the scene's controller config) times the
+    no-user baseline reading; the detection threshold is three times the
+    largest sigma.  Localization predictions are memoized on
     ``table`` per applied power vector, so after the first step at each of
     the (at most three) allocations a step costs one loss scan over the
     memoized prediction, N in-place passes over K candidates that sum the
@@ -262,7 +280,7 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
         loc = localize(measured, baseline_reading, applied, table, epsilon_detect=eps)
         mode = select_mode(loc, partition)
         if mode not in mode_cache:
-            mode_cache[mode], _ = apply_mode(mode, scene, partition)
+            mode_cache[mode] = _allocation(mode, scene, partition)
         powers = mode_cache[mode]
         error = None
         if pos is not None and loc.detected and loc.position is not None:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Region, RegionPartition, classify_points
+from .geometry import Region, RegionPartition, classify_points, unique_rows
 from .photometry import illuminance_coefficients, plane_grid, snr_coefficients
 from .scene import Scene
 
@@ -535,7 +535,7 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
         bad_rows = bad_rows[viol[bad_rows] > _REFINE_VIOL_TOL]
         # rows_at stacks equal-length families, so row index mod point count
         # recovers the sample point a violated row belongs to
-        bad_points = np.unique(check_pts[bad_rows % len(check_pts)], axis=0)
+        bad_points = unique_rows(check_pts[bad_rows % len(check_pts)])
         problem = problem.with_extra_points(scene, partition, bad_points)
         report = solve(problem)
     return problem, report

@@ -55,6 +55,7 @@ _OCCLUSION_TOL = 1e-9
 # Bytes of partial sums that _stencil_sum keeps per block of grid rows.  On a
 # 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
 # they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
+# _baseline_gains folds its cells in blocks of the same byte size.
 _STENCIL_BLOCK_BYTES = 1 << 19
 
 
@@ -140,8 +141,8 @@ class SensingModel:
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
     read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
-    summed one LED at a time, and ``received_power`` forms only the occluded
-    cells' gains.
+    summed one block of cells at a time, and ``received_power`` forms only
+    the occluded cells' gains.
     """
 
     def __init__(self, scene: Scene):
@@ -151,8 +152,7 @@ class SensingModel:
         emitter, collector = self._kernel.factors(
             self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
-        self.baseline_gains = np.array([(e[:, None] * collector).sum(axis=0)
-                                        for e in emitter])
+        self.baseline_gains = _baseline_gains(self.emitter, self.collector)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
@@ -172,6 +172,28 @@ class SensingModel:
                         if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
+
+
+def _baseline_gains(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
+    """sum over cells k of outer(emitter[:, k], collector[k]), (M, N), with
+    every element's additions in cell order.
+
+    Cells are folded in blocks: row 0 of an LED-major (rows + 1, M, N)
+    buffer holds the running sum, rows 1.. the block's products, and one
+    reduction over the rows adds them in order.
+    """
+    k = len(collector)
+    total = np.zeros((len(emitter), collector.shape[1]))
+    rows = max(1, _STENCIL_BLOCK_BYTES // total.nbytes)
+    buf = np.empty((rows + 1, *total.shape))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        block = buf[:stop - start + 1]
+        block[0] = total
+        np.multiply(emitter[:, start:stop].T[:, :, None], collector[start:stop, None, :],
+                    out=block[1:])
+        np.add.reduce(block, axis=0, out=total)
+    return total
 
 
 def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:

@@ -6,7 +6,8 @@ import pytest
 from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
-from isci.geometry import Region, classify_point, classify_points
+from isci.geometry import Circle, Region, classify_point, classify_points
+from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
 
@@ -204,6 +205,79 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
         assert (step.mode, step.detected, step.estimate) == (mode.value, detected, estimate)
         applied = allocations[mode]
     assert len(fresh._predictions) == 3
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The modes apply_mode is called with, counted from a cold allocation memo."""
+    ct._allocation.cache_clear()
+    calls = []
+    real = ct.apply_mode
+
+    def counted(mode, scene, partition):
+        calls.append(mode)
+        return real(mode, scene, partition)
+
+    monkeypatch.setattr(ct, "apply_mode", counted)
+    yield calls
+    ct._allocation.cache_clear()
+
+
+def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves):
+    traj = ct.generate_trajectory(partition, seed=3)
+    cold = ct.run_scenario(scene, partition, table, traj, noise_seed=9)
+    assert sorted(m.value for m in solves) == ["enhanced", "uniformity"]
+    rebuilt = scene_from_dict(scene_to_dict(scene))
+    assert rebuilt is not scene and rebuilt == scene
+    for room in (scene, rebuilt):
+        assert ct.run_scenario(room, partition, table, traj, noise_seed=9) == cold
+    assert len(solves) == 2
+
+
+def test_allocation_solves_again_for_another_room(scene, partition, solves):
+    first = ct._allocation(ct.Mode.ENHANCED, scene, partition)
+    ctl = scene.controller
+    brighter = replace(scene, controller=replace(ctl, e_enhanced_min_lx=ctl.e_enhanced_min_lx + 50))
+    smaller = replace(partition, mic=Circle(partition.mic.center, 0.9 * partition.mic.radius))
+    for room, part in ((brighter, partition), (scene, smaller)):
+        assert not np.array_equal(ct._allocation(ct.Mode.ENHANCED, room, part), first)
+    assert len(solves) == 3
+    assert ct._allocation(ct.Mode.ENHANCED, scene, partition) is first
+    assert len(solves) == 3
+
+
+def test_allocations_are_read_only(scene, partition, solves):
+    for mode in ct.Mode:
+        powers = ct._allocation(mode, scene, partition)
+        assert not powers.flags.writeable
+        with pytest.raises(ValueError):
+            powers[0] = 0.0
+    # apply_mode still hands each caller its own writable array
+    powers, _ = ct.apply_mode(ct.Mode.NO_USER, scene, partition)
+    assert powers.flags.writeable
+
+
+def test_allocation_memo_evicts_least_recent(scene, partition, solves):
+    size = ct._allocation.cache_info().maxsize
+    rooms = [replace(scene, controller=replace(scene.controller, noise_rel_sigma=0.001 * (i + 1)))
+             for i in range(size + 1)]
+    for room in rooms:
+        ct._allocation(ct.Mode.NO_USER, room, partition)
+    assert len(solves) == size + 1
+    ct._allocation(ct.Mode.NO_USER, rooms[-1], partition)
+    assert len(solves) == size + 1
+    ct._allocation(ct.Mode.NO_USER, rooms[0], partition)
+    assert len(solves) == size + 2
+
+
+def test_allocation_warns_only_when_it_solves(scene, partition, caplog, solves):
+    bad = replace(scene, controller=replace(scene.controller, snr_threshold=1e12))
+    with caplog.at_level("WARNING"):
+        for _ in range(2):
+            powers = ct._allocation(ct.Mode.ENHANCED, bad, partition)
+    np.testing.assert_array_equal(powers, scene.power_bounds()[1])
+    assert len(solves) == 1
+    assert sum("falling back" in r.message for r in caplog.records) == 1
 
 
 def test_uniformity_variance_strictly_improves(scene, partition):

@@ -451,6 +451,15 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 23])  # 3 does not divide K = 23; 23 is all of K
+def test_baseline_gains_fold_matches_per_led_sum(monkeypatch, rng, rows):
+    m, k, n = 4, 23, 3
+    emitter, collector = _spread(rng, (m, k)), _spread(rng, (k, n))
+    monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * m * n * 8)
+    want = np.array([(e[:, None] * collector).sum(axis=0) for e in emitter])
+    assert np.array_equal(sn._baseline_gains(emitter, collector), want)
+
+
 @pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
 def test_localize_losses_sum_pds_in_order(make_scene):
     s = make_scene()
