@@ -251,11 +251,12 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     first enters it.  Gaussian measurement noise has per-PD sigma
     ``noise_rel_sigma`` (from the scene's controller config) times the
     no-user baseline reading; the detection threshold is three times the
-    largest sigma.  Localization predictions are memoized on
-    ``table`` per applied power vector, so after the first step at each of
-    the (at most three) allocations a step costs one loss scan over the
-    memoized prediction, N in-place passes over K candidates that sum the
-    losses in PD order, rather than a new prediction.
+    largest sigma.  A step that detects nobody localizes without a
+    prediction or a match.  Predictions are memoized on ``table`` per
+    applied power vector, so after the first detected step at each of the
+    (at most three) allocations a detected step costs one bounded match
+    over the memoized prediction (see sensing.localize), not a new
+    prediction.
     """
     if model is None:
         model = SensingModel(scene)

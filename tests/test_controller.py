@@ -13,7 +13,7 @@ from isci.sensing import FingerprintTable, LocalizationResult
 
 def _loc(pos, detected=True):
     return LocalizationResult(position=pos, index=0 if pos else None,
-                              losses=np.zeros(4), detected=detected)
+                              loss=0.0 if pos else None, detected=detected)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,10 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
         predicted = np.abs(np.einsum("kij,i->kj", table.deltas, applied))
         losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
         detected = bool(actual.max() >= 3.0 * float(sigma.max()))
-        k = int(np.argmin(losses))
+        k = int(np.argmin(losses)) if detected else None
         estimate = tuple(float(c) for c in table.candidates[k]) if detected else None
-        mode = ct.select_mode(LocalizationResult(position=estimate, index=k, losses=losses,
+        mode = ct.select_mode(LocalizationResult(position=estimate, index=k,
+                                                 loss=losses[k] if detected else None,
                                                  detected=detected), partition)
         if mode not in allocations:
             allocations[mode], _ = ct.apply_mode(mode, scene, partition)

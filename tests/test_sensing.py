@@ -348,7 +348,7 @@ def test_localize_exact_at_candidates(scene, sensing_model, table, rng):
         loc = sn.localize(measured, base, p, table)
         assert loc.detected
         assert loc.index == k
-        assert loc.losses[k] <= 1e-30
+        assert loc.loss <= 1e-30
 
 
 def test_localize_below_threshold_not_detected(scene, table):
@@ -356,6 +356,30 @@ def test_localize_below_threshold_not_detected(scene, table):
     base = np.ones(scene.num_sensing_pds) * 1e-4
     loc = sn.localize(base, base, p, table)
     assert not loc.detected and loc.position is None
+    assert loc.index is None and loc.loss is None
+
+
+def test_localize_undetected_forms_no_prediction(scene, sensing_model, table):
+    fresh = sn.FingerprintTable(table.candidates, table.baseline, table.deltas)
+    p = scene.power_vector()
+    base = sensing_model.received_power(p)
+    measured = sensing_model.received_power(p, (2.5, 2.5))
+    eps = 2.0 * float(np.abs(measured - base).max())
+    assert not sn.localize(measured, base, p, fresh, epsilon_detect=eps).detected
+    assert fresh._predictions == {}
+    assert sn.localize(measured, base, p, fresh).detected
+    assert len(fresh._predictions) == 1
+
+
+@pytest.mark.parametrize("name", ["measured", "baseline"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_localize_rejects_non_finite_reading(scene, sensing_model, table, name, bad):
+    p = scene.power_vector()
+    readings = {"measured": sensing_model.received_power(p, (2.5, 2.5)),
+                "baseline": sensing_model.received_power(p)}
+    readings[name][3] = bad
+    with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+        sn.localize(readings["measured"], readings["baseline"], p, table)
 
 
 def test_localize_midway_between_candidates(scene, sensing_model, table):
@@ -460,8 +484,15 @@ def test_baseline_gains_fold_matches_per_led_sum(monkeypatch, rng, rows):
     assert np.array_equal(sn._baseline_gains(emitter, collector), want)
 
 
+def _full_scan(actual, predicted):
+    """Index and loss of the first least-loss candidate, from every loss."""
+    losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
+    k = int(np.argmin(losses))
+    return k, losses[k]
+
+
 @pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
-def test_localize_losses_sum_pds_in_order(make_scene):
+def test_localize_matches_full_scan(make_scene):
     s = make_scene()
     model = sn.SensingModel(s)
     table = sn.build_fingerprint_table(s, model)
@@ -473,23 +504,82 @@ def test_localize_losses_sum_pds_in_order(make_scene):
         for _ in range(3):
             measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
             measured = measured * (1.0 + 1e-3 * rng.standard_normal(len(measured)))
-            actual = np.abs(measured - baseline)
-            want = ((actual[None, :] - predicted) ** 2).sum(axis=1)
-            assert np.array_equal(sn.localize(measured, baseline, p, table).losses, want)
+            loc = sn.localize(measured, baseline, p, table)
+            assert (loc.index, loc.loss) == _full_scan(np.abs(measured - baseline), predicted)
+
+
+def _column_table(columns):
+    """A one-LED dense table whose prediction at unit power is ``columns``, (N, K)."""
+    n, k = columns.shape
+    return sn.FingerprintTable(candidates=np.arange(2.0 * k).reshape(k, 2),
+                               baseline=np.zeros((1, n)), deltas=columns.T[:, None, :])
 
 
 def test_localize_exact_tie_goes_to_lower_index():
     # candidates 1 and 3 miss the reading by 0.25 on different PDs: equal
     # losses, summed at different positions
     rows = [[2.0, 2.0, 2.0], [1.25, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 2.25, 0.5], [3.0, 1.0, 1.0]]
-    deltas = np.zeros((5, 2, 3))
-    deltas[:, 0] = rows
-    table = sn.FingerprintTable(candidates=np.arange(10.0).reshape(5, 2),
-                                baseline=np.zeros((2, 3)), deltas=deltas)
-    result = sn.localize(np.array([1.0, 2.0, 0.5]), np.zeros(3), np.array([1.0, 1.0]), table)
-    assert result.losses[1] == result.losses[3] == 0.0625
-    assert result.losses.min() == 0.0625
+    table = _column_table(np.array(rows).T)
+    result = sn.localize(np.array([1.0, 2.0, 0.5]), np.zeros(3), np.array([1.0]), table)
+    assert result.loss == 0.0625
     assert result.index == 1 and result.position == (2.0, 3.0)
+
+
+def test_pruned_match_keeps_tie_with_the_bound_argmin():
+    # PD 4 reads least, so the bound sums PDs 0-3.  Candidate 3 misses only
+    # on PD 4 (bound 0), candidate 1 only on PD 0 (bound = loss): both lose
+    # 0.0625, the bound's argmin is 3, and candidate 1 survives only because
+    # the bound is compared with <=.
+    actual = np.array([1.0, 2.0, 0.5, 3.0, 0.125])
+    columns = np.repeat((actual + 2.0)[:, None], 24, axis=1)
+    columns[:, 1] = actual + [0.25, 0.0, 0.0, 0.0, 0.0]
+    columns[:, 3] = actual + [0.0, 0.0, 0.0, 0.0, 0.25]
+    result = sn.localize(actual, np.zeros(5), np.array([1.0]), _column_table(columns))
+    assert (result.index, result.loss) == (1, 0.0625)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 25])
+def test_pruned_match_equals_full_scan_on_random_tables(monkeypatch, n):
+    rng = np.random.default_rng(100 + n)
+    pruned = []
+    real = sn._losses_of
+
+    def spy(actual, columns, keep):
+        pruned.append(len(keep))
+        return real(actual, columns, keep)
+
+    monkeypatch.setattr(sn, "_losses_of", spy)
+    k, trials = 400, 80
+    for trial in range(trials):
+        # coarse values make exact loss ties common
+        columns = np.round(8.0 * rng.uniform(0.0, 1.0, (n, k))) / 8.0
+        kind = trial % 4
+        if kind == 0:    # near one candidate: the bound prunes
+            actual = np.abs(columns[:, rng.integers(k)] + 0.01 * rng.standard_normal(n))
+        elif kind == 1:  # the table is flat on the loudest PDs: the bound fails
+            actual = rng.uniform(0.0, 1.0, n)
+            loud = np.argsort(actual)[-sn._BOUND_PDS:]
+            columns[loud] = actual[loud, None]
+        elif kind == 2:  # a reading unrelated to the table
+            actual = rng.uniform(0.0, 1.0, n)
+        else:            # an exact tie whose lower index is not the bound's argmin
+            actual = columns[:, 0] + 1.0
+            order = np.argsort(actual, kind="stable")
+            quiet, loud = order[0], order[-1]
+            columns += 2.0
+            low, high = np.sort(rng.choice(k, 2, replace=False))
+            columns[:, low] = columns[:, high] = actual
+            columns[loud, low] += 0.25   # bound = loss = 0.0625
+            columns[quiet, high] += 0.25  # bound 0 when quiet is not bounded
+        table = _column_table(columns)
+        loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
+        want = _full_scan(actual, sn.predict_power_deltas(table, np.array([1.0])))
+        assert (loc.index, loc.loss) == want
+    if n <= sn._BOUND_PDS:
+        assert pruned == []  # the bound would be the loss: one full scan
+    else:
+        assert 0 < len(pruned) < trials  # both the pruned path and the fallback ran
+        assert max(pruned) <= k // sn._PRUNE_FRACTION
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +688,18 @@ def test_fingerprint_rejects_garbage(table):
     blob = sn.save_fingerprint(table)
     with pytest.raises(ValueError, match="bytes"):
         sn.load_fingerprint(blob[:-8])
+
+
+@pytest.mark.parametrize("section", ["baseline", "candidates", "deltas"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fingerprint_rejects_non_finite_values(table, section, bad):
+    k, m, n = table.shape
+    start = {"baseline": 18, "candidates": 18 + 8 * m * n,
+             "deltas": 18 + 8 * (m * n + 2 * k)}[section]
+    blob = bytearray(sn.save_fingerprint(table))
+    blob[start + 8:start + 16] = np.array(bad, dtype="<f8").tobytes()
+    with pytest.raises(ValueError, match=f"^non-finite value in fingerprint {section}$"):
+        sn.load_fingerprint(bytes(blob))
 
 
 @pytest.mark.parametrize("blob", [b"LFPT\x01", b"LFPT\x01\x00", b"LFPT\x01\x00" + bytes(10)],
