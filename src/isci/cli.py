@@ -331,11 +331,13 @@ def _summarize(scene, partition, trace, baseline, savings) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_trace_csv(path: Path):
+def _read_trace_csv(path: Path, columns: tuple[str, ...]):
+    """The rows of a trace CSV that holds every one of ``columns``."""
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "energy_J" not in reader.fieldnames:
-            raise SceneError(f"{path}: not a trace CSV (missing energy_J column)")
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
         rows = list(reader)
     if not rows:
         raise SceneError(f"{path}: empty trace")
@@ -344,15 +346,15 @@ def _read_trace_csv(path: Path):
 
 def _cmd_report(args) -> int:
     scene = _resolve_scene(args)
-    rows = _read_trace_csv(Path(args.trace))
-    base_rows = _read_trace_csv(Path(args.baseline))
+    rows = _read_trace_csv(Path(args.trace), ("energy_J", "mode", "error_m"))
+    power_cols = [c for c in rows[0] if c.startswith("P_")]
+    base_rows = _read_trace_csv(Path(args.baseline), ("energy_J", *power_cols))
     if len(rows) != len(base_rows):
         raise SceneError("trace and baseline step counts differ")
     savings = controller.savings(sum(float(r["energy_J"]) for r in rows),
                                  sum(float(r["energy_J"]) for r in base_rows))
     errors = [float(r["error_m"]) for r in rows if r["error_m"] not in ("", None)]
 
-    power_cols = [c for c in rows[0] if c.startswith("P_")]
     violations = _power_violations(scene, [[float(r[c]) for c in power_cols] for r in rows])
 
     lines = [f"savings={100.0 * savings:.2f}%"]

@@ -39,8 +39,11 @@ __all__ = [
 ]
 
 _MAGIC = b"LFPT"
-_VERSION = 1
-_HEADER_LEN = 18  # magic, u16 version, u32 K/M/N
+_VERSION = 2
+_HEADER = "<H6I"  # after the magic: u16 version, u32 K, M, N, S (stencil offsets), nx, ny
+_HEADER_LEN = 4 + struct.calcsize(_HEADER)
+# The factor sections of an LFPT v2 body, in file order (and _SeparableDeltas field order).
+_FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector")
 
 NOISELESS_DETECT_EPS = 1e-12
 
@@ -68,7 +71,6 @@ _OCCLUSION_TOL = 1e-9
 # Bytes of partial sums that _stencil_sum keeps per block of grid rows.  On a
 # 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
 # they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
-# _baseline_gains folds its cells in blocks of the same byte size.
 _STENCIL_BLOCK_BYTES = 1 << 19
 
 
@@ -154,8 +156,8 @@ class SensingModel:
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
     read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
-    summed one block of cells at a time, and ``received_power`` forms only
-    the occluded cells' gains.
+    their matrix product, and ``received_power`` forms only the occluded
+    cells' gains.
     """
 
     def __init__(self, scene: Scene):
@@ -165,7 +167,7 @@ class SensingModel:
         emitter, collector = self._kernel.factors(
             self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
-        self.baseline_gains = _baseline_gains(self.emitter, self.collector)
+        self.baseline_gains = self.emitter @ self.collector
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
@@ -185,28 +187,6 @@ class SensingModel:
                         if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
-
-
-def _baseline_gains(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
-    """sum over cells k of outer(emitter[:, k], collector[k]), (M, N), with
-    every element's additions in cell order.
-
-    Cells are folded in blocks: row 0 of an LED-major (rows + 1, M, N)
-    buffer holds the running sum, rows 1.. the block's products, and one
-    reduction over the rows adds them in order.
-    """
-    k = len(collector)
-    total = np.zeros((len(emitter), collector.shape[1]))
-    rows = max(1, _STENCIL_BLOCK_BYTES // total.nbytes)
-    buf = np.empty((rows + 1, *total.shape))
-    for start in range(0, k, rows):
-        stop = min(start + rows, k)
-        block = buf[:stop - start + 1]
-        block[0] = total
-        np.multiply(emitter[:, start:stop].T[:, :, None], collector[start:stop, None, :],
-                    out=block[1:])
-        np.add.reduce(block, axis=0, out=total)
-    return total
 
 
 def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
@@ -258,13 +238,6 @@ class _SeparableDeltas:
     offsets: tuple[tuple[int, int], ...]
     grid_shape: tuple[int, int]  # (nx, ny)
 
-    def dense(self) -> np.ndarray:
-        """The (K, M, N) deltas."""
-        occluded = _stencil_sum(_outer(self.floor_emitter, self.floor_collector),
-                                self.offsets, self.grid_shape)
-        deltas = _outer(self.user_emitter, self.user_collector) - occluded
-        return np.ascontiguousarray(deltas.transpose(1, 0, 2))
-
     def predict(self, powers: np.ndarray) -> np.ndarray:
         """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
         user = (powers @ self.user_emitter)[:, None] * self.user_collector
@@ -276,35 +249,30 @@ class FingerprintTable:
     """Per-candidate gain deltas for power-scaled variation prediction.
 
     deltas[k, i, j] is the change in the gain LED i -> PD j that a user at
-    candidate k causes.  ``FingerprintTable(candidates, baseline, deltas)``
-    holds a dense (K, M, N) array, as load_fingerprint builds it.  A table
-    from build_fingerprint_table holds the deltas' factors instead and keeps
-    no (K, M, N) array: reading ``deltas`` builds one, on every access.
-    ``shape`` is (K, M, N) for both.
+    candidate k causes.  The table holds only the deltas' factors, as
+    build_fingerprint_table and load_fingerprint make them, and no
+    (K, M, N) array: reading ``deltas`` forms one, on every access.
+    ``shape`` is (K, M, N).
 
     The arrays are read-only, so the predictions that predict_power_deltas
     memoizes on the table cannot go stale.
     """
 
     def __init__(self, candidates: np.ndarray, baseline: np.ndarray,
-                 deltas: Optional[np.ndarray] = None, *,
-                 factors: Optional[_SeparableDeltas] = None):
-        if (deltas is None) == (factors is None):
-            raise ValueError("a fingerprint table takes either deltas or factors")
+                 factors: _SeparableDeltas):
         self.candidates = _read_only(candidates)  # (K, 2) floor cell centers
         self.baseline = _read_only(baseline)      # (M, N) no-user gain sums
-        self._dense = None if deltas is None else _read_only(deltas)
         self._factors = factors
-        self.shape = (self._dense.shape if factors is None
-                      else (len(self.candidates), *self.baseline.shape))
+        self.shape = (len(self.candidates), *self.baseline.shape)
         self._predictions: dict[bytes, np.ndarray] = {}
 
     @property
     def deltas(self) -> np.ndarray:
-        """The (K, M, N) gain deltas, read-only."""
-        if self._factors is None:
-            return self._dense
-        return _read_only(self._factors.dense())
+        """The (K, M, N) gain deltas, formed from the factors, read-only."""
+        f = self._factors
+        occluded = _stencil_sum(_outer(f.floor_emitter, f.floor_collector), f.offsets, f.grid_shape)
+        deltas = _outer(f.user_emitter, f.user_collector) - occluded
+        return _read_only(np.ascontiguousarray(deltas.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)
@@ -335,7 +303,7 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
         model._centers, user.patch_height_m, user.reflectance * user.patch_area_m2))
     factors = _SeparableDeltas(user_emitter, user_collector, model.emitter, model.collector,
                                _stencil_offsets(scene), (scene.grid.nx, scene.grid.ny))
-    return FingerprintTable(model._centers, model.baseline_gains.copy(), factors=factors)
+    return FingerprintTable(model._centers, model.baseline_gains.copy(), factors)
 
 
 def _checked_powers(table: FingerprintTable, powers) -> np.ndarray:
@@ -352,8 +320,8 @@ def _checked_powers(table: FingerprintTable, powers) -> np.ndarray:
 def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
     """Predicted per-PD power variation for every candidate, (K, N).
 
-    The prediction is |sum_i P_i * deltas[k, i, j]|.  A factored table forms
-    it as (P @ user_emitter) times user_collector minus the stencil sum of
+    The prediction is |sum_i P_i * deltas[k, i, j]|, formed as
+    (P @ user_emitter) times user_collector minus the stencil sum of
     (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
     Predictions are memoized on the table per power vector, keyed by its
     exact float64 bytes, for the last few distinct vectors.  The returned
@@ -370,8 +338,7 @@ def _prediction(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
     key = powers.tobytes()
     predicted = memo.pop(key, None)
     if predicted is None:
-        signed = (np.einsum("kij,i->kj", table.deltas, powers) if table._factors is None
-                  else table._factors.predict(powers))
+        signed = table._factors.predict(powers)
         columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
         columns.flags.writeable = False
         predicted = columns.T
@@ -475,37 +442,49 @@ def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_fingerprint(table: FingerprintTable) -> bytes:
-    """Serialize: magic, u16 version, u32 K/M/N, then baseline (M*N f64),
-    candidate coordinates (K*2 f64) and deltas (K*M*N f64), little-endian."""
-    deltas = table.deltas
-    k, m, n = deltas.shape
-    head = _MAGIC + struct.pack("<H", _VERSION) + struct.pack("<III", k, m, n)
-    body = (np.ascontiguousarray(table.baseline, dtype="<f8").tobytes()
-            + np.ascontiguousarray(table.candidates, dtype="<f8").tobytes()
-            + np.ascontiguousarray(deltas, dtype="<f8").tobytes())
-    return head + body
+    """Serialize as LFPT v2: magic, u16 version, u32 K, M, N, S, nx, ny; then
+    float64 baseline (M, N), candidates (K, 2), user_emitter (M, K),
+    user_collector (K, N), floor_emitter (M, K) and floor_collector (K, N);
+    then S int32 (di, dj) stencil offsets; all little-endian."""
+    f = table._factors
+    head = _MAGIC + struct.pack(_HEADER, _VERSION, *table.shape, len(f.offsets), *f.grid_shape)
+    arrays = (table.baseline, table.candidates, *(getattr(f, name) for name in _FACTORS))
+    return b"".join([head, *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays),
+                     np.array(f.offsets, dtype="<i4").tobytes()])
 
 
 def load_fingerprint(blob: bytes) -> FingerprintTable:
+    """The table that save_fingerprint wrote into ``blob``.  It holds the
+    saved factors, so it predicts bit for bit like the saved table.
+
+    Raises ValueError on a bad magic, a short or mis-sized blob, a version
+    other than 2, K != nx * ny, a stencil offset off the grid, or a
+    non-finite value, naming the section that holds it.
+    """
     if blob[:4] != _MAGIC:
         raise ValueError("not a fingerprint table (bad magic)")
     if len(blob) < _HEADER_LEN:
         raise ValueError(f"fingerprint blob is {len(blob)} bytes, expected at least {_HEADER_LEN}")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    version, k, m, n, s, nx, ny = struct.unpack_from(_HEADER, blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported fingerprint version {version}")
-    k, m, n = struct.unpack_from("<III", blob, 6)
-    offset = _HEADER_LEN
-    expected = offset + 8 * (m * n + 2 * k + k * m * n)
+    if k != nx * ny:
+        raise ValueError(f"fingerprint has {k} candidates for a {nx} x {ny} grid")
+    expected = _HEADER_LEN + 8 * (m * n + 2 * k + 2 * k * (m + n) + s)
     if len(blob) != expected:
         raise ValueError(f"fingerprint blob is {len(blob)} bytes, expected {expected}")
-    baseline = np.frombuffer(blob, dtype="<f8", count=m * n, offset=offset).reshape(m, n)
-    offset += 8 * m * n
-    candidates = np.frombuffer(blob, dtype="<f8", count=2 * k, offset=offset).reshape(k, 2)
-    offset += 16 * k
-    deltas = np.frombuffer(blob, dtype="<f8", count=k * m * n, offset=offset).reshape(k, m, n)
-    for name, values in (("baseline", baseline), ("candidates", candidates), ("deltas", deltas)):
+    shapes = ((m, n), (k, 2), (m, k), (k, n), (m, k), (k, n))
+    arrays, offset = {}, _HEADER_LEN
+    for name, shape in zip(("baseline", "candidates", *_FACTORS), shapes):
+        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(values).all():
             raise ValueError(f"non-finite value in fingerprint {name}")
-    return FingerprintTable(candidates=candidates.copy(), baseline=baseline.copy(),
-                            deltas=deltas.copy())
+        arrays[name] = _read_only(values.reshape(shape).copy())
+        offset += values.nbytes
+    pairs = np.frombuffer(blob, dtype="<i4", offset=offset).reshape(s, 2).tolist()
+    offsets = tuple(map(tuple, pairs))
+    off_grid = [(di, dj) for di, dj in offsets if abs(di) >= nx or abs(dj) >= ny]
+    if off_grid:
+        raise ValueError(f"fingerprint stencil offset {off_grid[0]} is off the {nx} x {ny} grid")
+    factors = _SeparableDeltas(*(arrays[name] for name in _FACTORS), offsets, (nx, ny))
+    return FingerprintTable(arrays["candidates"], arrays["baseline"], factors)

@@ -67,7 +67,7 @@ def test_fingerprint_file(tmp_path):
     out = tmp_path / "fp"
     assert run("fingerprint", "--out", str(out)) == 0
     blob = (out / "fingerprint.lfpt").read_bytes()
-    assert blob[:4] == b"LFPT"
+    assert blob[:4] == b"LFPT" and struct.unpack_from("<H", blob, 4) == (2,)
     k, m, n = struct.unpack_from("<III", blob, 6)
     assert (k, m, n) == (2500, 8, 8)
     from isci.sensing import load_fingerprint
@@ -275,6 +275,32 @@ def test_report_power_column_mismatch_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{len(short)} power columns" in err
     assert f"{len(p_min)} LEDs" in err
+
+
+def _drop_column(path, column):
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fields = [c for c in rows[0] if c != column]
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("file, column", [
+    ("trace.csv", "mode"),
+    ("trace.csv", "error_m"),
+    ("base.csv", "P_3"),  # a power column of the trace that the baseline lacks
+])
+def test_report_missing_column_exit_one(tmp_path, capsys, file, column):
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _drop_column(tmp_path / file, column)
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / file}: not a trace CSV "
+                                       f"(missing {column} column)\n")
 
 
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):

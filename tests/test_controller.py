@@ -177,7 +177,7 @@ def test_scenario_reoptimizes_once_per_mode(scene, partition, table):
 
 def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model):
     # a fresh table (same arrays, empty memo) so the memo's keys are this run's
-    fresh = FingerprintTable(table.candidates, table.baseline, table.deltas)
+    fresh = FingerprintTable(table.candidates, table.baseline, table._factors)
     traj = ct.generate_trajectory(partition, seed=3)
     trace = ct.run_scenario(scene, partition, fresh, traj, noise_seed=9)
     assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}

@@ -224,11 +224,10 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     rho_area = s.grid.reflectance_array() * s.grid.cell_area
     element = np.einsum("i,ik,k,kj->ikj", kernel.front, kernel._emitter(centers, 0.0),
                         rho_area, kernel._collector(centers, 0.0))
-    baseline = element.sum(axis=1)
-    assert np.array_equal(model.baseline_gains, baseline)
+    # the BLAS product sums the cells in its own order: 2.2e-16 to 3.4e-16
+    # relative from the cell-order sum on these scenes
+    np.testing.assert_allclose(model.baseline_gains, element.sum(axis=1), rtol=1e-15, atol=0.0)
     assert np.array_equal(sn._outer(model.emitter, model.collector), element)
-    # the collector's row-major (K, N) layout fixes the order of the
-    # baseline sums, so the LFPT bytes depend on it
     assert model.collector.flags.c_contiguous and model.emitter.flags.c_contiguous
     user = s.user
     rng = np.random.default_rng(3)
@@ -242,7 +241,7 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
         occ = (np.flatnonzero(np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
                               <= user.footprint_radius_m + sn._OCCLUSION_TOL)
                if s.room.contains_xy(*xy) else [])
-        expected = p @ (baseline - element[:, occ, :].sum(axis=1) + user_gain)
+        expected = p @ (model.baseline_gains - element[:, occ, :].sum(axis=1) + user_gain)
         assert np.array_equal(model.received_power(p, xy), expected), xy
 
 
@@ -360,7 +359,7 @@ def test_localize_below_threshold_not_detected(scene, table):
 
 
 def test_localize_undetected_forms_no_prediction(scene, sensing_model, table):
-    fresh = sn.FingerprintTable(table.candidates, table.baseline, table.deltas)
+    fresh = sn.FingerprintTable(table.candidates, table.baseline, table._factors)
     p = scene.power_vector()
     base = sensing_model.received_power(p)
     measured = sensing_model.received_power(p, (2.5, 2.5))
@@ -433,7 +432,7 @@ def test_localize_dimension_mismatch(table, scene):
 def test_localize_rejects_bad_power_vector(scene, table):
     base = np.ones(scene.num_sensing_pds)
     p = scene.power_vector()
-    fresh = sn.FingerprintTable(table.candidates, table.baseline, table.deltas)
+    fresh = sn.FingerprintTable(table.candidates, table.baseline, table._factors)
     with pytest.raises(ValueError, match="7 powers but the fingerprint table has 8 LEDs"):
         sn.predict_power_deltas(fresh, p[:7])
     with pytest.raises(ValueError, match="1-D"):
@@ -475,15 +474,6 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 23])  # 3 does not divide K = 23; 23 is all of K
-def test_baseline_gains_fold_matches_per_led_sum(monkeypatch, rng, rows):
-    m, k, n = 4, 23, 3
-    emitter, collector = _spread(rng, (m, k)), _spread(rng, (k, n))
-    monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * m * n * 8)
-    want = np.array([(e[:, None] * collector).sum(axis=0) for e in emitter])
-    assert np.array_equal(sn._baseline_gains(emitter, collector), want)
-
-
 def _full_scan(actual, predicted):
     """Index and loss of the first least-loss candidate, from every loss."""
     losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
@@ -508,11 +498,19 @@ def test_localize_matches_full_scan(make_scene):
             assert (loc.index, loc.loss) == _full_scan(np.abs(measured - baseline), predicted)
 
 
+def _factored_table(candidates, baseline, factors, offsets, grid_shape):
+    """A table from its four factors (user emitter and collector, then floor)."""
+    deltas = sn._SeparableDeltas(*map(sn._read_only, factors), tuple(offsets), grid_shape)
+    return sn.FingerprintTable(candidates, baseline, deltas)
+
+
 def _column_table(columns):
-    """A one-LED dense table whose prediction at unit power is ``columns``, (N, K)."""
+    """A one-LED table whose prediction at unit power is ``columns``, (N, K),
+    bit for bit: the user factors hold the columns, the floor factors zeros."""
     n, k = columns.shape
-    return sn.FingerprintTable(candidates=np.arange(2.0 * k).reshape(k, 2),
-                               baseline=np.zeros((1, n)), deltas=columns.T[:, None, :])
+    factors = (np.ones((1, k)), columns.T, np.zeros((1, k)), np.zeros((k, n)))
+    return _factored_table(np.arange(2.0 * k).reshape(k, 2), np.zeros((1, n)), factors,
+                           ((0, 0),), (k, 1))
 
 
 def test_localize_exact_tie_goes_to_lower_index():
@@ -586,10 +584,12 @@ def test_pruned_match_equals_full_scan_on_random_tables(monkeypatch, n):
 # prediction memo
 # ---------------------------------------------------------------------------
 
-def _small_table(rng, k=40, m=3, n=4):
-    return sn.FingerprintTable(candidates=rng.uniform(0, 5, (k, 2)),
-                               baseline=rng.uniform(0, 1, (m, n)),
-                               deltas=rng.standard_normal((k, m, n)))
+def _small_table(rng, nx=8, ny=5, m=3, n=4):
+    k = nx * ny
+    factors = (rng.standard_normal((m, k)), rng.standard_normal((k, n)),
+               rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+    return _factored_table(rng.uniform(0, 5, (k, 2)), rng.uniform(0, 1, (m, n)), factors,
+                           ((0, 0), (1, 0), (0, -1), (-1, 1)), (nx, ny))
 
 
 def test_predict_memo_hits_on_equal_powers(rng):
@@ -599,7 +599,7 @@ def test_predict_memo_hits_on_equal_powers(rng):
     assert sn.predict_power_deltas(t, p) is first
     assert sn.predict_power_deltas(t, p.copy()) is first
     assert sn.predict_power_deltas(t, [1.0, 2.5, 0.75]) is first
-    assert np.array_equal(first, np.abs(np.einsum("kij,i->kj", t.deltas, p)))
+    assert np.array_equal(first, np.abs(t._factors.predict(p)))  # unmemoized
 
 
 def test_predict_memo_never_stale_and_bounded(rng):
@@ -609,7 +609,7 @@ def test_predict_memo_never_stale_and_bounded(rng):
     for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
         p = vectors[i]
         got = sn.predict_power_deltas(t, p)
-        assert np.array_equal(got, np.abs(np.einsum("kij,i->kj", t.deltas, p)))
+        assert np.array_equal(got, np.abs(t._factors.predict(p)))
         assert 1 <= len(t._predictions) <= sn._PREDICTION_MEMO_SIZE
     # a vector one ulp away is a different key
     p = vectors[2]
@@ -642,12 +642,13 @@ def test_predictions_and_table_read_only(rng, table):
     with pytest.raises(ValueError):
         t.deltas[0, 0, 0] = 1.0
     loaded = sn.load_fingerprint(sn.save_fingerprint(table))
-    assert not loaded.deltas.flags.writeable
+    for arr in _arrays_reachable(loaded) + [loaded.deltas]:
+        assert not arr.flags.writeable
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_memoized_prediction_read_only_through_every_view(table, dense):
-    t = sn.load_fingerprint(sn.save_fingerprint(table)) if dense else table
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_memoized_prediction_read_only_through_every_view(table, reloaded):
+    t = sn.load_fingerprint(sn.save_fingerprint(table)) if reloaded else table
     got = sn.predict_power_deltas(t, 2.0 * np.ones(t.shape[1]))
     assert got.shape == (t.shape[0], t.shape[2])
     assert got.base.flags.c_contiguous and got.base.shape == (t.shape[2], t.shape[0])
@@ -660,12 +661,45 @@ def test_memoized_prediction_read_only_through_every_view(table, dense):
 # persistence
 # ---------------------------------------------------------------------------
 
+_SECTIONS = ("baseline", "candidates", "user_emitter", "user_collector",
+             "floor_emitter", "floor_collector")
+
+
+def _section_starts(table):
+    """Byte offset of each float64 section of the table's LFPT v2 blob."""
+    k, m, n = table.shape
+    sizes = (m * n, 2 * k, m * k, k * n, m * k, k * n)
+    return dict(zip(_SECTIONS, 30 + 8 * np.cumsum((0,) + sizes[:-1])))
+
+
 def test_fingerprint_round_trip(table):
     blob = sn.save_fingerprint(table)
     again = sn.load_fingerprint(blob)
+    assert again.shape == table.shape
     assert np.array_equal(again.candidates, table.candidates)
     assert np.array_equal(again.baseline, table.baseline)
+    for name in sn._FACTORS:
+        assert np.array_equal(getattr(again._factors, name), getattr(table._factors, name))
+    assert again._factors.offsets == table._factors.offsets
+    assert again._factors.grid_shape == table._factors.grid_shape
     assert np.array_equal(again.deltas, table.deltas)
+    assert sn.save_fingerprint(again) == blob
+
+
+def _loop_large_scene():
+    """The benchmark's large room: 10 m, 5 x 5 lattice at 1.4 m, 0.05 m grid."""
+    return _lattice_scene(pitch=0.05, spacing=1.4)
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, _loop_large_scene])
+def test_reloaded_table_predicts_bitwise_like_built(make_scene):
+    s = make_scene()
+    table = sn.build_fingerprint_table(s)
+    loaded = sn.load_fingerprint(sn.save_fingerprint(table))
+    p_min, p_max = s.power_bounds()
+    rng = np.random.default_rng(8)
+    for p in (s.power_vector(), p_min, p_max, *rng.uniform(p_min, p_max, (3, s.num_leds))):
+        assert np.array_equal(sn.predict_power_deltas(loaded, p), sn.predict_power_deltas(table, p))
 
 
 def test_fingerprint_header_layout(table):
@@ -673,13 +707,21 @@ def test_fingerprint_header_layout(table):
     blob = sn.save_fingerprint(table)
     assert blob[:4] == b"LFPT"
     version, = struct.unpack_from("<H", blob, 4)
-    k, m, n = struct.unpack_from("<III", blob, 6)
-    assert version == 1
+    k, m, n, s, nx, ny = struct.unpack_from("<6I", blob, 6)
+    assert version == 2
     assert (k, m, n) == table.deltas.shape
-    assert len(blob) == 18 + 8 * (m * n + 2 * k + k * m * n)
-    # baseline block sits immediately after the header
-    first = np.frombuffer(blob, dtype="<f8", count=1, offset=18)[0]
-    assert first == table.baseline[0, 0]
+    assert (nx, ny) == (50, 50) and k == nx * ny
+    offsets = table._factors.offsets
+    assert s == len(offsets) == 29  # a 0.3 m footprint on a 0.1 m grid
+    assert len(blob) == 30 + 8 * (m * n + 2 * k + 2 * k * (m + n)) + 8 * s
+    starts = _section_starts(table)
+    arrays = (table.baseline, table.candidates,
+              *(getattr(table._factors, name) for name in sn._FACTORS))
+    for name, arr in zip(_SECTIONS, arrays):
+        assert np.array_equal(np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                            offset=int(starts[name])).reshape(arr.shape), arr)
+    stencil = np.frombuffer(blob, dtype="<i4", offset=len(blob) - 8 * s).reshape(s, 2)
+    assert [tuple(o) for o in stencil.tolist()] == list(offsets)
 
 
 def test_fingerprint_rejects_garbage(table):
@@ -688,36 +730,83 @@ def test_fingerprint_rejects_garbage(table):
     blob = sn.save_fingerprint(table)
     with pytest.raises(ValueError, match="bytes"):
         sn.load_fingerprint(blob[:-8])
+    with pytest.raises(ValueError, match="bytes"):
+        sn.load_fingerprint(blob + bytes(8))
 
 
-@pytest.mark.parametrize("section", ["baseline", "candidates", "deltas"])
+@pytest.mark.parametrize("section", _SECTIONS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fingerprint_rejects_non_finite_values(table, section, bad):
-    k, m, n = table.shape
-    start = {"baseline": 18, "candidates": 18 + 8 * m * n,
-             "deltas": 18 + 8 * (m * n + 2 * k)}[section]
+    start = int(_section_starts(table)[section])
     blob = bytearray(sn.save_fingerprint(table))
     blob[start + 8:start + 16] = np.array(bad, dtype="<f8").tobytes()
     with pytest.raises(ValueError, match=f"^non-finite value in fingerprint {section}$"):
         sn.load_fingerprint(bytes(blob))
 
 
-@pytest.mark.parametrize("blob", [b"LFPT\x01", b"LFPT\x01\x00", b"LFPT\x01\x00" + bytes(10)],
-                         ids=["5-bytes", "6-bytes", "16-bytes"])
+@pytest.mark.parametrize("blob", [b"LFPT\x02", b"LFPT\x02\x00", b"LFPT\x02\x00" + bytes(10),
+                                  b"LFPT\x02\x00" + bytes(23)],
+                         ids=["5-bytes", "6-bytes", "16-bytes", "29-bytes"])
 def test_fingerprint_rejects_truncated_header(blob):
     with pytest.raises(ValueError, match=f"^fingerprint blob is {len(blob)} bytes, "
-                                         "expected at least 18$"):
+                                         "expected at least 30$"):
         sn.load_fingerprint(blob)
 
 
-# sha256 of the LFPT bytes of default_scene(seed)'s built table, taken before
-# the table was stored in factored form: reading the deltas from the factors
-# must reproduce the dense build bit for bit.
+def test_fingerprint_rejects_version_1():
+    # a whole v1 blob: header, baseline, candidates and K * M * N deltas
+    import struct
+    k, m, n = 4, 1, 2
+    blob = b"LFPT" + struct.pack("<H3I", 1, k, m, n) + bytes(8 * (m * n + 2 * k + k * m * n))
+    with pytest.raises(ValueError, match="^unsupported fingerprint version 1$"):
+        sn.load_fingerprint(blob)
+
+
+def _with_header(blob, **fields):
+    """``blob`` with some u32 header fields (K, M, N, S, nx, ny) replaced."""
+    import struct
+    names = ("k", "m", "n", "s", "nx", "ny")
+    values = dict(zip(names, struct.unpack_from("<6I", blob, 6)), **fields)
+    return blob[:6] + struct.pack("<6I", *(values[name] for name in names)) + blob[30:]
+
+
+def test_fingerprint_rejects_grid_that_does_not_hold_k(table):
+    blob = sn.save_fingerprint(table)
+    with pytest.raises(ValueError, match="^fingerprint has 2500 candidates for a 50 x 49 grid$"):
+        sn.load_fingerprint(_with_header(blob, ny=49))
+    # nx * ny = K with the axes swapped or stretched: the offsets still fit
+    assert sn.load_fingerprint(_with_header(blob, nx=25, ny=100)).shape == table.shape
+
+
+@pytest.mark.parametrize("offset", [(50, 0), (-50, 0), (0, 50), (0, -50), (-2**31, 0)],
+                         ids=["di-nx", "di-minus-nx", "dj-ny", "dj-minus-ny", "di-int32-min"])
+def test_fingerprint_rejects_offset_off_the_grid(table, offset):
+    blob = bytearray(sn.save_fingerprint(table))
+    blob[-8:] = np.array(offset, dtype="<i4").tobytes()
+    with pytest.raises(ValueError, match=rf"^fingerprint stencil offset \({offset[0]}, "
+                                         rf"{offset[1]}\) is off the 50 x 50 grid$"):
+        sn.load_fingerprint(bytes(blob))
+
+
+# sha256 of the LFPT v2 bytes of default_scene(seed)'s built table.
 @pytest.mark.parametrize("seed, digest", [
-    (0, "49331489c3f6628a9a53dbf4bb9d797230918d2c6a875328a22f12309e729397"),
-    (14, "081732f8650fbc9162035d66597e8e2f5be5fed46b4768e3f94bb7e63873629b"),
-    (57, "bc75d54c2b93885d9cafaa87199908647d2062b0beb521dcc8976e0051580dba"),
-])
+    (0, "aa4b19c0691e626606fd5ebc9d7fda40ca522969513f648dd05dbe766a608d61"),
+    (14, "f3066e70d2ff02d8dcfe3cdbe58bb484f7fb635389514785872553e3780ceeb7"),
+    (57, "8857f2fe897df1de7eedf26a3f2a7a659cfdeeed1b57fa0fd1d2831baeb7795a"),
+], ids=["0", "14", "57"])
 def test_fingerprint_bytes_pinned(seed, digest):
     blob = sn.save_fingerprint(sn.build_fingerprint_table(default_scene(seed)))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# sha256 of table.deltas.tobytes() for default_scene(seed), taken while the
+# LFPT v1 file still stored the deltas: the dense expansion of the factors
+# must stay bit-identical to those files' deltas.
+@pytest.mark.parametrize("seed, digest", [
+    (0, "39543ae09034b8d3d698a85181d6c224fbf2ce4e6950d5c620d734314e4a3bb4"),
+    (14, "b53b3c305d22cfa41372e642e25b4a4c6200246b99ea0784da487c3e9463c080"),
+    (57, "20db336a9a61a06159c88382f48b9281e5650e0a20b3082e3fbfc92c3557e141"),
+], ids=["0", "14", "57"])
+def test_fingerprint_deltas_pinned(seed, digest):
+    table = sn.build_fingerprint_table(default_scene(seed))
+    assert hashlib.sha256(table.deltas.tobytes()).hexdigest() == digest
