@@ -254,7 +254,7 @@ def _cmd_simulate(args) -> int:
                   ["quantity", "region", "average", "deviation", "minimum",
                    "frac_above_avg", "frac_below_dev"],
                   _benchmark_rows(scene, partition))
-    summary = _summarize(scene, partition, trace, baseline, savings)
+    summary = _summarize(scene, partition, table, trace, baseline, savings)
     out.write_text("summary.txt", summary)
     out.write_manifest("simulate", scene, {
         "scene": args.scene_seed,
@@ -263,13 +263,6 @@ def _cmd_simulate(args) -> int:
     })
     print(f"steps={len(trace.steps)} savings={100.0 * savings:.2f}%")
     return EXIT_OK
-
-
-def _mode_powers(trace: controller.ScenarioTrace, mode: str) -> Optional[np.ndarray]:
-    for s in trace.steps:
-        if s.mode == mode:
-            return np.array(s.powers)
-    return None
 
 
 def _snr_variance(scene: Scene, partition, powers: np.ndarray) -> float:
@@ -304,21 +297,23 @@ def _power_violations(scene: Scene, powers) -> int:
     return int(np.count_nonzero(outside.any(axis=1)))
 
 
-def _summarize(scene, partition, trace, baseline, savings) -> str:
+def _summarize(scene, partition, table, trace, baseline, savings) -> str:
     lines = [f"steps={len(trace.steps)}", f"savings_pct={100.0 * savings:.4f}"]
     p_base = np.array(baseline.steps[0].powers)
     var_before = _snr_variance(scene, partition, p_base)
     lines.append(f"snr_variance_baseline={_fmt(var_before)}")
-    p_unif = _mode_powers(trace, "uniformity")
-    if p_unif is not None:
+    plan = controller.room_plan(scene, partition, table)
+    entered = {s.mode for s in trace.steps}
+    if controller.Mode.UNIFORMITY.value in entered:
+        p_unif, _ = plan.allocation(controller.Mode.UNIFORMITY)
         var_after = _snr_variance(scene, partition, p_unif)
         lines.append(f"snr_variance_uniformity={_fmt(var_after)}")
         lines.append(f"snr_variance_reduction_pct="
                      f"{_variance_reduction_pct(var_before, var_after):.4f}")
         lo, hi = _illuminance_range(scene, partition, p_unif, activity_only=False)
         lines.append(f"illuminance_uniformity_lx=[{_fmt(lo)}, {_fmt(hi)}]")
-    p_enh = _mode_powers(trace, "enhanced")
-    if p_enh is not None:
+    if controller.Mode.ENHANCED.value in entered:
+        p_enh, _ = plan.allocation(controller.Mode.ENHANCED)
         lo, hi = _illuminance_range(scene, partition, p_enh, activity_only=True)
         lines.append(f"illuminance_enhanced_lx=[{_fmt(lo)}, {_fmt(hi)}]")
         lines.append(f"enhanced_total_W={_fmt(float(p_enh.sum()))}")
@@ -332,16 +327,18 @@ def _summarize(scene, partition, trace, baseline, savings) -> str:
 
 
 def _read_trace_csv(path: Path, columns: tuple[str, ...]):
-    """The rows of a trace CSV that holds every one of ``columns``."""
+    """The non-blank rows, as dicts, of a trace CSV with ``columns`` and no ragged row."""
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in columns:
-            if column not in (reader.fieldnames or ()):
-                raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
-        rows = list(reader)
+        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    for column in columns:
+        if column not in header:
+            raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
     if not rows:
         raise SceneError(f"{path}: empty trace")
-    return rows
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _cmd_report(args) -> int:
@@ -353,7 +350,7 @@ def _cmd_report(args) -> int:
         raise SceneError("trace and baseline step counts differ")
     savings = controller.savings(sum(float(r["energy_J"]) for r in rows),
                                  sum(float(r["energy_J"]) for r in base_rows))
-    errors = [float(r["error_m"]) for r in rows if r["error_m"] not in ("", None)]
+    errors = [float(r["error_m"]) for r in rows if r["error_m"] != ""]
 
     violations = _power_violations(scene, [[float(r[c]) for c in power_cols] for r in rows])
 

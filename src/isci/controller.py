@@ -11,7 +11,6 @@ plane-average thresholds.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .geometry import Region, RegionPartition, classify_point
 from .photometry import FieldGrid
 from .scene import Scene
 from .sensing import (FingerprintTable, LocalizationResult, SensingModel,
-                      NOISELESS_DETECT_EPS, localize)
+                      NOISELESS_DETECT_EPS, _read_only, localize, predict_power_deltas)
 
 __all__ = [
     "Mode",
@@ -34,6 +33,8 @@ __all__ = [
     "BenchmarkThresholds",
     "select_mode",
     "apply_mode",
+    "RoomPlan",
+    "room_plan",
     "generate_trajectory",
     "run_scenario",
     "baseline_scenario",
@@ -67,10 +68,10 @@ def select_mode(localization: LocalizationResult, partition: RegionPartition) ->
 
 def apply_mode(mode: Mode, scene: Scene,
                partition: RegionPartition) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
-    """Power allocation for a mode.
+    """Power allocation for a mode, as a new array, and its solve report.
 
-    NO_USER needs no solve.  If a mode's program reports infeasible the
-    allocation falls back to the clamped maximum power with a warning.
+    NO_USER needs no solve.  A program that ends with any status but OPTIMAL
+    falls back to the clamped maximum power with a warning.
     """
     p_min, p_max = scene.power_bounds()
     if mode is Mode.NO_USER:
@@ -84,17 +85,43 @@ def apply_mode(mode: Mode, scene: Scene,
     return np.clip(report.x, p_min, p_max), report
 
 
-# Hashing a Scene walks its grid's reflectance tuple, one float per cell, so
-# callers look up once per mode, not once per step.  Eight entries bound the
-# scenes the memo keeps alive.
-@functools.lru_cache(maxsize=8)
-def _allocation(mode: Mode, scene: Scene, partition: RegionPartition) -> np.ndarray:
-    """apply_mode's powers, read-only, kept per (mode, scene, partition)
-    value across runs: a mode's program is built from the room alone, never
-    from the user's position.  A memo hit logs no fallback warning."""
-    powers, _ = apply_mode(mode, scene, partition)
-    powers.flags.writeable = False
-    return powers
+class RoomPlan:
+    """Each mode's allocation, SolveReport and fingerprint prediction: the
+    mode programs are built from the room alone, never from the user's
+    position, so each is formed once, on first use, and shared read-only.
+    NO_USER's p_min is set up front; apply_mode (and any fallback warning)
+    runs once per program."""
+
+    def __init__(self, scene: Scene, partition: RegionPartition, table: FingerprintTable):
+        self.scene, self.partition, self.table = scene, partition, table
+        self._solved = {Mode.NO_USER: (_read_only(scene.power_bounds()[0]), None)}
+        self._predicted: dict[Mode, np.ndarray] = {}
+
+    def allocation(self, mode: Mode) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
+        """apply_mode's read-only powers and its report for ``mode``."""
+        if mode not in self._solved:
+            powers, report = apply_mode(mode, self.scene, self.partition)
+            self._solved[mode] = _read_only(powers), report
+        return self._solved[mode]
+
+    def prediction(self, mode: Mode) -> np.ndarray:
+        """The table's read-only (K, N) prediction at ``mode``'s powers."""
+        if mode not in self._predicted:
+            self._predicted[mode] = predict_power_deltas(self.table, self.allocation(mode)[0])
+        return self._predicted[mode]
+
+
+_last_plan: Optional[RoomPlan] = None
+
+
+def room_plan(scene: Scene, partition: RegionPartition, table: FingerprintTable) -> RoomPlan:
+    """The last call's plan when ``table`` is its table and the scene and
+    partition compare equal, else a new plan, which is kept in its place."""
+    global _last_plan
+    plan = _last_plan
+    if plan is None or (plan.table, plan.scene, plan.partition) != (table, scene, partition):
+        plan = _last_plan = RoomPlan(scene, partition, table)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +270,25 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     """Replay a trajectory through the adaptive loop.
 
     Each step synthesizes sensing-PD measurements at the powers applied in
-    the previous step (measurement precedes actuation), localizes and
-    selects a mode.  A mode's allocation depends on the room alone: it is
-    solved the first time a run on an equal scene and partition enters that
-    mode, kept for the eight most recent (mode, scene, partition) values and
-    shared read-only with later runs; a run looks each mode up only when it
-    first enters it.  Gaussian measurement noise has per-PD sigma
-    ``noise_rel_sigma`` (from the scene's controller config) times the
-    no-user baseline reading; the detection threshold is three times the
-    largest sigma.  A step that detects nobody localizes without a
-    prediction or a match.  Predictions are memoized on ``table`` per
-    applied power vector, so after the first detected step at each of the
-    (at most three) allocations a detected step costs one bounded match
-    over the memoized prediction (see sensing.localize), not a new
-    prediction.
+    the previous step (measurement precedes actuation), localizes them
+    against the prediction at those powers and selects a mode.  Powers and
+    predictions come from room_plan(scene, partition, table), so a run on
+    the last run's room solves and predicts nothing again.  Gaussian
+    measurement noise has per-PD sigma ``noise_rel_sigma`` (from the scene's
+    controller config) times the no-user baseline reading; the detection
+    threshold is three times the largest sigma.
     """
     if model is None:
         model = SensingModel(scene)
+    plan = room_plan(scene, partition, table)
     noise_rel = scene.controller.noise_rel_sigma
     rng = np.random.default_rng(noise_seed)
     dt = scene.controller.step_period_s
-    p_min, _ = scene.power_bounds()
-    mode_cache: dict[Mode, np.ndarray] = {Mode.NO_USER: p_min.copy()}
 
-    applied = p_min.copy()
+    mode = Mode.NO_USER
     steps = []
     for t, pos in trajectory:
+        applied, _ = plan.allocation(mode)
         baseline_reading = model.received_power(applied)
         reading = model.received_power(applied, pos) if pos is not None else baseline_reading
         if noise_rel > 0:
@@ -278,11 +298,10 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
         else:
             measured = reading
             eps = NOISELESS_DETECT_EPS
-        loc = localize(measured, baseline_reading, applied, table, epsilon_detect=eps)
+        loc = localize(measured, baseline_reading, plan.prediction(mode), table,
+                       epsilon_detect=eps)
         mode = select_mode(loc, partition)
-        if mode not in mode_cache:
-            mode_cache[mode] = _allocation(mode, scene, partition)
-        powers = mode_cache[mode]
+        powers, _ = plan.allocation(mode)
         error = None
         if pos is not None and loc.detected and loc.position is not None:
             error = math.hypot(loc.position[0] - pos[0], loc.position[1] - pos[1])
@@ -292,7 +311,6 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
             powers=tuple(float(p) for p in powers),
             energy_j=dt * float(np.sum(powers)), error_m=error,
         ))
-        applied = powers
     return ScenarioTrace(steps=tuple(steps), dt=dt)
 
 

@@ -47,10 +47,6 @@ _FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector"
 
 NOISELESS_DETECT_EPS = 1e-12
 
-# Distinct power vectors whose predictions a FingerprintTable keeps.  A
-# scenario applies at most three: p_min and the two mode allocations.
-_PREDICTION_MEMO_SIZE = 4
-
 # PDs whose partial losses bound the full loss from below in _best_candidate:
 # the ones with the largest variation.  On loop-large (K = 40 000, N = 25),
 # 2, 3 and 4 PDs gave step times within noise of each other; 4 keeps more
@@ -252,10 +248,7 @@ class FingerprintTable:
     candidate k causes.  The table holds only the deltas' factors, as
     build_fingerprint_table and load_fingerprint make them, and no
     (K, M, N) array: reading ``deltas`` forms one, on every access.
-    ``shape`` is (K, M, N).
-
-    The arrays are read-only, so the predictions that predict_power_deltas
-    memoizes on the table cannot go stale.
+    ``shape`` is (K, M, N).  The arrays are read-only.
     """
 
     def __init__(self, candidates: np.ndarray, baseline: np.ndarray,
@@ -264,7 +257,6 @@ class FingerprintTable:
         self.baseline = _read_only(baseline)      # (M, N) no-user gain sums
         self._factors = factors
         self.shape = (len(self.candidates), *self.baseline.shape)
-        self._predictions: dict[bytes, np.ndarray] = {}
 
     @property
     def deltas(self) -> np.ndarray:
@@ -323,29 +315,15 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     The prediction is |sum_i P_i * deltas[k, i, j]|, formed as
     (P @ user_emitter) times user_collector minus the stencil sum of
     (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
-    Predictions are memoized on the table per power vector, keyed by its
-    exact float64 bytes, for the last few distinct vectors.  The returned
-    array is read-only and shared between calls with equal powers.  It is
-    the transpose view of a C-contiguous (N, K) array, so each PD's
-    predictions are one contiguous K-vector, and localize sums the losses
-    over those vectors in PD order.
+    Each call forms a new read-only array and keeps nothing.  It is the
+    transpose view of a C-contiguous (N, K) array, so each PD's predictions
+    are one contiguous K-vector, and localize sums the losses over those
+    vectors in PD order.
     """
-    return _prediction(table, _checked_powers(table, powers))
-
-
-def _prediction(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
-    memo = table._predictions
-    key = powers.tobytes()
-    predicted = memo.pop(key, None)
-    if predicted is None:
-        signed = table._factors.predict(powers)
-        columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
-        columns.flags.writeable = False
-        predicted = columns.T
-        if len(memo) >= _PREDICTION_MEMO_SIZE:
-            del memo[next(iter(memo))]
-    memo[key] = predicted  # (re)inserted last: the memo evicts the least recently used
-    return predicted
+    signed = table._factors.predict(_checked_powers(table, powers))
+    columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
+    columns.flags.writeable = False
+    return columns.T
 
 
 def _pd_order_losses(actual: np.ndarray, columns: np.ndarray, pds) -> np.ndarray:
@@ -402,39 +380,46 @@ def _best_candidate(actual: np.ndarray, columns: np.ndarray) -> tuple[int, float
     return i, float(losses[i])
 
 
-def localize(measured: np.ndarray, baseline: np.ndarray, powers: np.ndarray,
+def localize(measured: np.ndarray, baseline: np.ndarray, predicted: np.ndarray,
              table: FingerprintTable,
              epsilon_detect: float = NOISELESS_DETECT_EPS) -> LocalizationResult:
     """Least-squares fingerprint match of measured power variations.
 
-    The user counts as detected when any PD's variation reaches
-    ``epsilon_detect``; otherwise the call returns at once, without a
-    prediction or a match.  A detected user is placed at the candidate
-    whose loss ``((actual - predicted) ** 2).sum(axis=1)`` over the
-    prediction of predict_power_deltas is least, ties broken toward the
-    lowest index; the result carries that candidate's loss.  The prediction
-    is memoized per power vector on the table, and _best_candidate finds
-    the same candidate and loss as a scan of every loss, bit for bit, while
-    reading most candidates on only a few PDs.  Non-finite readings and
-    readings or powers that do not fit the table raise ValueError.
+    ``predicted`` is predict_power_deltas(table, powers), (K, N), at the
+    powers the readings were taken under.  Given those powers (1-D) instead,
+    as the benchmark's scaling ladder does, a detected call forms it.  The
+    user counts as detected when any PD's variation reaches
+    ``epsilon_detect``; otherwise the call returns at once.  A detected user
+    is placed at the candidate whose loss ``((actual - predicted) **
+    2).sum(axis=1)`` is least, ties broken toward the lowest index, and
+    _best_candidate finds it and its loss bit for bit as a full scan would.
+    Non-finite readings, and inputs that do not fit the table, raise
+    ValueError.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
+    k, _, n = table.shape
     if measured.shape != baseline.shape:
         raise ValueError(f"measured shape {measured.shape} != baseline {baseline.shape}")
-    if measured.shape[0] != table.shape[2]:
-        raise ValueError(f"{measured.shape[0]} PD readings for a "
-                         f"{table.shape[2]}-PD fingerprint table")
+    if measured.shape[0] != n:
+        raise ValueError(f"{measured.shape[0]} PD readings for a {n}-PD fingerprint table")
     for name, values in (("measured", measured), ("baseline", baseline)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    powers = _checked_powers(table, powers)
+    predicted = np.asarray(predicted, dtype=float)
+    if predicted.ndim == 1:
+        predicted = _checked_powers(table, predicted)
+    elif predicted.shape != (k, n):
+        raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
+                         f"table of {k} candidates and {n} PDs, ({k}, {n})")
     actual = np.abs(measured - baseline)
     if actual.max() < epsilon_detect:
         return LocalizationResult(position=None, index=None, loss=None, detected=False)
-    k, loss = _best_candidate(actual, _prediction(table, powers).T)
-    pos = (float(table.candidates[k, 0]), float(table.candidates[k, 1]))
-    return LocalizationResult(position=pos, index=k, loss=loss, detected=True)
+    if predicted.ndim == 1:
+        predicted = predict_power_deltas(table, predicted)
+    best, loss = _best_candidate(actual, predicted.T)
+    pos = (float(table.candidates[best, 0]), float(table.candidates[best, 1]))
+    return LocalizationResult(position=pos, index=best, loss=loss, detected=True)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,27 @@ def test_report_missing_column_exit_one(tmp_path, capsys, file, column):
                                        f"(missing {column} column)\n")
 
 
+@pytest.mark.parametrize("file, row, extra", [
+    ("trace.csv", 2, -1),  # short: the last field missing
+    ("trace.csv", 1, 1),   # long: one field past the header
+    ("base.csv", 3, -3),
+])
+def test_report_ragged_row_exit_one(tmp_path, capsys, file, row, extra):
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    lines = (tmp_path / file).read_text().splitlines()
+    fields = lines[row].split(",")
+    fields = fields[:extra] if extra < 0 else fields + ["1.0"] * extra
+    lines[row] = ",".join(fields)
+    (tmp_path / file).write_text("\n".join(lines) + "\n")
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    header = len(lines[0].split(","))
+    assert capsys.readouterr().err == (f"error: {tmp_path / file}: row {row} has "
+                                       f"{header + extra} fields, header has {header}\n")
+
+
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
     # numpy 1.x imports numpy.ma with numpy; on 2.x only calls like
     # np.unique load it, so simulate must load none beyond numpy's own

@@ -6,6 +6,7 @@ import pytest
 from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
+from isci import sensing as sn
 from isci.geometry import Circle, Region, classify_point, classify_points
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
@@ -175,8 +176,37 @@ def test_scenario_reoptimizes_once_per_mode(scene, partition, table):
         assert len(power_sets) == 1
 
 
-def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model):
-    # a fresh table (same arrays, empty memo) so the memo's keys are this run's
+@pytest.fixture()
+def solves(monkeypatch):
+    """The modes apply_mode is called with, counted with no plan kept."""
+    monkeypatch.setattr(ct, "_last_plan", None)
+    calls = []
+    real = ct.apply_mode
+
+    def counted(mode, scene, partition):
+        calls.append(mode)
+        return real(mode, scene, partition)
+
+    monkeypatch.setattr(ct, "apply_mode", counted)
+    return calls
+
+
+@pytest.fixture()
+def predicts(monkeypatch):
+    """The power vectors the fingerprint factors are asked to predict at."""
+    calls = []
+    real = sn._SeparableDeltas.predict
+
+    def counted(self, powers):
+        calls.append(powers)
+        return real(self, powers)
+
+    monkeypatch.setattr(sn._SeparableDeltas, "predict", counted)
+    return calls
+
+
+def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model, predicts):
+    # a fresh table (same arrays) so this run gets its own plan
     fresh = FingerprintTable(table.candidates, table.baseline, table._factors)
     traj = ct.generate_trajectory(partition, seed=3)
     trace = ct.run_scenario(scene, partition, fresh, traj, noise_seed=9)
@@ -205,78 +235,80 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
             allocations[mode], _ = ct.apply_mode(mode, scene, partition)
         assert (step.mode, step.detected, step.estimate) == (mode.value, detected, estimate)
         applied = allocations[mode]
-    assert len(fresh._predictions) == 3
+    assert len(predicts) == 3  # p_min and the two mode allocations, once each
 
 
-@pytest.fixture()
-def solves(monkeypatch):
-    """The modes apply_mode is called with, counted from a cold allocation memo."""
-    ct._allocation.cache_clear()
-    calls = []
-    real = ct.apply_mode
-
-    def counted(mode, scene, partition):
-        calls.append(mode)
-        return real(mode, scene, partition)
-
-    monkeypatch.setattr(ct, "apply_mode", counted)
-    yield calls
-    ct._allocation.cache_clear()
-
-
-def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves):
+def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves, predicts):
     traj = ct.generate_trajectory(partition, seed=3)
     cold = ct.run_scenario(scene, partition, table, traj, noise_seed=9)
     assert sorted(m.value for m in solves) == ["enhanced", "uniformity"]
+    assert len(predicts) == 3
     rebuilt = scene_from_dict(scene_to_dict(scene))
     assert rebuilt is not scene and rebuilt == scene
     for room in (scene, rebuilt):
         assert ct.run_scenario(room, partition, table, traj, noise_seed=9) == cold
-    assert len(solves) == 2
+    assert (len(solves), len(predicts)) == (2, 3)
+    assert ct.room_plan(rebuilt, partition, table) is ct.room_plan(scene, partition, table)
 
 
-def test_allocation_solves_again_for_another_room(scene, partition, solves):
-    first = ct._allocation(ct.Mode.ENHANCED, scene, partition)
+def test_allocation_solves_again_for_another_room(scene, partition, table, solves):
+    first, _ = ct.room_plan(scene, partition, table).allocation(ct.Mode.ENHANCED)
     ctl = scene.controller
     brighter = replace(scene, controller=replace(ctl, e_enhanced_min_lx=ctl.e_enhanced_min_lx + 50))
     smaller = replace(partition, mic=Circle(partition.mic.center, 0.9 * partition.mic.radius))
     for room, part in ((brighter, partition), (scene, smaller)):
-        assert not np.array_equal(ct._allocation(ct.Mode.ENHANCED, room, part), first)
-    assert len(solves) == 3
-    assert ct._allocation(ct.Mode.ENHANCED, scene, partition) is first
+        powers, _ = ct.room_plan(room, part, table).allocation(ct.Mode.ENHANCED)
+        assert not np.array_equal(powers, first)
     assert len(solves) == 3
 
 
-def test_allocations_are_read_only(scene, partition, solves):
+def test_room_plan_keeps_only_the_last_room(scene, partition, table, solves):
+    plan = ct.room_plan(scene, partition, table)
+    assert ct.room_plan(scene, partition, table) is plan
+    powers, report = plan.allocation(ct.Mode.UNIFORMITY)
+    assert plan.allocation(ct.Mode.UNIFORMITY)[0] is powers  # shared, not re-solved
+    other = FingerprintTable(table.candidates, table.baseline, table._factors)
+    assert ct.room_plan(scene, partition, other) is not plan  # an equal table is not the same
+    again = ct.room_plan(scene, partition, table)
+    assert again is not plan
+    np.testing.assert_array_equal(again.allocation(ct.Mode.UNIFORMITY)[0], powers)
+    assert solves == [ct.Mode.UNIFORMITY] * 2
+
+
+def test_allocations_are_read_only(scene, partition, table, solves):
+    plan = ct.RoomPlan(scene, partition, table)
     for mode in ct.Mode:
-        powers = ct._allocation(mode, scene, partition)
-        assert not powers.flags.writeable
-        with pytest.raises(ValueError):
-            powers[0] = 0.0
+        for kept in (plan.allocation(mode)[0], plan.prediction(mode)):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+        assert plan.prediction(mode) is plan.prediction(mode)
+        assert np.array_equal(plan.prediction(mode),
+                              sn.predict_power_deltas(table, plan.allocation(mode)[0]))
     # apply_mode still hands each caller its own writable array
     powers, _ = ct.apply_mode(ct.Mode.NO_USER, scene, partition)
     assert powers.flags.writeable
+    assert ct.apply_mode(ct.Mode.NO_USER, scene, partition)[0] is not powers
 
 
-def test_allocation_memo_evicts_least_recent(scene, partition, solves):
-    size = ct._allocation.cache_info().maxsize
-    rooms = [replace(scene, controller=replace(scene.controller, noise_rel_sigma=0.001 * (i + 1)))
-             for i in range(size + 1)]
-    for room in rooms:
-        ct._allocation(ct.Mode.NO_USER, room, partition)
-    assert len(solves) == size + 1
-    ct._allocation(ct.Mode.NO_USER, rooms[-1], partition)
-    assert len(solves) == size + 1
-    ct._allocation(ct.Mode.NO_USER, rooms[0], partition)
-    assert len(solves) == size + 2
+def test_room_plan_keeps_solve_reports(scene, partition, table, solves):
+    plan = ct.RoomPlan(scene, partition, table)
+    assert plan.allocation(ct.Mode.NO_USER)[1] is None
+    for mode in (ct.Mode.UNIFORMITY, ct.Mode.ENHANCED):
+        powers, report = plan.allocation(mode)
+        assert report.status is op.SolveStatus.OPTIMAL
+        np.testing.assert_array_equal(powers, np.clip(report.x, *scene.power_bounds()))
+        assert plan.allocation(mode)[1] is report
+    assert len(solves) == 2
 
 
-def test_allocation_warns_only_when_it_solves(scene, partition, caplog, solves):
+def test_allocation_warns_only_when_it_solves(scene, partition, table, caplog, solves):
     bad = replace(scene, controller=replace(scene.controller, snr_threshold=1e12))
     with caplog.at_level("WARNING"):
         for _ in range(2):
-            powers = ct._allocation(ct.Mode.ENHANCED, bad, partition)
+            powers, report = ct.room_plan(bad, partition, table).allocation(ct.Mode.ENHANCED)
     np.testing.assert_array_equal(powers, scene.power_bounds()[1])
+    assert report.status is not op.SolveStatus.OPTIMAL
     assert len(solves) == 1
     assert sum("falling back" in r.message for r in caplog.records) == 1
 

@@ -358,16 +358,26 @@ def test_localize_below_threshold_not_detected(scene, table):
     assert loc.index is None and loc.loss is None
 
 
-def test_localize_undetected_forms_no_prediction(scene, sensing_model, table):
-    fresh = sn.FingerprintTable(table.candidates, table.baseline, table._factors)
+def test_localize_undetected_forms_no_prediction(scene, sensing_model, table, monkeypatch):
+    formed = []
+    real = sn.predict_power_deltas
+
+    def spy(t, powers):
+        formed.append(powers)
+        return real(t, powers)
+
+    monkeypatch.setattr(sn, "predict_power_deltas", spy)
     p = scene.power_vector()
     base = sensing_model.received_power(p)
     measured = sensing_model.received_power(p, (2.5, 2.5))
     eps = 2.0 * float(np.abs(measured - base).max())
-    assert not sn.localize(measured, base, p, fresh, epsilon_detect=eps).detected
-    assert fresh._predictions == {}
-    assert sn.localize(measured, base, p, fresh).detected
-    assert len(fresh._predictions) == 1
+    assert not sn.localize(measured, base, p, table, epsilon_detect=eps).detected
+    assert formed == []
+    assert sn.localize(measured, base, p, table).detected  # powers: formed on the call
+    assert len(formed) == 1
+    loc = sn.localize(measured, base, real(table, p), table)
+    assert len(formed) == 1  # a given prediction is used as it is
+    assert loc == sn.localize(measured, base, p, table)
 
 
 @pytest.mark.parametrize("name", ["measured", "baseline"])
@@ -432,14 +442,21 @@ def test_localize_dimension_mismatch(table, scene):
 def test_localize_rejects_bad_power_vector(scene, table):
     base = np.ones(scene.num_sensing_pds)
     p = scene.power_vector()
-    fresh = sn.FingerprintTable(table.candidates, table.baseline, table._factors)
     with pytest.raises(ValueError, match="7 powers but the fingerprint table has 8 LEDs"):
-        sn.predict_power_deltas(fresh, p[:7])
+        sn.predict_power_deltas(table, p[:7])
     with pytest.raises(ValueError, match="1-D"):
-        sn.predict_power_deltas(fresh, np.stack([p, p]))
+        sn.predict_power_deltas(table, np.stack([p, p]))
     with pytest.raises(ValueError, match="9 powers but"):
-        sn.localize(base, base, np.append(p, 1.0), fresh)
-    assert fresh._predictions == {}
+        sn.localize(base, base, np.append(p, 1.0), table)
+
+
+def test_localize_rejects_prediction_that_does_not_fit(scene, table):
+    base = np.ones(scene.num_sensing_pds)
+    predicted = sn.predict_power_deltas(table, scene.power_vector())
+    k, _, n = table.shape
+    for bad in (predicted.T, predicted[:-1], predicted[:, :-1], predicted[None]):
+        with pytest.raises(ValueError, match=rf"does not fit .* \({k}, {n}\)$"):
+            sn.localize(base, base, bad, table)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +598,7 @@ def test_pruned_match_equals_full_scan_on_random_tables(monkeypatch, n):
 
 
 # ---------------------------------------------------------------------------
-# prediction memo
+# predictions
 # ---------------------------------------------------------------------------
 
 def _small_table(rng, nx=8, ny=5, m=3, n=4):
@@ -592,43 +609,19 @@ def _small_table(rng, nx=8, ny=5, m=3, n=4):
                            ((0, 0), (1, 0), (0, -1), (-1, 1)), (nx, ny))
 
 
-def test_predict_memo_hits_on_equal_powers(rng):
+def test_predict_power_deltas_is_pure(rng):
     t = _small_table(rng)
+    state = dict(vars(t))
     p = np.array([1.0, 2.5, 0.75])
     first = sn.predict_power_deltas(t, p)
-    assert sn.predict_power_deltas(t, p) is first
-    assert sn.predict_power_deltas(t, p.copy()) is first
-    assert sn.predict_power_deltas(t, [1.0, 2.5, 0.75]) is first
-    assert np.array_equal(first, np.abs(t._factors.predict(p)))  # unmemoized
-
-
-def test_predict_memo_never_stale_and_bounded(rng):
-    t = _small_table(rng)
-    vectors = [rng.uniform(0.1, 3.0, 3) for _ in range(3 * sn._PREDICTION_MEMO_SIZE)]
-    # revisit vectors in an order that both hits and evicts
-    for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
-        p = vectors[i]
-        got = sn.predict_power_deltas(t, p)
-        assert np.array_equal(got, np.abs(t._factors.predict(p)))
-        assert 1 <= len(t._predictions) <= sn._PREDICTION_MEMO_SIZE
-    # a vector one ulp away is a different key
-    p = vectors[2]
-    nudged = p.copy()
-    nudged[0] = np.nextafter(nudged[0], np.inf)
-    assert sn.predict_power_deltas(t, nudged) is not sn.predict_power_deltas(t, p)
-
-
-def test_predict_memo_evicts_least_recently_used(rng):
-    t = _small_table(rng)
-    size = sn._PREDICTION_MEMO_SIZE
-    vectors = [np.full(3, 1.0 + i) for i in range(size + 1)]
-    kept = sn.predict_power_deltas(t, vectors[0])
-    for p in vectors[1:size]:
-        sn.predict_power_deltas(t, p)
-    assert sn.predict_power_deltas(t, vectors[0]) is kept  # now most recent
-    sn.predict_power_deltas(t, vectors[size])              # evicts vectors[1]
-    assert sn.predict_power_deltas(t, vectors[0]) is kept
-    assert vectors[1].tobytes() not in t._predictions
+    for again in (p, p.copy(), [1.0, 2.5, 0.75]):
+        got = sn.predict_power_deltas(t, again)
+        assert got is not first and got.base is not first.base
+        assert np.array_equal(got, first)
+    assert np.array_equal(first, np.abs(t._factors.predict(p)))
+    for q in [rng.uniform(0.1, 3.0, 3) for _ in range(6)] + [p]:
+        assert np.array_equal(sn.predict_power_deltas(t, q), np.abs(t._factors.predict(q)))
+    assert vars(t) == state  # the table keeps nothing
 
 
 def test_predictions_and_table_read_only(rng, table):
