@@ -609,7 +609,8 @@ def _small_table(rng, nx=8, ny=5, m=3, n=4):
                            ((0, 0), (1, 0), (0, -1), (-1, 1)), (nx, ny))
 
 
-def test_predict_power_deltas_is_pure(rng):
+def test_predict_memo_hits_on_equal_powers(rng):
+    # equal powers give equal predictions, each formed anew: the table keeps nothing
     t = _small_table(rng)
     state = dict(vars(t))
     p = np.array([1.0, 2.5, 0.75])
@@ -619,9 +620,22 @@ def test_predict_power_deltas_is_pure(rng):
         assert got is not first and got.base is not first.base
         assert np.array_equal(got, first)
     assert np.array_equal(first, np.abs(t._factors.predict(p)))
-    for q in [rng.uniform(0.1, 3.0, 3) for _ in range(6)] + [p]:
-        assert np.array_equal(sn.predict_power_deltas(t, q), np.abs(t._factors.predict(q)))
-    assert vars(t) == state  # the table keeps nothing
+    assert vars(t) == state
+
+
+def test_predict_memo_never_stale_and_bounded(rng):
+    t = _small_table(rng)
+    state = dict(vars(t))
+    vectors = [rng.uniform(0.1, 3.0, 3) for _ in range(24)]
+    # revisit vectors out of order: each prediction is the factor prediction of its own powers
+    for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
+        p = vectors[i]
+        assert np.array_equal(sn.predict_power_deltas(t, p), np.abs(t._factors.predict(p)))
+        assert vars(t) == state  # nothing is kept, so nothing grows
+    # a vector one ulp away is predicted from its own powers
+    nudged = vectors[2].copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    assert np.array_equal(sn.predict_power_deltas(t, nudged), np.abs(t._factors.predict(nudged)))
 
 
 def test_predictions_and_table_read_only(rng, table):
