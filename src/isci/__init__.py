@@ -16,9 +16,9 @@ from .photometry import (FieldGrid, SimplificationError, field,  # noqa: F401
 from .sensing import (FingerprintTable, LocalizationResult, SensingModel,  # noqa: F401
                       build_fingerprint_table, load_fingerprint, localize,
                       occluded_set, save_fingerprint)
-from .optimize import (EnhancedLp, SolveReport, SolveStatus, UniformityQp,  # noqa: F401
-                       build_enhanced_lp, build_uniformity_qp, kkt_residual,
-                       solve, solve_refined)
+from .optimize import (EnhancedLp, SampledProgram, SolveReport,  # noqa: F401
+                       SolveStatus, UniformityQp, build_enhanced_lp,
+                       build_uniformity_qp, kkt_residual, solve, solve_refined)
 from .controller import (BenchmarkThresholds, Mode, ScenarioTrace,  # noqa: F401
                          apply_mode, baseline_scenario, benchmark,
                          energy_report, generate_trajectory, run_scenario,

@@ -208,8 +208,12 @@ def generate_trajectory(partition: RegionPartition, seed: int, dt: float = 0.5,
 
     Returns (time, position) pairs; position None means no user present.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(speed) and speed > 0):
+        raise ValueError(f"speed must be finite and positive, got {speed}")
+    if not (math.isfinite(dwell_time) and dwell_time >= 0):
+        raise ValueError(f"dwell_time must be finite and nonnegative, got {dwell_time}")
     rng = np.random.default_rng(seed)
 
     def ring_waypoints(start, count):

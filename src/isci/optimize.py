@@ -1,25 +1,22 @@
 """Convex program construction and solving for the two control modes.
 
-Uniformity mode minimizes the spatial variance of the simplified SNR over
-the receiving plane (a convex QP); enhanced mode minimizes total LED power
-subject to SNR and illuminance floors over the activity area (an LP).  Both
-are handled by one small dense primal-dual interior-point solver
-(Mehrotra-style predictor-corrector; a zero quadratic term degenerates to
-the LP case), preceded by a phase-1 feasibility solve so infeasible
-instances are detected cleanly rather than by divergence.  The KKT
-certificate fits its multipliers with a small numpy Lawson-Hanson
-nonnegative least-squares solve (``_nnls``), so the module needs only numpy.
+Both modes solve one program type, SampledProgram: minimize p'Qp + c'p
+subject to floors and caps sampled at plane points plus the LED power boxes.
+Uniformity mode minimizes the spatial variance of the simplified SNR over the
+receiving plane (a QP); enhanced mode minimizes total LED power under SNR
+floors over the activity area (an LP, Q = None).  One small dense primal-dual
+interior-point solver (Mehrotra-style predictor-corrector) handles both,
+after a phase-1 feasibility solve that detects infeasible instances cleanly
+rather than by divergence.  The KKT certificate fits its multipliers with a
+numpy Lawson-Hanson nonnegative least-squares solve (``_nnls``), so the
+module needs only numpy.
 
-Constraint rows are sampled on a coarse grid for tractability; callers can
-re-check on a finer grid and append violated sample points as extra rows
-(see solve_refined), which converges in a few rounds because the underlying
-fields are smooth.
-
-Each mode program lists its sampled constraint families (label, coefficient
-field, bound field, is_floor) in its ``families`` tuple, the one place where
-row order is defined; the power boxes follow them.  A floor row is stored as
--a.p <= -b.  All families are sampled at the same points and so have equal
-length, which lets solve_refined map a violated row back to its point as
+Rows are sampled on a coarse grid for tractability; solve_refined re-checks
+a finer grid and appends violated points as extra rows, which converges in a
+few rounds because the fields are smooth.  Rows run SNR floors (when the
+program has them), illuminance floors, illuminance caps, then the power
+boxes; a floor is stored as -a.p <= -b.  Every sampled family has one row
+per point, so solve_refined maps a violated row to its point as
 ``row % len(points)``.
 """
 
@@ -38,6 +35,7 @@ from .scene import Scene
 __all__ = [
     "SolveStatus",
     "SolveReport",
+    "SampledProgram",
     "UniformityQp",
     "EnhancedLp",
     "build_uniformity_qp",
@@ -219,7 +217,10 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
                     1e-300)
     quad_scaled = None if quad_arr is None else quad_arr / obj_scale
     x, _, iters2, status = _predictor_corrector(quad_scaled, c / obj_scale, g_s, h_s, x1)
-    objective = float(c @ x) + (0.5 * float(x @ quad_arr @ x) if quad_arr is not None else 0.0)
+    # np.sum(c * x), not c @ x: a dot product's summation order can move the
+    # LP's total power by an ulp against np.sum(x)
+    objective = (float(np.sum(c * x))
+                 + (0.5 * float(x @ quad_arr @ x) if quad_arr is not None else 0.0))
     viol = g_s @ x - h_s
     resid = kkt_residual((quad_arr, c, g_raw, h_raw), x)
     max_violation = float(max(viol.max(), 0.0))
@@ -297,7 +298,7 @@ def kkt_residual(problem, x: np.ndarray) -> float:
     if isinstance(problem, tuple):
         quad, c, g_mat, h_vec = problem
     else:
-        quad, c = problem.quadratic_term(), problem.linear_term()
+        quad, c = problem.quadratic_term(), problem.linear
         g_mat, h_vec, _ = problem.constraint_system()
     x = np.asarray(x, dtype=float)
     grad = np.asarray(c, dtype=float) + (quad @ x if quad is not None else 0.0)
@@ -336,46 +337,59 @@ def _illum_rows(scene: Scene, points: np.ndarray) -> np.ndarray:
     return illuminance_coefficients(scene.leds, points, scene.room.plane_z)
 
 
-# coefficient field of a program -> its per-watt rows at plane points
-_COEFFICIENTS = {"snr_coeffs": _snr_rows, "illum_coeffs": _illum_rows}
+@dataclass(frozen=True)
+class SampledProgram:
+    """Minimize p'Qp + c'p subject to floors and caps sampled at ``points``
+    plus the power boxes (Q = None for an LP).
 
-
-class _SampledProgram:
-    """Constraint stacking shared by the mode programs.
-
-    A subclass names its sampled constraint families in ``families``, the
-    point array that grows with appended constraint points in
-    ``points_field``, and the region its fine-grid check covers in
-    ``activity_only``.
+    Row i of each coefficient array holds the per-watt value at points[i].
+    The SNR floor rows exist only when ``snr_coeffs`` is given, and only then
+    is ``snr_threshold`` read.  ``activity_only`` names the region of the
+    fine-grid check: the activity area, or all of the receiving plane.
     """
 
-    def _coefficients_at(self, scene: Scene, points: np.ndarray) -> dict:
-        fields = dict.fromkeys(field for _, field, _, _ in self.families)
-        return {field: _COEFFICIENTS[field](scene, points) for field in fields}
+    q_matrix: Optional[np.ndarray]    # Q, (M, M)
+    linear: np.ndarray                # c, (M,)
+    points: np.ndarray                # (L, 2) constraint sample points
+    snr_coeffs: Optional[np.ndarray]  # (L, M)
+    illum_coeffs: np.ndarray          # (L, M)
+    snr_threshold: float
+    e_min: float
+    e_max: float
+    p_min: np.ndarray
+    p_max: np.ndarray
+    activity_only: bool
 
-    def _sampled_rows(self, coeffs: dict):
-        n = len(coeffs[self.families[0][1]])
-        g_mat = np.vstack([-coeffs[field] if floor else coeffs[field]
-                           for _, field, _, floor in self.families])
-        h_vec = np.concatenate([np.full(n, -getattr(self, bound) if floor else getattr(self, bound))
-                                for _, _, bound, floor in self.families])
-        return g_mat, h_vec
+    def _sampled_blocks(self, snr: Optional[np.ndarray], illum: np.ndarray):
+        """(label, G rows, h) of each sampled family, in row order; a floor
+        a.p >= b is stored as -a.p <= -b."""
+        n = len(illum)
+        blocks = [("illuminance_min", -illum, np.full(n, -self.e_min)),
+                  ("illuminance_max", illum, np.full(n, self.e_max))]
+        if snr is not None:
+            blocks.insert(0, ("snr_min", -snr, np.full(n, -self.snr_threshold)))
+        return blocks
 
     def constraint_system(self):
-        g_rows, h_rows = self._sampled_rows(vars(self))
-        n = len(h_rows) // len(self.families)
-        m = len(self.p_min)
+        blocks = self._sampled_blocks(self.snr_coeffs, self.illum_coeffs)
+        n, m = len(self.points), len(self.p_min)
         eye = np.eye(m)
-        g_mat = np.vstack([g_rows, -eye, eye])
-        h_vec = np.concatenate([h_rows, -self.p_min, self.p_max])
-        labels = ([f"{label}[{i}]" for label, _, _, _ in self.families for i in range(n)]
+        g_mat = np.vstack([g for _, g, _ in blocks] + [-eye, eye])
+        h_vec = np.concatenate([h for _, _, h in blocks] + [-self.p_min, self.p_max])
+        labels = ([f"{label}[{i}]" for label, _, _ in blocks for i in range(n)]
                   + [f"power_min[{i}]" for i in range(m)]
                   + [f"power_max[{i}]" for i in range(m)])
         return g_mat, h_vec, labels
 
+    def quadratic_term(self) -> Optional[np.ndarray]:
+        """Hessian 2Q of the objective, or None for an LP."""
+        return None if self.q_matrix is None else 2.0 * self.q_matrix
+
     def rows_at(self, scene: Scene, partition: RegionPartition, points: np.ndarray):
         """Sampled constraint rows evaluated at arbitrary plane points."""
-        return self._sampled_rows(self._coefficients_at(scene, points))
+        snr = None if self.snr_coeffs is None else _snr_rows(scene, points)
+        blocks = self._sampled_blocks(snr, _illum_rows(scene, points))
+        return np.vstack([g for _, g, _ in blocks]), np.concatenate([h for _, _, h in blocks])
 
     def check_points(self, scene: Scene, partition: RegionPartition,
                      pitch: float) -> np.ndarray:
@@ -383,78 +397,26 @@ class _SampledProgram:
 
     def with_extra_points(self, scene: Scene, partition: RegionPartition,
                           points: np.ndarray):
-        grown = {field: np.vstack([getattr(self, field), coeffs])
-                 for field, coeffs in self._coefficients_at(scene, points).items()}
-        grown[self.points_field] = np.vstack([getattr(self, self.points_field), points])
-        return replace(self, **grown)
+        snr = (None if self.snr_coeffs is None
+               else np.vstack([self.snr_coeffs, _snr_rows(scene, points)]))
+        return replace(self, points=np.vstack([self.points, points]), snr_coeffs=snr,
+                       illum_coeffs=np.vstack([self.illum_coeffs, _illum_rows(scene, points)]))
 
 
-@dataclass(frozen=True)
-class UniformityQp(_SampledProgram):
-    """SNR-variance QP: minimize p'Qp subject to illuminance and power boxes.
+# Mode tags only: bench/worker.py names solves by class and wraps rows_at per class.
+class UniformityQp(SampledProgram):
+    """SNR-variance QP: Q = (1/L) A' M A with A the per-watt SNR coefficients
+    at the receiving-plane samples and M the centering matrix I - (1/L) 11';
+    illuminance floors and caps over the plane, no SNR floors."""
 
-    Q = (1/L) A' M A with A the per-watt SNR coefficients at the receiving
-    plane samples and M the centering matrix I - (1/L) 11'.
-    """
-
-    families = (("illuminance_min", "illum_coeffs", "e_min", True),
-                ("illuminance_max", "illum_coeffs", "e_max", False))
-    points_field = "constraint_points"
-    activity_only = False
-
-    samples: np.ndarray            # (L, 2) objective sample points
-    snr_coeffs: np.ndarray         # A, (L, M)
-    q_matrix: np.ndarray           # (M, M)
-    constraint_points: np.ndarray  # (Lc, 2) illuminance constraint samples
-    illum_coeffs: np.ndarray       # (Lc, M)
-    e_min: float
-    e_max: float
-    p_min: np.ndarray
-    p_max: np.ndarray
-
-    # bound in the class body (not only inherited) so it can be wrapped per class
-    rows_at = _SampledProgram.rows_at
-
-    def quadratic_term(self) -> np.ndarray:
-        return 2.0 * self.q_matrix
-
-    def linear_term(self) -> np.ndarray:
-        return np.zeros(len(self.p_min))
-
-    def objective(self, p: np.ndarray) -> float:
-        return float(p @ self.q_matrix @ p)
+    rows_at = SampledProgram.rows_at
 
 
-@dataclass(frozen=True)
-class EnhancedLp(_SampledProgram):
-    """Total-power LP: minimize 1'p subject to SNR and illuminance floors on
-    the activity area plus power boxes."""
+class EnhancedLp(SampledProgram):
+    """Total-power LP: c = 1, SNR and illuminance floors plus illuminance
+    caps over the activity area."""
 
-    families = (("snr_min", "snr_coeffs", "snr_threshold", True),
-                ("illuminance_min", "illum_coeffs", "e_min", True),
-                ("illuminance_max", "illum_coeffs", "e_max", False))
-    points_field = "samples"
-    activity_only = True
-
-    samples: np.ndarray           # (L, 2) activity-area sample points
-    snr_coeffs: np.ndarray        # (L, M)
-    illum_coeffs: np.ndarray      # (L, M)
-    snr_threshold: float
-    e_min: float
-    e_max: float
-    p_min: np.ndarray
-    p_max: np.ndarray
-
-    rows_at = _SampledProgram.rows_at
-
-    def quadratic_term(self):
-        return None
-
-    def linear_term(self) -> np.ndarray:
-        return np.ones(len(self.p_min))
-
-    def objective(self, p: np.ndarray) -> float:
-        return float(np.sum(p))
+    rows_at = SampledProgram.rows_at
 
 
 def build_uniformity_qp(scene: Scene, partition: RegionPartition) -> UniformityQp:
@@ -467,10 +429,11 @@ def build_uniformity_qp(scene: Scene, partition: RegionPartition) -> UniformityQ
     q_matrix = centered.T @ centered / len(pts)
     p_min, p_max = scene.power_bounds()
     ctl = scene.controller
-    return UniformityQp(samples=pts, snr_coeffs=a_mat, q_matrix=q_matrix,
-                        constraint_points=pts, illum_coeffs=_illum_rows(scene, pts),
-                        e_min=ctl.e_uniform_min_lx, e_max=ctl.e_uniform_max_lx,
-                        p_min=p_min, p_max=p_max)
+    return UniformityQp(q_matrix=q_matrix, linear=np.zeros(len(p_min)), points=pts,
+                        snr_coeffs=None, illum_coeffs=_illum_rows(scene, pts),
+                        snr_threshold=0.0, e_min=ctl.e_uniform_min_lx,
+                        e_max=ctl.e_uniform_max_lx, p_min=p_min, p_max=p_max,
+                        activity_only=False)
 
 
 def default_snr_threshold(scene: Scene, partition: RegionPartition) -> float:
@@ -498,21 +461,17 @@ def build_enhanced_lp(scene: Scene, partition: RegionPartition) -> EnhancedLp:
         # Tiny activity areas can fall between grid points; sample the center.
         pts = np.array([[partition.mic.center.x, partition.mic.center.y]])
     p_min, p_max = scene.power_bounds()
-    return EnhancedLp(samples=pts, snr_coeffs=_snr_rows(scene, pts),
-                      illum_coeffs=_illum_rows(scene, pts),
+    return EnhancedLp(q_matrix=None, linear=np.ones(len(p_min)), points=pts,
+                      snr_coeffs=_snr_rows(scene, pts), illum_coeffs=_illum_rows(scene, pts),
                       snr_threshold=float(snr_threshold), e_min=float(e_min),
-                      e_max=float(e_max), p_min=p_min, p_max=p_max)
+                      e_max=float(e_max), p_min=p_min, p_max=p_max, activity_only=True)
 
 
-def solve(problem) -> SolveReport:
-    """Solve a mode program.  The objective is reported in the program's own
-    terms: p'Qp for the uniformity QP, total power for the enhanced LP."""
+def solve(problem: SampledProgram) -> SolveReport:
+    """Solve a mode program; the objective is its own p'Qp + c'p."""
     g_mat, h_vec, labels = problem.constraint_system()
-    report = solve_inequality_program(problem.quadratic_term(), problem.linear_term(),
-                                      g_mat, h_vec, labels=labels)
-    if report.status is SolveStatus.OPTIMAL:
-        report = replace(report, objective=problem.objective(report.x))
-    return report
+    return solve_inequality_program(problem.quadratic_term(), problem.linear,
+                                    g_mat, h_vec, labels=labels)
 
 
 def solve_refined(problem, scene: Scene, partition: RegionPartition):
@@ -533,8 +492,8 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
             return problem, report
         bad_rows = np.argsort(viol)[::-1][:_REFINE_NEW_POINTS]
         bad_rows = bad_rows[viol[bad_rows] > _REFINE_VIOL_TOL]
-        # rows_at stacks equal-length families, so row index mod point count
-        # recovers the sample point a violated row belongs to
+        # rows_at gives each sampled family one row per point, so row index
+        # mod point count recovers the sample point a violated row belongs to
         bad_points = unique_rows(check_pts[bad_rows % len(check_pts)])
         problem = problem.with_extra_points(scene, partition, bad_points)
         report = solve(problem)

@@ -95,7 +95,9 @@ def test_criterion_2_qp_variance_identity(scene, partition):
     qp = op.build_uniformity_qp(scene, partition)
     rng = np.random.default_rng(2)
     powers = rng.uniform(qp.p_min, qp.p_max, size=(1000, len(qp.p_min)))
-    snr = powers @ qp.snr_coeffs.T
+    a_mat = ph.snr_coefficients(scene.leds, qp.points, scene.room.plane_z,
+                                scene.comm_pd, scene.noise)
+    snr = powers @ a_mat.T
     direct = np.mean((snr - snr.mean(axis=1, keepdims=True)) ** 2, axis=1)
     quad = np.einsum("ij,jk,ik->i", powers, qp.q_matrix, powers)
     rel = float(np.max(np.abs(quad - direct) / direct))

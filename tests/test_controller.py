@@ -123,6 +123,24 @@ def test_trajectory_rejects_bad_dt(partition):
         ct.generate_trajectory(partition, seed=1, dt=0.0)
 
 
+# Unchecked, a zero, negative or NaN speed never advances the walk, so the
+# trajectory grows without end, and a NaN or infinite dwell time fails in the
+# int conversion; each must be a ValueError naming the argument.
+@pytest.mark.parametrize("name,value", [
+    ("dt", -0.5), ("dt", float("nan")), ("dt", float("inf")),
+    ("speed", 0.0), ("speed", -1.0), ("speed", float("nan")), ("speed", float("inf")),
+    ("dwell_time", -1.0), ("dwell_time", float("nan")), ("dwell_time", float("inf")),
+])
+def test_trajectory_rejects_bad_motion_arguments(partition, name, value):
+    with pytest.raises(ValueError, match=name):
+        ct.generate_trajectory(partition, seed=1, **{name: value})
+
+
+def test_trajectory_accepts_zero_dwell(partition):
+    traj = ct.generate_trajectory(partition, seed=1, dwell_time=0.0)
+    assert traj[0][1] is None and traj[-1][1] is None
+
+
 # ---------------------------------------------------------------------------
 # scenario replay
 # ---------------------------------------------------------------------------

@@ -7,31 +7,38 @@ import pytest
 
 from isci import optimize as op
 from isci.geometry import Region, build_partition, classify_points
-from isci.photometry import plane_grid
+from isci.photometry import plane_grid, snr_coefficients
 from isci.scene import default_scene
 from tests.oracles import highs_lp
 
 
 def _toy_qp():
-    """Two-variable uniformity QP with hand-picked coefficient rows."""
+    """Two-variable uniformity QP whose Q comes from three hand-picked SNR
+    rows, held to illuminance rows at two constraint points."""
     a_mat = np.array([[2.0, 0.5], [1.0, 1.2], [0.6, 1.8]])
     centered = a_mat - a_mat.mean(axis=0, keepdims=True)
     q = centered.T @ centered / len(a_mat)
-    samples = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
     illum = np.array([[4.0, 5.0], [5.5, 3.5]])
-    return op.UniformityQp(samples=samples, snr_coeffs=a_mat, q_matrix=q,
-                           constraint_points=samples[:2], illum_coeffs=illum,
-                           e_min=350.0, e_max=900.0,
-                           p_min=np.array([10.0, 10.0]), p_max=np.array([80.0, 80.0]))
+    return op.UniformityQp(q_matrix=q, linear=np.zeros(2), points=points,
+                           snr_coeffs=None, illum_coeffs=illum, snr_threshold=0.0,
+                           e_min=350.0, e_max=900.0, p_min=np.array([10.0, 10.0]),
+                           p_max=np.array([80.0, 80.0]), activity_only=False)
 
 
 def _toy_lp(threshold=120.0):
-    samples = np.array([[0.0, 0.0], [1.0, 0.0]])
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
     snr = np.array([[3.0, 1.0], [1.0, 2.5]])
     illum = np.array([[4.0, 5.0], [5.5, 3.5]])
-    return op.EnhancedLp(samples=samples, snr_coeffs=snr, illum_coeffs=illum,
-                         snr_threshold=threshold, e_min=350.0, e_max=900.0,
-                         p_min=np.array([10.0, 10.0]), p_max=np.array([80.0, 80.0]))
+    return op.EnhancedLp(q_matrix=None, linear=np.ones(2), points=points,
+                         snr_coeffs=snr, illum_coeffs=illum, snr_threshold=threshold,
+                         e_min=350.0, e_max=900.0, p_min=np.array([10.0, 10.0]),
+                         p_max=np.array([80.0, 80.0]), activity_only=True)
+
+
+def _snr_at(scene, points):
+    """Per-watt SNR rows A at plane points, as the uniformity Q is built from."""
+    return snr_coefficients(scene.leds, points, scene.room.plane_z, scene.comm_pd, scene.noise)
 
 
 def _feasible_mask(problem, pts):
@@ -71,19 +78,21 @@ def _qp_refined_minimum(qp):
 
 def test_qp_identity_against_direct_variance(scene, partition, rng):
     qp = op.build_uniformity_qp(scene, partition)
+    a_mat = _snr_at(scene, qp.points)
     lo, hi = qp.p_min, qp.p_max
     for _ in range(100):
         p = rng.uniform(lo, hi)
-        snr = qp.snr_coeffs @ p
+        snr = a_mat @ p
         var = float(np.mean((snr - snr.mean()) ** 2))
         assert abs(float(p @ qp.q_matrix @ p) - var) <= 1e-9 * var
 
 
 def test_qp_matrix_matches_centering_definition(scene, partition):
     qp = op.build_uniformity_qp(scene, partition)
-    n = len(qp.samples)
+    a_mat = _snr_at(scene, qp.points)
+    n = len(qp.points)
     m_c = np.eye(n) - np.ones((n, n)) / n
-    explicit = qp.snr_coeffs.T @ m_c @ qp.snr_coeffs / len(qp.samples)
+    explicit = a_mat.T @ m_c @ a_mat / n
     np.testing.assert_allclose(qp.q_matrix, explicit, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(qp.q_matrix, qp.q_matrix.T, atol=1e-12)
 
@@ -112,8 +121,9 @@ def test_qp_samples_are_mec_grid(scene, partition):
     qp = op.build_uniformity_qp(_with_controller(scene, opt_pitch_m=0.25), partition)
     pts = plane_grid(scene.room, 0.25)
     keep = classify_points(pts, partition) != Region.OUTSIDE.value
-    np.testing.assert_allclose(qp.samples, pts[keep])
-    assert np.all(qp.snr_coeffs > 0)
+    np.testing.assert_allclose(qp.points, pts[keep])
+    assert qp.snr_coeffs is None and not qp.activity_only
+    assert np.all(_snr_at(scene, qp.points) > 0)
 
 
 def test_quadratic_scaling_law(scene, partition, rng):
@@ -156,24 +166,28 @@ def test_toy_qp_certificates():
 
 
 def test_degenerate_single_sample_qp():
+    # one sample has zero variance, so Q = 0, and one constraint point is left
     qp = _toy_qp()
-    from dataclasses import replace as dreplace
-    single = dreplace(qp, samples=qp.samples[:1], snr_coeffs=qp.snr_coeffs[:1],
-                      q_matrix=np.zeros((2, 2)))
+    single = replace(qp, points=qp.points[:1], illum_coeffs=qp.illum_coeffs[:1],
+                     q_matrix=np.zeros((2, 2)))
+    assert single.constraint_system()[2][:2] == ["illuminance_min[0]", "illuminance_max[0]"]
+    assert len(single.constraint_system()[1]) == 2 + 2 * 2
     report = op.solve(single)
     assert report.status is op.SolveStatus.OPTIMAL
     assert abs(report.objective) <= 1e-9
     assert report.max_violation <= 1e-6
 
 
-def test_qp_row_permutation_invariance(rng):
-    qp = _toy_qp()
-    base = op.solve(qp).objective
-    from dataclasses import replace as dreplace
-    perm = rng.permutation(len(qp.samples))
-    shuffled = dreplace(qp, samples=qp.samples[perm], snr_coeffs=qp.snr_coeffs[perm])
-    again = op.solve(shuffled).objective
-    assert abs(base - again) <= 1e-8 * max(1.0, base)
+def test_qp_row_permutation_invariance(scene, partition, rng):
+    # reordering the constraint points, each with its own rows, leaves the optimum
+    default_qp = op.build_uniformity_qp(scene, partition)
+    for qp, perm in ((_toy_qp(), np.array([1, 0])),
+                     (default_qp, rng.permutation(len(default_qp.points)))):
+        assert np.any(perm != np.arange(len(perm)))
+        base = op.solve(qp).objective
+        shuffled = replace(qp, points=qp.points[perm], illum_coeffs=qp.illum_coeffs[perm])
+        again = op.solve(shuffled).objective
+        assert abs(base - again) <= 1e-8 * max(1.0, base)
 
 
 def test_default_scene_qp_solves(scene, partition):
@@ -266,7 +280,7 @@ def test_refined_enhanced_lp_matches_highs(layout):
     partition = build_partition(scene)
     problem, report = op.solve_refined(op.build_enhanced_lp(scene, partition), scene, partition)
     g_mat, h_vec, _ = problem.constraint_system()
-    oracle = highs_lp(problem.linear_term(), g_mat, h_vec)
+    oracle = highs_lp(problem.linear, g_mat, h_vec)
     assert report.status.value == {0: "optimal", 2: "infeasible"}[oracle.status]
     if oracle.status == 0:
         assert abs(report.objective - oracle.fun) <= 1e-6 * abs(oracle.fun)
@@ -317,6 +331,19 @@ def test_solver_reports_pass_certificates(scene, partition):
         assert report.kkt_residual <= 1e-6
 
 
+@pytest.mark.parametrize("layout", [None, 0, 1])
+def test_reported_objective_is_the_programs_own(layout):
+    # bit for bit: total power for the LP, p'Qp for the QP.  On layouts 0 and
+    # 1 a dot product 1 @ x differs from np.sum(x) in the last bit.
+    scene = default_scene() if layout is None else default_scene(layout)
+    partition = build_partition(scene)
+    lp_report = op.solve(op.build_enhanced_lp(scene, partition))
+    assert lp_report.objective == float(np.sum(lp_report.x))
+    qp = op.build_uniformity_qp(scene, partition)
+    x = op.solve(qp).x
+    assert op.solve(qp).objective == float(x @ qp.q_matrix @ x)
+
+
 # ---------------------------------------------------------------------------
 # fine-grid refinement
 # ---------------------------------------------------------------------------
@@ -335,14 +362,14 @@ def test_refinement_keeps_objective_samples(scene, partition):
     qp = op.build_uniformity_qp(scene, partition)
     problem, _ = op.solve_refined(qp, scene, partition)
     np.testing.assert_allclose(problem.q_matrix, qp.q_matrix)
-    assert len(problem.constraint_points) >= len(qp.constraint_points)
+    assert len(problem.points) >= len(qp.points)
 
 
 @pytest.mark.parametrize("build", [op.build_uniformity_qp, op.build_enhanced_lp])
 def test_sampled_row_layout(scene, partition, build):
     problem = build(scene, partition)
     is_qp = isinstance(problem, op.UniformityQp)
-    points = problem.constraint_points if is_qp else problem.samples
+    points = problem.points
     g_mat, h_vec, labels = problem.constraint_system()
 
     # the sampled rows lead the stacked system, followed by the power boxes
@@ -362,17 +389,16 @@ def test_sampled_row_layout(scene, partition, build):
     extra = problem.check_points(scene, partition, scene.controller.field_pitch_m)[:3]
     grown = problem.with_extra_points(scene, partition, extra)
     if is_qp:
-        grown_fields = ["constraint_points", "illum_coeffs"]
-        np.testing.assert_array_equal(grown.samples, problem.samples)
+        grown_fields = ["points", "illum_coeffs"]
+        assert grown.snr_coeffs is None
         np.testing.assert_array_equal(grown.q_matrix, problem.q_matrix)
     else:
-        grown_fields = ["samples", "snr_coeffs", "illum_coeffs"]
+        grown_fields = ["points", "snr_coeffs", "illum_coeffs"]
     for name in grown_fields:
         before, after = getattr(problem, name), getattr(grown, name)
         assert len(after) == len(before) + len(extra), name
         np.testing.assert_array_equal(after[:len(before)], before)
-    np.testing.assert_array_equal(grown.constraint_points if is_qp else grown.samples,
-                                  np.vstack([points, extra]))
+    np.testing.assert_array_equal(grown.points, np.vstack([points, extra]))
     assert len(grown.constraint_system()[1]) == len(h_vec) + len(families) * len(extra)
 
 
