@@ -245,7 +245,6 @@ def _cmd_simulate(args) -> int:
     trace = controller.run_scenario(scene, partition, table, trajectory,
                                     noise_seed=args.noise_seed, model=model)
     baseline = controller.baseline_scenario(scene, trajectory)
-    savings = controller.savings(trace.total_energy_j, baseline.total_energy_j)
 
     out = _OutputDir(Path(args.out))
     _write_trace(out, "trace.csv", trace, scene.num_leds)
@@ -254,119 +253,108 @@ def _cmd_simulate(args) -> int:
                   ["quantity", "region", "average", "deviation", "minimum",
                    "frac_above_avg", "frac_below_dev"],
                   _benchmark_rows(scene, partition))
-    summary = _summarize(scene, partition, table, trace, baseline, savings)
-    out.write_text("summary.txt", summary)
+    metrics = _run_metrics(scene, partition,
+                           *_read_traces(out.path / "trace.csv", out.path / "baseline_trace.csv"))
+    out.write_text("summary.txt", _summary_text(metrics))
     out.write_manifest("simulate", scene, {
         "scene": args.scene_seed,
         "trajectory": args.trajectory_seed,
         "noise": args.noise_seed,
     })
-    print(f"steps={len(trace.steps)} savings={100.0 * savings:.2f}%")
+    print(f"steps={metrics['steps']} savings={metrics['savings_pct']:.2f}%")
     return EXIT_OK
 
 
-def _snr_variance(scene: Scene, partition, powers: np.ndarray) -> float:
-    grid = photometry.field(scene.with_powers(powers), partition, quantity="snr")
-    vals = grid.values[grid.regions != Region.OUTSIDE.value]
-    return float(np.mean((vals - vals.mean()) ** 2))
+def _read_traces(trace: Path, baseline: Path):
+    """The non-blank rows, as dicts, of a run's trace CSV and of its
+    baseline's, which must have the trace's power columns.  A missing
+    column, an empty file or a ragged row is a SceneError."""
+    tables, columns = [], ("energy_J", "mode", "error_m")
+    for path in (trace, baseline):
+        with path.open(newline="") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+        for column in columns:
+            if column not in header:
+                raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
+        if not rows:
+            raise SceneError(f"{path}: empty trace")
+        for n, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
+        tables.append([dict(zip(header, row)) for row in rows])
+        columns = ("energy_J", *(c for c in header if c.startswith("P_")))
+    return tables
 
 
-def _illuminance_range(scene, partition, powers, activity_only):
-    grid = photometry.field(scene.with_powers(powers), partition, quantity="illuminance")
-    if activity_only:
-        vals = grid.values[grid.regions == Region.ACTIVITY.value]
-    else:
-        vals = grid.values[grid.regions != Region.OUTSIDE.value]
-    return float(vals.min()), float(vals.max())
-
-
-def _variance_reduction_pct(var_before: float, var_after: float) -> float:
-    """Percent drop of the SNR variance from ``var_before`` to ``var_after``."""
-    return 100.0 * (1.0 - var_after / var_before)
-
-
-def _power_violations(scene: Scene, powers) -> int:
-    """Steps whose LED powers leave the scene's power boxes; one row per step."""
-    lo_b, hi_b = scene.power_bounds()
-    for row in powers:
-        if len(row) != len(lo_b):
-            raise ValueError(f"trace has {len(row)} power columns "
-                             f"but the scene has {len(lo_b)} LEDs")
-    powers = np.array(powers, dtype=float).reshape(-1, len(lo_b))
-    outside = (powers < lo_b - 1e-9) | (powers > hi_b + 1e-9)
-    return int(np.count_nonzero(outside.any(axis=1)))
-
-
-def _summarize(scene, partition, table, trace, baseline, savings) -> str:
-    lines = [f"steps={len(trace.steps)}", f"savings_pct={100.0 * savings:.4f}"]
-    p_base = np.array(baseline.steps[0].powers)
-    var_before = _snr_variance(scene, partition, p_base)
-    lines.append(f"snr_variance_baseline={_fmt(var_before)}")
-    plan = controller.room_plan(scene, partition, table)
-    entered = {s.mode for s in trace.steps}
-    if controller.Mode.UNIFORMITY.value in entered:
-        p_unif, _ = plan.allocation(controller.Mode.UNIFORMITY)
-        var_after = _snr_variance(scene, partition, p_unif)
-        lines.append(f"snr_variance_uniformity={_fmt(var_after)}")
-        lines.append(f"snr_variance_reduction_pct="
-                     f"{_variance_reduction_pct(var_before, var_after):.4f}")
-        lo, hi = _illuminance_range(scene, partition, p_unif, activity_only=False)
-        lines.append(f"illuminance_uniformity_lx=[{_fmt(lo)}, {_fmt(hi)}]")
-    if controller.Mode.ENHANCED.value in entered:
-        p_enh, _ = plan.allocation(controller.Mode.ENHANCED)
-        lo, hi = _illuminance_range(scene, partition, p_enh, activity_only=True)
-        lines.append(f"illuminance_enhanced_lx=[{_fmt(lo)}, {_fmt(hi)}]")
-        lines.append(f"enhanced_total_W={_fmt(float(p_enh.sum()))}")
-    errors = trace.errors()
-    if len(errors):
-        lines.append(f"mean_error_m={_fmt(float(errors.mean()))}")
-        lines.append(f"max_error_m={_fmt(float(errors.max()))}")
-    violations = _power_violations(scene, [s.powers for s in trace.steps])
-    lines.append(f"power_violations={violations}")
-    return "\n".join(lines) + "\n"
-
-
-def _read_trace_csv(path: Path, columns: tuple[str, ...]):
-    """The non-blank rows, as dicts, of a trace CSV with ``columns`` and no ragged row."""
-    with path.open(newline="") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
-    for column in columns:
-        if column not in header:
-            raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
-    if not rows:
-        raise SceneError(f"{path}: empty trace")
-    for n, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _cmd_report(args) -> int:
-    scene = _resolve_scene(args)
-    rows = _read_trace_csv(Path(args.trace), ("energy_J", "mode", "error_m"))
-    power_cols = [c for c in rows[0] if c.startswith("P_")]
-    base_rows = _read_trace_csv(Path(args.baseline), ("energy_J", *power_cols))
+def _run_metrics(scene: Scene, partition, rows, base_rows) -> dict:
+    """summary.txt's metrics, by key, of trace and baseline rows as
+    _read_traces gives them.  A mode's keys are present only when some step
+    is in that mode, the errors' only when some step localized the user.
+    Each mode's powers, and the baseline's, are those of its first row."""
     if len(rows) != len(base_rows):
         raise SceneError("trace and baseline step counts differ")
     savings = controller.savings(sum(float(r["energy_J"]) for r in rows),
                                  sum(float(r["energy_J"]) for r in base_rows))
+    power_cols = [c for c in rows[0] if c.startswith("P_")]
+    lo_b, hi_b = scene.power_bounds()
+    if len(power_cols) != len(lo_b):
+        raise ValueError(f"trace has {len(power_cols)} power columns "
+                         f"but the scene has {len(lo_b)} LEDs")
+    powers = np.array([[float(r[c]) for c in power_cols] for r in rows])
+    first = {r["mode"]: p for r, p in zip(rows[::-1], powers[::-1])}  # each mode's first row
+
+    def plane(p, quantity, activity_only=False):
+        grid = photometry.field(scene.with_powers(p), partition, quantity=quantity)
+        inside = (grid.regions == Region.ACTIVITY.value if activity_only
+                  else grid.regions != Region.OUTSIDE.value)
+        return grid.values[inside]
+
+    def illuminance_lx(p, activity_only):
+        vals = plane(p, "illuminance", activity_only)
+        return float(vals.min()), float(vals.max())
+
+    var_before = float(np.var(plane([float(base_rows[0][c]) for c in power_cols], "snr")))
+    m = {"steps": len(rows), "savings_pct": 100.0 * savings, "snr_variance_baseline": var_before}
+    p_unif = first.get(controller.Mode.UNIFORMITY.value)
+    if p_unif is not None:
+        if var_before == 0:
+            raise ValueError("the baseline's SNR is uniform, so it has no variance to reduce")
+        var_after = float(np.var(plane(p_unif, "snr")))
+        m["snr_variance_uniformity"] = var_after
+        m["snr_variance_reduction_pct"] = 100.0 * (1.0 - var_after / var_before)
+        m["illuminance_uniformity_lx"] = illuminance_lx(p_unif, activity_only=False)
+    p_enh = first.get(controller.Mode.ENHANCED.value)
+    if p_enh is not None:
+        m["illuminance_enhanced_lx"] = illuminance_lx(p_enh, activity_only=True)
+        m["enhanced_total_W"] = float(p_enh.sum())
     errors = [float(r["error_m"]) for r in rows if r["error_m"] != ""]
-
-    violations = _power_violations(scene, [[float(r[c]) for c in power_cols] for r in rows])
-
-    lines = [f"savings={100.0 * savings:.2f}%"]
-    partition = build_partition(scene)
-    unif = next((r for r in rows if r["mode"] == "uniformity"), None)
-    if unif is not None:
-        p_unif = np.array([float(unif[c]) for c in power_cols])
-        p_base = np.array([float(base_rows[0][c]) for c in power_cols])
-        reduction = _variance_reduction_pct(_snr_variance(scene, partition, p_base),
-                                            _snr_variance(scene, partition, p_unif))
-        lines.append(f"variance_reduction={reduction:.2f}%")
     if errors:
-        lines.append(f"mean_error_m={_fmt(float(np.mean(errors)))}")
-        lines.append(f"max_error_m={_fmt(float(np.max(errors)))}")
-    lines.append(f"violations={violations}")
+        m["mean_error_m"], m["max_error_m"] = float(np.mean(errors)), float(np.max(errors))
+    outside = (powers < lo_b - 1e-9) | (powers > hi_b + 1e-9)
+    m["power_violations"] = int(np.count_nonzero(outside.any(axis=1)))
+    return m
+
+
+def _summary_text(metrics: dict) -> str:
+    """summary.txt: one key=value line per metric, percentages to 4 places."""
+    def text(key, value):
+        if key.endswith("_pct"):
+            return f"{value:.4f}"
+        if isinstance(value, tuple):
+            return f"[{_fmt(value[0])}, {_fmt(value[1])}]"
+        return _fmt(value)
+    return "".join(f"{key}={text(key, value)}\n" for key, value in metrics.items())
+
+
+def _cmd_report(args) -> int:
+    scene = _resolve_scene(args)
+    rows, base_rows = _read_traces(Path(args.trace), Path(args.baseline))
+    m = _run_metrics(scene, build_partition(scene), rows, base_rows)
+    lines = [f"savings={m['savings_pct']:.2f}%"]
+    if "snr_variance_reduction_pct" in m:
+        lines.append(f"variance_reduction={m['snr_variance_reduction_pct']:.2f}%")
+    lines += [f"{key}={_fmt(m[key])}" for key in ("mean_error_m", "max_error_m") if key in m]
+    lines.append(f"violations={m['power_violations']}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out is not None:

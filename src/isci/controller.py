@@ -22,7 +22,7 @@ import numpy as np
 from . import optimize
 from .geometry import Region, RegionPartition, classify_point
 from .photometry import FieldGrid
-from .scene import Scene
+from .scene import ControllerConfig, Scene
 from .sensing import (FingerprintTable, LocalizationResult, SensingModel,
                       NOISELESS_DETECT_EPS, _read_only, localize, predict_power_deltas)
 
@@ -148,7 +148,7 @@ def _sample_non_activity(rng, partition: RegionPartition):
         d_mic = math.hypot(x - mic.center.x, y - mic.center.y)
         if d_mec <= mec.radius - _REGION_MARGIN and d_mic >= mic.radius + _REGION_MARGIN:
             return (x, y)
-    raise RuntimeError("could not sample a non-activity waypoint")
+    raise ValueError("could not sample a non-activity waypoint")
 
 
 def _sample_activity(rng, partition: RegionPartition):
@@ -200,13 +200,16 @@ def _walk(points: Sequence[tuple[float, float]], speed: float, dt: float):
     return out
 
 
-def generate_trajectory(partition: RegionPartition, seed: int, dt: float = 0.5,
-                        speed: float = 0.9, dwell_time: float = 15.0) -> list[TrajectoryPoint]:
+def generate_trajectory(partition: RegionPartition, seed: int,
+                        dt: float = ControllerConfig.step_period_s,
+                        speed: float = ControllerConfig.user_speed_m_per_s,
+                        dwell_time: float = ControllerConfig.dwell_time_s) -> list[TrajectoryPoint]:
     """Three-phase user trajectory: random-waypoint walk through the
     non-activity ring, a stationary dwell at a random activity-area point,
     then a walk back out.  Deterministic for a given seed.
 
     Returns (time, position) pairs; position None means no user present.
+    Raises ValueError when the ring is too narrow to hold a waypoint.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -214,6 +217,10 @@ def generate_trajectory(partition: RegionPartition, seed: int, dt: float = 0.5,
         raise ValueError(f"speed must be finite and positive, got {speed}")
     if not (math.isfinite(dwell_time) and dwell_time >= 0):
         raise ValueError(f"dwell_time must be finite and nonnegative, got {dwell_time}")
+    mec, mic = partition.mec.radius, partition.mic.radius
+    if mec - mic < 2 * _REGION_MARGIN:
+        raise ValueError(f"no trajectory fits the ring: MEC radius {mec:.3f} m minus MIC radius "
+                         f"{mic:.3f} m is under twice the {_REGION_MARGIN} m waypoint margin")
     rng = np.random.default_rng(seed)
 
     def ring_waypoints(start, count):

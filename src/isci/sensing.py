@@ -42,7 +42,7 @@ _MAGIC = b"LFPT"
 _VERSION = 2
 _HEADER = "<H6I"  # after the magic: u16 version, u32 K, M, N, S (stencil offsets), nx, ny
 _HEADER_LEN = 4 + struct.calcsize(_HEADER)
-# The factor sections of an LFPT v2 body, in file order (and _SeparableDeltas field order).
+# The factor sections of an LFPT v2 body, in file order (and FingerprintTable field order).
 _FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector")
 
 NOISELESS_DETECT_EPS = 1e-12
@@ -159,18 +159,23 @@ class SensingModel:
     def __init__(self, scene: Scene):
         self.scene = scene
         self._kernel = _BounceKernel(scene.leds, scene.sensing_pds)
-        self._centers = _read_only(scene.grid.centers())
+        self.centers = _read_only(scene.grid.centers())
         emitter, collector = self._kernel.factors(
-            self._centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
+            self.centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
         self.baseline_gains = self.emitter @ self.collector
 
+    def user_factors(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Emitter (M, P) and collector (P, N) factors of the gains through a
+        user patch at each of the P ``points``."""
+        user = self.scene.user
+        return self._kernel.factors(points, user.patch_height_m,
+                                    user.reflectance * user.patch_area_m2)
+
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
-        user = self.scene.user
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        return _outer(*self._kernel.factors(pt, user.patch_height_m,
-                                            user.reflectance * user.patch_area_m2))[:, 0, :]
+        return _outer(*self.user_factors(pt))[:, 0, :]
 
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -178,7 +183,7 @@ class SensingModel:
         powers = np.asarray(powers, dtype=float)
         gains = self.baseline_gains
         if user_xy is not None:
-            occ = _occluded(self.scene, self._centers, user_xy)
+            occ = _occluded(self.scene, self.centers, user_xy)
             occluded = (_outer(self.emitter[:, occ], self.collector[occ]).sum(axis=1)
                         if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
@@ -221,12 +226,21 @@ def _stencil_sum(cells: np.ndarray, offsets: Sequence[tuple[int, int]],
 
 
 @dataclass(frozen=True, eq=False)
-class _SeparableDeltas:
-    """Fingerprint deltas as read-only factors: the gain change of a user at
-    cell k is the user-patch gain outer(user_emitter[:, k], user_collector[k])
-    minus the floor gains outer(floor_emitter[:, c], floor_collector[c])
-    summed over the occluded cells c = k + offset."""
+class FingerprintTable:
+    """Per-candidate gain deltas for power-scaled variation prediction.
 
+    deltas[k, i, j] is the change in the gain LED i -> PD j that a user at
+    candidate k causes: the user-patch gain outer(user_emitter[:, k],
+    user_collector[k]) minus the floor gains outer(floor_emitter[:, c],
+    floor_collector[c]) summed over the occluded cells c = k + offset.  The
+    table holds only those factors, as build_fingerprint_table and
+    load_fingerprint make them, and no (K, M, N) array: reading ``deltas``
+    forms one, on every access.  ``shape`` is (K, M, N).  The arrays are
+    read-only.  Tables compare by identity.
+    """
+
+    candidates: np.ndarray       # (K, 2) floor cell centers
+    baseline: np.ndarray         # (M, N) no-user gain sums
     user_emitter: np.ndarray     # (M, K) at the patch height
     user_collector: np.ndarray   # (K, N)
     floor_emitter: np.ndarray    # (M, K)
@@ -234,37 +248,27 @@ class _SeparableDeltas:
     offsets: tuple[tuple[int, int], ...]
     grid_shape: tuple[int, int]  # (nx, ny)
 
+    def __post_init__(self):
+        for name in ("candidates", "baseline", *_FACTORS):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.candidates), *self.baseline.shape)
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """The (K, M, N) gain deltas, formed from the factors, read-only."""
+        occluded = _stencil_sum(_outer(self.floor_emitter, self.floor_collector),
+                                self.offsets, self.grid_shape)
+        deltas = _outer(self.user_emitter, self.user_collector) - occluded
+        return _read_only(np.ascontiguousarray(deltas.transpose(1, 0, 2)))
+
     def predict(self, powers: np.ndarray) -> np.ndarray:
         """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
         user = (powers @ self.user_emitter)[:, None] * self.user_collector
         floor = (powers @ self.floor_emitter)[:, None] * self.floor_collector
         return user - _stencil_sum(floor[None], self.offsets, self.grid_shape)[0]
-
-
-class FingerprintTable:
-    """Per-candidate gain deltas for power-scaled variation prediction.
-
-    deltas[k, i, j] is the change in the gain LED i -> PD j that a user at
-    candidate k causes.  The table holds only the deltas' factors, as
-    build_fingerprint_table and load_fingerprint make them, and no
-    (K, M, N) array: reading ``deltas`` forms one, on every access.
-    ``shape`` is (K, M, N).  The arrays are read-only.
-    """
-
-    def __init__(self, candidates: np.ndarray, baseline: np.ndarray,
-                 factors: _SeparableDeltas):
-        self.candidates = _read_only(candidates)  # (K, 2) floor cell centers
-        self.baseline = _read_only(baseline)      # (M, N) no-user gain sums
-        self._factors = factors
-        self.shape = (len(self.candidates), *self.baseline.shape)
-
-    @property
-    def deltas(self) -> np.ndarray:
-        """The (K, M, N) gain deltas, formed from the factors, read-only."""
-        f = self._factors
-        occluded = _stencil_sum(_outer(f.floor_emitter, f.floor_collector), f.offsets, f.grid_shape)
-        deltas = _outer(f.user_emitter, f.user_collector) - occluded
-        return _read_only(np.ascontiguousarray(deltas.transpose(1, 0, 2)))
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,9 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
     """
     if model is None:
         model = SensingModel(scene)
-    user = scene.user
-    user_emitter, user_collector = map(_read_only, model._kernel.factors(
-        model._centers, user.patch_height_m, user.reflectance * user.patch_area_m2))
-    factors = _SeparableDeltas(user_emitter, user_collector, model.emitter, model.collector,
-                               _stencil_offsets(scene), (scene.grid.nx, scene.grid.ny))
-    return FingerprintTable(model._centers, model.baseline_gains.copy(), factors)
+    return FingerprintTable(model.centers, model.baseline_gains.copy(),
+                            *model.user_factors(model.centers), model.emitter, model.collector,
+                            _stencil_offsets(scene), (scene.grid.nx, scene.grid.ny))
 
 
 def _checked_powers(table: FingerprintTable, powers) -> np.ndarray:
@@ -320,7 +321,7 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     are one contiguous K-vector, and localize sums the losses over those
     vectors in PD order.
     """
-    signed = table._factors.predict(_checked_powers(table, powers))
+    signed = table.predict(_checked_powers(table, powers))
     columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
     columns.flags.writeable = False
     return columns.T
@@ -431,11 +432,11 @@ def save_fingerprint(table: FingerprintTable) -> bytes:
     float64 baseline (M, N), candidates (K, 2), user_emitter (M, K),
     user_collector (K, N), floor_emitter (M, K) and floor_collector (K, N);
     then S int32 (di, dj) stencil offsets; all little-endian."""
-    f = table._factors
-    head = _MAGIC + struct.pack(_HEADER, _VERSION, *table.shape, len(f.offsets), *f.grid_shape)
-    arrays = (table.baseline, table.candidates, *(getattr(f, name) for name in _FACTORS))
+    head = _MAGIC + struct.pack(_HEADER, _VERSION, *table.shape, len(table.offsets),
+                                *table.grid_shape)
+    arrays = (table.baseline, table.candidates, *(getattr(table, name) for name in _FACTORS))
     return b"".join([head, *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays),
-                     np.array(f.offsets, dtype="<i4").tobytes()])
+                     np.array(table.offsets, dtype="<i4").tobytes()])
 
 
 def load_fingerprint(blob: bytes) -> FingerprintTable:
@@ -464,12 +465,11 @@ def load_fingerprint(blob: bytes) -> FingerprintTable:
         values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(values).all():
             raise ValueError(f"non-finite value in fingerprint {name}")
-        arrays[name] = _read_only(values.reshape(shape).copy())
+        arrays[name] = values.reshape(shape).copy()
         offset += values.nbytes
     pairs = np.frombuffer(blob, dtype="<i4", offset=offset).reshape(s, 2).tolist()
     offsets = tuple(map(tuple, pairs))
     off_grid = [(di, dj) for di, dj in offsets if abs(di) >= nx or abs(dj) >= ny]
     if off_grid:
         raise ValueError(f"fingerprint stencil offset {off_grid[0]} is off the {nx} x {ny} grid")
-    factors = _SeparableDeltas(*(arrays[name] for name in _FACTORS), offsets, (nx, ny))
-    return FingerprintTable(arrays["candidates"], arrays["baseline"], factors)
+    return FingerprintTable(**arrays, offsets=offsets, grid_shape=(nx, ny))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,7 +13,7 @@ import yaml
 
 import isci
 from isci.cli import main
-from isci.scene import default_scene, dump_scene
+from isci.scene import default_scene, dump_scene, scene_to_dict
 
 
 def run(*args):
@@ -237,6 +238,46 @@ def test_missing_trace_file_exit_io(tmp_path):
                "--baseline", str(tmp_path / "none2.csv")) == 3
 
 
+@pytest.mark.parametrize("trajectory, noise", [("7", "1"), ("0", "0"), ("3", "9"), ("11", "4")])
+def test_report_of_written_traces_matches_summary(tmp_path, capsys, trajectory, noise):
+    # summary.txt is the report of the traces simulate writes: the same
+    # numbers, each printed to its own precision
+    out = tmp_path / "run"
+    assert run("simulate", "--trajectory-seed", trajectory, "--noise-seed", noise,
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("report", "--trace", str(out / "trace.csv"),
+               "--baseline", str(out / "baseline_trace.csv")) == 0
+    report = capsys.readouterr().out.splitlines()
+    lines = (out / "summary.txt").read_text().splitlines()
+    summary = dict(line.split("=", 1) for line in lines)
+    values = dict(line.split("=", 1) for line in report)
+    errors = [line for line in lines if line.startswith(("mean_error_m=", "max_error_m="))]
+    assert len(errors) == 2
+    assert [line for line in report if line.startswith(("mean_error_m=", "max_error_m="))] == errors
+    assert values["violations"] == summary["power_violations"]
+    for key, pct in (("savings", "savings_pct"),
+                     ("variance_reduction", "snr_variance_reduction_pct")):
+        assert values[key].endswith("%")
+        assert abs(float(values[key][:-1]) - float(summary[pct])) <= 0.005 + 1e-9, key
+
+
+def test_simulate_narrow_ring_exit_one(tmp_path, capsys):
+    # 6 LEDs on a 0.5 m hexagon: MEC 0.5 m and MIC 0.433 m leave no ring for waypoints
+    cfg = scene_to_dict(default_scene())
+    corners = [(2.5 + 0.5 * math.cos(k * math.pi / 3), 2.5 + 0.5 * math.sin(k * math.pi / 3))
+               for k in range(6)]
+    cfg["leds"] = [dict(cfg["leds"][0], position=[x, y, 3.0]) for x, y in corners]
+    cfg["sensing_pds"] = [dict(cfg["sensing_pds"][0], position=[x + 0.1, y, 3.0])
+                          for x, y in corners]
+    path = tmp_path / "hexagon.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "MEC radius" in err and "MIC radius" in err
+
+
 def test_summary_contents(tmp_path):
     out = tmp_path / "s"
     run("simulate", "--out", str(out))
@@ -246,14 +287,14 @@ def test_summary_contents(tmp_path):
         assert key in text, key
 
 
-def _write_trace(path, powers, energy_j, steps=3):
+def _write_trace(path, powers, energy_j, steps=3, mode="no_user"):
     header = (["t", "x_true", "y_true", "x_est", "y_est", "mode"]
               + [f"P_{i + 1}" for i in range(len(powers))] + ["energy_J", "error_m"])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for k in range(steps):
-            writer.writerow([0.5 * k, "", "", "", "", "no_user", *powers, energy_j, ""])
+            writer.writerow([0.5 * k, "", "", "", "", mode, *powers, energy_j, ""])
 
 
 def test_report_zero_energy_baseline_exit_one(tmp_path, capsys):
@@ -263,6 +304,17 @@ def test_report_zero_energy_baseline_exit_one(tmp_path, capsys):
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
     assert "error: baseline trace has no energy" in capsys.readouterr().err
+
+
+def test_report_uniform_baseline_snr_exit_one(tmp_path, capsys):
+    # dark LEDs give an SNR of 0 everywhere: the variance reduction would divide by 0
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0, mode="uniformity")
+    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 2.0)
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    assert capsys.readouterr().err == ("error: the baseline's SNR is uniform, "
+                                       "so it has no variance to reduce\n")
 
 
 def test_report_power_column_mismatch_exit_one(tmp_path, capsys):

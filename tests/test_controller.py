@@ -141,6 +141,20 @@ def test_trajectory_accepts_zero_dwell(partition):
     assert traj[0][1] is None and traj[-1][1] is None
 
 
+@pytest.mark.parametrize("ring, ok", [(0.09, False), (0.0999, False), (0.3, True)])
+def test_trajectory_rejects_a_ring_narrower_than_the_margins(partition, ring, ok):
+    # waypoints keep 0.05 m from the MEC and from the MIC, so a ring (MEC
+    # radius minus MIC radius) under 0.1 m holds none, and the sampler
+    # would only give up after 10 000 tries
+    mec = partition.mec
+    narrow = replace(partition, mic=Circle(mec.center, mec.radius - ring))
+    if ok:
+        assert len(ct.generate_trajectory(narrow, seed=1)) > 10
+    else:
+        with pytest.raises(ValueError, match=rf"MEC radius {mec.radius:.3f} m minus MIC radius"):
+            ct.generate_trajectory(narrow, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # scenario replay
 # ---------------------------------------------------------------------------
@@ -213,19 +227,19 @@ def solves(monkeypatch):
 def predicts(monkeypatch):
     """The power vectors the fingerprint factors are asked to predict at."""
     calls = []
-    real = sn._SeparableDeltas.predict
+    real = FingerprintTable.predict
 
     def counted(self, powers):
         calls.append(powers)
         return real(self, powers)
 
-    monkeypatch.setattr(sn._SeparableDeltas, "predict", counted)
+    monkeypatch.setattr(FingerprintTable, "predict", counted)
     return calls
 
 
 def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model, predicts):
     # a fresh table (same arrays) so this run gets its own plan
-    fresh = FingerprintTable(table.candidates, table.baseline, table._factors)
+    fresh = replace(table)
     traj = ct.generate_trajectory(partition, seed=3)
     trace = ct.run_scenario(scene, partition, fresh, traj, noise_seed=9)
     assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
@@ -285,7 +299,7 @@ def test_room_plan_keeps_only_the_last_room(scene, partition, table, solves):
     assert ct.room_plan(scene, partition, table) is plan
     powers, report = plan.allocation(ct.Mode.UNIFORMITY)
     assert plan.allocation(ct.Mode.UNIFORMITY)[0] is powers  # shared, not re-solved
-    other = FingerprintTable(table.candidates, table.baseline, table._factors)
+    other = replace(table)
     assert ct.room_plan(scene, partition, other) is not plan  # an equal table is not the same
     again = ct.room_plan(scene, partition, table)
     assert again is not plan

@@ -517,8 +517,7 @@ def test_localize_matches_full_scan(make_scene):
 
 def _factored_table(candidates, baseline, factors, offsets, grid_shape):
     """A table from its four factors (user emitter and collector, then floor)."""
-    deltas = sn._SeparableDeltas(*map(sn._read_only, factors), tuple(offsets), grid_shape)
-    return sn.FingerprintTable(candidates, baseline, deltas)
+    return sn.FingerprintTable(candidates, baseline, *factors, tuple(offsets), grid_shape)
 
 
 def _column_table(columns):
@@ -619,7 +618,7 @@ def test_predict_memo_hits_on_equal_powers(rng):
         got = sn.predict_power_deltas(t, again)
         assert got is not first and got.base is not first.base
         assert np.array_equal(got, first)
-    assert np.array_equal(first, np.abs(t._factors.predict(p)))
+    assert np.array_equal(first, np.abs(t.predict(p)))
     assert vars(t) == state
 
 
@@ -630,12 +629,12 @@ def test_predict_memo_never_stale_and_bounded(rng):
     # revisit vectors out of order: each prediction is the factor prediction of its own powers
     for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
         p = vectors[i]
-        assert np.array_equal(sn.predict_power_deltas(t, p), np.abs(t._factors.predict(p)))
+        assert np.array_equal(sn.predict_power_deltas(t, p), np.abs(t.predict(p)))
         assert vars(t) == state  # nothing is kept, so nothing grows
     # a vector one ulp away is predicted from its own powers
     nudged = vectors[2].copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
-    assert np.array_equal(sn.predict_power_deltas(t, nudged), np.abs(t._factors.predict(nudged)))
+    assert np.array_equal(sn.predict_power_deltas(t, nudged), np.abs(t.predict(nudged)))
 
 
 def test_predictions_and_table_read_only(rng, table):
@@ -686,9 +685,9 @@ def test_fingerprint_round_trip(table):
     assert np.array_equal(again.candidates, table.candidates)
     assert np.array_equal(again.baseline, table.baseline)
     for name in sn._FACTORS:
-        assert np.array_equal(getattr(again._factors, name), getattr(table._factors, name))
-    assert again._factors.offsets == table._factors.offsets
-    assert again._factors.grid_shape == table._factors.grid_shape
+        assert np.array_equal(getattr(again, name), getattr(table, name))
+    assert again.offsets == table.offsets
+    assert again.grid_shape == table.grid_shape
     assert np.array_equal(again.deltas, table.deltas)
     assert sn.save_fingerprint(again) == blob
 
@@ -718,12 +717,12 @@ def test_fingerprint_header_layout(table):
     assert version == 2
     assert (k, m, n) == table.deltas.shape
     assert (nx, ny) == (50, 50) and k == nx * ny
-    offsets = table._factors.offsets
+    offsets = table.offsets
     assert s == len(offsets) == 29  # a 0.3 m footprint on a 0.1 m grid
     assert len(blob) == 30 + 8 * (m * n + 2 * k + 2 * k * (m + n)) + 8 * s
     starts = _section_starts(table)
     arrays = (table.baseline, table.candidates,
-              *(getattr(table._factors, name) for name in sn._FACTORS))
+              *(getattr(table, name) for name in sn._FACTORS))
     for name, arr in zip(_SECTIONS, arrays):
         assert np.array_equal(np.frombuffer(blob, dtype="<f8", count=arr.size,
                                             offset=int(starts[name])).reshape(arr.shape), arr)
