@@ -23,7 +23,7 @@ from . import optimize
 from .geometry import Region, RegionPartition, classify_point
 from .photometry import FieldGrid
 from .scene import ControllerConfig, Scene
-from .sensing import (FingerprintTable, LocalizationResult, SensingModel,
+from .sensing import (FingerprintTable, LocalizationResult, Prediction, SensingModel,
                       NOISELESS_DETECT_EPS, _read_only, localize, predict_power_deltas)
 
 __all__ = [
@@ -95,7 +95,7 @@ class RoomPlan:
     def __init__(self, scene: Scene, partition: RegionPartition, table: FingerprintTable):
         self.scene, self.partition, self.table = scene, partition, table
         self._solved = {Mode.NO_USER: (_read_only(scene.power_bounds()[0]), None)}
-        self._predicted: dict[Mode, np.ndarray] = {}
+        self._predicted: dict[Mode, Prediction] = {}
 
     def allocation(self, mode: Mode) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
         """apply_mode's read-only powers and its report for ``mode``."""
@@ -104,10 +104,12 @@ class RoomPlan:
             self._solved[mode] = _read_only(powers), report
         return self._solved[mode]
 
-    def prediction(self, mode: Mode) -> np.ndarray:
-        """The table's read-only (K, N) prediction at ``mode``'s powers."""
+    def prediction(self, mode: Mode) -> Prediction:
+        """The table's read-only prediction at ``mode``'s powers, with the
+        tile envelopes localize bounds its match by."""
         if mode not in self._predicted:
-            self._predicted[mode] = predict_power_deltas(self.table, self.allocation(mode)[0])
+            values = predict_power_deltas(self.table, self.allocation(mode)[0])
+            self._predicted[mode] = Prediction.of(values, self.table.grid_shape)
         return self._predicted[mode]
 
 

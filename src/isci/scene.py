@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -209,6 +210,10 @@ class UserModel:
         _require(0.0 < self.patch_height_m < room.size_z, "user.patch_height_m",
                  "must lie strictly between floor and ceiling")
         _require(self.footprint_radius_m > 0, "user.footprint_radius_m", "must be positive")
+        side = min(room.size_x, room.size_y)
+        _require(2.0 * self.footprint_radius_m <= side, "user.footprint_radius_m",
+                 f"footprint diameter {2.0 * self.footprint_radius_m} exceeds the room's "
+                 f"shorter side {side}")
 
 
 @dataclass(frozen=True)
@@ -435,6 +440,11 @@ def scene_from_dict(cfg: Mapping[str, Any]) -> Scene:
     return scene
 
 
+# A YAML 1.2 core-schema float.  Integers match too, but SafeLoader's own
+# int resolver is tried first, so they stay ints.
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$")
+
+
 def load_scene(config_text: str) -> Scene:
     """Parse a YAML config document into a validated Scene.
 
@@ -443,8 +453,13 @@ def load_scene(config_text: str) -> Scene:
     """
     import yaml  # deferred: the built-in scene and the JSON manifest never parse YAML
 
+    class Loader(yaml.SafeLoader):
+        """SafeLoader that also reads YAML 1.2 floats: YAML 1.1 leaves 1e-2
+        and 1.5e3 strings (its floats need a dot and a signed exponent)."""
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     try:
-        cfg = yaml.safe_load(config_text)
+        cfg = yaml.load(config_text, Loader=Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

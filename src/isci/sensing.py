@@ -30,6 +30,7 @@ __all__ = [
     "SensingModel",
     "FingerprintTable",
     "LocalizationResult",
+    "Prediction",
     "occluded_set",
     "build_fingerprint_table",
     "predict_power_deltas",
@@ -47,18 +48,12 @@ _FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector"
 
 NOISELESS_DETECT_EPS = 1e-12
 
-# PDs whose partial losses bound the full loss from below in _best_candidate:
-# the ones with the largest variation.  On loop-large (K = 40 000, N = 25),
-# 2, 3 and 4 PDs gave step times within noise of each other; 4 keeps more
-# of the loss, so fewer candidates survive the bound when readings are noisy.
-_BOUND_PDS = 4
-
-# _best_candidate falls back to the full scan when more than K // 8
-# candidates survive the bound: gathering and rescanning them would cost
-# more than the scan it saves.  Without the fallback, a loop-large match
-# whose bound kept most candidates took 15.6-16.8 ms, against about 1.2 ms
-# for a full scan; with it, the slowest of 85 noisy matches took 1.9 ms.
-_PRUNE_FRACTION = 8
+# Side, in grid cells, of the square tiles whose prediction envelopes bound
+# _best_candidate's losses.  On loop-large (K = 40 000, N = 25) a detected
+# step's match took a median 190 us with 8 x 8 tiles, 390 us with 4 x 4
+# (four times the bounds to form) and 250 us with 16 x 16 (more candidates
+# left to rescore).
+_TILE = 8
 
 # Shared footprint-boundary guard so the per-candidate occlusion stencil and
 # occluded_set agree on cells whose centers sit exactly at the radius.
@@ -184,7 +179,9 @@ class SensingModel:
         gains = self.baseline_gains
         if user_xy is not None:
             occ = _occluded(self.scene, self.centers, user_xy)
-            occluded = (_outer(self.emitter[:, occ], self.collector[occ]).sum(axis=1)
+            # einsum without optimize sums the cells in order and calls no
+            # BLAS: the same floats as _outer(...).sum(axis=1), 3x sooner
+            occluded = (np.einsum("ip,pj->ij", self.emitter[:, occ], self.collector[occ])
                         if len(occ) else 0.0)
             gains = gains - occluded + self.user_gain(user_xy)
         return powers @ gains
@@ -318,8 +315,7 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
     Each call forms a new read-only array and keeps nothing.  It is the
     transpose view of a C-contiguous (N, K) array, so each PD's predictions
-    are one contiguous K-vector, and localize sums the losses over those
-    vectors in PD order.
+    are one contiguous K-vector.
     """
     signed = table.predict(_checked_powers(table, powers))
     columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
@@ -327,75 +323,103 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     return columns.T
 
 
-def _pd_order_losses(actual: np.ndarray, columns: np.ndarray, pds) -> np.ndarray:
-    """Per candidate (column), the sum over the PDs (rows) ``pds`` of
-    (actual[j] - columns[j]) ** 2, added one PD at a time in that order."""
-    first, *rest = pds
-    losses = np.subtract(actual[first], columns[first])
-    np.multiply(losses, losses, out=losses)
-    scratch = np.empty_like(losses)
-    for j in rest:
-        np.subtract(actual[j], columns[j], out=scratch)
-        losses += np.multiply(scratch, scratch, out=scratch)
-    return losses
+@dataclass(frozen=True, eq=False)
+class Prediction:
+    """A (K, N) prediction with the envelopes that _best_candidate bounds
+    losses by.
+
+    The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles,
+    smaller at the far edges.  ``lo`` and ``hi`` (N, T) hold each tile's
+    least and greatest prediction per PD, and ``tiles`` the candidate
+    indices of each of the T tiles.  ``values`` is a read-only view of the
+    prediction it was formed from, not a copy.  Form one with Prediction.of.
+    """
+
+    values: np.ndarray  # (K, N)
+    lo: np.ndarray      # (N, T)
+    hi: np.ndarray      # (N, T)
+    tiles: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, values: np.ndarray, grid_shape: tuple[int, int]) -> "Prediction":
+        """The envelopes of ``values`` over the candidate grid ``grid_shape``."""
+        nx, ny = grid_shape
+        view = np.asarray(values, dtype=float).view()
+        view.flags.writeable = False
+        grid = np.ascontiguousarray(view.T).reshape(-1, nx, ny)
+        bands = [grid[:, start:start + _TILE] for start in range(0, nx, _TILE)]
+        cuts_y = np.arange(0, ny, _TILE)
+        # each band of grid rows is reduced on its own: reduceat along the
+        # rows took 8x as long
+        lo, hi = (_read_only(reduce.reduceat(np.stack([reduce.reduce(band, axis=1)
+                                                       for band in bands], axis=1),
+                                             cuts_y, axis=2).reshape(len(grid), -1))
+                  for reduce in (np.minimum, np.maximum))
+        tile_of = ((np.arange(nx) // _TILE)[:, None] * len(cuts_y)
+                   + np.arange(ny) // _TILE).ravel()
+        members = _read_only(np.argsort(tile_of, kind="stable"))
+        ends = np.cumsum(np.bincount(tile_of)).tolist()
+        return cls(view, lo, hi, tuple(members[start:end]
+                                       for start, end in zip([0, *ends], ends)))
 
 
 def _losses_of(actual: np.ndarray, columns: np.ndarray, keep) -> np.ndarray:
-    """_pd_order_losses over every PD for the candidates ``keep`` only: the
-    same terms, added in the same order."""
-    terms = actual[:, None] - columns[:, keep]
-    np.multiply(terms, terms, out=terms)
-    losses = terms[0]
+    """Per candidate ``keep`` of the (N, K) prediction ``columns``, the sum
+    over PDs j of (actual[j] - columns[j, k]) ** 2, added in PD order."""
+    terms = columns.take(keep, axis=1)
+    np.subtract(actual[:, None], terms, out=terms)
+    return _pd_order_sums(np.multiply(terms, terms, out=terms))
+
+
+def _pd_order_sums(terms: np.ndarray) -> np.ndarray:
+    """Column sums of ``terms`` (N, C), added one row at a time, in place."""
+    sums = terms[0]
     for row in terms[1:]:
-        losses += row
-    return losses
+        sums += row
+    return sums
 
 
-def _best_candidate(actual: np.ndarray, columns: np.ndarray) -> tuple[int, float]:
+def _best_candidate(actual: np.ndarray, prediction: Prediction) -> tuple[int, float]:
     """Index and loss of the first candidate with the least PD-order loss
-    sum over j of (actual[j] - columns[j, k]) ** 2, bit for bit as a full
-    scan finds them, from the (N, K) prediction ``columns``.
+    sum over j of (actual[j] - predicted[k, j]) ** 2, bit for bit as a full
+    scan finds them (branch and bound, Fukunaga & Narendra 1975).
 
-    The loss over the _BOUND_PDS largest readings, summed in PD order, is a
-    lower bound on the full loss: every term is the same float in both sums,
-    the terms are nonnegative and rounding is monotone.  So a candidate
-    whose bound exceeds the full loss of the bound's own argmin cannot win,
-    and only the rest get a full loss.  Ties survive the ``<=``, so the
-    lowest index still wins them.
+    A tile's bound sums, in the same PD order, max(lo - a, a - hi, 0) ** 2.
+    Each of its terms is at most the matching term of every candidate in
+    the tile, since rounding is monotone, so the bound is at most each
+    member's loss, bit for bit.  The least loss in the lowest-bound tile
+    caps the minimum, so only tiles whose bound does not exceed it are
+    rescored.  Ties survive the ``<=``, and the least index among the least
+    losses wins.  When every tile survives, the rescore costs about twice a
+    full scan.
     """
-    n, k = columns.shape
-    if n > _BOUND_PDS:
-        pds = np.sort(np.argpartition(actual, n - _BOUND_PDS)[n - _BOUND_PDS:])
-        bound = _pd_order_losses(actual, columns, pds)
-        misses = actual - columns[:, int(np.argmin(bound))]
-        best = 0.0  # the bound's argmin's full loss, from the same terms in the same order
-        for term in (misses * misses).tolist():
-            best += term
-        keep = np.flatnonzero(bound <= best)
-        if len(keep) <= k // _PRUNE_FRACTION:
-            losses = _losses_of(actual, columns, keep)
-            i = int(np.argmin(losses))
-            return int(keep[i]), float(losses[i])
-    losses = _pd_order_losses(actual, columns, range(n))
-    i = int(np.argmin(losses))
-    return i, float(losses[i])
+    columns = prediction.values.T
+    reading = actual[:, None]
+    gaps = np.maximum(prediction.lo - reading, reading - prediction.hi)
+    np.maximum(gaps, 0.0, out=gaps)
+    bounds = _pd_order_sums(np.multiply(gaps, gaps, out=gaps))
+    cap = _losses_of(actual, columns, prediction.tiles[int(np.argmin(bounds))]).min()
+    keep = np.concatenate([prediction.tiles[t] for t in np.flatnonzero(bounds <= cap)])
+    losses = _losses_of(actual, columns, keep)
+    least = losses.min()
+    return int(keep[losses == least].min()), float(least)
 
 
-def localize(measured: np.ndarray, baseline: np.ndarray, predicted: np.ndarray,
-             table: FingerprintTable,
+def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: FingerprintTable,
              epsilon_detect: float = NOISELESS_DETECT_EPS) -> LocalizationResult:
     """Least-squares fingerprint match of measured power variations.
 
-    ``predicted`` is predict_power_deltas(table, powers), (K, N), at the
-    powers the readings were taken under.  Given those powers (1-D) instead,
-    as the benchmark's scaling ladder does, a detected call forms it.  The
-    user counts as detected when any PD's variation reaches
-    ``epsilon_detect``; otherwise the call returns at once.  A detected user
-    is placed at the candidate whose loss ``((actual - predicted) **
-    2).sum(axis=1)`` is least, ties broken toward the lowest index, and
-    _best_candidate finds it and its loss bit for bit as a full scan would.
-    Non-finite readings, and inputs that do not fit the table, raise
-    ValueError.
+    ``predicted`` is the prediction at the powers the readings were taken
+    under: a Prediction, or the bare (K, N) predict_power_deltas(table,
+    powers), whose envelopes a detected call forms.  Given those powers
+    (1-D) instead, as the benchmark's scaling ladder does, a detected call
+    forms both.  The user counts as detected when any PD's variation
+    reaches ``epsilon_detect``; otherwise the call returns at once.  A
+    detected user is placed at the candidate whose loss, the squared misses
+    (actual - predicted) ** 2 added one PD at a time in PD order, is least,
+    ties broken toward the lowest index, and _best_candidate finds it and
+    its loss bit for bit as a full scan would.  Non-finite readings, and
+    inputs that do not fit the table, raise ValueError.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
@@ -407,18 +431,23 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted: np.ndarray,
     for name, values in (("measured", measured), ("baseline", baseline)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    predicted = np.asarray(predicted, dtype=float)
-    if predicted.ndim == 1:
-        predicted = _checked_powers(table, predicted)
-    elif predicted.shape != (k, n):
-        raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
+    if isinstance(predicted, Prediction):
+        values = predicted.values
+    else:
+        values = np.asarray(predicted, dtype=float)
+        if values.ndim == 1:
+            values = _checked_powers(table, values)
+    if values.ndim != 1 and values.shape != (k, n):
+        raise ValueError(f"prediction shape {values.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")
     actual = np.abs(measured - baseline)
     if actual.max() < epsilon_detect:
         return LocalizationResult(position=None, index=None, loss=None, detected=False)
-    if predicted.ndim == 1:
-        predicted = predict_power_deltas(table, predicted)
-    best, loss = _best_candidate(actual, predicted.T)
+    if not isinstance(predicted, Prediction):
+        if values.ndim == 1:
+            values = predict_power_deltas(table, values)
+        predicted = Prediction.of(values, table.grid_shape)
+    best, loss = _best_candidate(actual, predicted)
     pos = (float(table.candidates[best, 0]), float(table.candidates[best, 1]))
     return LocalizationResult(position=pos, index=best, loss=loss, detected=True)
 

@@ -4,7 +4,10 @@ Most functions are scalar, one-point-at-a-time references for the
 vectorized channel code: each evaluates one LED-point pair (or one point's
 sum over LEDs) with ``math`` on Python floats, written out term by term from
 the Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
-array code in ``isci.photometry`` and ``isci.sensing``.  ``highs_lp`` and
+array code in ``isci.photometry`` and ``isci.sensing``.
+``occluded_sum_received_power`` forms a sensing model's reading with the
+occluded cells' gains as a full (M, P, N) tensor summed over its cells.
+``highs_lp`` and
 ``mic_radius_highs`` solve linear programs with scipy's HiGHS (Huangfu &
 Hall, 2018) in place of the package's interior-point solver.
 """
@@ -20,6 +23,7 @@ import pytest
 from isci.photometry import (SimplificationError, _check_simplification, lambertian_order,
                              snr_constant)
 from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel
+from isci.sensing import SensingModel, _outer, occluded_set
 
 
 def concentrator_gain(psi_deg: float, refractive_index: float, fov_deg: float) -> float:
@@ -149,6 +153,18 @@ def _one_bounce_gain(led: Led, patch: tuple[float, float, float], area: float,
     return (reflectance * (m + 1.0) * pd.area_m2 * area
             * cos_emit**m * cos_pd * cos_in * cos_out * pd.filter_gain * g
             / (2.0 * math.pi**2 * d1sq * d2sq))
+
+
+def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndarray:
+    """Per-PD received power (N,) with a user at ``user_xy``: the model's
+    baseline gains minus the occluded cells' gains, each cell's (M, N) gain
+    formed by ``_outer`` and the cells summed in index order along the
+    tensor's middle axis, plus the user-patch gain.  A user outside the room
+    occludes no cell and subtracts zeros."""
+    occ = occluded_set(model.scene, user_xy)
+    occluded = _outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
+    return np.asarray(powers, dtype=float) @ (model.baseline_gains - occluded
+                                              + model.user_gain(user_xy))
 
 
 def highs_lp(c, g_mat, h_vec):

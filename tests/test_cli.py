@@ -224,6 +224,17 @@ def test_invalid_config_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: room.size_x: must be a finite number, got 'abc'\n"
 
 
+def test_footprint_wider_than_the_room_exit_one(tmp_path, capsys):
+    # a footprint diameter over the room's shorter side used to end in numpy's
+    # broadcast error from the occlusion stencil
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(dump_scene(default_scene()).replace("footprint_radius_m: 0.3",
+                                                       "footprint_radius_m: 50", 1))
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == ("error: user.footprint_radius_m: footprint diameter "
+                                       "100.0 exceeds the room's shorter side 5.0\n")
+
+
 def test_unknown_flag_exit_one(capsys):
     assert run("regions", "--nope") == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -7,7 +7,7 @@ from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
 from isci import sensing as sn
-from isci.geometry import Circle, Region, classify_point, classify_points
+from isci.geometry import Circle, Region, build_partition, classify_point, classify_points
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
@@ -270,6 +270,32 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
     assert len(predicts) == 3  # p_min and the two mode allocations, once each
 
 
+def test_scenario_tile_match_equals_full_scan(monkeypatch):
+    # a 6 m room with a 3 x 3 LED/PD lattice at 0.05 m: 14 400 candidates in
+    # 15 x 15 tiles; the trace must not change when every loss is computed
+    xs = [1.0, 3.0, 5.0]
+    scene = scene_from_dict({
+        "room": {"size_x": 6.0, "size_y": 6.0},
+        "grid": {"pitch": 0.05},
+        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
+        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
+    })
+    partition = build_partition(scene)
+    model = sn.SensingModel(scene)
+    table = sn.build_fingerprint_table(scene, model)
+    traj = ct.generate_trajectory(partition, seed=4)
+    tiled = ct.run_scenario(scene, partition, table, traj, noise_seed=6, model=model)
+    assert sum(s.detected for s in tiled.steps) > len(traj) // 2
+
+    def full_scan(actual, prediction):
+        losses = ((actual[None, :] - prediction.values) ** 2).sum(axis=1)
+        k = int(np.argmin(losses))
+        return k, float(losses[k])
+
+    monkeypatch.setattr(sn, "_best_candidate", full_scan)
+    assert ct.run_scenario(scene, partition, table, traj, noise_seed=6, model=model) == tiled
+
+
 def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves, predicts):
     traj = ct.generate_trajectory(partition, seed=3)
     cold = ct.run_scenario(scene, partition, table, traj, noise_seed=9)
@@ -310,12 +336,14 @@ def test_room_plan_keeps_only_the_last_room(scene, partition, table, solves):
 def test_allocations_are_read_only(scene, partition, table, solves):
     plan = ct.RoomPlan(scene, partition, table)
     for mode in ct.Mode:
-        for kept in (plan.allocation(mode)[0], plan.prediction(mode)):
+        prediction = plan.prediction(mode)
+        for kept in (plan.allocation(mode)[0], prediction.values, prediction.lo, prediction.hi,
+                     *prediction.tiles):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.0
-        assert plan.prediction(mode) is plan.prediction(mode)
-        assert np.array_equal(plan.prediction(mode),
+        assert plan.prediction(mode) is prediction
+        assert np.array_equal(prediction.values,
                               sn.predict_power_deltas(table, plan.allocation(mode)[0]))
     # apply_mode still hands each caller its own writable array
     powers, _ = ct.apply_mode(ct.Mode.NO_USER, scene, partition)

@@ -96,6 +96,15 @@ def test_with_powers(scene):
         scene.with_powers([10.0])
 
 
+def test_exponent_floats_load_as_yaml_1_2_floats(scene):
+    # YAML 1.1 reads 1e-2 as a string; the loader takes it as YAML 1.2 does
+    text = dump_scene(scene)
+    assert "noise_rel_sigma: 0.01\n" in text
+    assert (load_scene(text.replace("noise_rel_sigma: 0.01", "noise_rel_sigma: 1e-2"))
+            == load_scene(text))
+    assert load_scene(text.replace("step_period_s: 0.5", "step_period_s: 5E-1")) == scene
+
+
 def test_nonuniform_reflectance_round_trip(scene):
     cfg = scene_to_dict(scene)
     rho = [0.8] * scene.grid.count

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isci import sensing as sn
 from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
-from tests.oracles import concentrator_gain, nlos_element_gain, nlos_user_gain
+from tests.oracles import (concentrator_gain, nlos_element_gain, nlos_user_gain,
+                          occluded_sum_received_power)
 
 
 def _mixed_scene():
@@ -245,6 +248,25 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
         assert np.array_equal(model.received_power(p, xy), expected), xy
 
 
+@pytest.mark.parametrize("make_scene", [default_scene, lambda: _lattice_scene(pitch=0.05)])
+def test_received_power_matches_occluded_sum_oracle(make_scene):
+    # einsum's fixed-order occluded sum against the (M, P, N) tensor summed
+    # over its cells, bit for bit; wall-adjacent and outside points included
+    s = make_scene()
+    model = sn.SensingModel(s)
+    size = s.room.size_x
+    rng = np.random.default_rng(8)
+    edges = [0.0, 1e-3, 0.5 * s.grid.pitch, size - 1e-3, size]
+    points = [*rng.uniform(0.0, size, (200, 2)),
+              *((x, y) for x in edges for y in (*edges, size / 3)),
+              (-1e-3, size / 2), (size / 2, size + 0.1), (-0.5, -0.5)]
+    lo, hi = s.power_bounds()
+    for xy in points:
+        p = rng.uniform(lo, hi)
+        assert np.array_equal(model.received_power(p, xy),
+                              occluded_sum_received_power(model, p, xy)), xy
+
+
 def test_user_reading_matches_fingerprint_identity(scene, sensing_model, table):
     p = scene.power_vector()
     base = sensing_model.received_power(p)
@@ -330,8 +352,10 @@ def test_localize_exact_at_every_candidate_mixed_fov():
     table = sn.build_fingerprint_table(s, model)
     p = s.power_vector()
     base = model.received_power(p)
+    # one Prediction for every probe, as the loop's room plan keeps it
+    prediction = sn.Prediction.of(sn.predict_power_deltas(table, p), table.grid_shape)
     missed = [k for k, xy in enumerate(table.candidates)
-              if sn.localize(model.received_power(p, xy), base, p, table).index != k]
+              if sn.localize(model.received_power(p, xy), base, prediction, table).index != k]
     assert missed == []
 
 
@@ -492,8 +516,11 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
 
 
 def _full_scan(actual, predicted):
-    """Index and loss of the first least-loss candidate, from every loss."""
-    losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
+    """Index and loss of the first least-loss candidate, from every loss,
+    each the squared misses added one PD at a time in PD order."""
+    losses = np.zeros(len(predicted))
+    for j, reading in enumerate(actual):
+        losses += (reading - predicted[:, j]) ** 2
     k = int(np.argmin(losses))
     return k, losses[k]
 
@@ -520,13 +547,14 @@ def _factored_table(candidates, baseline, factors, offsets, grid_shape):
     return sn.FingerprintTable(candidates, baseline, *factors, tuple(offsets), grid_shape)
 
 
-def _column_table(columns):
+def _column_table(columns, grid_shape=None):
     """A one-LED table whose prediction at unit power is ``columns``, (N, K),
-    bit for bit: the user factors hold the columns, the floor factors zeros."""
+    bit for bit: the user factors hold the columns, the floor factors zeros.
+    Its candidates lie on a ``grid_shape`` grid, (K, 1) unless given."""
     n, k = columns.shape
     factors = (np.ones((1, k)), columns.T, np.zeros((1, k)), np.zeros((k, n)))
     return _factored_table(np.arange(2.0 * k).reshape(k, 2), np.zeros((1, n)), factors,
-                           ((0, 0),), (k, 1))
+                           ((0, 0),), grid_shape or (k, 1))
 
 
 def test_localize_exact_tie_goes_to_lower_index():
@@ -539,61 +567,99 @@ def test_localize_exact_tie_goes_to_lower_index():
     assert result.index == 1 and result.position == (2.0, 3.0)
 
 
-def test_pruned_match_keeps_tie_with_the_bound_argmin():
-    # PD 4 reads least, so the bound sums PDs 0-3.  Candidate 3 misses only
-    # on PD 4 (bound 0), candidate 1 only on PD 0 (bound = loss): both lose
-    # 0.0625, the bound's argmin is 3, and candidate 1 survives only because
-    # the bound is compared with <=.
-    actual = np.array([1.0, 2.0, 0.5, 3.0, 0.125])
-    columns = np.repeat((actual + 2.0)[:, None], 24, axis=1)
-    columns[:, 1] = actual + [0.25, 0.0, 0.0, 0.0, 0.0]
-    columns[:, 3] = actual + [0.0, 0.0, 0.0, 0.0, 0.25]
-    result = sn.localize(actual, np.zeros(5), np.array([1.0]), _column_table(columns))
-    assert (result.index, result.loss) == (1, 0.0625)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 25])
-def test_pruned_match_equals_full_scan_on_random_tables(monkeypatch, n):
-    rng = np.random.default_rng(100 + n)
-    pruned = []
+@pytest.fixture()
+def rescored(monkeypatch):
+    """The candidates of each _losses_of call, in call order."""
+    calls = []
     real = sn._losses_of
 
     def spy(actual, columns, keep):
-        pruned.append(len(keep))
+        calls.append(np.sort(keep))
         return real(actual, columns, keep)
 
     monkeypatch.setattr(sn, "_losses_of", spy)
-    k, trials = 400, 80
+    return calls
+
+
+def test_pruned_match_keeps_tie_with_the_bound_argmin(rescored):
+    # A 16 x 1 grid holds the 8 x 1 tiles 0-7 and 8-15.  Every candidate of
+    # the first misses the reading by 0.25 on PD 0, so that tile's bound
+    # equals their loss, 0.0625.  The second tile's envelope holds the
+    # reading (bound 0), so it is the bound's argmin, and its candidate 11,
+    # which misses by 0.25 on PD 4, caps the minimum at 0.0625.  Candidate 0
+    # ties it and wins only because the bound is compared with <=.
+    actual = np.array([1.0, 2.0, 0.5, 3.0, 0.125])
+    columns = np.repeat((actual + [0.25, 0.0, 0.0, 0.0, 0.0])[:, None], 16, axis=1)
+    columns[:, 8:] = actual[:, None] + 2.0
+    columns[:, 9] = actual - 0.125
+    columns[:, 11] = actual + [0.0, 0.0, 0.0, 0.0, 0.25]
+    result = sn.localize(actual, np.zeros(5), np.array([1.0]), _column_table(columns))
+    assert (result.index, result.loss) == (0, 0.0625)
+    cap, survivors = rescored
+    assert cap.tolist() == list(range(8, 16))
+    assert survivors.tolist() == list(range(16))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 25])
+def test_pruned_match_equals_full_scan_on_random_tables(rescored, n):
+    rng = np.random.default_rng(100 + n)
+    grid = (21, 19)  # 3 x 3 tiles, the last row and column of them ragged
+    k, trials = grid[0] * grid[1], 80
     for trial in range(trials):
         # coarse values make exact loss ties common
         columns = np.round(8.0 * rng.uniform(0.0, 1.0, (n, k))) / 8.0
+        tiles = sn.Prediction.of(columns.T, grid).tiles
         kind = trial % 4
         if kind == 0:    # near one candidate: the bound prunes
             actual = np.abs(columns[:, rng.integers(k)] + 0.01 * rng.standard_normal(n))
-        elif kind == 1:  # the table is flat on the loudest PDs: the bound fails
+        elif kind == 1:  # every tile spans [0, 1] on every PD: no bound prunes
+            for members in tiles:
+                columns[:, members[0]], columns[:, members[-1]] = 0.0, 1.0
             actual = rng.uniform(0.0, 1.0, n)
-            loud = np.argsort(actual)[-sn._BOUND_PDS:]
-            columns[loud] = actual[loud, None]
         elif kind == 2:  # a reading unrelated to the table
             actual = rng.uniform(0.0, 1.0, n)
-        else:            # an exact tie whose lower index is not the bound's argmin
+        else:            # an exact tie whose lower index is not in the bound's argmin tile
             actual = columns[:, 0] + 1.0
-            order = np.argsort(actual, kind="stable")
-            quiet, loud = order[0], order[-1]
+            loud, quiet = rng.choice(n, 2, replace=False)
             columns += 2.0
-            low, high = np.sort(rng.choice(k, 2, replace=False))
-            columns[:, low] = columns[:, high] = actual
-            columns[loud, low] += 0.25   # bound = loss = 0.0625
-            columns[quiet, high] += 0.25  # bound 0 when quiet is not bounded
-        table = _column_table(columns)
+            # every member of the first tile: bound = loss = 0.0625
+            columns[:, tiles[0]] = (actual + 0.25 * (np.arange(n) == loud))[:, None]
+            # the last tile holds the reading (bound 0) and a candidate that loses 0.0625
+            high, low = rng.choice(tiles[-1], 2, replace=False)
+            columns[:, high] = actual + 0.25 * (np.arange(n) == quiet)
+            columns[:, low] = actual - 0.5
+        table = _column_table(columns, grid)
         loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
         want = _full_scan(actual, sn.predict_power_deltas(table, np.array([1.0])))
         assert (loc.index, loc.loss) == want
-    if n <= sn._BOUND_PDS:
-        assert pruned == []  # the bound would be the loss: one full scan
+    survivors = [len(keep) for keep in rescored[1::2]]
+    assert len(survivors) == trials
+    assert min(survivors) < k / 4  # the bound pruned
+    assert max(survivors) == k     # and a flat table kept every candidate
+
+
+_RAGGED = st.integers(1, 40).filter(lambda side: side % 8 != 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@example(nx=1, ny=1, n=12, kind="far", seed=0)  # one candidate
+@example(nx=9, ny=1, n=25, kind="near", seed=1)  # a one-candidate edge tile
+@example(nx=17, ny=9, n=1, kind="flat", seed=2)
+@given(nx=_RAGGED, ny=st.one_of(st.just(1), _RAGGED), n=st.integers(1, 25),
+       kind=st.sampled_from(["near", "far", "flat"]), seed=st.integers(0, 2**32 - 1))
+def test_tile_match_equals_full_scan_on_ragged_grids(nx, ny, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    k = nx * ny
+    columns = np.round(8.0 * rng.uniform(0.0, 1.0, (n, k))) / 8.0  # exact ties are common
+    if kind == "near":
+        actual = np.abs(columns[:, rng.integers(k)] + 0.01 * rng.standard_normal(n))
+    elif kind == "far":
+        actual = rng.uniform(2.0, 3.0, n)
     else:
-        assert 0 < len(pruned) < trials  # both the pruned path and the fallback ran
-        assert max(pruned) <= k // sn._PRUNE_FRACTION
+        actual = np.full(n, rng.integers(1, 9) / 8.0)
+    table = _column_table(columns, (nx, ny))
+    loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
+    assert (loc.index, loc.loss) == _full_scan(actual, sn.predict_power_deltas(table, [1.0]))
 
 
 # ---------------------------------------------------------------------------
