@@ -24,7 +24,7 @@ from .geometry import Region, RegionPartition, classify_point
 from .photometry import FieldGrid
 from .scene import ControllerConfig, Scene
 from .sensing import (FingerprintTable, LocalizationResult, Prediction, SensingModel,
-                      NOISELESS_DETECT_EPS, _read_only, localize, predict_power_deltas)
+                      NOISELESS_DETECT_EPS, _read_only, localize)
 
 __all__ = [
     "Mode",
@@ -55,15 +55,13 @@ class Mode(Enum):
 
 
 def select_mode(localization: LocalizationResult, partition: RegionPartition) -> Mode:
-    """Map a localization outcome to the control mode."""
-    if not localization.detected or localization.position is None:
+    """Map a localization outcome to the control mode; no position is NO_USER."""
+    if localization.position is None:
         return Mode.NO_USER
     region = classify_point(localization.position, partition)
-    if region is Region.OUTSIDE:
-        return Mode.NO_USER
     if region is Region.ACTIVITY:
         return Mode.ENHANCED
-    return Mode.UNIFORMITY
+    return Mode.UNIFORMITY if region is Region.NON_ACTIVITY else Mode.NO_USER
 
 
 def apply_mode(mode: Mode, scene: Scene,
@@ -86,11 +84,11 @@ def apply_mode(mode: Mode, scene: Scene,
 
 
 class RoomPlan:
-    """Each mode's allocation, SolveReport and fingerprint prediction: the
+    """Each mode's allocation, SolveReport and fingerprint Prediction: the
     mode programs are built from the room alone, never from the user's
     position, so each is formed once, on first use, and shared read-only.
     NO_USER's p_min is set up front; apply_mode (and any fallback warning)
-    runs once per program."""
+    runs once per program, Prediction.at once per mode."""
 
     def __init__(self, scene: Scene, partition: RegionPartition, table: FingerprintTable):
         self.scene, self.partition, self.table = scene, partition, table
@@ -105,11 +103,10 @@ class RoomPlan:
         return self._solved[mode]
 
     def prediction(self, mode: Mode) -> Prediction:
-        """The table's read-only prediction at ``mode``'s powers, with the
-        tile envelopes localize bounds its match by."""
+        """Prediction.at the table and ``mode``'s powers: what localize
+        matches a step's readings against while ``mode`` is applied."""
         if mode not in self._predicted:
-            values = predict_power_deltas(self.table, self.allocation(mode)[0])
-            self._predicted[mode] = Prediction.of(values, self.table.grid_shape)
+            self._predicted[mode] = Prediction.at(self.table, self.allocation(mode)[0])
         return self._predicted[mode]
 
 
@@ -257,11 +254,14 @@ class ScenarioStep:
     t: float
     true_pos: Optional[tuple[float, float]]
     estimate: Optional[tuple[float, float]]
-    detected: bool
     mode: str
     powers: tuple[float, ...]
     energy_j: float
     error_m: Optional[float]
+
+    @property
+    def detected(self) -> bool:
+        return self.estimate is not None
 
 
 @dataclass(frozen=True)
@@ -315,12 +315,9 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
                        epsilon_detect=eps)
         mode = select_mode(loc, partition)
         powers, _ = plan.allocation(mode)
-        error = None
-        if pos is not None and loc.detected and loc.position is not None:
-            error = math.hypot(loc.position[0] - pos[0], loc.position[1] - pos[1])
+        error = None if pos is None or loc.position is None else math.dist(loc.position, pos)
         steps.append(ScenarioStep(
-            t=t, true_pos=pos, estimate=loc.position if loc.detected else None,
-            detected=loc.detected, mode=mode.value,
+            t=t, true_pos=pos, estimate=loc.position, mode=mode.value,
             powers=tuple(float(p) for p in powers),
             energy_j=dt * float(np.sum(powers)), error_m=error,
         ))
@@ -334,8 +331,8 @@ def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint]) -> Sc
     powers = tuple([float(power_per_led)] * scene.num_leds)
     energy = dt * power_per_led * scene.num_leds
     steps = tuple(
-        ScenarioStep(t=t, true_pos=pos, estimate=None, detected=False,
-                     mode="baseline", powers=powers, energy_j=energy, error_m=None)
+        ScenarioStep(t=t, true_pos=pos, estimate=None, mode="baseline", powers=powers,
+                     energy_j=energy, error_m=None)
         for t, pos in trajectory
     )
     return ScenarioTrace(steps=steps, dt=dt)

@@ -170,11 +170,13 @@ def snr_full(leds: Sequence[Led], points: np.ndarray, plane_z: float, pd: CommPd
 
 def plane_grid(room: Room, pitch: float) -> np.ndarray:
     """Cell-centered sample grid covering the room footprint, shape (L, 2),
-    ordered by ascending x then ascending y."""
-    if pitch <= 0:
-        raise ValueError("pitch must be positive")
-    nx = max(1, int(round(room.size_x / pitch)))
-    ny = max(1, int(round(room.size_y / pitch)))
+    ordered by ascending x then y.  ValueError unless 0 < pitch <= the room's shorter side."""
+    side = min(room.size_x, room.size_y)
+    if not 0 < pitch <= side:
+        raise ValueError(f"pitch {pitch} m must be positive and no wider than the room's "
+                         f"shorter side, {side} m")
+    nx = int(round(room.size_x / pitch))
+    ny = int(round(room.size_y / pitch))
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     return np.column_stack([(ix.ravel() + 0.5) * pitch, (iy.ravel() + 0.5) * pitch])
 

@@ -271,12 +271,15 @@ class FingerprintTable:
 @dataclass(frozen=True)
 class LocalizationResult:
     """A fingerprint match: the chosen candidate's position, index and
-    least-squares loss, all None when nobody is detected."""
+    least-squares loss, all None (``detected`` False) when nobody is detected."""
 
     position: Optional[tuple[float, float]]
     index: Optional[int]
     loss: Optional[float]
-    detected: bool
+
+    @property
+    def detected(self) -> bool:
+        return self.index is not None
 
 
 def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) -> FingerprintTable:
@@ -325,28 +328,29 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """A (K, N) prediction with the envelopes that _best_candidate bounds
-    losses by.
+    """A table's (K, N) prediction at some powers, with the envelopes that
+    _best_candidate bounds losses by.
 
     The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles,
-    smaller at the far edges.  ``lo`` and ``hi`` (N, T) hold each tile's
-    least and greatest prediction per PD, and ``tiles`` the candidate
-    indices of each of the T tiles.  ``values`` is a read-only view of the
-    prediction it was formed from, not a copy.  Form one with Prediction.of.
+    smaller at the far edges.  ``tiles`` (T, _TILE ** 2) holds each tile's
+    candidate indices in ascending order, padded with -1, and ``lo`` and
+    ``hi`` (N, T) each tile's least and greatest prediction per PD.
+    ``values`` is the read-only predict_power_deltas(table, powers), not a
+    copy.  All four are read-only.  Form one with Prediction.at.
     """
 
     values: np.ndarray  # (K, N)
     lo: np.ndarray      # (N, T)
     hi: np.ndarray      # (N, T)
-    tiles: tuple[np.ndarray, ...]
+    tiles: np.ndarray   # (T, _TILE ** 2)
 
     @classmethod
-    def of(cls, values: np.ndarray, grid_shape: tuple[int, int]) -> "Prediction":
-        """The envelopes of ``values`` over the candidate grid ``grid_shape``."""
-        nx, ny = grid_shape
-        view = np.asarray(values, dtype=float).view()
-        view.flags.writeable = False
-        grid = np.ascontiguousarray(view.T).reshape(-1, nx, ny)
+    def at(cls, table: FingerprintTable, powers) -> "Prediction":
+        """The prediction of ``table`` at ``powers`` and its envelopes over
+        the table's candidate grid; powers that do not fit raise ValueError."""
+        values = predict_power_deltas(table, powers)
+        nx, ny = table.grid_shape
+        grid = values.T.reshape(-1, nx, ny)
         bands = [grid[:, start:start + _TILE] for start in range(0, nx, _TILE)]
         cuts_y = np.arange(0, ny, _TILE)
         # each band of grid rows is reduced on its own: reduceat along the
@@ -355,12 +359,10 @@ class Prediction:
                                                        for band in bands], axis=1),
                                              cuts_y, axis=2).reshape(len(grid), -1))
                   for reduce in (np.minimum, np.maximum))
-        tile_of = ((np.arange(nx) // _TILE)[:, None] * len(cuts_y)
-                   + np.arange(ny) // _TILE).ravel()
-        members = _read_only(np.argsort(tile_of, kind="stable"))
-        ends = np.cumsum(np.bincount(tile_of)).tolist()
-        return cls(view, lo, hi, tuple(members[start:end]
-                                       for start, end in zip([0, *ends], ends)))
+        padded = np.pad(np.arange(nx * ny).reshape(nx, ny),
+                        ((0, -nx % _TILE), (0, -ny % _TILE)), constant_values=-1)
+        tiles = padded.reshape(-1, _TILE, len(cuts_y), _TILE).swapaxes(1, 2)
+        return cls(values, lo, hi, _read_only(tiles.reshape(-1, _TILE * _TILE)))
 
 
 def _losses_of(actual: np.ndarray, columns: np.ndarray, keep) -> np.ndarray:
@@ -398,8 +400,10 @@ def _best_candidate(actual: np.ndarray, prediction: Prediction) -> tuple[int, fl
     gaps = np.maximum(prediction.lo - reading, reading - prediction.hi)
     np.maximum(gaps, 0.0, out=gaps)
     bounds = _pd_order_sums(np.multiply(gaps, gaps, out=gaps))
-    cap = _losses_of(actual, columns, prediction.tiles[int(np.argmin(bounds))]).min()
-    keep = np.concatenate([prediction.tiles[t] for t in np.flatnonzero(bounds <= cap)])
+    lowest = prediction.tiles[int(np.argmin(bounds))]
+    cap = _losses_of(actual, columns, lowest[lowest >= 0]).min()
+    keep = prediction.tiles[bounds <= cap]
+    keep = keep[keep >= 0]
     losses = _losses_of(actual, columns, keep)
     least = losses.min()
     return int(keep[losses == least].min()), float(least)
@@ -409,17 +413,16 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
              epsilon_detect: float = NOISELESS_DETECT_EPS) -> LocalizationResult:
     """Least-squares fingerprint match of measured power variations.
 
-    ``predicted`` is the prediction at the powers the readings were taken
-    under: a Prediction, or the bare (K, N) predict_power_deltas(table,
-    powers), whose envelopes a detected call forms.  Given those powers
-    (1-D) instead, as the benchmark's scaling ladder does, a detected call
-    forms both.  The user counts as detected when any PD's variation
-    reaches ``epsilon_detect``; otherwise the call returns at once.  A
-    detected user is placed at the candidate whose loss, the squared misses
-    (actual - predicted) ** 2 added one PD at a time in PD order, is least,
-    ties broken toward the lowest index, and _best_candidate finds it and
-    its loss bit for bit as a full scan would.  Non-finite readings, and
-    inputs that do not fit the table, raise ValueError.
+    ``predicted`` is Prediction.at(table, powers) of the powers the readings
+    were taken under.  Given those powers (1-D) instead, as the benchmark's
+    scaling ladder does, a detected call forms it.  The user counts as
+    detected when any PD's variation reaches ``epsilon_detect``; otherwise
+    the call returns at once.  A detected user is placed at the candidate
+    whose loss, the squared misses (actual - predicted) ** 2 added one PD at
+    a time in PD order, is least, ties broken toward the lowest index, and
+    _best_candidate finds it and its loss bit for bit as a full scan would.
+    Non-finite readings, and inputs that do not fit the table, raise
+    ValueError.
     """
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
@@ -431,25 +434,19 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
     for name, values in (("measured", measured), ("baseline", baseline)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    if isinstance(predicted, Prediction):
-        values = predicted.values
-    else:
-        values = np.asarray(predicted, dtype=float)
-        if values.ndim == 1:
-            values = _checked_powers(table, values)
-    if values.ndim != 1 and values.shape != (k, n):
-        raise ValueError(f"prediction shape {values.shape} does not fit a fingerprint "
+    if not isinstance(predicted, Prediction):
+        powers = _checked_powers(table, predicted)
+    elif predicted.values.shape != (k, n):
+        raise ValueError(f"prediction shape {predicted.values.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")
     actual = np.abs(measured - baseline)
     if actual.max() < epsilon_detect:
-        return LocalizationResult(position=None, index=None, loss=None, detected=False)
+        return LocalizationResult(position=None, index=None, loss=None)
     if not isinstance(predicted, Prediction):
-        if values.ndim == 1:
-            values = predict_power_deltas(table, values)
-        predicted = Prediction.of(values, table.grid_shape)
+        predicted = Prediction.at(table, powers)
     best, loss = _best_candidate(actual, predicted)
     pos = (float(table.candidates[best, 0]), float(table.candidates[best, 1]))
-    return LocalizationResult(position=pos, index=best, loss=loss, detected=True)
+    return LocalizationResult(position=pos, index=best, loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +470,8 @@ def load_fingerprint(blob: bytes) -> FingerprintTable:
     saved factors, so it predicts bit for bit like the saved table.
 
     Raises ValueError on a bad magic, a short or mis-sized blob, a version
-    other than 2, K != nx * ny, a stencil offset off the grid, or a
-    non-finite value, naming the section that holds it.
+    other than 2, no candidates, LEDs or PDs, K != nx * ny, a stencil offset
+    off the grid, or a non-finite value, naming the section that holds it.
     """
     if blob[:4] != _MAGIC:
         raise ValueError("not a fingerprint table (bad magic)")
@@ -483,6 +480,9 @@ def load_fingerprint(blob: bytes) -> FingerprintTable:
     version, k, m, n, s, nx, ny = struct.unpack_from(_HEADER, blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported fingerprint version {version}")
+    for count, name in ((k, "candidates"), (m, "LEDs"), (n, "PDs")):
+        if count == 0:
+            raise ValueError(f"fingerprint has 0 {name}")
     if k != nx * ny:
         raise ValueError(f"fingerprint has {k} candidates for a {nx} x {ny} grid")
     expected = _HEADER_LEN + 8 * (m * n + 2 * k + 2 * k * (m + n) + s)

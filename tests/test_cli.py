@@ -132,6 +132,17 @@ def test_invalid_setting_flag_exit_one(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["field"], ["optimize", "--mode", "enhanced"]],
+                         ids=["field", "optimize"])
+def test_pitch_wider_than_room_exit_one(tmp_path, capsys, command):
+    # the default room is 5 m square: an 11 m pitch's one sample, at 5.5 m, lies outside it
+    out = tmp_path / "x"
+    assert run(*command, "--pitch", "11", "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("error: pitch 11.0 m must be positive and no wider than "
+                                       "the room's shorter side, 5.0 m\n")
+    assert not out.exists()
+
+
 def test_optimize_zero_snr_threshold(tmp_path, capsys):
     out = tmp_path / "z"
     assert run("optimize", "--mode", "enhanced", "--snr-threshold", "0",

@@ -12,9 +12,9 @@ from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
 
-def _loc(pos, detected=True):
+def _loc(pos):
     return LocalizationResult(position=pos, index=0 if pos else None,
-                              loss=0.0 if pos else None, detected=detected)
+                              loss=0.0 if pos else None)
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +22,15 @@ def _loc(pos, detected=True):
 # ---------------------------------------------------------------------------
 
 def test_select_mode_not_detected(partition):
-    assert ct.select_mode(_loc(None, detected=False), partition) is ct.Mode.NO_USER
+    assert ct.select_mode(_loc(None), partition) is ct.Mode.NO_USER
+
+
+def test_detected_is_derived_from_the_match():
+    assert not _loc(None).detected and _loc((1.0, 2.0)).detected
+    step = ct.ScenarioStep(t=0.0, true_pos=(1.0, 2.0), estimate=None, mode="no_user",
+                           powers=(1.0,), energy_j=0.5, error_m=None)
+    assert not step.detected
+    assert replace(step, estimate=(1.0, 2.0)).detected
 
 
 def test_select_mode_outside(partition):
@@ -261,8 +269,8 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
         k = int(np.argmin(losses)) if detected else None
         estimate = tuple(float(c) for c in table.candidates[k]) if detected else None
         mode = ct.select_mode(LocalizationResult(position=estimate, index=k,
-                                                 loss=losses[k] if detected else None,
-                                                 detected=detected), partition)
+                                                 loss=losses[k] if detected else None),
+                              partition)
         if mode not in allocations:
             allocations[mode], _ = ct.apply_mode(mode, scene, partition)
         assert (step.mode, step.detected, step.estimate) == (mode.value, detected, estimate)
@@ -338,7 +346,7 @@ def test_allocations_are_read_only(scene, partition, table, solves):
     for mode in ct.Mode:
         prediction = plan.prediction(mode)
         for kept in (plan.allocation(mode)[0], prediction.values, prediction.lo, prediction.hi,
-                     *prediction.tiles):
+                     prediction.tiles):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.0

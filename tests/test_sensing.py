@@ -353,7 +353,7 @@ def test_localize_exact_at_every_candidate_mixed_fov():
     p = s.power_vector()
     base = model.received_power(p)
     # one Prediction for every probe, as the loop's room plan keeps it
-    prediction = sn.Prediction.of(sn.predict_power_deltas(table, p), table.grid_shape)
+    prediction = sn.Prediction.at(table, p)
     missed = [k for k, xy in enumerate(table.candidates)
               if sn.localize(model.received_power(p, xy), base, prediction, table).index != k]
     assert missed == []
@@ -399,8 +399,10 @@ def test_localize_undetected_forms_no_prediction(scene, sensing_model, table, mo
     assert formed == []
     assert sn.localize(measured, base, p, table).detected  # powers: formed on the call
     assert len(formed) == 1
-    loc = sn.localize(measured, base, real(table, p), table)
-    assert len(formed) == 1  # a given prediction is used as it is
+    prediction = sn.Prediction.at(table, p)
+    assert len(formed) == 2
+    loc = sn.localize(measured, base, prediction, table)
+    assert len(formed) == 2  # a given Prediction is used as it is
     assert loc == sn.localize(measured, base, p, table)
 
 
@@ -476,11 +478,29 @@ def test_localize_rejects_bad_power_vector(scene, table):
 
 def test_localize_rejects_prediction_that_does_not_fit(scene, table):
     base = np.ones(scene.num_sensing_pds)
-    predicted = sn.predict_power_deltas(table, scene.power_vector())
     k, _, n = table.shape
-    for bad in (predicted.T, predicted[:-1], predicted[:, :-1], predicted[None]):
+    # Predictions of tables with one candidate fewer and with one PD fewer
+    for other in (_column_table(np.ones((n, k - 1))), _column_table(np.ones((n - 1, k)))):
+        bad = sn.Prediction.at(other, [1.0])
         with pytest.raises(ValueError, match=rf"does not fit .* \({k}, {n}\)$"):
             sn.localize(base, base, bad, table)
+    # a bare (K, N) prediction is not a form localize takes
+    with pytest.raises(ValueError, match="1-D"):
+        sn.localize(base, base, sn.predict_power_deltas(table, scene.power_vector()), table)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (10, 9), (17, 3)])
+def test_prediction_tiles_cover_the_grid_once(nx, ny):
+    k, n = nx * ny, 2
+    prediction = sn.Prediction.at(_column_table(np.ones((n, k)), (nx, ny)), [1.0])
+    tiles = prediction.tiles
+    assert tiles.shape == (-(-nx // 8) * -(-ny // 8), 64)
+    assert prediction.lo.shape == prediction.hi.shape == (n, len(tiles))
+    members = [row[row >= 0] for row in tiles]
+    assert all(np.all(np.diff(row) > 0) for row in members)
+    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(k))
+    for row in members:  # one tile's members share their grid row and column blocks
+        assert len(set((row // ny) // 8)) == len(set((row % ny) // 8)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +625,11 @@ def test_pruned_match_equals_full_scan_on_random_tables(rescored, n):
     rng = np.random.default_rng(100 + n)
     grid = (21, 19)  # 3 x 3 tiles, the last row and column of them ragged
     k, trials = grid[0] * grid[1], 80
+    tiles = [row[row >= 0] for row in sn.Prediction.at(_column_table(np.zeros((n, k)), grid),
+                                                        [1.0]).tiles]
     for trial in range(trials):
         # coarse values make exact loss ties common
         columns = np.round(8.0 * rng.uniform(0.0, 1.0, (n, k))) / 8.0
-        tiles = sn.Prediction.of(columns.T, grid).tiles
         kind = trial % 4
         if kind == 0:    # near one candidate: the bound prunes
             actual = np.abs(columns[:, rng.integers(k)] + 0.01 * rng.standard_normal(n))
@@ -848,6 +869,25 @@ def test_fingerprint_rejects_grid_that_does_not_hold_k(table):
         sn.load_fingerprint(_with_header(blob, ny=49))
     # nx * ny = K with the axes swapped or stretched: the offsets still fit
     assert sn.load_fingerprint(_with_header(blob, nx=25, ny=100)).shape == table.shape
+
+
+def _empty_blob(k, m, n, nx, ny):
+    """A whole, well-sized LFPT v2 blob of zeros with no stencil offsets."""
+    import struct
+    return (b"LFPT" + struct.pack("<H6I", 2, k, m, n, 0, nx, ny)
+            + bytes(8 * (m * n + 2 * k + 2 * k * (m + n))))
+
+
+@pytest.mark.parametrize("k, m, n, nx, ny, count", [
+    (0, 2, 3, 0, 0, "0 candidates"),
+    (0, 2, 3, 0, 4, "0 candidates"),
+    (4, 0, 3, 2, 2, "0 LEDs"),
+    (4, 2, 0, 2, 2, "0 PDs"),
+], ids=["no-candidates", "no-candidate-rows", "no-leds", "no-pds"])
+def test_fingerprint_rejects_empty_dimension(k, m, n, nx, ny, count):
+    # a table without candidates, LEDs or PDs can neither predict nor match
+    with pytest.raises(ValueError, match=f"^fingerprint has {count}$"):
+        sn.load_fingerprint(_empty_blob(k, m, n, nx, ny))
 
 
 @pytest.mark.parametrize("offset", [(50, 0), (-50, 0), (0, 50), (0, -50), (-2**31, 0)],
