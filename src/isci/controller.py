@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -277,6 +277,17 @@ class ScenarioTrace:
         return np.array([s.error_m for s in self.steps if s.error_m is not None])
 
 
+class _ModeStep(NamedTuple):
+    """What a replay step reads and records while one mode is applied."""
+
+    powers: np.ndarray           # the plan's read-only allocation
+    baseline: np.ndarray         # the no-user reading (N,) at those powers
+    sigma: np.ndarray            # per-PD noise sigma (N,)
+    eps: float                   # detection threshold
+    recorded: tuple[float, ...]  # ScenarioStep.powers
+    energy_j: float              # ScenarioStep.energy_j
+
+
 def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTable,
                  trajectory: Sequence[TrajectoryPoint], noise_seed: int = 0,
                  model: Optional[SensingModel] = None) -> ScenarioTrace:
@@ -289,7 +300,16 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     the last run's room solves and predicts nothing again.  Gaussian
     measurement noise has per-PD sigma ``noise_rel_sigma`` (from the scene's
     controller config) times the no-user baseline reading; the detection
-    threshold is three times the largest sigma.
+    threshold is three times the largest sigma, and never below
+    NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are all 0 reads
+    0 with or without a user and cannot sense one entering.
+
+    What a mode fixes (its powers, baseline reading, sigma, threshold, and
+    the step record's powers and energy) is formed on the run's first step
+    in that mode, from ``model``.  The with-user gains, model.gains_at, are
+    formed again only when the position differs from the previous step's,
+    so every reading is the floats that model.received_power gives.
+    Positions are recorded as (float, float).
     """
     if model is None:
         model = SensingModel(scene)
@@ -298,29 +318,40 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     rng = np.random.default_rng(noise_seed)
     dt = scene.controller.step_period_s
 
+    def constants(mode: Mode) -> _ModeStep:
+        powers, _ = plan.allocation(mode)
+        baseline = model.received_power(powers)
+        sigma = noise_rel * baseline
+        return _ModeStep(powers, baseline, sigma,
+                         max(3.0 * float(sigma.max()), NOISELESS_DETECT_EPS),
+                         tuple(float(p) for p in powers), dt * float(np.sum(powers)))
+
     mode = Mode.NO_USER
+    per_mode = {mode: constants(mode)}
+    last_xy = gains = None
     steps = []
     for t, pos in trajectory:
-        applied, _ = plan.allocation(mode)
-        baseline_reading = model.received_power(applied)
-        reading = model.received_power(applied, pos) if pos is not None else baseline_reading
-        if noise_rel > 0:
-            sigma = noise_rel * baseline_reading
-            measured = reading + rng.standard_normal(len(reading)) * sigma
-            eps = 3.0 * float(sigma.max())
+        applied, baseline_reading, sigma, eps, _, _ = per_mode[mode]
+        if pos is None:
+            xy, reading = None, baseline_reading
         else:
-            measured = reading
-            eps = NOISELESS_DETECT_EPS
+            xy = (float(pos[0]), float(pos[1]))
+            if xy != last_xy:
+                gains = model.gains_at(xy)
+            reading = applied @ gains
+        last_xy = xy
+        measured = (reading + rng.standard_normal(len(reading)) * sigma if noise_rel > 0
+                    else reading)
         loc = localize(measured, baseline_reading, plan.prediction(mode), table,
                        epsilon_detect=eps)
         mode = select_mode(loc, partition)
-        powers, _ = plan.allocation(mode)
-        error = None if pos is None or loc.position is None else math.dist(loc.position, pos)
-        steps.append(ScenarioStep(
-            t=t, true_pos=pos, estimate=loc.position, mode=mode.value,
-            powers=tuple(float(p) for p in powers),
-            energy_j=dt * float(np.sum(powers)), error_m=error,
-        ))
+        if mode not in per_mode:
+            per_mode[mode] = constants(mode)
+        record = per_mode[mode]
+        error = None if xy is None or loc.position is None else math.dist(loc.position, xy)
+        steps.append(ScenarioStep(t=t, true_pos=xy, estimate=loc.position, mode=mode.value,
+                                  powers=record.recorded, energy_j=record.energy_j,
+                                  error_m=error))
     return ScenarioTrace(steps=tuple(steps), dt=dt)
 
 

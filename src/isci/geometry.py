@@ -309,9 +309,17 @@ def unique_rows(points: np.ndarray) -> np.ndarray:
 
 def classify_point(p: PointLike, partition: RegionPartition) -> Region:
     """Region of a single point: Activity (MIC disk), NonActivity (MEC plane
-    minus MIC), or Outside."""
+    minus MIC), or Outside, as classify_points finds it.  The same np.hypot
+    distances are compared in the same way, MIC first, on Python floats
+    and without building an array; a NaN coordinate is Outside."""
     x, y = _coerce_xy(p)
-    return Region(int(classify_points(np.array([[x, y]]), partition)[0]))
+    mic, mec, b = partition.mic, partition.mec, partition.bounds
+    if np.hypot(x - mic.center.x, y - mic.center.y) <= mic.radius:
+        return Region.ACTIVITY
+    if (np.hypot(x - mec.center.x, y - mec.center.y) <= mec.radius
+            and b.x_min <= x <= b.x_max and b.y_min <= y <= b.y_max):
+        return Region.NON_ACTIVITY
+    return Region.OUTSIDE
 
 
 def build_partition(scene) -> RegionPartition:

@@ -147,8 +147,8 @@ class SensingModel:
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
     read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
-    their matrix product, and ``received_power`` forms only the occluded
-    cells' gains.
+    their matrix product, and ``gains_at`` (which ``received_power`` reads
+    through) forms only the occluded cells' gains.
     """
 
     def __init__(self, scene: Scene):
@@ -172,19 +172,24 @@ class SensingModel:
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
         return _outer(*self.user_factors(pt))[:, 0, :]
 
+    def gains_at(self, user_xy: Sequence[float]) -> np.ndarray:
+        """Gain matrix (M, N) LED -> PD with a user at ``user_xy``: the
+        baseline minus the occluded cells' gains plus the user patch's.
+        A new array on each call; it depends on the position alone, so a
+        caller may keep it while the user stands still."""
+        occ = _occluded(self.scene, self.centers, user_xy)
+        # einsum without optimize sums the cells in order and calls no
+        # BLAS: the same floats as _outer(...).sum(axis=1), 3x sooner
+        occluded = (np.einsum("ip,pj->ij", self.emitter[:, occ], self.collector[occ])
+                    if len(occ) else 0.0)
+        return self.baseline_gains - occluded + self.user_gain(user_xy)
+
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
-        """Per-PD received optical power (N,), with or without a user."""
-        powers = np.asarray(powers, dtype=float)
-        gains = self.baseline_gains
-        if user_xy is not None:
-            occ = _occluded(self.scene, self.centers, user_xy)
-            # einsum without optimize sums the cells in order and calls no
-            # BLAS: the same floats as _outer(...).sum(axis=1), 3x sooner
-            occluded = (np.einsum("ip,pj->ij", self.emitter[:, occ], self.collector[occ])
-                        if len(occ) else 0.0)
-            gains = gains - occluded + self.user_gain(user_xy)
-        return powers @ gains
+        """Per-PD received optical power (N,), with or without a user:
+        ``powers @ baseline_gains``, or ``powers @ gains_at(user_xy)``."""
+        gains = self.baseline_gains if user_xy is None else self.gains_at(user_xy)
+        return np.asarray(powers, dtype=float) @ gains
 
 
 def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
@@ -374,7 +379,12 @@ def _losses_of(actual: np.ndarray, columns: np.ndarray, keep) -> np.ndarray:
 
 
 def _pd_order_sums(terms: np.ndarray) -> np.ndarray:
-    """Column sums of ``terms`` (N, C), added one row at a time, in place."""
+    """Column sums of the C-contiguous ``terms`` (N, C), added one row at a
+    time in PD order.  numpy sums pairwise only along the fast axis, so its
+    reduce down the rows adds them in order whenever C >= 2; a lone column
+    is the fast axis, so it is added by a loop over the rows, in place."""
+    if terms.shape[1] >= 2:
+        return np.add.reduce(terms, axis=0)
     sums = terms[0]
     for row in terms[1:]:
         sums += row
@@ -421,9 +431,12 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
     whose loss, the squared misses (actual - predicted) ** 2 added one PD at
     a time in PD order, is least, ties broken toward the lowest index, and
     _best_candidate finds it and its loss bit for bit as a full scan would.
-    Non-finite readings, and inputs that do not fit the table, raise
-    ValueError.
+    Non-finite readings, inputs that do not fit the table and an
+    ``epsilon_detect`` that is not finite and positive raise ValueError: at
+    0 an empty room's zero variation would count as a user.
     """
+    if not (math.isfinite(epsilon_detect) and epsilon_detect > 0):
+        raise ValueError(f"epsilon_detect must be finite and positive, got {epsilon_detect}")
     measured = np.asarray(measured, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
     k, _, n = table.shape

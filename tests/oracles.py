@@ -7,6 +7,8 @@ the Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
 array code in ``isci.photometry`` and ``isci.sensing``.
 ``occluded_sum_received_power`` forms a sensing model's reading with the
 occluded cells' gains as a full (M, P, N) tensor summed over its cells.
+``reference_replay`` is ``controller.run_scenario``'s loop written out
+plainly, with each step's reading, region and energy formed afresh.
 ``highs_lp`` and
 ``mic_radius_highs`` solve linear programs with scipy's HiGHS (Huangfu &
 Hall, 2018) in place of the package's interior-point solver.
@@ -20,10 +22,12 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from isci.controller import Mode, ScenarioStep, ScenarioTrace, room_plan
+from isci.geometry import Region, classify_points
 from isci.photometry import (SimplificationError, _check_simplification, lambertian_order,
                              snr_constant)
 from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel
-from isci.sensing import SensingModel, _outer, occluded_set
+from isci.sensing import NOISELESS_DETECT_EPS, SensingModel, _outer, localize, occluded_set
 
 
 def concentrator_gain(psi_deg: float, refractive_index: float, fov_deg: float) -> float:
@@ -165,6 +169,46 @@ def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndar
     occluded = _outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
     return np.asarray(powers, dtype=float) @ (model.baseline_gains - occluded
                                               + model.user_gain(user_xy))
+
+
+def reference_replay(scene, partition, table, trajectory, noise_seed: int = 0,
+                     model=None) -> ScenarioTrace:
+    """``run_scenario``'s trace from a loop that keeps nothing between
+    steps: every step reads ``model.received_power`` with and without the
+    user, classifies the estimate through a one-row ``classify_points``,
+    and sums its powers with ``np.sum``.  Allocations and predictions come
+    from the same ``room_plan``."""
+    model = SensingModel(scene) if model is None else model
+    plan = room_plan(scene, partition, table)
+    noise_rel = scene.controller.noise_rel_sigma
+    rng = np.random.default_rng(noise_seed)
+    dt = scene.controller.step_period_s
+    modes = {Region.ACTIVITY: Mode.ENHANCED, Region.NON_ACTIVITY: Mode.UNIFORMITY,
+             Region.OUTSIDE: Mode.NO_USER}
+    mode = Mode.NO_USER
+    steps = []
+    for t, pos in trajectory:
+        applied, _ = plan.allocation(mode)
+        baseline = model.received_power(applied)
+        reading = model.received_power(applied, pos) if pos is not None else baseline
+        sigma = noise_rel * baseline
+        if noise_rel > 0:
+            measured = reading + rng.standard_normal(len(reading)) * sigma
+        else:
+            measured = reading
+        eps = max(3.0 * float(sigma.max()), NOISELESS_DETECT_EPS)
+        loc = localize(measured, baseline, plan.prediction(mode), table, epsilon_detect=eps)
+        if loc.position is None:
+            mode = Mode.NO_USER
+        else:
+            mode = modes[Region(int(classify_points(np.array([loc.position]), partition)[0]))]
+        powers, _ = plan.allocation(mode)
+        true_pos = None if pos is None else (float(pos[0]), float(pos[1]))
+        error = None if pos is None or loc.position is None else math.dist(loc.position, pos)
+        steps.append(ScenarioStep(t=t, true_pos=true_pos, estimate=loc.position, mode=mode.value,
+                                  powers=tuple(float(p) for p in powers),
+                                  energy_j=dt * float(np.sum(powers)), error_m=error))
+    return ScenarioTrace(steps=tuple(steps), dt=dt)
 
 
 def highs_lp(c, g_mat, h_vec):

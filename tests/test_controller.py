@@ -11,6 +11,8 @@ from isci.geometry import Circle, Region, build_partition, classify_point, class
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
+from tests.oracles import reference_replay
+
 
 def _loc(pos):
     return LocalizationResult(position=pos, index=0 if pos else None,
@@ -278,16 +280,23 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
     assert len(predicts) == 3  # p_min and the two mode allocations, once each
 
 
-def test_scenario_tile_match_equals_full_scan(monkeypatch):
-    # a 6 m room with a 3 x 3 LED/PD lattice at 0.05 m: 14 400 candidates in
-    # 15 x 15 tiles; the trace must not change when every loss is computed
-    xs = [1.0, 3.0, 5.0]
-    scene = scene_from_dict({
-        "room": {"size_x": 6.0, "size_y": 6.0},
-        "grid": {"pitch": 0.05},
+def _lattice(size, per_side, pitch, spacing):
+    """A square room with a per_side x per_side LED lattice centred on the
+    ceiling and one sensing PD 0.1 m +x of each LED."""
+    first = (size - (per_side - 1) * spacing) / 2
+    xs = [first + i * spacing for i in range(per_side)]
+    return scene_from_dict({
+        "room": {"size_x": size, "size_y": size},
+        "grid": {"pitch": pitch},
         "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
         "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
     })
+
+
+def test_scenario_tile_match_equals_full_scan(monkeypatch):
+    # a 6 m room with a 3 x 3 LED/PD lattice at 0.05 m: 14 400 candidates in
+    # 15 x 15 tiles; the trace must not change when every loss is computed
+    scene = _lattice(6.0, 3, 0.05, 2.0)
     partition = build_partition(scene)
     model = sn.SensingModel(scene)
     table = sn.build_fingerprint_table(scene, model)
@@ -302,6 +311,83 @@ def test_scenario_tile_match_equals_full_scan(monkeypatch):
 
     monkeypatch.setattr(sn, "_best_candidate", full_scan)
     assert ct.run_scenario(scene, partition, table, traj, noise_seed=6, model=model) == tiled
+
+
+def _with_noise(scene, noise_rel):
+    return replace(scene, controller=replace(scene.controller, noise_rel_sigma=noise_rel))
+
+
+@pytest.mark.parametrize("noise_rel", [0.0, 0.01])
+def test_scenario_equals_reference_loop(scene, partition, table, sensing_model, noise_rel):
+    room = _with_noise(scene, noise_rel)
+    for seed in (3, 7):
+        traj = ct.generate_trajectory(partition, seed=seed)
+        trace = ct.run_scenario(room, partition, table, traj, noise_seed=seed, model=sensing_model)
+        assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
+        assert trace == reference_replay(room, partition, table, traj, noise_seed=seed,
+                                         model=sensing_model)
+
+
+def test_scenario_equals_reference_loop_on_a_large_lattice():
+    scene = _lattice(10.0, 5, 0.1, 1.4)
+    partition = build_partition(scene)
+    model = sn.SensingModel(scene)
+    table = sn.build_fingerprint_table(scene, model)
+    traj = ct.generate_trajectory(partition, seed=2)
+    trace = ct.run_scenario(scene, partition, table, traj, noise_seed=5, model=model)
+    assert sum(s.detected for s in trace.steps) > len(traj) // 2
+    assert trace == reference_replay(scene, partition, table, traj, noise_seed=5, model=model)
+
+
+def test_scenario_with_a_mismatched_model_equals_reference_loop(scene, partition, table):
+    # the readings' floor, and so their no-user baseline, differ from the table's
+    floor = replace(scene.grid, reflectance=tuple(0.9 * r for r in scene.grid.reflectance))
+    truth = replace(scene, grid=floor, user=replace(scene.user, patch_height_m=1.6))
+    model = sn.SensingModel(truth)
+    traj = ct.generate_trajectory(partition, seed=3)
+    trace = ct.run_scenario(scene, partition, table, traj, noise_seed=9, model=model)
+    assert trace == reference_replay(scene, partition, table, traj, noise_seed=9, model=model)
+    assert trace != ct.run_scenario(scene, partition, table, traj, noise_seed=9)
+
+
+def test_scenario_takes_array_positions(scene, partition, table, sensing_model):
+    traj = ct.generate_trajectory(partition, seed=3)
+    arrays = [(t, None if pos is None else np.array(pos)) for t, pos in traj]
+    trace = ct.run_scenario(scene, partition, table, arrays, noise_seed=9, model=sensing_model)
+    assert trace == ct.run_scenario(scene, partition, table, traj, noise_seed=9,
+                                    model=sensing_model)
+    assert all(s.true_pos is None or type(s.true_pos[0]) is float for s in trace.steps)
+
+
+def test_scenario_forms_gains_once_per_stationary_run(scene, partition, table, sensing_model,
+                                                     monkeypatch):
+    calls = []
+    real = sn.SensingModel.gains_at
+
+    def counted(self, user_xy):
+        calls.append(user_xy)
+        return real(self, user_xy)
+
+    monkeypatch.setattr(sn.SensingModel, "gains_at", counted)
+    a, b = (2.0, 2.5), (2.6, 2.4)
+    positions = [None, a, a, a, b, np.array(b), b, None, b, a, (np.float64(2.0), 2.5)]
+    traj = [(0.5 * i, pos) for i, pos in enumerate(positions)]
+    trace = ct.run_scenario(scene, partition, table, traj, noise_seed=4, model=sensing_model)
+    assert calls == [a, b, b, a]
+    assert trace == reference_replay(scene, partition, table, traj, noise_seed=4,
+                                     model=sensing_model)
+
+
+def test_dark_room_senses_no_user(scene, partition, table):
+    # every NO_USER power 0 W: no light reaches the PDs, with or without a
+    # user, so no step may be read as a detection
+    dark = replace(scene, leds=tuple(replace(led, power_min_w=0.0) for led in scene.leds))
+    assert not dark.power_bounds()[0].any()
+    traj = ct.generate_trajectory(partition, seed=7)
+    trace = ct.run_scenario(dark, partition, table, traj, noise_seed=1)
+    absent = [s for s in trace.steps if s.true_pos is None]
+    assert len(absent) == 4 and all(s.estimate is None for s in absent)
+    assert all(s.mode == "no_user" and s.estimate is None for s in trace.steps)
 
 
 def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves, predicts):

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -246,6 +247,51 @@ def test_activity_implies_mec(scene, partition, rng):
     act = pts[codes == Region.ACTIVITY.value]
     d = np.hypot(act[:, 0] - partition.mec.center.x, act[:, 1] - partition.mec.center.y)
     assert np.all(d <= partition.mec.radius + 1e-9)
+
+
+@lru_cache(maxsize=None)
+def _layout_partition(layout):
+    return build_partition(default_scene(layout))
+
+
+def _boundary_points(partition):
+    """Points exactly at the MIC and MEC radius along each axis, and the
+    float on either side of each."""
+    points = []
+    for circle in (partition.mic, partition.mec):
+        cx, cy, r = circle.center.x, circle.center.y, circle.radius
+        for x, y in ((cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)):
+            points += [(x, y), (math.nextafter(x, -math.inf), y), (math.nextafter(x, math.inf), y),
+                       (x, math.nextafter(y, -math.inf)), (x, math.nextafter(y, math.inf))]
+    return points
+
+
+def _points_of(partition):
+    b = partition.bounds
+    anywhere = st.floats(-2.0, 8.0)
+    x_edges = st.sampled_from([b.x_min, b.x_max, math.nextafter(b.x_min, -1.0),
+                               math.nextafter(b.x_max, 9.0)])
+    y_edges = st.sampled_from([b.y_min, b.y_max, math.nextafter(b.y_min, -1.0),
+                               math.nextafter(b.y_max, 9.0)])
+    odd = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    return st.one_of(st.tuples(anywhere, anywhere),
+                     st.sampled_from(_boundary_points(partition)),
+                     st.tuples(x_edges, anywhere), st.tuples(anywhere, y_edges),
+                     st.tuples(st.one_of(odd, anywhere), st.one_of(odd, anywhere)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, 9), st.data())
+def test_classify_point_equals_classify_points(layout, data):
+    partition = _layout_partition(layout)
+    point = data.draw(_points_of(partition))
+    expected = Region(int(classify_points(np.array([point]), partition)[0]))
+    assert classify_point(point, partition) is expected
+
+
+@pytest.mark.parametrize("point", [(math.nan, 2.5), (2.5, math.nan), (math.nan, math.nan)])
+def test_classify_point_nan_is_outside(partition, point):
+    assert classify_point(point, partition) is Region.OUTSIDE
 
 
 def test_translation_equivariance(rng):

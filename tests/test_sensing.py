@@ -406,6 +406,29 @@ def test_localize_undetected_forms_no_prediction(scene, sensing_model, table, mo
     assert loc == sn.localize(measured, base, p, table)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-9, np.nan, np.inf])
+def test_localize_rejects_a_threshold_that_is_not_positive(scene, sensing_model, table, eps):
+    # at 0 an empty room's zero variation would pass max|delta| >= eps
+    p = np.zeros(scene.num_leds)
+    base = sensing_model.received_power(p)
+    with pytest.raises(ValueError, match="^epsilon_detect must be finite and positive"):
+        sn.localize(base, base, p, table, epsilon_detect=eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 25, 64])
+@pytest.mark.parametrize("c", [1, 2, 3, 64, 625])
+def test_pd_order_sums_add_rows_in_order(n, c):
+    # values over 30 decades, so any other order of addition rounds differently
+    rng = np.random.default_rng(n * 1000 + c)
+    terms = 10.0 ** rng.uniform(-15, 15, (n, c)) * rng.choice([-1.0, 1.0], (n, c))
+    expected = [0.0] * c
+    for row in terms.tolist():
+        expected = [total + value for total, value in zip(expected, row)]
+    sums = sn._pd_order_sums(terms.copy())
+    assert sums.shape == (c,)
+    assert sums.tolist() == expected
+
+
 @pytest.mark.parametrize("name", ["measured", "baseline"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_localize_rejects_non_finite_reading(scene, sensing_model, table, name, bad):
