@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 from .scene import (Scene, SceneError, default_scene, dump_scene, load_scene)  # noqa: F401,E501
 from .geometry import (Circle, ConvexPolygon, GeometryError, Point2, Region,  # noqa: F401
-                       RegionPartition, build_partition, classify_point,
-                       convex_hull, max_inscribed_circle, min_enclosing_circle)
+                       RegionPartition, build_partition, convex_hull,
+                       max_inscribed_circle, min_enclosing_circle)
 from .photometry import (FieldGrid, SimplificationError, field,  # noqa: F401
                          lambertian_order, snr_full)
 from .sensing import (FingerprintTable, LocalizationResult, SensingModel,  # noqa: F401

@@ -8,8 +8,9 @@ seed flags, so identical invocations produce byte-identical outputs.
 --pitch, --snr-threshold, --noise-sigma and --step-period set their key of
 the config's controller section, validated and recorded like the rest.
 
-Exit codes: 0 success, 1 validation/usage error, 2 infeasible optimization,
-3 I/O error.
+Exit codes: 0 success, 1 validation/usage error (out of memory too), 2 no
+certified allocation (a solve that ends with any status but OPTIMAL, so no
+powers.csv), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .scene import DEFAULT_LAYOUT_SEED, Scene, SceneError, default_scene, load_s
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_INFEASIBLE = 2
+EXIT_NO_ALLOCATION = 2
 EXIT_IO = 3
 
 _CONFIG_ENV = "ISCI_CONFIG"
@@ -202,7 +203,7 @@ def _cmd_optimize(args) -> int:
     out.write_text("report.txt", "\n".join(lines) + "\n")
     out.write_manifest("optimize", scene, {"scene": args.scene_seed})
     print(summary)
-    return EXIT_INFEASIBLE if report.status is optimize.SolveStatus.INFEASIBLE else EXIT_OK
+    return EXIT_OK if report.status is optimize.SolveStatus.OPTIMAL else EXIT_NO_ALLOCATION
 
 
 _TRACE_BASE_HEADER = ["t", "x_true", "y_true", "x_est", "y_est", "mode"]
@@ -429,6 +430,10 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except (SceneError, GeometryError, SimplificationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy says which array it could not allocate; Python's allocator says nothing
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -3,10 +3,11 @@
 Three modes drive the allocation.  With nobody on the receiving plane every
 LED idles at its minimum power (sensing keeps running); a user in the
 non-activity ring triggers the SNR-uniformity QP; a user inside the
-activity area triggers the power-minimizing LP.  Scenario replay couples
-the loop to a synthetic random-waypoint trajectory with seeded measurement
-noise, and the benchmark helpers grade SNR/illuminance coverage against
-plane-average thresholds.
+activity area triggers the power-minimizing LP.  The loop reads a matched
+user's mode from the room plan's per-candidate modes.  Scenario replay
+couples the loop to a synthetic random-waypoint trajectory with seeded
+measurement noise, and the benchmark helpers grade SNR/illuminance coverage
+against plane-average thresholds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import optimize
-from .geometry import Region, RegionPartition, classify_point
+from .geometry import Region, RegionPartition, classify_points
 from .photometry import FieldGrid
 from .scene import ControllerConfig, Scene
 from .sensing import (FingerprintTable, LocalizationResult, Prediction, SensingModel,
@@ -54,14 +55,16 @@ class Mode(Enum):
     ENHANCED = "enhanced"
 
 
+# The mode a user in each region calls for, indexed by Region value.
+_REGION_MODES = (Mode.NO_USER, Mode.UNIFORMITY, Mode.ENHANCED)
+
+
 def select_mode(localization: LocalizationResult, partition: RegionPartition) -> Mode:
-    """Map a localization outcome to the control mode; no position is NO_USER."""
+    """Map a localization outcome to the control mode; no position is NO_USER.
+    For any position; run_scenario reads RoomPlan.modes instead."""
     if localization.position is None:
         return Mode.NO_USER
-    region = classify_point(localization.position, partition)
-    if region is Region.ACTIVITY:
-        return Mode.ENHANCED
-    return Mode.UNIFORMITY if region is Region.NON_ACTIVITY else Mode.NO_USER
+    return _REGION_MODES[classify_points(localization.position, partition)[0]]
 
 
 def apply_mode(mode: Mode, scene: Scene,
@@ -88,10 +91,13 @@ class RoomPlan:
     mode programs are built from the room alone, never from the user's
     position, so each is formed once, on first use, and shared read-only.
     NO_USER's p_min is set up front; apply_mode (and any fallback warning)
-    runs once per program, Prediction.at once per mode."""
+    runs once per program, Prediction.at once per mode.  ``modes[k]`` is
+    select_mode at table candidate k, for every k from one classify_points."""
 
     def __init__(self, scene: Scene, partition: RegionPartition, table: FingerprintTable):
         self.scene, self.partition, self.table = scene, partition, table
+        regions = classify_points(table.candidates, partition)
+        self.modes = _read_only(np.array(_REGION_MODES, dtype=object)[regions])
         self._solved = {Mode.NO_USER: (_read_only(scene.power_bounds()[0]), None)}
         self._predicted: dict[Mode, Prediction] = {}
 
@@ -135,11 +141,11 @@ _ABSENT_STEPS = 2    # empty-room steps before entry and after exit
 
 
 def _sample_non_activity(rng, partition: RegionPartition):
-    mec, mic, b = partition.mec, partition.mic, partition.bounds
-    lo_x = max(b.x_min + _REGION_MARGIN, mec.center.x - mec.radius)
-    hi_x = min(b.x_max - _REGION_MARGIN, mec.center.x + mec.radius)
-    lo_y = max(b.y_min + _REGION_MARGIN, mec.center.y - mec.radius)
-    hi_y = min(b.y_max - _REGION_MARGIN, mec.center.y + mec.radius)
+    mec, mic = partition.mec, partition.mic
+    lo_x = max(_REGION_MARGIN, mec.center.x - mec.radius)
+    hi_x = min(partition.size_x - _REGION_MARGIN, mec.center.x + mec.radius)
+    lo_y = max(_REGION_MARGIN, mec.center.y - mec.radius)
+    hi_y = min(partition.size_y - _REGION_MARGIN, mec.center.y + mec.radius)
     for _ in range(_MAX_SAMPLING_TRIES):
         x = rng.uniform(lo_x, hi_x)
         y = rng.uniform(lo_y, hi_y)
@@ -295,14 +301,15 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
 
     Each step synthesizes sensing-PD measurements at the powers applied in
     the previous step (measurement precedes actuation), localizes them
-    against the prediction at those powers and selects a mode.  Powers and
-    predictions come from room_plan(scene, partition, table), so a run on
-    the last run's room solves and predicts nothing again.  Gaussian
-    measurement noise has per-PD sigma ``noise_rel_sigma`` (from the scene's
-    controller config) times the no-user baseline reading; the detection
-    threshold is three times the largest sigma, and never below
-    NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are all 0 reads
-    0 with or without a user and cannot sense one entering.
+    against the prediction at those powers and selects a mode: NO_USER
+    when nobody is matched, else the plan's mode at the matched candidate.
+    Powers, predictions and modes come from room_plan(scene, partition,
+    table), so a run on the last run's room solves and predicts nothing
+    again.  Gaussian measurement noise has per-PD sigma ``noise_rel_sigma``
+    (from the scene's controller config) times the no-user baseline
+    reading; the detection threshold is three times the largest sigma, and
+    never below NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are
+    all 0 reads 0 with or without a user and cannot sense one entering.
 
     What a mode fixes (its powers, baseline reading, sigma, threshold, and
     the step record's powers and energy) is formed on the run's first step
@@ -344,7 +351,7 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
                     else reading)
         loc = localize(measured, baseline_reading, plan.prediction(mode), table,
                        epsilon_detect=eps)
-        mode = select_mode(loc, partition)
+        mode = Mode.NO_USER if loc.index is None else plan.modes[loc.index]
         if mode not in per_mode:
             per_mode[mode] = constants(mode)
         record = per_mode[mode]

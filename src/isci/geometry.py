@@ -3,7 +3,8 @@
 The LED ceiling projections define a convex hull; its minimum enclosing
 circle (clipped to the room) is the receiving plane and its maximum
 inscribed circle is the high-demand activity area.  Everything in between
-is the non-activity area.
+is the non-activity area.  classify_points is the one region test; the
+controller applies it once to every fingerprint candidate of a room.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ __all__ = [
     "Point2",
     "Circle",
     "ConvexPolygon",
-    "Rect",
     "Region",
     "RegionPartition",
     "convex_hull",
     "min_enclosing_circle",
     "max_inscribed_circle",
-    "classify_point",
     "classify_points",
     "unique_rows",
     "build_partition",
@@ -35,8 +34,6 @@ __all__ = [
 
 # Fixed shuffle seed keeps the randomized MEC construction reproducible.
 _MEC_SHUFFLE_SEED = 0x5EC
-
-_CONTAIN_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -66,21 +63,6 @@ class Circle:
     center: Point2
     radius: float
 
-    def contains(self, x: float, y: float, tol: float = _CONTAIN_TOL) -> bool:
-        return math.hypot(x - self.center.x, y - self.center.y) <= self.radius + tol
-
-
-@dataclass(frozen=True)
-class Rect:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def contains(self, x: float, y: float, tol: float = _CONTAIN_TOL) -> bool:
-        return (self.x_min - tol <= x <= self.x_max + tol
-                and self.y_min - tol <= y <= self.y_max + tol)
-
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -102,10 +84,6 @@ class ConvexPolygon:
         offsets = np.einsum("ij,ij->i", normals, pts)
         return normals, offsets
 
-    def contains(self, x: float, y: float, tol: float = _CONTAIN_TOL) -> bool:
-        normals, offsets = self.inward_normals()
-        return bool(np.all(normals @ np.array([x, y]) >= offsets - tol))
-
 
 class Region(Enum):
     OUTSIDE = 0
@@ -115,12 +93,14 @@ class Region(Enum):
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Receiving-plane partition: hull, MEC plane, MIC activity area."""
+    """Receiving-plane partition: hull, MEC plane, MIC activity area, and
+    the room's floor [0, size_x] x [0, size_y] that clips the MEC plane."""
 
     hull: ConvexPolygon
     mec: Circle
     mic: Circle
-    bounds: Rect
+    size_x: float
+    size_y: float
 
 
 def _cross(o, a, b) -> float:
@@ -281,16 +261,16 @@ def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
 
 
 def classify_points(points: np.ndarray, partition: RegionPartition) -> np.ndarray:
-    """Vectorized region classification; returns Region values as an int array.
-
-    Boundary points (distance exactly equal to a radius) classify inward.
+    """Region of each (x, y) row of ``points``, as Region values in an int
+    array: Activity (MIC disk), NonActivity (MEC plane inside the room,
+    minus the MIC) or Outside.  Boundary points (on a radius or a wall)
+    classify inward; a NaN coordinate is Outside.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     d_mic = np.hypot(pts[:, 0] - partition.mic.center.x, pts[:, 1] - partition.mic.center.y)
     d_mec = np.hypot(pts[:, 0] - partition.mec.center.x, pts[:, 1] - partition.mec.center.y)
-    b = partition.bounds
-    in_rect = ((pts[:, 0] >= b.x_min) & (pts[:, 0] <= b.x_max)
-               & (pts[:, 1] >= b.y_min) & (pts[:, 1] <= b.y_max))
+    in_rect = ((pts[:, 0] >= 0.0) & (pts[:, 0] <= partition.size_x)
+               & (pts[:, 1] >= 0.0) & (pts[:, 1] <= partition.size_y))
     out = np.full(len(pts), Region.OUTSIDE.value, dtype=np.int8)
     out[(d_mec <= partition.mec.radius) & in_rect] = Region.NON_ACTIVITY.value
     out[d_mic <= partition.mic.radius] = Region.ACTIVITY.value
@@ -307,21 +287,6 @@ def unique_rows(points: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def classify_point(p: PointLike, partition: RegionPartition) -> Region:
-    """Region of a single point: Activity (MIC disk), NonActivity (MEC plane
-    minus MIC), or Outside, as classify_points finds it.  The same np.hypot
-    distances are compared in the same way, MIC first, on Python floats
-    and without building an array; a NaN coordinate is Outside."""
-    x, y = _coerce_xy(p)
-    mic, mec, b = partition.mic, partition.mec, partition.bounds
-    if np.hypot(x - mic.center.x, y - mic.center.y) <= mic.radius:
-        return Region.ACTIVITY
-    if (np.hypot(x - mec.center.x, y - mec.center.y) <= mec.radius
-            and b.x_min <= x <= b.x_max and b.y_min <= y <= b.y_max):
-        return Region.NON_ACTIVITY
-    return Region.OUTSIDE
-
-
 def build_partition(scene) -> RegionPartition:
     """Construct the receiving-plane partition from a scene's LED layout."""
     pts = [(led.position[0], led.position[1]) for led in scene.leds]
@@ -329,8 +294,8 @@ def build_partition(scene) -> RegionPartition:
     mec = min_enclosing_circle(hull)
     mic = max_inscribed_circle(hull)
     room = scene.room
-    bounds = Rect(0.0, 0.0, room.size_x, room.size_y)
-    for dx, dy in ((mic.radius, 0), (-mic.radius, 0), (0, mic.radius), (0, -mic.radius)):
-        if not bounds.contains(mic.center.x + dx, mic.center.y + dy):
-            raise GeometryError("activity area extends outside the room boundary")
-    return RegionPartition(hull=hull, mec=mec, mic=mic, bounds=bounds)
+    (cx, cy), r, tol = mic.center.as_tuple(), mic.radius, 1e-9
+    if not (-tol <= cx - r and cx + r <= room.size_x + tol
+            and -tol <= cy - r and cy + r <= room.size_y + tol):
+        raise GeometryError("activity area extends outside the room boundary")
+    return RegionPartition(hull=hull, mec=mec, mic=mic, size_x=room.size_x, size_y=room.size_y)

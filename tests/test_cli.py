@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -93,6 +94,43 @@ def test_optimize_infeasible_exit_code(tmp_path):
     assert run("optimize", "--mode", "enhanced", "--snr-threshold", "1e15",
                "--out", str(out)) == 2
     assert "status=Infeasible" in (out / "report.txt").read_text()
+
+
+def test_optimize_max_iter_exit_code(tmp_path, capsys, monkeypatch):
+    # a solve that stops at its iteration cap certifies no allocation either
+    def stalled(problem, scene, partition):
+        return problem, isci.SolveReport(x=np.full(8, 40.0), objective=320.0,
+                                         max_violation=0.5, kkt_residual=1.0, iterations=200,
+                                         status=isci.SolveStatus.MAX_ITER)
+
+    monkeypatch.setattr(isci.optimize, "solve_refined", stalled)
+    out = tmp_path / "stalled"
+    assert run("optimize", "--mode", "enhanced", "--out", str(out)) == 2
+    assert capsys.readouterr().out == "status=MaxIter\n"
+    assert "status=MaxIter" in (out / "report.txt").read_text().splitlines()
+    assert not (out / "powers.csv").exists()
+
+
+_NUMPY_MEMORY_ERROR = ("Unable to allocate 1.49 GiB for an array with shape (400000000,) "
+                       "and data type float32")
+
+
+@pytest.mark.parametrize("command, module, builder, exc, message", [
+    (["simulate"], "sensing", "build_fingerprint_table", MemoryError(_NUMPY_MEMORY_ERROR),
+     _NUMPY_MEMORY_ERROR),
+    (["optimize", "--mode", "enhanced"], "optimize", "build_enhanced_lp",
+     MemoryError(_NUMPY_MEMORY_ERROR), _NUMPY_MEMORY_ERROR),
+    (["simulate"], "controller", "generate_trajectory", MemoryError(), "out of memory"),
+], ids=["grid-pitch", "opt-pitch", "dwell-time"])
+def test_memory_error_exit_one(tmp_path, capsys, monkeypatch, command, module, builder, exc,
+                               message):
+    # what a tiny pitch or a huge dwell time runs into, raised without allocating
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(getattr(isci, module), builder, exhausted)
+    assert run(*command, "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, flags, settings", [

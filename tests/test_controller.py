@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
 from isci import sensing as sn
-from isci.geometry import Circle, Region, build_partition, classify_point, classify_points
+from isci.geometry import Circle, Region, build_partition, classify_points
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
@@ -49,11 +50,63 @@ def test_select_mode_non_activity(scene, partition, rng):
     for _ in range(50):
         pos = tuple(rng.uniform(0, 5, 2))
         mode = ct.select_mode(_loc(pos), partition)
-        region = classify_point(pos, partition)
+        region = Region(int(classify_points(np.array([pos]), partition)[0]))
         expected = {Region.OUTSIDE: ct.Mode.NO_USER,
                     Region.NON_ACTIVITY: ct.Mode.UNIFORMITY,
                     Region.ACTIVITY: ct.Mode.ENHANCED}[region]
         assert mode is expected
+
+
+def _boundary_lattice(partition):
+    """Candidates on a rectilinear lattice whose coordinates include the
+    walls, the MIC's and MEC's centres and axis extremes, the float on
+    either side of each, and a 0.25 m sweep from beyond one wall to beyond
+    the other."""
+    def coordinates(mic_c, mec_c, size):
+        exact = {0.0, size, mic_c - partition.mic.radius, mic_c, mic_c + partition.mic.radius,
+                 mec_c - partition.mec.radius, mec_c, mec_c + partition.mec.radius}
+        near = {math.nextafter(v, side) for v in exact for side in (-math.inf, math.inf)}
+        return sorted(exact | near | set(np.arange(-0.5, size + 0.75, 0.25)))
+
+    xs = coordinates(partition.mic.center.x, partition.mec.center.x, partition.size_x)
+    ys = coordinates(partition.mic.center.y, partition.mec.center.y, partition.size_y)
+    return np.array([(x, y) for x in xs for y in ys])
+
+
+def _plan_modes(scene, partition, table):
+    """RoomPlan's per-candidate modes, checked against select_mode at every
+    candidate, as an array of Mode values."""
+    plan = ct.RoomPlan(scene, partition, table)
+    assert len(plan.modes) == len(table.candidates)
+    for k, (x, y) in enumerate(table.candidates):
+        loc = LocalizationResult(position=(float(x), float(y)), index=k, loss=0.0)
+        assert plan.modes[k] is ct.select_mode(loc, partition), (x, y)
+    assert set(plan.modes) == set(ct.Mode)
+    return np.array([m.value for m in plan.modes])
+
+
+def test_plan_modes_are_select_mode_at_every_candidate(scene, partition, table):
+    _plan_modes(scene, partition, table)
+
+
+def test_plan_modes_classify_boundary_candidates_inward():
+    # a 10 m room whose 5 x 5 LED lattice spans 1 m to 9 m: its MEC crosses every wall
+    scene = _lattice(10.0, 5, 0.5, 2.0)
+    partition = build_partition(scene)
+    pts = _boundary_lattice(partition)
+    modes = _plan_modes(scene, partition, replace(sn.build_fingerprint_table(scene),
+                                                  candidates=pts))
+    mic, mec, walls = partition.mic, partition.mec, (partition.size_x, partition.size_y)
+    d_mic = np.hypot(pts[:, 0] - mic.center.x, pts[:, 1] - mic.center.y)
+    d_mec = np.hypot(pts[:, 0] - mec.center.x, pts[:, 1] - mec.center.y)
+    in_room = ((pts >= 0.0) & (pts <= walls)).all(axis=1)
+    ring = in_room & (d_mic > mic.radius) & (d_mec <= mec.radius)
+    for on_boundary, mode in ((d_mic == mic.radius, ct.Mode.ENHANCED),
+                              (ring & (d_mec == mec.radius), ct.Mode.UNIFORMITY),
+                              (ring & ((pts == 0.0) | (pts == walls)).any(axis=1),
+                               ct.Mode.UNIFORMITY)):
+        assert on_boundary.any()
+        assert np.all(modes[on_boundary] == mode.value)
 
 
 def test_apply_no_user_total(scene, partition):

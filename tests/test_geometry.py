@@ -1,5 +1,5 @@
 import math
-from functools import lru_cache
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isci.geometry import (ConvexPolygon, GeometryError, Point2,
-                           Region, build_partition, classify_point,
-                           classify_points, convex_hull, max_inscribed_circle,
+                           Region, build_partition, classify_points,
+                           convex_hull, max_inscribed_circle,
                            min_enclosing_circle)
 from isci.scene import default_scene
 from tests.oracles import mic_radius_highs
@@ -193,14 +193,13 @@ def test_mic_radius_is_min_edge_distance(rng):
 
 
 def test_mic_disk_inside_polygon(rng, partition):
-    poly = partition.hull
+    normals, offsets = partition.hull.inward_normals()
     mic = partition.mic
-    for _ in range(10_000):
-        r = mic.radius * math.sqrt(rng.uniform())
-        ang = rng.uniform(0, 2 * math.pi)
-        x = mic.center.x + r * math.cos(ang)
-        y = mic.center.y + r * math.sin(ang)
-        assert poly.contains(x, y, tol=1e-9)
+    r = mic.radius * np.sqrt(rng.uniform(size=10_000))
+    ang = rng.uniform(0, 2 * math.pi, 10_000)
+    pts = np.column_stack([mic.center.x + r * np.cos(ang), mic.center.y + r * np.sin(ang)])
+    # signed distance to every edge line, positive on the inner side
+    assert (pts @ normals.T - offsets).min() >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +207,30 @@ def test_mic_disk_inside_polygon(rng, partition):
 # ---------------------------------------------------------------------------
 
 def test_partition_nesting(partition):
-    assert partition.mic.radius <= partition.mec.radius
-    # MIC center inside hull, hull vertices inside MEC
-    assert partition.hull.contains(partition.mic.center.x, partition.mic.center.y)
-    for v in partition.hull.vertices:
-        assert partition.mec.contains(v.x, v.y)
+    mic, mec = partition.mic, partition.mec
+    assert mic.radius <= mec.radius
+    # the MIC centre lies a MIC radius inside every hull edge
+    normals, offsets = partition.hull.inward_normals()
+    assert (normals @ mic.center.as_tuple() - offsets).min() >= mic.radius - 1e-9
+    # every hull vertex lies within the MEC radius of its centre
+    vertices = partition.hull.as_array()
+    assert np.hypot(*(vertices - mec.center.as_tuple()).T).max() <= mec.radius + 1e-9
+
+
+def _region_of(point, partition):
+    return Region(int(classify_points(point, partition)[0]))
 
 
 def test_classify_examples(partition):
-    assert classify_point(partition.mic.center, partition) is Region.ACTIVITY
+    assert _region_of(partition.mic.center.as_tuple(), partition) is Region.ACTIVITY
     far = (partition.mec.center.x + partition.mec.radius + 1.0, partition.mec.center.y)
-    assert classify_point(far, partition) is Region.OUTSIDE
+    assert _region_of(far, partition) is Region.OUTSIDE
 
 
 def test_classify_boundary_inward(partition):
     mic = partition.mic
     on_edge = (mic.center.x + mic.radius, mic.center.y)
-    assert classify_point(on_edge, partition) is Region.ACTIVITY
+    assert _region_of(on_edge, partition) is Region.ACTIVITY
 
 
 def test_classify_sweep_matches_distance_oracle(scene, partition):
@@ -249,49 +255,9 @@ def test_activity_implies_mec(scene, partition, rng):
     assert np.all(d <= partition.mec.radius + 1e-9)
 
 
-@lru_cache(maxsize=None)
-def _layout_partition(layout):
-    return build_partition(default_scene(layout))
-
-
-def _boundary_points(partition):
-    """Points exactly at the MIC and MEC radius along each axis, and the
-    float on either side of each."""
-    points = []
-    for circle in (partition.mic, partition.mec):
-        cx, cy, r = circle.center.x, circle.center.y, circle.radius
-        for x, y in ((cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)):
-            points += [(x, y), (math.nextafter(x, -math.inf), y), (math.nextafter(x, math.inf), y),
-                       (x, math.nextafter(y, -math.inf)), (x, math.nextafter(y, math.inf))]
-    return points
-
-
-def _points_of(partition):
-    b = partition.bounds
-    anywhere = st.floats(-2.0, 8.0)
-    x_edges = st.sampled_from([b.x_min, b.x_max, math.nextafter(b.x_min, -1.0),
-                               math.nextafter(b.x_max, 9.0)])
-    y_edges = st.sampled_from([b.y_min, b.y_max, math.nextafter(b.y_min, -1.0),
-                               math.nextafter(b.y_max, 9.0)])
-    odd = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
-    return st.one_of(st.tuples(anywhere, anywhere),
-                     st.sampled_from(_boundary_points(partition)),
-                     st.tuples(x_edges, anywhere), st.tuples(anywhere, y_edges),
-                     st.tuples(st.one_of(odd, anywhere), st.one_of(odd, anywhere)))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(st.integers(0, 9), st.data())
-def test_classify_point_equals_classify_points(layout, data):
-    partition = _layout_partition(layout)
-    point = data.draw(_points_of(partition))
-    expected = Region(int(classify_points(np.array([point]), partition)[0]))
-    assert classify_point(point, partition) is expected
-
-
 @pytest.mark.parametrize("point", [(math.nan, 2.5), (2.5, math.nan), (math.nan, math.nan)])
 def test_classify_point_nan_is_outside(partition, point):
-    assert classify_point(point, partition) is Region.OUTSIDE
+    assert _region_of(point, partition) is Region.OUTSIDE
 
 
 def test_translation_equivariance(rng):
@@ -311,12 +277,41 @@ def test_translation_equivariance(rng):
 
 
 def test_degenerate_led_layout_rejected(scene):
-    from dataclasses import replace
     leds = list(scene.leds)
     collinear = [replace(led, position=(1.0 + 0.3 * i, 2.0, 3.0)) for i, led in enumerate(leds)]
     bad = replace(scene, leds=tuple(collinear))
     with pytest.raises(GeometryError):
         build_partition(bad)
+
+
+def _mic_past_wall(scene, partition, wall, past):
+    """The scene with its room's ``wall`` moved, or its LEDs shifted, so that
+    the MIC reaches ``past`` metres beyond that wall."""
+    mic = partition.mic
+    if wall == "x_max":
+        return replace(scene, room=replace(scene.room, size_x=mic.center.x + mic.radius - past))
+    if wall == "y_max":
+        return replace(scene, room=replace(scene.room, size_y=mic.center.y + mic.radius - past))
+    shift = np.array([mic.radius - mic.center.x - past if wall == "x_min" else 0.0,
+                      mic.radius - mic.center.y - past if wall == "y_min" else 0.0, 0.0])
+    leds = tuple(replace(led, position=tuple(np.add(led.position, shift))) for led in scene.leds)
+    return replace(scene, leds=leds)
+
+
+@pytest.mark.parametrize("wall", ["x_min", "x_max", "y_min", "y_max"])
+def test_mic_may_touch_a_wall_within_1e_9(scene, partition, wall):
+    moved = _mic_past_wall(scene, partition, wall, 0.5e-9)
+    mic = build_partition(moved).mic
+    reach = {"x_min": -(mic.center.x - mic.radius), "y_min": -(mic.center.y - mic.radius),
+             "x_max": mic.center.x + mic.radius - moved.room.size_x,
+             "y_max": mic.center.y + mic.radius - moved.room.size_y}[wall]
+    assert 0.4e-9 < reach < 0.6e-9
+
+
+@pytest.mark.parametrize("wall", ["x_min", "x_max", "y_min", "y_max"])
+def test_mic_past_a_wall_is_rejected(scene, partition, wall):
+    with pytest.raises(GeometryError, match="^activity area extends outside the room boundary$"):
+        build_partition(_mic_past_wall(scene, partition, wall, 2e-9))
 
 
 def test_mic_radius_matches_highs():
