@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Subcommands: regions, field, fingerprint, optimize, simulate, report.  Every
-command resolves one scene config, writes its outputs into --out, and
-finishes with a manifest.json recording the resolved config, seeds and
-SHA-256 digests of every emitted file.  All randomness comes from explicit
-seed flags, so identical invocations produce byte-identical outputs.
---pitch, --snr-threshold, --noise-sigma and --step-period set their key of
-the config's controller section, validated and recorded like the rest.
+Subcommands: regions, field, fingerprint, optimize, simulate, report.
+dispatch runs each one: it resolves the scene config, hands it and the
+--out directory to the subcommand's handler, and once that returns writes
+manifest.json last, recording the resolved config, the *_seed flags and
+SHA-256 digests of every file written.  The directory appears on the first
+write; report without --out writes nothing.  All randomness comes from
+explicit seed flags, so identical invocations produce byte-identical
+outputs.  --pitch, --snr-threshold, --noise-sigma and --step-period set
+their key of the config's controller section, validated (finite, in range)
+and recorded like the rest.
 
 Exit codes: 0 success, 1 validation/usage error (out of memory too), 2 no
 certified allocation (a solve that ends with any status but OPTIMAL, so no
@@ -29,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, controller, optimize, photometry, sensing
-from .geometry import GeometryError, Region, build_partition, unique_rows
+from .geometry import GeometryError, Region, build_partition
 from .photometry import SimplificationError
 from .scene import DEFAULT_LAYOUT_SEED, Scene, SceneError, default_scene, load_scene, scene_to_dict
 
@@ -61,18 +64,22 @@ def _fmt(value) -> str:
 
 
 class _OutputDir:
-    """Collects written files and their digests for the manifest."""
+    """Collects written files and their digests for the manifest; the
+    directory is made on the first write."""
 
     def __init__(self, path: Path):
         self.path = path
         self.digests: dict[str, str] = {}
-        path.mkdir(parents=True, exist_ok=True)
 
-    def write_bytes(self, name: str, data: bytes) -> Path:
+    def _put(self, name: str, data: bytes) -> Path:
+        self.path.mkdir(parents=True, exist_ok=True)
         target = self.path / name
         target.write_bytes(data)
-        self.digests[name] = hashlib.sha256(data).hexdigest()
         return target
+
+    def write_bytes(self, name: str, data: bytes) -> Path:
+        self.digests[name] = hashlib.sha256(data).hexdigest()
+        return self._put(name, data)
 
     def write_text(self, name: str, text: str) -> Path:
         return self.write_bytes(name, text.encode())
@@ -93,8 +100,7 @@ class _OutputDir:
             "config": scene_to_dict(scene),
             "files": dict(sorted(self.digests.items())),
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (self.path / "manifest.json").write_text(text)
+        self._put("manifest.json", (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _resolve_scene(args) -> Scene:
@@ -113,8 +119,10 @@ def _resolve_scene(args) -> Scene:
 
 
 def _write_pgm(out: _OutputDir, name: str, field: photometry.FieldGrid):
-    nx, ny = (len(unique_rows(field.points[:, [axis]])) for axis in (0, 1))
-    grid = field.values.reshape(nx, ny)  # points are x-major
+    # points are x-major: the first x's run of points is one column of y
+    ny = int(np.count_nonzero(field.points[:, 0] == field.points[0, 0]))
+    nx = len(field.points) // ny
+    grid = field.values.reshape(nx, ny)
     vmin, vmax = float(grid.min()), float(grid.max())
     span = vmax - vmin
     norm = (grid - vmin) / span if span > 0 else np.zeros_like(grid)
@@ -130,26 +138,21 @@ def _write_pgm(out: _OutputDir, name: str, field: photometry.FieldGrid):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_regions(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_regions(args, scene: Scene, out: _OutputDir) -> int:
     partition = build_partition(scene)
-    out = _OutputDir(Path(args.out))
     rows = [["hull", v.x, v.y, None] for v in partition.hull.vertices]
     rows.append(["mec", partition.mec.center.x, partition.mec.center.y, partition.mec.radius])
     rows.append(["mic", partition.mic.center.x, partition.mic.center.y, partition.mic.radius])
     out.write_csv("regions.csv", ["kind", "x", "y", "radius"], rows)
-    out.write_manifest("regions", scene, {"scene": args.scene_seed})
     print(f"hull_vertices={len(partition.hull.vertices)} "
           f"mec_radius={_fmt(partition.mec.radius)} mic_radius={_fmt(partition.mic.radius)}")
     return EXIT_OK
 
 
-def _cmd_field(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_field(args, scene: Scene, out: _OutputDir) -> int:
     partition = build_partition(scene)
     quantity = args.quantity.replace("-", "_")
     grid = photometry.field(scene, partition, quantity=quantity)
-    out = _OutputDir(Path(args.out))
     region_names = {r.value: r.name.lower() for r in Region}
     rows = [
         [x, y, region_names[int(r)], v]
@@ -157,30 +160,24 @@ def _cmd_field(args) -> int:
     ]
     out.write_csv("field.csv", ["x", "y", "region", "value"], rows)
     _write_pgm(out, "field.pgm", grid)
-    out.write_manifest("field", scene, {"scene": args.scene_seed})
     print(f"samples={len(grid.points)} min={_fmt(grid.values.min())} "
           f"max={_fmt(grid.values.max())}")
     return EXIT_OK
 
 
-def _cmd_fingerprint(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_fingerprint(args, scene: Scene, out: _OutputDir) -> int:
     table = sensing.build_fingerprint_table(scene)
-    out = _OutputDir(Path(args.out))
     out.write_bytes("fingerprint.lfpt", sensing.save_fingerprint(table))
-    out.write_manifest("fingerprint", scene, {"scene": args.scene_seed})
     k, m, n = table.shape
     print(f"candidates={k} leds={m} pds={n}")
     return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_optimize(args, scene: Scene, out: _OutputDir) -> int:
     partition = build_partition(scene)
     build = (optimize.build_uniformity_qp if args.mode == "uniformity"
              else optimize.build_enhanced_lp)
     _, report = optimize.solve_refined(build(scene, partition), scene, partition)
-    out = _OutputDir(Path(args.out))
     value = report.status.value
     status = "MaxIter" if value == "max_iter" else value.capitalize()
     lines = [
@@ -201,7 +198,6 @@ def _cmd_optimize(args) -> int:
         lines.append(total)
         summary += f" {total}"
     out.write_text("report.txt", "\n".join(lines) + "\n")
-    out.write_manifest("optimize", scene, {"scene": args.scene_seed})
     print(summary)
     return EXIT_OK if report.status is optimize.SolveStatus.OPTIMAL else EXIT_NO_ALLOCATION
 
@@ -234,8 +230,7 @@ def _benchmark_rows(scene, partition):
                    bench.frac_above_avg[region], bench.frac_below_dev[region]]
 
 
-def _cmd_simulate(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
     partition = build_partition(scene)
     model = sensing.SensingModel(scene)
     table = sensing.build_fingerprint_table(scene, model)
@@ -246,8 +241,6 @@ def _cmd_simulate(args) -> int:
     trace = controller.run_scenario(scene, partition, table, trajectory,
                                     noise_seed=args.noise_seed, model=model)
     baseline = controller.baseline_scenario(scene, trajectory)
-
-    out = _OutputDir(Path(args.out))
     _write_trace(out, "trace.csv", trace, scene.num_leds)
     _write_trace(out, "baseline_trace.csv", baseline, scene.num_leds)
     out.write_csv("benchmark.csv",
@@ -257,11 +250,6 @@ def _cmd_simulate(args) -> int:
     metrics = _run_metrics(scene, partition,
                            *_read_traces(out.path / "trace.csv", out.path / "baseline_trace.csv"))
     out.write_text("summary.txt", _summary_text(metrics))
-    out.write_manifest("simulate", scene, {
-        "scene": args.scene_seed,
-        "trajectory": args.trajectory_seed,
-        "noise": args.noise_seed,
-    })
     print(f"steps={metrics['steps']} savings={metrics['savings_pct']:.2f}%")
     return EXIT_OK
 
@@ -347,8 +335,7 @@ def _summary_text(metrics: dict) -> str:
     return "".join(f"{key}={text(key, value)}\n" for key, value in metrics.items())
 
 
-def _cmd_report(args) -> int:
-    scene = _resolve_scene(args)
+def _cmd_report(args, scene: Scene, out: Optional[_OutputDir]) -> int:
     rows, base_rows = _read_traces(Path(args.trace), Path(args.baseline))
     m = _run_metrics(scene, build_partition(scene), rows, base_rows)
     lines = [f"savings={m['savings_pct']:.2f}%"]
@@ -358,10 +345,8 @@ def _cmd_report(args) -> int:
     lines.append(f"violations={m['power_violations']}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out is not None:
-        out = _OutputDir(Path(args.out))
+    if out is not None:
         out.write_text("report.txt", text)
-        out.write_manifest("report", scene, {"scene": args.scene_seed})
     return EXIT_OK
 
 
@@ -374,60 +359,54 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"isci {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None,
                        help=f"scene config path or 'default' (env {_CONFIG_ENV})")
         p.add_argument("--scene-seed", type=int, default=DEFAULT_LAYOUT_SEED,
                        help="layout seed for the built-in default scene")
         p.add_argument("--out", default="isci-out", help="output directory")
+        return p
 
-    p = sub.add_parser("regions", help="hull / MEC / MIC geometry as CSV")
-    common(p)
+    command("regions", _cmd_regions, "hull / MEC / MIC geometry as CSV")
 
-    p = sub.add_parser("field", help="SNR or illuminance field (CSV + PGM heatmap)")
-    common(p)
+    p = command("field", _cmd_field, "SNR or illuminance field (CSV + PGM heatmap)")
     p.add_argument("--quantity", choices=["snr", "snr-full", "illuminance"], default="snr")
     p.add_argument("--pitch", dest="field_pitch_m", type=float)
 
-    p = sub.add_parser("fingerprint", help="build and persist the fingerprint table")
-    common(p)
+    command("fingerprint", _cmd_fingerprint, "build and persist the fingerprint table")
 
-    p = sub.add_parser("optimize", help="solve one mode's power allocation")
-    common(p)
+    p = command("optimize", _cmd_optimize, "solve one mode's power allocation")
     p.add_argument("--mode", choices=["uniformity", "enhanced"], required=True)
     p.add_argument("--pitch", dest="opt_pitch_m", type=float)
     p.add_argument("--snr-threshold", dest="snr_threshold", type=float)
 
-    p = sub.add_parser("simulate", help="run the adaptive scenario loop")
-    common(p)
+    p = command("simulate", _cmd_simulate, "run the adaptive scenario loop")
     p.add_argument("--trajectory-seed", type=int, default=7)
     p.add_argument("--noise-seed", type=int, default=1)
     p.add_argument("--noise-sigma", dest="noise_rel_sigma", type=float)
     p.add_argument("--step-period", dest="step_period_s", type=float)
 
-    p = sub.add_parser("report", help="aggregate metrics from trace CSVs")
-    common(p)
+    p = command("report", _cmd_report, "aggregate metrics from trace CSVs")
     p.add_argument("--trace", required=True)
     p.add_argument("--baseline", required=True)
     p.set_defaults(out=None)
     return parser
 
 
-_HANDLERS = {
-    "regions": _cmd_regions,
-    "field": _cmd_field,
-    "fingerprint": _cmd_fingerprint,
-    "optimize": _cmd_optimize,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
-}
-
-
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command as the module docstring describes; returns its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        scene = _resolve_scene(args)
+        out = None if args.out is None else _OutputDir(Path(args.out))
+        status = args.handler(args, scene, out)
+        if out is not None:
+            seeds = {k.removesuffix("_seed"): v for k, v in vars(args).items()
+                     if k.endswith("_seed")}
+            out.write_manifest(args.command, scene, seeds)
+        return status
     except (SceneError, GeometryError, SimplificationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

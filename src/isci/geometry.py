@@ -28,7 +28,6 @@ __all__ = [
     "min_enclosing_circle",
     "max_inscribed_circle",
     "classify_points",
-    "unique_rows",
     "build_partition",
 ]
 
@@ -275,16 +274,6 @@ def classify_points(points: np.ndarray, partition: RegionPartition) -> np.ndarra
     out[(d_mec <= partition.mec.radius) & in_rect] = Region.NON_ACTIVITY.value
     out[d_mic <= partition.mic.radius] = Region.ACTIVITY.value
     return out
-
-
-def unique_rows(points: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (L, d) array in ascending lexicographic order,
-    as ``np.unique(points, axis=0)`` returns them; on numpy 2 that call
-    imports ``numpy.ma``, which nothing else here needs."""
-    ordered = points[np.lexsort(points.T[::-1])]
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return ordered[keep]
 
 
 def build_partition(scene) -> RegionPartition:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Region, RegionPartition, classify_points, unique_rows
+from .geometry import Region, RegionPartition, classify_points
 from .photometry import illuminance_coefficients, plane_grid, snr_coefficients
 from .scene import Scene
 
@@ -493,8 +493,10 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
         bad_rows = np.argsort(viol)[::-1][:_REFINE_NEW_POINTS]
         bad_rows = bad_rows[viol[bad_rows] > _REFINE_VIOL_TOL]
         # rows_at gives each sampled family one row per point, so row index
-        # mod point count recovers the sample point a violated row belongs to
-        bad_points = unique_rows(check_pts[bad_rows % len(check_pts)])
-        problem = problem.with_extra_points(scene, partition, bad_points)
+        # mod point count recovers the sample point a violated row belongs to;
+        # masking the x-major grid keeps those points distinct and ascending
+        bad = np.zeros(len(check_pts), dtype=bool)
+        bad[bad_rows % len(check_pts)] = True
+        problem = problem.with_extra_points(scene, partition, check_pts[bad])
         report = solve(problem)
     return problem, report

@@ -190,8 +190,10 @@ class SurfaceGrid:
                      f"must tile the floor exactly: {n} * {self.pitch} != size_{name} {size}")
         _require(len(self.reflectance) == self.count, "grid.reflectance",
                  f"expected {self.count} values, got {len(self.reflectance)}")
-        for k, rho in enumerate(self.reflectance):
-            _require(0.0 <= rho <= 1.0, f"grid.reflectance[{k}]", "must be in [0, 1]")
+        rho = self.reflectance_array()
+        bad = np.flatnonzero(~((rho >= 0.0) & (rho <= 1.0)))  # NaN fails both
+        if len(bad):
+            raise SceneError(f"grid.reflectance[{bad[0]}]: must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,10 @@ class ControllerConfig:
         _require(self.user_speed_m_per_s > 0, "controller.user_speed_m_per_s",
                  "must be positive")
         _require(self.dwell_time_s >= 0, "controller.dwell_time_s", "must be nonnegative")
+        for f in fields(self):  # after the range checks, which name NaN
+            value = getattr(self, f.name)
+            _require(value is None or math.isfinite(value), f"controller.{f.name}",
+                     "must be finite")
 
 
 @dataclass(frozen=True)

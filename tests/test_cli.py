@@ -162,7 +162,15 @@ def test_setting_flags_are_recorded_and_replayable(tmp_path, command, flags, set
     (["simulate", "--noise-sigma", "-0.5"], "controller.noise_rel_sigma: must be nonnegative"),
     (["simulate", "--noise-sigma", "nan"], "controller.noise_rel_sigma: must be nonnegative"),
     (["field", "--pitch", "nan"], "controller.field_pitch_m: must be positive"),
-], ids=["noise-negative", "noise-nan", "pitch-nan"])
+    (["simulate", "--noise-sigma", "inf"], "controller.noise_rel_sigma: must be finite"),
+    (["simulate", "--step-period", "inf"], "controller.step_period_s: must be finite"),
+    (["optimize", "--mode", "enhanced", "--snr-threshold", "inf"],
+     "controller.snr_threshold: must be finite"),
+    (["field", "--pitch", "inf"], "controller.field_pitch_m: must be finite"),
+    (["optimize", "--mode", "enhanced", "--pitch", "inf"],
+     "controller.opt_pitch_m: must be finite"),
+], ids=["noise-negative", "noise-nan", "pitch-nan", "noise-inf", "step-inf", "snr-inf",
+        "field-pitch-inf", "opt-pitch-inf"])
 def test_invalid_setting_flag_exit_one(tmp_path, capsys, args, message):
     out = tmp_path / "x"
     assert run(*args, "--out", str(out)) == 1
@@ -207,18 +215,44 @@ def test_simulate_different_seed_differs(tmp_path):
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
 
-def test_manifest_digests(tmp_path):
-    out = tmp_path / "m"
-    run("simulate", "--out", str(out))
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "simulate"
-    assert manifest["seeds"] == {"scene": 2, "trajectory": 7, "noise": 1}
-    assert manifest["config"]["room"]["size_x"] == 5.0
-    files = manifest["files"]
-    assert set(files) == {"trace.csv", "baseline_trace.csv", "benchmark.csv",
-                          "summary.txt"}
-    for name, digest in files.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+def test_manifest_digests(tmp_path, capsys):
+    # every command's manifest is written by the one dispatch path: it names
+    # the command, its seed flags, and digests every other file it wrote
+    sim = tmp_path / "simulate"
+    expected = {
+        "regions": ([], {"regions.csv"}),
+        "field": ([], {"field.csv", "field.pgm", "field_range.txt"}),
+        "fingerprint": ([], {"fingerprint.lfpt"}),
+        "optimize": (["--mode", "enhanced"], {"powers.csv", "report.txt"}),
+        "simulate": ([], {"trace.csv", "baseline_trace.csv", "benchmark.csv", "summary.txt"}),
+        "report": (["--trace", str(sim / "trace.csv"), "--baseline",
+                    str(sim / "baseline_trace.csv")], {"report.txt"}),
+    }
+    for command, (flags, names) in expected.items():
+        out = tmp_path / command
+        assert run(command, *flags, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        seeds = {"scene": 2, "trajectory": 7, "noise": 1} if command == "simulate" else {"scene": 2}
+        assert manifest["seeds"] == seeds
+        assert manifest["config"]["room"]["size_x"] == 5.0
+        files = manifest["files"]
+        assert set(files) == names
+        assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
+        for name, digest in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert (tmp_path / "report" / "report.txt").read_text() in capsys.readouterr().out
+
+
+def test_report_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    sim = tmp_path / "simulate"
+    assert run("simulate", "--out", str(sim)) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run("report", "--trace", str(sim / "trace.csv"),
+               "--baseline", str(sim / "baseline_trace.csv")) == 0
+    assert capsys.readouterr().out.startswith("savings=")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["simulate"]
 
 
 def test_trace_csv_shape(tmp_path):
@@ -260,6 +294,20 @@ def test_config_file_resolution(tmp_path, capsys):
     cfg.write_text(dump_scene(default_scene(seed=5)))
     out = tmp_path / "regions"
     assert run("regions", "--config", str(cfg), "--out", str(out)) == 0
+
+
+def test_config_env_applies_without_config_flag(tmp_path, monkeypatch):
+    cfg = tmp_path / "scene.yaml"
+    cfg.write_text(dump_scene(default_scene(seed=5)))
+    monkeypatch.setenv("ISCI_CONFIG", str(cfg))
+
+    def config(*flags):
+        out = tmp_path / f"out{len(flags)}"
+        assert run("regions", *flags, "--out", str(out)) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]
+
+    assert config() == scene_to_dict(default_scene(seed=5))
+    assert config("--config", "default") == scene_to_dict(default_scene())
 
 
 def test_invalid_config_exit_one(tmp_path, capsys):
@@ -448,7 +496,6 @@ def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(isci.__file__).parents[1]))
-    env.pop("ISCI_CONFIG", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -127,6 +127,8 @@ def test_nonuniform_reflectance_round_trip(scene):
     (("controller", "step_period_s"), None, "controller.step_period_s"),
     (("grid", "pitch"), float("nan"), "grid.pitch"),
     (("grid", "reflectance"), ["a"], r"grid.reflectance\[0\]"),
+    (("grid", "reflectance"), [0.8] * 1234 + [1.5] + [0.8] * 765 + [-1.0] + [0.8] * 499,
+     r"grid.reflectance\[1234\]"),
 ])
 def test_malformed_values_name_the_field(scene, path, value, field):
     cfg = scene_to_dict(scene)
