@@ -49,10 +49,12 @@ _FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector"
 NOISELESS_DETECT_EPS = 1e-12
 
 # Side, in grid cells, of the square tiles whose prediction envelopes bound
-# _best_candidate's losses.  On loop-large (K = 40 000, N = 25) a detected
-# step's match took a median 190 us with 8 x 8 tiles, 390 us with 4 x 4
-# (four times the bounds to form) and 250 us with 16 x 16 (more candidates
-# left to rescore).
+# _best_candidate's losses; a Prediction holds one slab per tile.  On
+# loop-large (K = 40 000, N = 25), with slabs, a detected step's match took
+# a median 97 us with 8 x 8 tiles, 187 us with 4 x 4 (four times the bounds
+# to form), 70 us with 12 x 12 and 94 us with 16 x 16 (more candidates left
+# to rescore), in one process on one 2-core x86-64 host; yet whole replays
+# with 12 x 12 ran 5% fewer steps a second (faster in 3 of 16 rounds).
 _TILE = 8
 
 # Shared footprint-boundary guard so the per-candidate occlusion stencil and
@@ -63,6 +65,15 @@ _OCCLUSION_TOL = 1e-9
 # 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
 # they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
 _STENCIL_BLOCK_BYTES = 1 << 19
+
+# Patches per _lambertian_geometry call in _BounceKernel.factors.  Over the
+# 40 000 cells of a 10 m room at 0.05 m with 25 LEDs and 25 PDs, one call
+# would form two 16 MB (M + N, P) arrays; those and the temporaries around
+# them raised the benchmark's loop-large peak RSS from 122 to 127 MB.  With
+# blocks the factors of its 40 000 cells took a median 54 ms against 64 ms
+# for one call per end, and of the default scene's 2500 cells 1.33 ms
+# against 1.32 ms; 4096-patch blocks took 1.75 ms there.
+_FACTOR_BLOCK = 512
 
 
 def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
@@ -112,31 +123,41 @@ class _BounceKernel:
     """
 
     def __init__(self, leds: Sequence[Led], pds: Sequence[SensingPd]):
-        self.led_pos = np.array([led.position for led in leds], dtype=float)
+        # LED rows, then PD rows: one geometry call serves both ends of a path
+        self.ends = np.array([led.position for led in leds] + [pd.position for pd in pds],
+                             dtype=float)
         self.exponent = _lambertian_orders(leds) + 1.0
         self.front = self.exponent / (2.0 * math.pi**2)
-        self.pd_pos = np.array([pd.position for pd in pds], dtype=float)
         # FOV cut-off on cos(psi) and A_s * T_s * g(psi) inside the FOV, per PD
         self.cos_fov, self.collector_gain = _collector_terms(pds)
 
     def factors(self, points: np.ndarray, z: float,
                 rho_area) -> tuple[np.ndarray, np.ndarray]:
-        """Emitter factor (M, P), with ``rho_area`` (reflectance times area,
-        per patch or shared by all) folded in, and collector factor (P, N)."""
-        emitter = self.front[:, None] * self._emitter(points, z) * rho_area
-        return emitter, self._collector(points, z)
+        """Emitter factor (M, P), front * cos^m(phi) * cos(alpha) / d^2 with
+        ``rho_area`` (reflectance times area, per patch or shared by all)
+        folded in, and collector factor (P, N),
+        A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 inside each PD's FOV.
 
-    def _emitter(self, points: np.ndarray, z: float) -> np.ndarray:
-        """cos^m(phi) * cos(alpha) / d^2 for every LED-to-patch pair, (M, P)."""
-        d2, cos_ang = _lambertian_geometry(self.led_pos, points, z)
-        return cos_ang ** self.exponent[:, None] / d2
-
-    def _collector(self, points: np.ndarray, z: float) -> np.ndarray:
-        """A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 per patch-PD pair, (P, N)."""
-        d2, cos_ang = _lambertian_geometry(self.pd_pos, points, z)
-        gains = np.where(cos_ang >= self.cos_fov[:, None],
-                         self.collector_gain[:, None] * cos_ang ** 2 / d2, 0.0)
-        return np.ascontiguousarray(gains.T)
+        One _lambertian_geometry call per block of _FACTOR_BLOCK points
+        serves both ends of every path.  The LEDs' cosines and d^2 are
+        gathered, and the power is taken over all P at once: numpy's power
+        on a broadcast exponent rounds some elements differently with the
+        extent of its loop."""
+        m, p = len(self.exponent), len(points)
+        led_cos, led_d2 = np.empty((m, p)), np.empty((m, p))
+        collector = np.empty((p, len(self.cos_fov)))
+        for start in range(0, p, _FACTOR_BLOCK):
+            block = slice(start, start + _FACTOR_BLOCK)
+            d2, cos_ang = _lambertian_geometry(self.ends, points[block], z)
+            led_cos[:, block], led_d2[:, block] = cos_ang[:m], d2[:m]
+            collector[block] = np.where(cos_ang[m:] >= self.cos_fov[:, None],
+                                        self.collector_gain[:, None] * cos_ang[m:] ** 2 / d2[m:],
+                                        0.0).T
+        # not in place: numpy's in-place power took 4x as long
+        emitter = np.power(led_cos, self.exponent[:, None])
+        np.divide(emitter, led_d2, out=emitter)
+        np.multiply(self.front[:, None], emitter, out=emitter)
+        return np.multiply(emitter, rho_area, out=emitter), collector
 
 
 class SensingModel:
@@ -270,7 +291,8 @@ class FingerprintTable:
         """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
         user = (powers @ self.user_emitter)[:, None] * self.user_collector
         floor = (powers @ self.floor_emitter)[:, None] * self.floor_collector
-        return user - _stencil_sum(floor[None], self.offsets, self.grid_shape)[0]
+        return np.subtract(user, _stencil_sum(floor[None], self.offsets, self.grid_shape)[0],
+                           out=user)
 
 
 @dataclass(frozen=True)
@@ -333,49 +355,76 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """A table's (K, N) prediction at some powers, with the envelopes that
-    _best_candidate bounds losses by.
+    """A table's prediction at some powers, laid out tile by tile, with the
+    envelopes that _best_candidate bounds losses by.
 
     The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles,
     smaller at the far edges.  ``tiles`` (T, _TILE ** 2) holds each tile's
-    candidate indices in ascending order, padded with -1, and ``lo`` and
-    ``hi`` (N, T) each tile's least and greatest prediction per PD.
-    ``values`` is the read-only predict_power_deltas(table, powers), not a
-    copy.  All four are read-only.  Form one with Prediction.at.
+    candidate indices in ascending order, padded with -1.  ``slabs``
+    (T, N, _TILE ** 2) holds predict_power_deltas(table, powers) in the same
+    order: slabs[t, j, s] is the prediction at PD j of candidate
+    tiles[t, s], and +inf where that is a pad, so a pad never wins a match.
+    ``lo`` and ``hi`` (N, T) hold each tile's least and greatest prediction
+    per PD over its candidates.  ``shape`` is the (K, N) of the prediction.
+    No (K, N) copy is kept.  The arrays are read-only.  Form one with
+    Prediction.at.
     """
 
-    values: np.ndarray  # (K, N)
+    slabs: np.ndarray   # (T, N, _TILE ** 2)
     lo: np.ndarray      # (N, T)
     hi: np.ndarray      # (N, T)
     tiles: np.ndarray   # (T, _TILE ** 2)
+    shape: tuple[int, int]
 
     @classmethod
     def at(cls, table: FingerprintTable, powers) -> "Prediction":
         """The prediction of ``table`` at ``powers`` and its envelopes over
         the table's candidate grid; powers that do not fit raise ValueError."""
-        values = predict_power_deltas(table, powers)
+        signed = table.predict(_checked_powers(table, powers))
+        k, n = signed.shape
         nx, ny = table.grid_shape
-        grid = values.T.reshape(-1, nx, ny)
-        bands = [grid[:, start:start + _TILE] for start in range(0, nx, _TILE)]
-        cuts_y = np.arange(0, ny, _TILE)
-        # each band of grid rows is reduced on its own: reduceat along the
-        # rows took 8x as long
-        lo, hi = (_read_only(reduce.reduceat(np.stack([reduce.reduce(band, axis=1)
-                                                       for band in bands], axis=1),
-                                             cuts_y, axis=2).reshape(len(grid), -1))
-                  for reduce in (np.minimum, np.maximum))
+        grid = signed.reshape(nx, ny, n)
+        # slab (tile row, tile column): PD, then x and y within the tile
+        slabs = np.empty((-(-nx // _TILE), -(-ny // _TILE), n, _TILE, _TILE))
+        for x0, x1, a in _bands(nx):
+            for y0, y1, b in _bands(ny):
+                into = slabs[x0 // _TILE:-(-x1 // _TILE), y0 // _TILE:-(-y1 // _TILE), :, :a, :b]
+                np.abs(grid[x0:x1, y0:y1].reshape((x1 - x0) // a, a, (y1 - y0) // b, b, n),
+                       out=into.transpose(0, 3, 1, 4, 2))
+        # the slots past the grid's far edges, empty where a side is whole
+        pads = (slabs[-1, :, :, nx % _TILE or _TILE:], slabs[:, -1, :, :, ny % _TILE or _TILE:])
+        slabs = slabs.reshape(-1, n, _TILE * _TILE)
+        # each envelope is taken with the pads set to the value it ignores,
+        # and the pads are left at +inf
+        envelopes = []
+        for pad, reduce in ((-np.inf, np.maximum), (np.inf, np.minimum)):
+            for view in pads:
+                view[...] = pad
+            envelopes.append(_read_only(np.ascontiguousarray(reduce.reduce(slabs, axis=2).T)))
+        hi, lo = envelopes
         padded = np.pad(np.arange(nx * ny).reshape(nx, ny),
                         ((0, -nx % _TILE), (0, -ny % _TILE)), constant_values=-1)
-        tiles = padded.reshape(-1, _TILE, len(cuts_y), _TILE).swapaxes(1, 2)
-        return cls(values, lo, hi, _read_only(tiles.reshape(-1, _TILE * _TILE)))
+        tiles = padded.reshape(-1, _TILE, -(-ny // _TILE), _TILE).swapaxes(1, 2)
+        return cls(_read_only(slabs), lo, hi, _read_only(tiles.reshape(-1, _TILE * _TILE)),
+                   (k, n))
 
 
-def _losses_of(actual: np.ndarray, columns: np.ndarray, keep) -> np.ndarray:
-    """Per candidate ``keep`` of the (N, K) prediction ``columns``, the sum
-    over PDs j of (actual[j] - columns[j, k]) ** 2, added in PD order."""
-    terms = columns.take(keep, axis=1)
+def _bands(size: int) -> list[tuple[int, int, int]]:
+    """(start, stop, tile width) along one grid axis of the run of whole
+    tiles and of the narrower edge tile, each when present."""
+    edge = size - size % _TILE
+    return [band for band in ((0, edge, _TILE), (edge, size, size - edge)) if band[1] > band[0]]
+
+
+def _tile_losses(actual: np.ndarray, prediction: Prediction, tiles) -> np.ndarray:
+    """Per slab slot of ``prediction``'s tile ``tiles`` (an index, or an
+    index array), the loss sum over PDs j of (actual[j] - predicted[j]) ** 2,
+    (_TILE ** 2,) or (C, _TILE ** 2); pads lose +inf.  Each tile is one
+    contiguous block.  The PD axis is not the fast one, so numpy's reduce
+    adds the squared misses one PD at a time, in PD order."""
+    terms = prediction.slabs.take(tiles, axis=0)
     np.subtract(actual[:, None], terms, out=terms)
-    return _pd_order_sums(np.multiply(terms, terms, out=terms))
+    return np.add.reduce(np.multiply(terms, terms, out=terms), axis=-2)
 
 
 def _pd_order_sums(terms: np.ndarray) -> np.ndarray:
@@ -396,27 +445,28 @@ def _best_candidate(actual: np.ndarray, prediction: Prediction) -> tuple[int, fl
     sum over j of (actual[j] - predicted[k, j]) ** 2, bit for bit as a full
     scan finds them (branch and bound, Fukunaga & Narendra 1975).
 
-    A tile's bound sums, in the same PD order, max(lo - a, a - hi, 0) ** 2.
-    Each of its terms is at most the matching term of every candidate in
-    the tile, since rounding is monotone, so the bound is at most each
-    member's loss, bit for bit.  The least loss in the lowest-bound tile
-    caps the minimum, so only tiles whose bound does not exceed it are
-    rescored.  Ties survive the ``<=``, and the least index among the least
-    losses wins.  When every tile survives, the rescore costs about twice a
-    full scan.
+    A tile's bound sums, in the same PD order, d ** 2 for
+    d = min(max(a, lo), hi) - a: that is lo - a below the envelope, hi - a
+    above it (rounding is symmetric, so it is exactly -(a - hi)) and 0
+    inside, so d ** 2 is max(lo - a, a - hi, 0) ** 2 for every float.  Each of its terms is at most the matching
+    term of every candidate in the tile, since rounding is monotone, so the
+    bound is at most each member's loss, bit for bit.  The least loss in
+    the lowest-bound tile caps the minimum, so only tiles whose bound does
+    not exceed it are rescored.  Ties survive the ``<=``, and the least
+    index among the least losses wins; pads are never it.  When every tile
+    survives, the rescore costs about twice a full scan.
     """
-    columns = prediction.values.T
     reading = actual[:, None]
-    gaps = np.maximum(prediction.lo - reading, reading - prediction.hi)
-    np.maximum(gaps, 0.0, out=gaps)
+    gaps = np.maximum(reading, prediction.lo)
+    np.minimum(gaps, prediction.hi, out=gaps)
+    np.subtract(gaps, reading, out=gaps)
     bounds = _pd_order_sums(np.multiply(gaps, gaps, out=gaps))
-    lowest = prediction.tiles[int(np.argmin(bounds))]
-    cap = _losses_of(actual, columns, lowest[lowest >= 0]).min()
-    keep = prediction.tiles[bounds <= cap]
-    keep = keep[keep >= 0]
-    losses = _losses_of(actual, columns, keep)
+    cap = _tile_losses(actual, prediction, int(np.argmin(bounds))).min()
+    kept = np.flatnonzero(bounds <= cap)
+    losses = _tile_losses(actual, prediction, kept)
     least = losses.min()
-    return int(keep[losses == least].min()), float(least)
+    members = prediction.tiles[kept][losses == least]
+    return int(members[members >= 0].min()), float(least)
 
 
 def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: FingerprintTable,
@@ -430,8 +480,10 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
     the call returns at once.  A detected user is placed at the candidate
     whose loss, the squared misses (actual - predicted) ** 2 added one PD at
     a time in PD order, is least, ties broken toward the lowest index, and
-    _best_candidate finds it and its loss bit for bit as a full scan would.
-    Non-finite readings, inputs that do not fit the table and an
+    _best_candidate finds it and its loss bit for bit as a full scan would,
+    reading the slabs of only the tiles its bound cannot rule out.  A
+    Prediction whose ``shape`` is not the table's (K, N), non-finite
+    readings, inputs that do not fit the table and an
     ``epsilon_detect`` that is not finite and positive raise ValueError: at
     0 an empty room's zero variation would count as a user.
     """
@@ -449,8 +501,8 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
             raise ValueError(f"{name} holds a non-finite value")
     if not isinstance(predicted, Prediction):
         powers = _checked_powers(table, predicted)
-    elif predicted.values.shape != (k, n):
-        raise ValueError(f"prediction shape {predicted.values.shape} does not fit a fingerprint "
+    elif predicted.shape != (k, n):
+        raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")
     actual = np.abs(measured - baseline)
     if actual.max() < epsilon_detect:

@@ -5,8 +5,11 @@ vectorized channel code: each evaluates one LED-point pair (or one point's
 sum over LEDs) with ``math`` on Python floats, written out term by term from
 the Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
 array code in ``isci.photometry`` and ``isci.sensing``.
+``bounce_terms`` forms the one-bounce kernel's LED-side and PD-side terms
+with one geometry call per end of the path.
 ``occluded_sum_received_power`` forms a sensing model's reading with the
 occluded cells' gains as a full (M, P, N) tensor summed over its cells.
+``full_scan`` computes every candidate's fingerprint loss.
 ``reference_replay`` is ``controller.run_scenario``'s loop written out
 plainly, with each step's reading, region and energy formed afresh.
 ``highs_lp`` and
@@ -24,7 +27,8 @@ import pytest
 
 from isci.controller import Mode, ScenarioStep, ScenarioTrace, room_plan
 from isci.geometry import Region, classify_points
-from isci.photometry import (SimplificationError, _check_simplification, lambertian_order,
+from isci.photometry import (SimplificationError, _check_simplification, _collector_terms,
+                             _lambertian_geometry, _lambertian_orders, lambertian_order,
                              snr_constant)
 from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel
 from isci.sensing import NOISELESS_DETECT_EPS, SensingModel, _outer, localize, occluded_set
@@ -159,6 +163,25 @@ def _one_bounce_gain(led: Led, patch: tuple[float, float, float], area: float,
             / (2.0 * math.pi**2 * d1sq * d2sq))
 
 
+def bounce_terms(leds: Sequence[Led], pds: Sequence[SensingPd], points: np.ndarray,
+                 z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-bounce kernel's terms through horizontal patches at ``points``
+    (P, 2), height ``z``: cos^m(phi) * cos(alpha) / d^2 per LED-patch pair,
+    (M, P), and A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 inside each
+    PD's FOV per patch-PD pair, (P, N).  Each comes from its own
+    _lambertian_geometry call, over the LED or the PD positions alone, with
+    the same float operations in the same order as the kernel, so the two
+    must agree bit for bit."""
+    led_pos = np.array([led.position for led in leds], dtype=float)
+    pd_pos = np.array([pd.position for pd in pds], dtype=float)
+    d2, cos_ang = _lambertian_geometry(led_pos, points, z)
+    emitter = cos_ang ** (_lambertian_orders(leds) + 1.0)[:, None] / d2
+    cos_fov, gain = _collector_terms(pds)
+    d2, cos_ang = _lambertian_geometry(pd_pos, points, z)
+    collector = np.where(cos_ang >= cos_fov[:, None], gain[:, None] * cos_ang ** 2 / d2, 0.0)
+    return emitter, np.ascontiguousarray(collector.T)
+
+
 def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndarray:
     """Per-PD received power (N,) with a user at ``user_xy``: the model's
     baseline gains minus the occluded cells' gains, each cell's (M, N) gain
@@ -169,6 +192,17 @@ def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndar
     occluded = _outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
     return np.asarray(powers, dtype=float) @ (model.baseline_gains - occluded
                                               + model.user_gain(user_xy))
+
+
+def full_scan(actual: np.ndarray, predicted: np.ndarray) -> tuple[int, float]:
+    """Index and loss of the first least-loss candidate of the (K, N)
+    ``predicted``, from every loss, each the squared misses of ``actual``
+    added one PD at a time in PD order."""
+    losses = np.zeros(len(predicted))
+    for j, reading in enumerate(actual):
+        losses += (reading - predicted[:, j]) ** 2
+    k = int(np.argmin(losses))
+    return k, losses[k]
 
 
 def reference_replay(scene, partition, table, trajectory, noise_seed: int = 0,

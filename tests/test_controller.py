@@ -357,8 +357,13 @@ def test_scenario_tile_match_equals_full_scan(monkeypatch):
     tiled = ct.run_scenario(scene, partition, table, traj, noise_seed=6, model=model)
     assert sum(s.detected for s in tiled.steps) > len(traj) // 2
 
+    # the plan run_scenario used, and each of its predictions as (K, N)
+    plan = ct.room_plan(scene, partition, table)
+    values = {id(plan.prediction(mode)): sn.predict_power_deltas(table, plan.allocation(mode)[0])
+              for mode in ct.Mode}
+
     def full_scan(actual, prediction):
-        losses = ((actual[None, :] - prediction.values) ** 2).sum(axis=1)
+        losses = ((actual[None, :] - values[id(prediction)]) ** 2).sum(axis=1)
         k = int(np.argmin(losses))
         return k, float(losses[k])
 
@@ -484,14 +489,17 @@ def test_allocations_are_read_only(scene, partition, table, solves):
     plan = ct.RoomPlan(scene, partition, table)
     for mode in ct.Mode:
         prediction = plan.prediction(mode)
-        for kept in (plan.allocation(mode)[0], prediction.values, prediction.lo, prediction.hi,
+        for kept in (plan.allocation(mode)[0], prediction.slabs, prediction.lo, prediction.hi,
                      prediction.tiles):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.0
         assert plan.prediction(mode) is prediction
-        assert np.array_equal(prediction.values,
-                              sn.predict_power_deltas(table, plan.allocation(mode)[0]))
+        # the slabs hold predict_power_deltas tile by tile
+        real = prediction.tiles >= 0
+        values = sn.predict_power_deltas(table, plan.allocation(mode)[0])
+        assert np.array_equal(prediction.slabs.transpose(0, 2, 1)[real],
+                              values[prediction.tiles[real]])
     # apply_mode still hands each caller its own writable array
     powers, _ = ct.apply_mode(ct.Mode.NO_USER, scene, partition)
     assert powers.flags.writeable

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from isci import sensing as sn
 from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
-from tests.oracles import (concentrator_gain, nlos_element_gain, nlos_user_gain,
-                          occluded_sum_received_power)
+from tests.oracles import (bounce_terms, concentrator_gain, full_scan, nlos_element_gain,
+                          nlos_user_gain, occluded_sum_received_power)
 
 
 def _mixed_scene():
@@ -225,8 +225,8 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     kernel = model._kernel
     centers = s.grid.centers()
     rho_area = s.grid.reflectance_array() * s.grid.cell_area
-    element = np.einsum("i,ik,k,kj->ikj", kernel.front, kernel._emitter(centers, 0.0),
-                        rho_area, kernel._collector(centers, 0.0))
+    cell_emitter, cell_collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
+    element = np.einsum("i,ik,k,kj->ikj", kernel.front, cell_emitter, rho_area, cell_collector)
     # the BLAS product sums the cells in its own order: 2.2e-16 to 3.4e-16
     # relative from the cell-order sum on these scenes
     np.testing.assert_allclose(model.baseline_gains, element.sum(axis=1), rtol=1e-15, atol=0.0)
@@ -236,11 +236,11 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     rng = np.random.default_rng(3)
     p = s.power_vector() * rng.uniform(0.5, 1.5, s.num_leds)
     for xy in rng.uniform(-0.2, s.room.size_x + 0.2, (100, 2)):
-        pt = xy[None, :]
-        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front,
-                              kernel._emitter(pt, user.patch_height_m),
+        user_emitter, user_collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :],
+                                                    user.patch_height_m)
+        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front, user_emitter,
                               np.full(1, user.reflectance * user.patch_area_m2),
-                              kernel._collector(pt, user.patch_height_m))[:, 0, :]
+                              user_collector)[:, 0, :]
         occ = (np.flatnonzero(np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
                               <= user.footprint_radius_m + sn._OCCLUSION_TOL)
                if s.room.contains_xy(*xy) else [])
@@ -265,6 +265,33 @@ def test_received_power_matches_occluded_sum_oracle(make_scene):
         p = rng.uniform(lo, hi)
         assert np.array_equal(model.received_power(p, xy),
                               occluded_sum_received_power(model, p, xy)), xy
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene,
+                                        lambda: _lattice_scene(pitch=0.05)])
+def test_bounce_factors_match_two_call_reference(make_scene):
+    # the kernel forms both ends of every path from one geometry call over
+    # the LEDs and PDs stacked; one call per end gives the same floats
+    s = make_scene()
+    model = sn.SensingModel(s)
+    front, user = model._kernel.front[:, None], s.user
+    centers = s.grid.centers()
+    emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
+    assert np.array_equal(model.emitter,
+                          front * emitter * (s.grid.reflectance_array() * s.grid.cell_area))
+    assert np.array_equal(model.collector, collector)
+    patch = user.reflectance * user.patch_area_m2
+    emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, user.patch_height_m)
+    got_emitter, got_collector = model.user_factors(centers)
+    assert np.array_equal(got_emitter, front * emitter * patch)
+    assert np.array_equal(got_collector, collector)
+    for xy in np.random.default_rng(12).uniform(0.0, s.room.size_x, (300, 2)):
+        emitter, collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :], user.patch_height_m)
+        occ = sn.occluded_set(s, xy)
+        occluded = (np.einsum("ip,pj->ij", model.emitter[:, occ], model.collector[occ])
+                    if len(occ) else 0.0)
+        expected = model.baseline_gains - occluded + (front * emitter * patch) * collector
+        assert np.array_equal(model.gains_at(xy), expected), xy
 
 
 def test_user_reading_matches_fingerprint_identity(scene, sensing_model, table):
@@ -384,13 +411,13 @@ def test_localize_below_threshold_not_detected(scene, table):
 
 def test_localize_undetected_forms_no_prediction(scene, sensing_model, table, monkeypatch):
     formed = []
-    real = sn.predict_power_deltas
+    real = sn.FingerprintTable.predict
 
     def spy(t, powers):
         formed.append(powers)
         return real(t, powers)
 
-    monkeypatch.setattr(sn, "predict_power_deltas", spy)
+    monkeypatch.setattr(sn.FingerprintTable, "predict", spy)
     p = scene.power_vector()
     base = sensing_model.received_power(p)
     measured = sensing_model.received_power(p, (2.5, 2.5))
@@ -427,6 +454,28 @@ def test_pd_order_sums_add_rows_in_order(n, c):
     sums = sn._pd_order_sums(terms.copy())
     assert sums.shape == (c,)
     assert sums.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 25, 64])
+@pytest.mark.parametrize("tiles", [0, [2], [1, 0], [0, 1, 2]])
+def test_tile_losses_add_pds_in_order(n, tiles):
+    # a 24 x 8 grid is three 8 x 8 tiles, tile t holding candidates 64t to
+    # 64t + 63; values over 30 decades, so any other order of addition
+    # rounds differently
+    rng = np.random.default_rng(n)
+    columns = 10.0 ** rng.uniform(-15, 15, (n, 3 * 64))
+    actual = 10.0 ** rng.uniform(-15, 15, n)
+    prediction = sn.Prediction.at(_column_table(columns, (24, 8)), [1.0])
+    expected = []
+    for t in np.atleast_1d(tiles):
+        sums = [0.0] * 64
+        for reading, row in zip(actual.tolist(), columns[:, 64 * t:64 * t + 64].tolist()):
+            sums = [total + (reading - value) * (reading - value)
+                    for total, value in zip(sums, row)]
+        expected.append(sums)
+    losses = sn._tile_losses(actual, prediction, tiles)
+    assert losses.shape == np.shape(tiles) + (64,)
+    assert np.atleast_2d(losses).tolist() == expected
 
 
 @pytest.mark.parametrize("name", ["measured", "baseline"])
@@ -515,15 +564,51 @@ def test_localize_rejects_prediction_that_does_not_fit(scene, table):
 @pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (10, 9), (17, 3)])
 def test_prediction_tiles_cover_the_grid_once(nx, ny):
     k, n = nx * ny, 2
-    prediction = sn.Prediction.at(_column_table(np.ones((n, k)), (nx, ny)), [1.0])
+    columns = np.random.default_rng(nx * 100 + ny).uniform(0.0, 1.0, (n, k))
+    table = _column_table(columns, (nx, ny))
+    prediction = sn.Prediction.at(table, [1.0])
     tiles = prediction.tiles
     assert tiles.shape == (-(-nx // 8) * -(-ny // 8), 64)
     assert prediction.lo.shape == prediction.hi.shape == (n, len(tiles))
+    assert prediction.slabs.shape == (len(tiles), n, 64)
+    assert prediction.shape == (k, n)
     members = [row[row >= 0] for row in tiles]
     assert all(np.all(np.diff(row) > 0) for row in members)
     assert np.array_equal(np.sort(np.concatenate(members)), np.arange(k))
     for row in members:  # one tile's members share their grid row and column blocks
         assert len(set((row // ny) // 8)) == len(set((row % ny) // 8)) == 1
+    for t, row in enumerate(tiles):  # slab t holds tile t's columns in tiles order
+        real = row >= 0
+        assert np.array_equal(prediction.slabs[t][:, real], columns[:, row[real]])
+        assert np.all(prediction.slabs[t][:, ~real] == np.inf)
+        assert np.array_equal(prediction.lo[:, t], columns[:, row[real]].min(axis=1))
+        assert np.array_equal(prediction.hi[:, t], columns[:, row[real]].max(axis=1))
+    # a reading so far off that every real loss overflows to +inf, as the
+    # pads' do: the first candidate still wins, never a pad
+    far = np.full(n, 1e200)
+    with np.errstate(over="ignore"):
+        loc = sn.localize(far, np.zeros(n), prediction, table)
+        assert (loc.index, loc.loss) == full_scan(far, columns.T) == (0, np.inf)
+
+
+def _owners(arrays):
+    """The distinct arrays that own the memory of ``arrays``."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a
+    return list(owners.values())
+
+
+@pytest.mark.parametrize("make_scene", [default_scene, lambda: _lattice_scene(size=5.0, per_side=3)])
+def test_prediction_keeps_no_full_copy(make_scene):
+    s = make_scene()
+    prediction = sn.Prediction.at(sn.build_fingerprint_table(s), s.power_vector())
+    t, n, slots = prediction.slabs.shape
+    # the slabs, the two envelopes and the tile indices, and no (K, N) copy
+    kept = sum(a.nbytes for a in _owners(_arrays_reachable(prediction)))
+    assert kept <= 8 * (t * n * slots + 2 * n * t) + prediction.tiles.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +643,6 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
     assert np.array_equal(got, want)
 
 
-def _full_scan(actual, predicted):
-    """Index and loss of the first least-loss candidate, from every loss,
-    each the squared misses added one PD at a time in PD order."""
-    losses = np.zeros(len(predicted))
-    for j, reading in enumerate(actual):
-        losses += (reading - predicted[:, j]) ** 2
-    k = int(np.argmin(losses))
-    return k, losses[k]
-
-
 @pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
 def test_localize_matches_full_scan(make_scene):
     s = make_scene()
@@ -582,7 +657,7 @@ def test_localize_matches_full_scan(make_scene):
             measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
             measured = measured * (1.0 + 1e-3 * rng.standard_normal(len(measured)))
             loc = sn.localize(measured, baseline, p, table)
-            assert (loc.index, loc.loss) == _full_scan(np.abs(measured - baseline), predicted)
+            assert (loc.index, loc.loss) == full_scan(np.abs(measured - baseline), predicted)
 
 
 def _factored_table(candidates, baseline, factors, offsets, grid_shape):
@@ -612,15 +687,16 @@ def test_localize_exact_tie_goes_to_lower_index():
 
 @pytest.fixture()
 def rescored(monkeypatch):
-    """The candidates of each _losses_of call, in call order."""
+    """The candidates of each _tile_losses call, in call order."""
     calls = []
-    real = sn._losses_of
+    real = sn._tile_losses
 
-    def spy(actual, columns, keep):
-        calls.append(np.sort(keep))
-        return real(actual, columns, keep)
+    def spy(actual, prediction, tiles):
+        members = prediction.tiles[tiles].ravel()
+        calls.append(np.sort(members[members >= 0]))
+        return real(actual, prediction, tiles)
 
-    monkeypatch.setattr(sn, "_losses_of", spy)
+    monkeypatch.setattr(sn, "_tile_losses", spy)
     return calls
 
 
@@ -674,7 +750,7 @@ def test_pruned_match_equals_full_scan_on_random_tables(rescored, n):
             columns[:, low] = actual - 0.5
         table = _column_table(columns, grid)
         loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
-        want = _full_scan(actual, sn.predict_power_deltas(table, np.array([1.0])))
+        want = full_scan(actual, sn.predict_power_deltas(table, np.array([1.0])))
         assert (loc.index, loc.loss) == want
     survivors = [len(keep) for keep in rescored[1::2]]
     assert len(survivors) == trials
@@ -703,7 +779,7 @@ def test_tile_match_equals_full_scan_on_ragged_grids(nx, ny, n, kind, seed):
         actual = np.full(n, rng.integers(1, 9) / 8.0)
     table = _column_table(columns, (nx, ny))
     loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
-    assert (loc.index, loc.loss) == _full_scan(actual, sn.predict_power_deltas(table, [1.0]))
+    assert (loc.index, loc.loss) == full_scan(actual, sn.predict_power_deltas(table, [1.0]))
 
 
 # ---------------------------------------------------------------------------
