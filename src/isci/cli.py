@@ -32,8 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, controller, optimize, photometry, sensing
-from .geometry import GeometryError, Region, build_partition
-from .photometry import SimplificationError
+from .geometry import Region, build_partition
 from .scene import DEFAULT_LAYOUT_SEED, Scene, SceneError, default_scene, load_scene, scene_to_dict
 
 EXIT_OK = 0
@@ -407,7 +406,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
                      if k.endswith("_seed")}
             out.write_manifest(args.command, scene, seeds)
         return status
-    except (SceneError, GeometryError, SimplificationError, ValueError) as exc:
+    except ValueError as exc:  # SceneError, GeometryError and SimplificationError too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except MemoryError as exc:

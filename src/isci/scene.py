@@ -1,9 +1,9 @@
 """Physical scene configuration: room, LED array, photodiodes, floor grid, user model.
 
 Everything the simulator needs to know about the physical setup lives here.
-A Scene is immutable after construction.  Loading a config validates every
-invariant and rejects unknown keys, so typos in a config file fail loudly
-instead of silently falling back to defaults.
+A Scene is immutable after construction.  Each numeric field declares its
+valid interval once, in its dataclass field metadata; one check derives every
+single-field message from it.  Unknown config keys fail loudly.
 
 Config files are YAML with the top-level sections ``room``, ``grid``,
 ``leds``, ``comm_pd``, ``sensing_pds``, ``user``, ``noise`` and
@@ -13,10 +13,13 @@ Config files are YAML with the top-level sections ``room``, ``grid``,
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 import re
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,31 +59,74 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SceneError(f"{where}: {msg}")
 
 
+class _Interval:
+    """A field's valid values, written as in mathematics: "(0, inf)", "[0, 1]",
+    "(0, 90]".  An infinite end admits inf, which the finiteness check refuses."""
+
+    def __init__(self, text: str, unit: str = ""):
+        lo, hi = text[1:-1].split(",")
+        self.text, self.lo, self.hi = f"{text} {unit}".rstrip(), float(lo), float(hi)
+        strict, bounded = text[0] == "(", self.hi < math.inf
+        self.above = operator.lt if strict else operator.le
+        self.below = operator.lt if text[-1] == ")" and bounded else operator.le
+        self.message = (f"must be in {self.text}" if bounded
+                        else f"must be {'>' if strict else '>='} {lo}" if self.lo
+                        else "must be positive" if strict else "must be nonnegative")
+
+    def __contains__(self, value: float) -> bool:
+        return self.above(self.lo, value) and self.below(value, self.hi)
+
+
+def _within(interval: str, default: Any = MISSING, unit: str = "") -> Any:
+    """A dataclass field whose values must lie in ``interval``."""
+    return field(default=default, metadata={"interval": _Interval(interval, unit)})
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, _Interval, bool], ...]:
+    """(name, interval, whether None passes: it is the default) per field with an interval."""
+    return tuple((f.name, f.metadata["interval"], f.default is None)
+                 for f in fields(cls) if "interval" in f.metadata)
+
+
+def _check_fields(obj, where: str) -> None:
+    """Each field of ``obj`` in its interval (NaN is not), then each finite."""
+    schema = _schema(type(obj))
+    for name, interval, optional in schema:
+        value = getattr(obj, name)
+        if not (optional if value is None else value in interval):
+            raise SceneError(f"{where}.{name}: {interval.message}")
+    for name, _, optional in schema:
+        value = getattr(obj, name)
+        if not (optional and value is None or abs(value) <= sys.float_info.max):
+            raise SceneError(f"{where}.{name}: must be finite")
+
+
+def _require_ordered(obj, lo: str, hi: str, where: str) -> None:
+    low, high = getattr(obj, lo), getattr(obj, hi)
+    _require(low <= high, f"{where}.{lo}", f"lower bound {low} exceeds upper bound {high}")
+
+
 @dataclass(frozen=True)
 class Room:
     """Rectangular room; the receiving plane sits ``plane_drop`` below the ceiling."""
 
-    size_x: float = 5.0
-    size_y: float = 5.0
-    size_z: float = 3.0
-    plane_drop: float = 2.15
+    size_x: float = _within("(0, inf)", 5.0)
+    size_y: float = _within("(0, inf)", 5.0)
+    size_z: float = _within("(0, inf)", 3.0)
+    plane_drop: float = _within("(0, inf)", 2.15)
 
     @property
     def plane_z(self) -> float:
         return self.size_z - self.plane_drop
 
-    @property
-    def floor_area(self) -> float:
-        return self.size_x * self.size_y
-
     def contains_xy(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.size_x and 0.0 <= y <= self.size_y
 
     def validate(self) -> None:
-        _require(self.size_x > 0 and self.size_y > 0 and self.size_z > 0,
-                 "room", "all dimensions must be positive")
-        _require(0.0 < self.plane_drop < self.size_z,
-                 "room.plane_drop", "must lie strictly between 0 and size_z")
+        _check_fields(self, "room")
+        _require(self.plane_drop < self.size_z, "room.plane_drop",
+                 "must lie strictly between 0 and size_z")
 
 
 def _require_on_ceiling(position: tuple[float, float, float], room: Room, where: str) -> None:
@@ -96,19 +142,15 @@ class Led:
     """Ceiling LED with a generalized Lambertian beam."""
 
     position: tuple[float, float, float]
-    half_power_angle_deg: float = 60.0
-    efficacy_lm_per_w: float = 140.0
-    power_w: float = 45.2
-    power_min_w: float = 10.0
-    power_max_w: float = 80.0
+    half_power_angle_deg: float = _within("(0, 90)", 60.0, "degrees")
+    efficacy_lm_per_w: float = _within("(0, inf)", 140.0)
+    power_w: float = _within("[0, inf)", 45.2)
+    power_min_w: float = _within("[0, inf)", 10.0)
+    power_max_w: float = _within("[0, inf)", 80.0)
 
     def validate(self, room: Room, where: str) -> None:
-        _require(0.0 < self.half_power_angle_deg < 90.0, f"{where}.half_power_angle_deg",
-                 "must be in (0, 90) degrees")
-        _require(self.efficacy_lm_per_w > 0, f"{where}.efficacy_lm_per_w", "must be positive")
-        _require(self.power_min_w <= self.power_max_w, f"{where}.power_min_w",
-                 f"lower bound {self.power_min_w} exceeds upper bound {self.power_max_w}")
-        _require(self.power_min_w >= 0, f"{where}.power_min_w", "must be nonnegative")
+        _check_fields(self, where)
+        _require_ordered(self, "power_min_w", "power_max_w", where)
         _require(self.power_min_w <= self.power_w <= self.power_max_w, f"{where}.power_w",
                  f"{self.power_w} outside bounds [{self.power_min_w}, {self.power_max_w}]")
         _require_on_ceiling(self.position, room, where)
@@ -118,19 +160,11 @@ class Led:
 class CommPd:
     """Communication photodiode model (receiving plane, facing up)."""
 
-    area_m2: float = 1.0e-4
-    refractive_index: float = 1.5
-    fov_deg: float = 90.0
-    filter_gain: float = 1.0
-    responsivity_a_per_w: float = 0.54
-
-    def validate(self) -> None:
-        _require(self.area_m2 > 0, "comm_pd.area_m2", "must be positive")
-        _require(self.refractive_index >= 1.0, "comm_pd.refractive_index", "must be >= 1")
-        _require(0.0 < self.fov_deg <= 90.0, "comm_pd.fov_deg", "must be in (0, 90] degrees")
-        _require(self.filter_gain > 0, "comm_pd.filter_gain", "must be positive")
-        _require(self.responsivity_a_per_w > 0, "comm_pd.responsivity_a_per_w",
-                 "must be positive")
+    area_m2: float = _within("(0, inf)", 1.0e-4)
+    refractive_index: float = _within("[1, inf)", 1.5)
+    fov_deg: float = _within("(0, 90]", 90.0, "degrees")
+    filter_gain: float = _within("(0, inf)", 1.0)
+    responsivity_a_per_w: float = _within("(0, inf)", 0.54)
 
 
 @dataclass(frozen=True)
@@ -138,16 +172,13 @@ class SensingPd:
     """Ceiling sensing photodiode (facing down)."""
 
     position: tuple[float, float, float]
-    area_m2: float = 1.0e-4
-    fov_deg: float = 90.0
-    refractive_index: float = 1.5
-    filter_gain: float = 1.0
+    area_m2: float = _within("(0, inf)", 1.0e-4)
+    fov_deg: float = _within("(0, 90]", 90.0, "degrees")
+    refractive_index: float = _within("[1, inf)", 1.5)
+    filter_gain: float = _within("(0, inf)", 1.0)
 
     def validate(self, room: Room, where: str) -> None:
-        _require(self.area_m2 > 0, f"{where}.area_m2", "must be positive")
-        _require(0.0 < self.fov_deg <= 90.0, f"{where}.fov_deg", "must be in (0, 90] degrees")
-        _require(self.refractive_index >= 1.0, f"{where}.refractive_index", "must be >= 1")
-        _require(self.filter_gain > 0, f"{where}.filter_gain", "must be positive")
+        _check_fields(self, where)
         _require_on_ceiling(self.position, room, where)
 
 
@@ -160,7 +191,7 @@ class SurfaceGrid:
     k = ix * ny + iy, i.e. ascending x first, then y.
     """
 
-    pitch: float
+    pitch: float = _within("(0, inf)")
     nx: int
     ny: int
     reflectance: tuple[float, ...] = field(repr=False)
@@ -181,10 +212,10 @@ class SurfaceGrid:
         return np.column_stack([xs, ys])
 
     def reflectance_array(self) -> np.ndarray:
-        return np.asarray(self.reflectance, dtype=float)
+        return np.fromiter(self.reflectance, dtype=float, count=len(self.reflectance))
 
     def validate(self, room: Room) -> None:
-        _require(self.pitch > 0, "grid.pitch", "must be positive")
+        _check_fields(self, "grid")
         for name, size, n in (("x", room.size_x, self.nx), ("y", room.size_y, self.ny)):
             _require(abs(n * self.pitch - size) <= 1e-9 * max(1.0, size), "grid.pitch",
                      f"must tile the floor exactly: {n} * {self.pitch} != size_{name} {size}")
@@ -201,17 +232,15 @@ class UserModel:
     """Single-user reflection model: one horizontal Lambertian patch at
     ``patch_height_m`` plus a cylindrical occlusion footprint on the floor."""
 
-    reflectance: float = 0.7
-    patch_area_m2: float = 0.25
-    patch_height_m: float = 1.7
-    footprint_radius_m: float = 0.3
+    reflectance: float = _within("[0, 1]", 0.7)
+    patch_area_m2: float = _within("(0, inf)", 0.25)
+    patch_height_m: float = _within("(0, inf)", 1.7)
+    footprint_radius_m: float = _within("(0, inf)", 0.3)
 
     def validate(self, room: Room) -> None:
-        _require(0.0 <= self.reflectance <= 1.0, "user.reflectance", "must be in [0, 1]")
-        _require(self.patch_area_m2 > 0, "user.patch_area_m2", "must be positive")
-        _require(0.0 < self.patch_height_m < room.size_z, "user.patch_height_m",
+        _check_fields(self, "user")
+        _require(self.patch_height_m < room.size_z, "user.patch_height_m",
                  "must lie strictly between floor and ceiling")
-        _require(self.footprint_radius_m > 0, "user.footprint_radius_m", "must be positive")
         side = min(room.size_x, room.size_y)
         _require(2.0 * self.footprint_radius_m <= side, "user.footprint_radius_m",
                  f"footprint diameter {2.0 * self.footprint_radius_m} exceeds the room's "
@@ -222,60 +251,40 @@ class UserModel:
 class NoiseParams:
     """Receiver noise model constants (shot + thermal)."""
 
-    electron_charge_c: float = 1.602e-19
-    bandwidth_hz: float = 1.0e8
-    background_current_a: float = 5.1e-3
-    noise_factor_i2: float = 0.562
-    noise_factor_i3: float = 0.0868
-    boltzmann_j_per_k: float = 1.381e-23
-    temperature_k: float = 298.0
-    open_loop_gain: float = 10.0
-    capacitance_f_per_m2: float = 1.12e-6
-    fet_noise_factor: float = 1.5
-    fet_transconductance_s: float = 0.03
-
-    def validate(self) -> None:
-        for f in fields(self):
-            _require(getattr(self, f.name) > 0, f"noise.{f.name}", "must be positive")
+    electron_charge_c: float = _within("(0, inf)", 1.602e-19)
+    bandwidth_hz: float = _within("(0, inf)", 1.0e8)
+    background_current_a: float = _within("(0, inf)", 5.1e-3)
+    noise_factor_i2: float = _within("(0, inf)", 0.562)
+    noise_factor_i3: float = _within("(0, inf)", 0.0868)
+    boltzmann_j_per_k: float = _within("(0, inf)", 1.381e-23)
+    temperature_k: float = _within("(0, inf)", 298.0)
+    open_loop_gain: float = _within("(0, inf)", 10.0)
+    capacitance_f_per_m2: float = _within("(0, inf)", 1.12e-6)
+    fet_noise_factor: float = _within("(0, inf)", 1.5)
+    fet_transconductance_s: float = _within("(0, inf)", 0.03)
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     """Control-loop settings: mode constraints, pitches, timing, noise."""
 
-    step_period_s: float = 0.5
-    baseline_power_w: float = 45.2
-    e_uniform_min_lx: float = 300.0
-    e_uniform_max_lx: float = 1500.0
-    e_enhanced_min_lx: float = 800.0
-    e_enhanced_max_lx: float = 2000.0
-    snr_threshold: Optional[float] = None   # None: plane-average SNR at baseline power
-    opt_pitch_m: float = 0.25
-    field_pitch_m: float = 0.1
-    noise_rel_sigma: float = 0.01
-    user_speed_m_per_s: float = 0.9
-    dwell_time_s: float = 15.0
+    step_period_s: float = _within("(0, inf)", 0.5)
+    baseline_power_w: float = _within("(0, inf)", 45.2)
+    e_uniform_min_lx: float = _within("(0, inf)", 300.0)
+    e_uniform_max_lx: float = _within("(0, inf)", 1500.0)
+    e_enhanced_min_lx: float = _within("(0, inf)", 800.0)
+    e_enhanced_max_lx: float = _within("(0, inf)", 2000.0)
+    snr_threshold: Optional[float] = _within("[0, inf)", None)  # None: plane-mean SNR at baseline
+    opt_pitch_m: float = _within("(0, inf)", 0.25)
+    field_pitch_m: float = _within("(0, inf)", 0.1)
+    noise_rel_sigma: float = _within("[0, inf)", 0.01)
+    user_speed_m_per_s: float = _within("(0, inf)", 0.9)
+    dwell_time_s: float = _within("[0, inf)", 15.0)
 
     def validate(self) -> None:
-        _require(self.step_period_s > 0, "controller.step_period_s", "must be positive")
-        _require(self.baseline_power_w > 0, "controller.baseline_power_w", "must be positive")
-        _require(0.0 < self.e_uniform_min_lx <= self.e_uniform_max_lx,
-                 "controller.e_uniform_min_lx", "bounds must be positive and ordered")
-        _require(0.0 < self.e_enhanced_min_lx <= self.e_enhanced_max_lx,
-                 "controller.e_enhanced_min_lx", "bounds must be positive and ordered")
-        if self.snr_threshold is not None:
-            _require(self.snr_threshold >= 0, "controller.snr_threshold", "must be nonnegative")
-        _require(self.opt_pitch_m > 0, "controller.opt_pitch_m", "must be positive")
-        _require(self.field_pitch_m > 0, "controller.field_pitch_m", "must be positive")
-        _require(self.noise_rel_sigma >= 0, "controller.noise_rel_sigma",
-                 "must be nonnegative")
-        _require(self.user_speed_m_per_s > 0, "controller.user_speed_m_per_s",
-                 "must be positive")
-        _require(self.dwell_time_s >= 0, "controller.dwell_time_s", "must be nonnegative")
-        for f in fields(self):  # after the range checks, which name NaN
-            value = getattr(self, f.name)
-            _require(value is None or math.isfinite(value), f"controller.{f.name}",
-                     "must be finite")
+        _check_fields(self, "controller")
+        _require_ordered(self, "e_uniform_min_lx", "e_uniform_max_lx", "controller")
+        _require_ordered(self, "e_enhanced_min_lx", "e_enhanced_max_lx", "controller")
 
 
 @dataclass(frozen=True)
@@ -320,13 +329,12 @@ class Scene:
         _require(len(self.leds) >= 1, "leds", "at least one LED is required")
         for i, led in enumerate(self.leds):
             led.validate(self.room, f"leds[{i}]")
-        self.comm_pd.validate()
-        _require(len(self.sensing_pds) >= 1, "sensing_pds",
-                 "at least one sensing PD is required")
+        _check_fields(self.comm_pd, "comm_pd")
+        _require(len(self.sensing_pds) >= 1, "sensing_pds", "at least one sensing PD is required")
         for j, pd in enumerate(self.sensing_pds):
             pd.validate(self.room, f"sensing_pds[{j}]")
         self.user.validate(self.room)
-        self.noise.validate()
+        _check_fields(self.noise, "noise")
         self.grid.validate(self.room)
         self.controller.validate()
 
@@ -355,9 +363,9 @@ def _section(cfg: Mapping[str, Any], name: str) -> Mapping[str, Any]:
 
 
 def _is_number(value: Any) -> bool:
-    """A finite int or float; a YAML boolean is not a number."""
+    """A finite int or float (not an int past the float range, nor a YAML boolean)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _number(value: Any, where: str) -> Any:
@@ -367,18 +375,15 @@ def _number(value: Any, where: str) -> Any:
 
 
 def _build(cls, data: Mapping[str, Any], where: str, **extra):
-    """``cls`` from ``extra`` and ``data``, whose values are all numbers
-    (or None, for a field whose default is None)."""
-    names = [f.name for f in fields(cls) if f.name not in extra]
-    _check_keys(where, data, names)
-    kwargs = dict(extra)
-    for f in fields(cls):
-        if f.name in data:
-            value = data[f.name]
-            if value is not None or f.default is not None:
-                _number(value, f"{where}.{f.name}")
-            kwargs[f.name] = value
-    return cls(**kwargs)
+    """``cls`` from ``data`` with ``extra`` in place of its values: each other
+    key names a field with an interval, whose value is a number (or None where
+    that is the default)."""
+    schema = _schema(cls)
+    _check_keys(where, data, [*extra, *(name for name, _, _ in schema)])
+    for name, _, optional in schema:
+        if name in data and not (optional and data[name] is None):
+            _number(data[name], f"{where}.{name}")
+    return cls(**{**data, **extra})
 
 
 def _as_position(value: Any, where: str) -> tuple[float, float, float]:
@@ -401,19 +406,18 @@ def _entries(cfg: Mapping[str, Any], name: str, what: str, cls) -> tuple:
             raise SceneError(f"{where}: expected a mapping")
         if "position" not in entry:
             raise SceneError(f"{where}.position: required")
-        pos = _as_position(entry["position"], where)
-        rest = {k: v for k, v in entry.items() if k != "position"}
-        built.append(_build(cls, rest, where, position=pos))
+        built.append(_build(cls, entry, where, position=_as_position(entry["position"], where)))
     return tuple(built)
 
 
 def _grid_from_config(data: Mapping[str, Any], room: Room) -> SurfaceGrid:
     _check_keys("grid", data, ("pitch", "reflectance"))
     pitch = float(_number(data.get("pitch", 0.1), "grid.pitch"))
-    if not pitch > 0:
-        raise SceneError("grid.pitch: must be positive")
-    nx = int(round(room.size_x / pitch))
-    ny = int(round(room.size_y / pitch))
+    _check_fields(SurfaceGrid(pitch, 0, 0, ()), "grid")  # before the pitch divides anything
+    nx, ny = room.size_x / pitch, room.size_y / pitch
+    _require(math.isfinite(nx * ny) and round(nx) * round(ny) <= sys.maxsize, "grid.pitch",
+             f"{pitch} m cuts the {room.size_x} x {room.size_y} m floor into too many cells")
+    nx, ny = round(nx), round(ny)
     rho = data.get("reflectance", 0.8)
     if isinstance(rho, (list, tuple)):
         reflectance = tuple(float(_number(r, f"grid.reflectance[{k}]"))
@@ -430,6 +434,7 @@ def scene_from_dict(cfg: Mapping[str, Any]) -> Scene:
     _check_keys("top level", cfg, _SECTIONS)
 
     room = _build(Room, _section(cfg, "room"), "room")
+    room.validate()  # before its sides are cut into grid cells
     leds = _entries(cfg, "leds", "LED", Led)
     pds = _entries(cfg, "sensing_pds", "sensing PD", SensingPd)
     scene = Scene(
@@ -479,13 +484,7 @@ def load_scene(config_text: str) -> Scene:
 
 
 def _dataclass_dict(obj) -> dict[str, Any]:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(obj).items()}
 
 
 def scene_to_dict(scene: Scene) -> dict[str, Any]:

@@ -321,6 +321,24 @@ def test_invalid_config_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: room.size_x: must be a finite number, got 'abc'\n"
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("room", "size_x", 1e308, "grid.pitch: 0.1 m cuts the 1e+308 x 5.0 m floor into too many cells"),
+    ("grid", "pitch", 1e-300, "grid.pitch: 1e-300 m cuts the 5.0 x 5.0 m floor into too many cells"),
+    ("noise", "temperature_k", 10**400,
+     f"noise.temperature_k: must be a finite number, got {10**400}"),
+], ids=["huge-room", "fine-pitch", "int-past-float"])
+def test_overflowing_config_exit_one(tmp_path, capsys, section, key, value, message):
+    # each of these used to end in an OverflowError traceback
+    cfg = scene_to_dict(default_scene())
+    cfg[section][key] = value
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "x"
+    assert run("regions", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_footprint_wider_than_the_room_exit_one(tmp_path, capsys):
     # a footprint diameter over the room's shorter side used to end in numpy's
     # broadcast error from the occlusion stencil

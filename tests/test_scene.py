@@ -1,7 +1,16 @@
+import math
+import re
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from isci.scene import (SceneError, default_scene, dump_scene, load_scene,
+from isci.scene import (CommPd, ControllerConfig, Led, NoiseParams, Room, SceneError, SensingPd,
+                        SurfaceGrid, UserModel, default_scene, dump_scene, load_scene,
                         scene_from_dict, scene_to_dict)
 
 
@@ -35,7 +44,8 @@ def test_round_trip(scene):
 
 def test_grid_tiles_floor(scene):
     total = scene.grid.count * scene.grid.cell_area
-    assert abs(total - scene.room.floor_area) <= 1e-9 * scene.room.floor_area
+    area = scene.room.size_x * scene.room.size_y
+    assert abs(total - area) <= 1e-9 * area
 
 
 def test_emitters_on_ceiling_inside_room(scene):
@@ -138,3 +148,116 @@ def test_malformed_values_name_the_field(scene, path, value, field):
     target[path[-1]] = value
     with pytest.raises(SceneError, match=rf"^{field}: "):
         scene_from_dict(cfg)
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("room", "size_x"), 0.0, "room.size_x: must be positive"),
+    (("room", "plane_drop"), 3.0, "room.plane_drop: must lie strictly between 0 and size_z"),
+    (("leds", 0, "half_power_angle_deg"), 90.0,
+     "leds[0].half_power_angle_deg: must be in (0, 90) degrees"),
+    (("comm_pd", "fov_deg"), 0.0, "comm_pd.fov_deg: must be in (0, 90] degrees"),
+    (("sensing_pds", 0, "refractive_index"), 0.5, "sensing_pds[0].refractive_index: must be >= 1"),
+    (("user", "reflectance"), 1.5, "user.reflectance: must be in [0, 1]"),
+    (("controller", "dwell_time_s"), -1.0, "controller.dwell_time_s: must be nonnegative"),
+    (("controller", "e_uniform_min_lx"), 2000.0,
+     "controller.e_uniform_min_lx: lower bound 2000.0 exceeds upper bound 1500.0"),
+])
+def test_out_of_range_messages(scene, path, value, message):
+    # each single-field message is derived from the field's declared interval
+    cfg = scene_to_dict(scene)
+    _at(cfg, path[:-1])[path[-1]] = value
+    with pytest.raises(SceneError, match=f"^{re.escape(message)}$"):
+        scene_from_dict(cfg)
+
+
+def test_constructed_scene_refuses_nonfinite_fields(scene):
+    # a Scene built in code, not loaded from a config, takes the same field checks
+    led = replace(scene.leds[0], efficacy_lm_per_w=math.inf)
+    pd = replace(scene.sensing_pds[0], area_m2=math.nan)
+    for bad, message in [
+        (replace(scene, noise=replace(scene.noise, bandwidth_hz=math.inf)),
+         "noise.bandwidth_hz: must be finite"),
+        (replace(scene, leds=(led, *scene.leds[1:])), "leds[0].efficacy_lm_per_w: must be finite"),
+        (replace(scene, sensing_pds=(pd, *scene.sensing_pds[1:])),
+         "sensing_pds[0].area_m2: must be positive"),
+    ]:
+        with pytest.raises(SceneError, match=f"^{re.escape(message)}$"):
+            bad.validate()
+
+
+# ---------------------------------------------------------------------------
+# the loader against the field schema (hypothesis, derandomized)
+# ---------------------------------------------------------------------------
+
+_SECTIONS = ((("room",), Room), (("leds", 0), Led), (("comm_pd",), CommPd),
+             (("sensing_pds", 0), SensingPd), (("user",), UserModel), (("noise",), NoiseParams),
+             (("grid",), SurfaceGrid), (("controller",), ControllerConfig))
+
+# config path -> interval, for each field that declares one
+_INTERVALS = {(*prefix, f.name): f.metadata["interval"]
+              for prefix, cls in _SECTIONS for f in fields(cls) if "interval" in f.metadata}
+
+
+def _edges(interval):
+    """Each finite end, just inside and just outside it; for an infinite end,
+    the largest float inside it."""
+    for end, inward in ((interval.lo, math.inf), (interval.hi, -math.inf)):
+        if math.isinf(end):
+            yield math.nextafter(end, inward)
+        else:
+            yield from (end, math.nextafter(end, inward), math.nextafter(end, -inward))
+
+
+_CASES = [(path, value) for path, interval in _INTERVALS.items()
+          for value in (*_edges(interval), math.nan, math.inf, -math.inf, True, "x", 10**400)]
+
+
+def test_schema_covers_every_numeric_config_field(scene):
+    # all but the positions and the grid's reflectance, which is checked cell by cell
+    cfg = scene_to_dict(scene)
+    numeric = {(*prefix, key) for prefix, _ in _SECTIONS for key in _at(cfg, prefix)
+               if key != "position" and prefix + (key,) != ("grid", "reflectance")}
+    assert numeric == set(_INTERVALS)
+
+
+def test_readme_config_gives_each_interval():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Scene configuration", 1)[1].split("```yaml\n", 1)[1].split("```")[0]
+    load_scene(block)  # the documented config is a valid one
+    comments, section = {}, None
+    for line in block.splitlines():
+        key, _, rest = line.strip().removeprefix("- ").partition(":")
+        section = section if line.startswith(" ") else key
+        comments[section, key] = rest.partition("#")[2].strip()
+    for path, interval in _INTERVALS.items():
+        assert comments[path[0], path[-1]].startswith(interval.text), path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=len(_CASES))
+@example(case=(("room", "size_x"), 1e308))  # its cell count overflowed int()
+@example(case=(("grid", "pitch"), 1e-300))  # its reflectance tuple overflowed an index
+@example(case=(("noise", "temperature_k"), 10**400))  # overflowed math.isfinite
+@given(case=st.sampled_from(_CASES))
+def test_loader_names_the_field_of_each_bound(scene, case):
+    path, value = case
+    cfg = scene_to_dict(scene)
+    _at(cfg, path[:-1])[path[-1]] = value
+    where = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))
+    inside = (not isinstance(value, (bool, str)) and abs(value) <= sys.float_info.max
+              and value in _INTERVALS[path])
+    try:
+        built = scene_from_dict(cfg)
+    except SceneError as exc:
+        # outside its interval or not a finite number: refused by name; inside
+        # it, a cross-field check (bound order, ceiling, tiling) may name a partner
+        named = "|".join({key[0] for key in _INTERVALS}) if inside else re.escape(where)
+        assert re.match(rf"({named})[.:\[]", str(exc)), str(exc)
+    else:
+        assert inside
+        assert _at(scene_to_dict(built), path) == value
