@@ -292,7 +292,7 @@ def _run_metrics(scene: Scene, partition, rows, base_rows) -> dict:
     first = {r["mode"]: p for r, p in zip(rows[::-1], powers[::-1])}  # each mode's first row
 
     def plane(p, quantity, activity_only=False):
-        grid = photometry.field(scene.with_powers(p), partition, quantity=quantity)
+        grid = photometry.field(scene, partition, quantity=quantity, powers=p)
         inside = (grid.regions == Region.ACTIVITY.value if activity_only
                   else grid.regions != Region.OUTSIDE.value)
         return grid.values[inside]
@@ -371,7 +371,8 @@ def _build_parser() -> _Parser:
     command("regions", _cmd_regions, "hull / MEC / MIC geometry as CSV")
 
     p = command("field", _cmd_field, "SNR or illuminance field (CSV + PGM heatmap)")
-    p.add_argument("--quantity", choices=["snr", "snr-full", "illuminance"], default="snr")
+    p.add_argument("--quantity", default="snr",
+                   choices=[q.replace("_", "-") for q in photometry._FIELD_QUANTITIES])
     p.add_argument("--pitch", dest="field_pitch_m", type=float)
 
     command("fingerprint", _cmd_fingerprint, "build and persist the fingerprint table")

@@ -9,7 +9,9 @@ one-bounce kernel in ``sensing`` both build on it.  Two SNR models are
 provided, both vectorized over receiving-plane points: the full shot +
 thermal model for reporting, and the high-SNR simplification (shot noise
 only, first-order Lambertian, 90 deg FOV) whose closed form is linear in
-the power vector and is what the optimizers consume.
+the power vector and is what the optimizers consume.  LED powers are an
+argument: snr_full and field take them (field defaults to the scene's
+``power_w``), and field multiplies the full grid's coefficients by them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import RegionPartition, classify_points
-from .scene import CommPd, Led, NoiseParams, Room, Scene, SensingPd
+from .scene import CommPd, Led, NoiseParams, Room, Scene, SensingPd, SurfaceGrid
 
 __all__ = [
     "SimplificationError",
@@ -150,10 +152,10 @@ def _los_gains(leds: Sequence[Led], points: np.ndarray, plane_z: float,
 
 
 def snr_full(leds: Sequence[Led], points: np.ndarray, plane_z: float, pd: CommPd,
-             noise: NoiseParams) -> np.ndarray:
+             noise: NoiseParams, powers: Sequence[float]) -> np.ndarray:
     """Electrical SNR (L,) with the full shot + thermal noise model at
-    receiving-plane points."""
-    p_r = _los_gains(leds, points, plane_z, pd) @ np.array([led.power_w for led in leds])
+    receiving-plane points, the LEDs emitting ``powers`` (M,) watts."""
+    p_r = _los_gains(leds, points, plane_z, pd) @ np.asarray(powers, dtype=float)
     q = noise.electron_charge_c
     bw = noise.bandwidth_hz
     shot = (2.0 * q * pd.responsivity_a_per_w * p_r * bw
@@ -175,10 +177,7 @@ def plane_grid(room: Room, pitch: float) -> np.ndarray:
     if not 0 < pitch <= side:
         raise ValueError(f"pitch {pitch} m must be positive and no wider than the room's "
                          f"shorter side, {side} m")
-    nx = int(round(room.size_x / pitch))
-    ny = int(round(room.size_y / pitch))
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    return np.column_stack([(ix.ravel() + 0.5) * pitch, (iy.ravel() + 0.5) * pitch])
+    return SurfaceGrid(pitch, round(room.size_x / pitch), round(room.size_y / pitch), ()).centers()
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,11 @@ class FieldGrid:
 _FIELD_QUANTITIES = ("snr", "snr_full", "illuminance")
 
 
-def field(scene: Scene, partition: RegionPartition, quantity: str = "snr") -> FieldGrid:
+def field(scene: Scene, partition: RegionPartition, quantity: str = "snr",
+          powers: Sequence[float] | None = None) -> FieldGrid:
     """Evaluate an SNR or illuminance field over the receiving plane at the
-    scene's ``field_pitch_m``.
+    scene's ``field_pitch_m``, the LEDs emitting ``powers`` (M,) watts, by
+    default the scene's ``power_w``.
 
     ``snr`` uses the simplified high-SNR model (the one the optimizers see);
     ``snr_full`` the shot+thermal model.  Sample ordering is deterministic
@@ -205,16 +206,19 @@ def field(scene: Scene, partition: RegionPartition, quantity: str = "snr") -> Fi
     """
     if quantity not in _FIELD_QUANTITIES:
         raise ValueError(f"quantity must be one of {_FIELD_QUANTITIES}, got {quantity!r}")
+    powers = (scene.power_vector() if powers is None
+              else np.ascontiguousarray(powers, dtype=float))
+    if powers.shape != (scene.num_leds,):
+        raise ValueError(f"power vector of shape {powers.shape} for {scene.num_leds} LEDs")
     pitch = scene.controller.field_pitch_m
     pts = plane_grid(scene.room, pitch)
     regions = classify_points(pts, partition)
     plane_z = scene.room.plane_z
-    powers = scene.power_vector()
     if quantity == "illuminance":
         values = illuminance_coefficients(scene.leds, pts, plane_z) @ powers
     elif quantity == "snr":
         values = snr_coefficients(scene.leds, pts, plane_z, scene.comm_pd, scene.noise) @ powers
     else:
-        values = snr_full(scene.leds, pts, plane_z, scene.comm_pd, scene.noise)
+        values = snr_full(scene.leds, pts, plane_z, scene.comm_pd, scene.noise, powers)
     return FieldGrid(points=pts, values=values, regions=regions,
                      pitch=pitch, quantity=quantity)

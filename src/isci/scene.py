@@ -19,7 +19,7 @@ import numbers
 import operator
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -304,10 +304,6 @@ class Scene:
     def num_leds(self) -> int:
         return len(self.leds)
 
-    @property
-    def num_sensing_pds(self) -> int:
-        return len(self.sensing_pds)
-
     def power_vector(self) -> np.ndarray:
         """Currently configured LED optical powers, shape (M,)."""
         return np.array([led.power_w for led in self.leds], dtype=float)
@@ -316,13 +312,6 @@ class Scene:
         lo = np.array([led.power_min_w for led in self.leds], dtype=float)
         hi = np.array([led.power_max_w for led in self.leds], dtype=float)
         return lo, hi
-
-    def with_powers(self, powers: Sequence[float]) -> "Scene":
-        """Copy of the scene with the LED powers replaced."""
-        if len(powers) != self.num_leds:
-            raise SceneError(f"power vector length {len(powers)} != {self.num_leds} LEDs")
-        leds = tuple(replace(led, power_w=float(p)) for led, p in zip(self.leds, powers))
-        return replace(self, leds=leds)
 
     def validate(self) -> None:
         self.room.validate()
@@ -370,7 +359,12 @@ def _is_number(value: Any) -> bool:
 
 def _number(value: Any, where: str) -> Any:
     if not _is_number(value):
-        raise SceneError(f"{where}: must be a finite number, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an int past Python's limit on int-to-str digits
+            from decimal import Decimal
+            got = f"an integer of {Decimal(value).adjusted() + 1} digits"
+        raise SceneError(f"{where}: must be a finite number, got {got}")
     return value
 
 
@@ -464,19 +458,30 @@ def load_scene(config_text: str) -> Scene:
     """
     import yaml  # deferred: the built-in scene and the JSON manifest never parse YAML
 
+    def parse_error(mark, problem) -> SceneError:
+        return SceneError(f"parse error at line {mark.line + 1}, column {mark.column + 1}: {problem}")
+
     class Loader(yaml.SafeLoader):
         """SafeLoader that also reads YAML 1.2 floats: YAML 1.1 leaves 1e-2
-        and 1.5e3 strings (its floats need a dot and a signed exponent)."""
+        and 1.5e3 strings (its floats need a dot and a signed exponent).  An
+        int with more digits than Python converts is a parse error at its mark."""
 
+        def construct_yaml_int(self, node):
+            try:
+                return super().construct_yaml_int(node)
+            except ValueError:  # past Python's limit on str-to-int digits
+                digits = sum(map(str.isdigit, node.value))
+                raise parse_error(node.start_mark,
+                                  f"an integer of {digits} digits is too long to read") from None
+
+    Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     try:
         cfg = yaml.load(config_text, Loader=Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
-            raise SceneError(
-                f"parse error at line {mark.line + 1}, column {mark.column + 1}: {exc}"
-            ) from exc
+            raise parse_error(mark, exc) from exc
         raise SceneError(f"parse error: {exc}") from exc
     if cfg is None:
         raise SceneError("empty config document")
@@ -512,26 +517,14 @@ def dump_scene(scene: Scene) -> str:
 
 
 def default_scene(seed: int = DEFAULT_LAYOUT_SEED) -> Scene:
-    """Stock 5x5x3 m scene: 8 LEDs at seeded random ceiling positions, one
-    sensing PD offset 0.1 m (+x) from each LED, 0.1 m floor grid."""
+    """Stock scene: the default config with 8 LEDs at seeded random ceiling
+    positions and one sensing PD offset 0.1 m (+x) from each LED."""
     room = Room()
     rng = np.random.default_rng(seed)
     lo = _WALL_MARGIN
-    hi_x = room.size_x - _WALL_MARGIN
-    hi_y = room.size_y - _WALL_MARGIN
-    xy = np.column_stack([rng.uniform(lo, hi_x, 8), rng.uniform(lo, hi_y, 8)])
-    leds = [Led(position=(float(x), float(y), room.size_z)) for x, y in xy]
-    pds = [SensingPd(position=(float(x + _SENSING_PD_OFFSET), float(y), room.size_z))
-           for x, y in xy]
-    scene = Scene(
-        room=room,
-        leds=tuple(leds),
-        comm_pd=CommPd(),
-        sensing_pds=tuple(pds),
-        user=UserModel(),
-        noise=NoiseParams(),
-        grid=_grid_from_config({}, room),
-        controller=ControllerConfig(),
-    )
-    scene.validate()
-    return scene
+    xy = np.column_stack([rng.uniform(lo, room.size_x - lo, 8),
+                          rng.uniform(lo, room.size_y - lo, 8)])
+    return scene_from_dict({
+        "leds": [{"position": [x, y, room.size_z]} for x, y in xy],
+        "sensing_pds": [{"position": [x + _SENSING_PD_OFFSET, y, room.size_z]} for x, y in xy],
+    })

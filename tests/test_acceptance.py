@@ -137,7 +137,7 @@ def test_criterion_3_solver_certification():
 
 
 def _mec_variance(scene, partition, powers):
-    grid = ph.field(scene.with_powers(powers), partition, quantity="snr")
+    grid = ph.field(scene, partition, quantity="snr", powers=powers)
     vals = grid.values[grid.regions != Region.OUTSIDE.value]
     return float(np.mean((vals - vals.mean()) ** 2))
 
@@ -149,7 +149,7 @@ def test_criterion_4_uniformity_mode(scene, partition):
     var_base = _mec_variance(scene, partition, base)
     var_opt = _mec_variance(scene, partition, powers)
     reduction = 1.0 - var_opt / var_base
-    grid = ph.field(scene.with_powers(powers), partition, quantity="illuminance")
+    grid = ph.field(scene, partition, quantity="illuminance", powers=powers)
     vals = grid.values[grid.regions != Region.OUTSIDE.value]
     in_range = vals.min() >= 300.0 - 1e-6 and vals.max() <= 1500.0 + 1e-6
     ok = var_opt < var_base and reduction >= 0.40 and in_range
@@ -164,8 +164,8 @@ def test_criterion_5_enhanced_mode(scene, partition):
     powers, report = ct.apply_mode(ct.Mode.ENHANCED, scene, partition)
     assert report.status is op.SolveStatus.OPTIMAL
     total = float(np.sum(powers))
-    illum = ph.field(scene.with_powers(powers), partition, quantity="illuminance")
-    snr = ph.field(scene.with_powers(powers), partition, quantity="snr")
+    illum = ph.field(scene, partition, quantity="illuminance", powers=powers)
+    snr = ph.field(scene, partition, quantity="snr", powers=powers)
     act = illum.regions == Region.ACTIVITY.value
     e_vals, snr_vals = illum.values[act], snr.values[act]
     e_viol = max(0.0, 800.0 - e_vals.min(), e_vals.max() - 2000.0)
@@ -231,7 +231,7 @@ def test_criterion_7_energy_savings(scene, partition, sensing_model, table):
 
 def test_criterion_8_benchmark_nesting(scene, partition):
     base = np.full(scene.num_leds, BASELINE_PER_LED_W)
-    grid = ph.field(scene.with_powers(base), partition, quantity="snr")
+    grid = ph.field(scene, partition, quantity="snr", powers=base)
     bench = ct.benchmark(grid)
     above = bench.frac_above_avg
     ok = (above["mic"] >= above["mec"] >= above["reference"]

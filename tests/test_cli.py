@@ -321,21 +321,29 @@ def test_invalid_config_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: room.size_x: must be a finite number, got 'abc'\n"
 
 
-@pytest.mark.parametrize("section, key, value, message", [
-    ("room", "size_x", 1e308, "grid.pitch: 0.1 m cuts the 1e+308 x 5.0 m floor into too many cells"),
-    ("grid", "pitch", 1e-300, "grid.pitch: 1e-300 m cuts the 5.0 x 5.0 m floor into too many cells"),
-    ("noise", "temperature_k", 10**400,
+@pytest.mark.parametrize("section, key, literal, message", [
+    ("room", "size_x", "1e308",
+     "grid.pitch: 0.1 m cuts the 1e+308 x 5.0 m floor into too many cells"),
+    ("grid", "pitch", "1e-300",
+     "grid.pitch: 1e-300 m cuts the 5.0 x 5.0 m floor into too many cells"),
+    ("noise", "temperature_k", str(10**400),
      f"noise.temperature_k: must be a finite number, got {10**400}"),
-], ids=["huge-room", "fine-pitch", "int-past-float"])
-def test_overflowing_config_exit_one(tmp_path, capsys, section, key, value, message):
-    # each of these used to end in an OverflowError traceback
+    ("noise", "temperature_k", "1" * 5000,
+     "parse error at line {line}, column {column}: an integer of 5000 digits is too long to read"),
+], ids=["huge-room", "fine-pitch", "int-past-float", "int-past-str-digits"])
+def test_overflowing_config_exit_one(tmp_path, capsys, section, key, literal, message):
+    # the first three used to end in an OverflowError traceback, the last in
+    # Python's ValueError on converting a string of over 4300 digits to an int
     cfg = scene_to_dict(default_scene())
-    cfg[section][key] = value
+    cfg[section][key] = "VALUE"
+    text = yaml.safe_dump(cfg)
+    before = text[:text.index("VALUE")]
     path = tmp_path / "scene.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(text.replace("VALUE", literal))
     out = tmp_path / "x"
     assert run("regions", "--config", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+    assert capsys.readouterr().err == f"error: {message.format(line=line, column=column)}\n"
     assert not out.exists()
 
 
@@ -519,3 +527,93 @@ def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "trace.csv").is_file()
+
+
+# sha256 of every file the default-scene commands write, manifests included,
+# and of each stock layout's config: a change that means to keep the outputs
+# must move none of these bytes.
+_PINNED_RUNS = {
+    "regions": ["regions"],
+    "field-snr": ["field", "--quantity", "snr"],
+    "field-snr-full": ["field", "--quantity", "snr-full"],
+    "field-illuminance": ["field", "--quantity", "illuminance"],
+    "fingerprint": ["fingerprint"],
+    "optimize-uniformity": ["optimize", "--mode", "uniformity"],
+    "optimize-enhanced": ["optimize", "--mode", "enhanced"],
+    "simulate": ["simulate"],
+}
+_PINNED_FILES = {
+    "field-illuminance": {
+        "field.csv": "599e5a6113d86b9b38d91ae0e62af1267bfa481b4a3f69f6dae19d5f02457a2b",
+        "field.pgm": "405f25af0119509ae9a7e0d8c2a7e00070bdec362657c94de396366a7f23be8b",
+        "field_range.txt": "73fe0eb585ec11963b37826f564945d3bd04d4d8c3cad3dc00d169203bc9aefa",
+        "manifest.json": "0f25ecb111146bf246fba39e5bd49820c1939b171b014f32ab5e93c09dbacf24",
+    },
+    "field-snr": {
+        "field.csv": "fe744d518bf7c56c908fb3a3d6ba35697bf6ba8d6bb49f48c7de6088c0e9bf97",
+        "field.pgm": "405f25af0119509ae9a7e0d8c2a7e00070bdec362657c94de396366a7f23be8b",
+        "field_range.txt": "65cb09784847ecf7303c46edf984538d50964e8919edcfd04fcf23d5ff449f34",
+        "manifest.json": "c048ae1626dfa10a07955d08f5cdd6d9c14d181ca2437368b2f854703d4b903f",
+    },
+    "field-snr-full": {
+        "field.csv": "2613b2af381020a9beaf93144d3e6aacd0bad28383df1aaaa80ccb77e3ef40ab",
+        "field.pgm": "aa5a99fda6298fc96eac6df3a57d65f9b0767e59e0dff8a6623344ef2eb1b36d",
+        "field_range.txt": "1f3e21cee4b45faba0affbe9e724f69eea285e3816a556b4fc285e8ff8337beb",
+        "manifest.json": "ba0c6ca60507d3a3d51b8924cdf058c9f18b312d11159ae9ac174dcdafbeb9f0",
+    },
+    "fingerprint": {
+        "fingerprint.lfpt": "117c28f92a907cc4e5628707ca4760456e1e6a2309d4784e79d0ebaf5227a01e",
+        "manifest.json": "2282760016f4e3458124054893db736a1f0ac548684e301c3957bbd12605b754",
+    },
+    "optimize-enhanced": {
+        "manifest.json": "b59e02ec1566e1f04942f93eb4509f89b4cb2e4dd65324d7d4adf14cc0fbe476",
+        "powers.csv": "55f894b0316d29fe58dd89117dc4ea1aadb853b003bc9829c493bdbc8022e158",
+        "report.txt": "39bc7a7f6898787f8bdca6a51414b52fa3c5dea0d9a42900c028158cce2f52ed",
+    },
+    "optimize-uniformity": {
+        "manifest.json": "45b5677d771ce5f3b71622e93f234ae112680dbd07f161914b7925dbf3ff6260",
+        "powers.csv": "8b6454cb4cee691e2a32f2e7cc5d42cb407228fd0b64cbba55e23add25d78439",
+        "report.txt": "615cd83c47f6167916ac571dfa76ab6c68d1549f2ec11421168870f3e5fd55a4",
+    },
+    "regions": {
+        "manifest.json": "652150fc4267dbc4a09a5f772b4ca6e317bccc7334c956b619ad530cec333287",
+        "regions.csv": "6bfedf6d5bb1705b6cba2a17413d41796f849025cf93044f91ee26c9eb62c2bd",
+    },
+    "report": {
+        "manifest.json": "4bb57bfb65565579aabe9a4094cf7ec4e735895b192f903d5034c61345f973a8",
+        "report.txt": "00e7da98e81abdd1bf3c3c66dbd904162edc3d3d3fba3299ec366c04b77ef08a",
+    },
+    "simulate": {
+        "baseline_trace.csv": "c76b65f492de14f95a5da43bb2d651dec1d571a2dca6792421206f94769cdddc",
+        "benchmark.csv": "2753b298eb824fe96e94d1d72b6d5a0a9455b4c86bf4e46b8c9006f70ef7d895",
+        "manifest.json": "ab9401e05f8b674c09c7248c7f6025e5f8efe4294a34564949fe165795e63b1e",
+        "summary.txt": "04e53e9493e7d47b8e8c054f026bab8db9103e2e660de10a18002b0dcaa85154",
+        "trace.csv": "724cf2b9c0e30442c95bed6fa34340ab1a2de7bc289780968b4a152d827d93f5",
+    },
+}
+_PINNED_SCENES = (  # json.dumps(scene_to_dict(default_scene(seed)), sort_keys=True), seeds 0-9
+    "9c706f3f08921ca78dbb7e6bba06940fd5caba0077ed6d3132a5de58a335802e",
+    "d63486cad6e756b25b8bd0e49f52100954eb4166f744afec092a1e8f53ebb3e9",
+    "80b839dacc7fab855ba38a6a4bc9cb8c4452ef0508e56bb4b360eaa79e9b5192",
+    "c0f10f40b0faca002ab949bd998a93e707344049da26f577acb001b1db136fb6",
+    "0f34d7379ca6d71565edc5d7d3ab66aaa45ffa1280ddde5071bcc261352e1ebb",
+    "cf8c9f3fe37bd4b3c724264ec9944545c5f70cc2d56ab54f919b62874cbc1798",
+    "6519d8346ab583fc8ed3d0d1d378855f0aced1328182942ad2df0d22a02f100b",
+    "b57478eade8d7cfbdc2815fb42e3c24ca6bb1bab0a7ef828f9a83ecc8b14d25d",
+    "3f4bc45f8ad9dafa3761ec559ad31da58196ff515ed88c143e48569cd139c899",
+    "5be8fb966a294602299780e402fcef446058ceee77852117280bddd36a96f3e8",
+)
+
+
+def test_default_scene_outputs_are_pinned(tmp_path, capsys):
+    for name, args in _PINNED_RUNS.items():
+        assert run(*args, "--out", str(tmp_path / name)) == 0, name
+    sim = tmp_path / "simulate"
+    assert run("report", "--trace", str(sim / "trace.csv"), "--baseline",
+               str(sim / "baseline_trace.csv"), "--out", str(tmp_path / "report")) == 0
+    written = {d.name: {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in d.iterdir()}
+               for d in tmp_path.iterdir()}
+    assert written == _PINNED_FILES
+    for seed, digest in enumerate(_PINNED_SCENES):
+        config = json.dumps(scene_to_dict(default_scene(seed)), sort_keys=True)
+        assert hashlib.sha256(config.encode()).hexdigest() == digest, seed

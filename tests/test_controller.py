@@ -119,7 +119,7 @@ def test_apply_no_user_total(scene, partition):
 def test_apply_uniformity_fine_grid_illuminance(scene, partition):
     powers, report = ct.apply_mode(ct.Mode.UNIFORMITY, scene, partition)
     assert report.status is op.SolveStatus.OPTIMAL
-    grid = ph.field(scene.with_powers(powers), partition, quantity="illuminance")
+    grid = ph.field(scene, partition, quantity="illuminance", powers=powers)
     vals = grid.values[grid.regions != Region.OUTSIDE.value]
     ctl = scene.controller
     assert vals.min() >= ctl.e_uniform_min_lx - 1e-6
@@ -129,8 +129,8 @@ def test_apply_uniformity_fine_grid_illuminance(scene, partition):
 def test_apply_enhanced_fine_grid_constraints(scene, partition):
     powers, report = ct.apply_mode(ct.Mode.ENHANCED, scene, partition)
     assert report.status is op.SolveStatus.OPTIMAL
-    illum = ph.field(scene.with_powers(powers), partition, quantity="illuminance")
-    snr = ph.field(scene.with_powers(powers), partition, quantity="snr")
+    illum = ph.field(scene, partition, quantity="illuminance", powers=powers)
+    snr = ph.field(scene, partition, quantity="snr", powers=powers)
     act = illum.regions == Region.ACTIVITY.value
     ctl = scene.controller
     assert illum.values[act].min() >= ctl.e_enhanced_min_lx - 1e-6
@@ -533,7 +533,7 @@ def test_uniformity_variance_strictly_improves(scene, partition):
     base = np.full(scene.num_leds, scene.controller.baseline_power_w)
 
     def variance(p):
-        grid = ph.field(scene.with_powers(p), partition, quantity="snr")
+        grid = ph.field(scene, partition, quantity="snr", powers=p)
         v = grid.values[grid.regions != Region.OUTSIDE.value]
         return float(np.mean((v - v.mean()) ** 2))
 

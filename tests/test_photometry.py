@@ -31,7 +31,7 @@ def _illuminance_vec(leds, point):
 
 
 def _snr_full_vec(leds, point, pd, noise):
-    return float(ph.snr_full(leds, [point[:2]], point[2], pd, noise)[0])
+    return float(ph.snr_full(leds, [point[:2]], point[2], pd, noise, _powers(leds))[0])
 
 
 def _snr_simplified_vec(leds, point, pd, noise):
@@ -206,7 +206,8 @@ def test_snr_full_zero_power(scene):
     for snr_full in SNR_FULLS:
         assert snr_full(dark, pt, scene.comm_pd, scene.noise) == 0.0
     grid = ph.plane_grid(scene.room, 0.25)
-    assert np.all(ph.snr_full(dark, grid, scene.room.plane_z, scene.comm_pd, scene.noise) == 0.0)
+    assert np.all(ph.snr_full(dark, grid, scene.room.plane_z, scene.comm_pd, scene.noise,
+                               _powers(dark)) == 0.0)
 
 
 def test_snr_full_matches_independent_transcription(scene, rng):
@@ -325,7 +326,7 @@ def test_snr_full_matches_oracle(scene, rng, variant):
         leds = _mixed_leds(scene)
     pts = _sample_points(scene, rng)
     z = scene.room.plane_z
-    got = ph.snr_full(leds, pts, z, pd, scene.noise)
+    got = ph.snr_full(leds, pts, z, pd, scene.noise, _powers(leds))
     expected = np.array([oracles.snr_full_at(leds, (x, y, z), pd, scene.noise) for x, y in pts])
     assert got.shape == (len(pts),)
     assert np.all(np.abs(got - expected) <= 1e-12 * expected)
@@ -334,7 +335,7 @@ def test_snr_full_matches_oracle(scene, rng, variant):
 def test_snr_full_at_most_simplified_coefficients(scene, rng):
     pts = _sample_points(scene, rng)
     z, pd, noise = scene.room.plane_z, scene.comm_pd, scene.noise
-    full = ph.snr_full(scene.leds, pts, z, pd, noise)
+    full = ph.snr_full(scene.leds, pts, z, pd, noise, scene.power_vector())
     simple = ph.snr_coefficients(scene.leds, pts, z, pd, noise) @ scene.power_vector()
     assert np.all(full <= simple)
 
@@ -352,7 +353,7 @@ def test_snr_full_fov_cutoff():
     assert gains[0, 0] > 0 and gains[0, 1] == 0.0
     assert gains[1, 0] == 0.0 and gains[2, 1] > 0
     assert np.all(gains[3] == 0.0)
-    snr = ph.snr_full(leds, pts, 2.0, pd, noise)
+    snr = ph.snr_full(leds, pts, 2.0, pd, noise, _powers(leds))
     assert snr[1] == snr[3] == 0.0 and snr[0] > 0 and snr[2] > 0
     expected = [oracles.snr_full_at(leds, (x, y, 2.0), pd, noise) for x, y in pts]
     assert np.all(np.abs(snr - expected) <= 1e-12 * np.asarray(expected))
@@ -363,7 +364,7 @@ def test_vector_paths_require_plane_below(scene, plane_z):
     pts = np.array([[1.0, 1.0], [2.0, 3.0]])
     pd, noise = scene.comm_pd, scene.noise
     with pytest.raises(ValueError, match="below the LEDs"):
-        ph.snr_full(scene.leds, pts, plane_z, pd, noise)
+        ph.snr_full(scene.leds, pts, plane_z, pd, noise, scene.power_vector())
     with pytest.raises(ValueError, match="below the LEDs"):
         ph.illuminance_coefficients(scene.leds, pts, plane_z)
     with pytest.raises(ValueError, match="below the LEDs"):
@@ -378,7 +379,7 @@ def test_vector_paths_take_per_led_heights(scene, rng):
     pts = _sample_points(scene, rng)
     z, pd, noise = scene.room.plane_z, replace(scene.comm_pd, fov_deg=70.0), scene.noise
     illum = ph.illuminance_coefficients(leds, pts, z) @ _powers(leds)
-    snr = ph.snr_full(leds, pts, z, pd, noise)
+    snr = ph.snr_full(leds, pts, z, pd, noise, _powers(leds))
     for (x, y), e, s in zip(pts, illum, snr):
         assert abs(e - oracles.illuminance_at(leds, (x, y, z))) <= 1e-12 * e
         assert abs(s - oracles.snr_full_at(leds, (x, y, z), pd, noise)) <= 1e-12 * s
@@ -467,6 +468,26 @@ def test_field_variance_matches_qp(scene, partition):
 def test_field_rejects_unknown_quantity(scene, partition):
     with pytest.raises(ValueError):
         ph.field(scene, partition, quantity="lumens")
+
+
+def test_field_at_given_powers(scene, partition, rng):
+    # the full grid's coefficients times the powers, as a contiguous vector
+    # whatever the caller passed; the scene's own powers by default
+    p = rng.uniform(12.0, 70.0, scene.num_leds)
+    strided = np.repeat(p, 2)[::2]
+    pts, z = ph.plane_grid(scene.room, scene.controller.field_pitch_m), scene.room.plane_z
+    pd, noise = scene.comm_pd, scene.noise
+    for quantity, coeffs in (("snr", ph.snr_coefficients(scene.leds, pts, z, pd, noise)),
+                             ("illuminance", ph.illuminance_coefficients(scene.leds, pts, z))):
+        for powers in (p, strided, list(p)):
+            got = ph.field(scene, partition, quantity=quantity, powers=powers).values
+            assert np.array_equal(got, coeffs @ p)
+        default = ph.field(scene, partition, quantity=quantity).values
+        assert np.array_equal(default, coeffs @ scene.power_vector())
+    full = ph.field(scene, partition, quantity="snr_full", powers=strided).values
+    assert np.array_equal(full, ph.snr_full(scene.leds, pts, z, pd, noise, p))
+    with pytest.raises(ValueError, match=r"^power vector of shape \(1,\) for 8 LEDs$"):
+        ph.field(scene, partition, powers=[10.0])
 
 
 def test_plane_grid_samples_inside_the_room(scene):

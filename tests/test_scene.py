@@ -16,7 +16,7 @@ from isci.scene import (CommPd, ControllerConfig, Led, NoiseParams, Room, SceneE
 
 def test_default_scene_shape(scene):
     assert scene.num_leds == 8
-    assert scene.num_sensing_pds == 8
+    assert len(scene.sensing_pds) == 8
     assert (scene.room.size_x, scene.room.size_y, scene.room.size_z) == (5.0, 5.0, 3.0)
     assert scene.room.plane_drop == 2.15
     assert scene.grid.count == 2500
@@ -97,15 +97,6 @@ def test_zero_snr_threshold_loads(scene):
         scene_from_dict(cfg)
 
 
-def test_with_powers(scene):
-    p = np.linspace(12, 70, scene.num_leds)
-    s2 = scene.with_powers(p)
-    assert np.allclose(s2.power_vector(), p)
-    assert s2.room == scene.room
-    with pytest.raises(SceneError):
-        scene.with_powers([10.0])
-
-
 def test_exponent_floats_load_as_yaml_1_2_floats(scene):
     # YAML 1.1 reads 1e-2 as a string; the loader takes it as YAML 1.2 does
     text = dump_scene(scene)
@@ -139,6 +130,8 @@ def test_nonuniform_reflectance_round_trip(scene):
     (("grid", "reflectance"), ["a"], r"grid.reflectance\[0\]"),
     (("grid", "reflectance"), [0.8] * 1234 + [1.5] + [0.8] * 765 + [-1.0] + [0.8] * 499,
      r"grid.reflectance\[1234\]"),
+    pytest.param(("noise", "temperature_k"), 10**5000, "noise.temperature_k",
+                 id="int-past-str-digits"),  # its repr raised Python's ValueError
 ])
 def test_malformed_values_name_the_field(scene, path, value, field):
     cfg = scene_to_dict(scene)

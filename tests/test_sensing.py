@@ -94,7 +94,7 @@ def test_element_gain_term_by_term(scene):
 def test_element_gain_matches_tensor(scene, sensing_model, rng):
     for _ in range(20):
         i = int(rng.integers(0, scene.num_leds))
-        j = int(rng.integers(0, scene.num_sensing_pds))
+        j = int(rng.integers(0, len(scene.sensing_pds)))
         k = int(rng.integers(0, scene.grid.count))
         ref = nlos_element_gain(scene.leds[i], scene.grid.centers()[k],
                                 scene.grid.cell_area, scene.grid.reflectance[k],
@@ -309,8 +309,8 @@ def test_user_reading_matches_fingerprint_identity(scene, sensing_model, table):
 # ---------------------------------------------------------------------------
 
 def test_table_dimensions(scene, table):
-    assert table.deltas.shape == (scene.grid.count, scene.num_leds, scene.num_sensing_pds)
-    assert table.baseline.shape == (scene.num_leds, scene.num_sensing_pds)
+    assert table.deltas.shape == (scene.grid.count, scene.num_leds, len(scene.sensing_pds))
+    assert table.baseline.shape == (scene.num_leds, len(scene.sensing_pds))
     assert np.all(table.baseline >= 0)
     assert np.all(np.isfinite(table.deltas))
 
@@ -353,7 +353,7 @@ def test_model_and_table_hold_no_full_tensor(scene):
     model = sn.SensingModel(scene)
     table = sn.build_fingerprint_table(scene, model)
     sn.predict_power_deltas(table, scene.power_vector())
-    full = scene.grid.count * scene.num_leds * scene.num_sensing_pds
+    full = scene.grid.count * scene.num_leds * len(scene.sensing_pds)
     for _ in range(2):
         arrays = _arrays_reachable(model) + _arrays_reachable(table)
         assert arrays and all(a.size < full for a in arrays)
@@ -403,7 +403,7 @@ def test_localize_exact_at_candidates(scene, sensing_model, table, rng):
 
 def test_localize_below_threshold_not_detected(scene, table):
     p = scene.power_vector()
-    base = np.ones(scene.num_sensing_pds) * 1e-4
+    base = np.ones(len(scene.sensing_pds)) * 1e-4
     loc = sn.localize(base, base, p, table)
     assert not loc.detected and loc.position is None
     assert loc.index is None and loc.loss is None
@@ -538,7 +538,7 @@ def test_localize_dimension_mismatch(table, scene):
 
 
 def test_localize_rejects_bad_power_vector(scene, table):
-    base = np.ones(scene.num_sensing_pds)
+    base = np.ones(len(scene.sensing_pds))
     p = scene.power_vector()
     with pytest.raises(ValueError, match="7 powers but the fingerprint table has 8 LEDs"):
         sn.predict_power_deltas(table, p[:7])
@@ -549,7 +549,7 @@ def test_localize_rejects_bad_power_vector(scene, table):
 
 
 def test_localize_rejects_prediction_that_does_not_fit(scene, table):
-    base = np.ones(scene.num_sensing_pds)
+    base = np.ones(len(scene.sensing_pds))
     k, _, n = table.shape
     # Predictions of tables with one candidate fewer and with one PD fewer
     for other in (_column_table(np.ones((n, k - 1))), _column_table(np.ones((n - 1, k)))):
