@@ -2,13 +2,15 @@
 
 The LED ceiling projections define a convex hull; its minimum enclosing
 circle (clipped to the room) is the receiving plane and its maximum
-inscribed circle is the high-demand activity area.  Everything in between
-is the non-activity area.  classify_points is the one region test; the
-controller applies it once to every fingerprint candidate of a room.
+inscribed circle, found with no solver from the three edges it touches, is
+the high-demand activity area.  Everything in between is the non-activity
+area.  classify_points is the one region test; the controller applies it
+once to every fingerprint candidate of a room.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -224,38 +226,35 @@ def min_enclosing_circle(poly: Union[ConvexPolygon, Iterable[PointLike]]) -> Cir
 def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
     """Largest circle inscribed in the polygon (its Chebyshev center).
 
-    Solved as the linear program  max r  s.t.  n_e . c - r >= d_e  for every
-    edge (n_e, d_e inward normal form).  The returned radius is recomputed as
-    the exact minimum center-to-edge distance.
+    The optimum of  max r  s.t.  n_e . c - r >= d_e  for every edge e (inward
+    normal form) binds three edges, so each edge triple's tangent circle is a
+    candidate, scored by its least edge distance: O(E^4) work for E edges (a
+    64-gon takes about 0.15 s).  Where parallel edges bind, the best centers
+    tie along a segment and its midpoint is taken.  The radius is the least
+    center-to-edge distance; a polygon without interior raises GeometryError.
     """
-    from . import optimize  # deferred: optimize depends on this module
-
-    # A non-finite vertex raises ValueError here, before the LP and lstsq
+    # A non-finite vertex raises ValueError here, before solve and lstsq
     # (which does not return on a NaN matrix with some BLAS builds) see it.
     normals, offsets = map(np.asarray_chkfinite, poly.inward_normals())
-    n_edges = len(offsets)
-    # Variables (cx, cy, r): minimize -r subject to -n.c + r <= -d.
-    g_mat = np.column_stack([-normals, np.ones(n_edges)])
-    h_vec = -offsets
-    cost = np.array([0.0, 0.0, -1.0])
-    labels = [f"edge[{e}]" for e in range(n_edges)]
-    report = optimize.solve_inequality_program(None, cost, g_mat, h_vec, labels=labels)
-    if report.status is not optimize.SolveStatus.OPTIMAL:
-        raise GeometryError(f"inscribed-circle LP did not solve: {report.status.value}")
-    center = report.x[:2]
+    rows = np.column_stack([normals, -np.ones(len(offsets))])
+    triples = np.array([*itertools.combinations(range(len(offsets)), 3)], int).reshape(-1, 3)
+    triples = triples[np.linalg.det(rows[triples]) != 0.0]
+    centers = np.linalg.solve(rows[triples], offsets[triples][..., None])[:, :2, 0]
+    scores = (centers @ normals.T - offsets).min(axis=1)
+    if not scores.max(initial=0.0) > 0:
+        raise GeometryError("polygon has no interior")
+    tied = centers[scores == scores.max()]
+    center = (tied.min(axis=0) + tied.max(axis=0)) / 2
     radius = float(np.min(normals @ center - offsets))
-    # Polish onto the supporting edges: with >= 3 near-active edges the exact
-    # optimum solves n.c - r = d on them, which removes the solver tolerance.
-    slack = normals @ center - radius - offsets
-    active = slack <= 1e-6 * max(1.0, radius)
+    # Polish onto the near-binding edges: where more than three bind (a
+    # square), least squares treats them alike.  Rounding can leave it an ulp
+    # below the triple's r, so only a loss over 1e-9 of r rejects it.
+    active = normals @ center - radius - offsets <= 1e-6 * max(1.0, radius)
     if active.sum() >= 3:
-        a_sys = np.column_stack([normals[active], -np.ones(int(active.sum()))])
-        sol, *_ = np.linalg.lstsq(a_sys, offsets[active], rcond=None)
+        sol, *_ = np.linalg.lstsq(rows[active], offsets[active], rcond=None)
         r_new = float(np.min(normals @ sol[:2] - offsets))
-        if r_new >= radius:
+        if r_new >= radius * (1 - 1e-9):
             center, radius = sol[:2], r_new
-    if not radius > 0:  # a stalled solve on a sliver polygon can end outside it
-        raise GeometryError(f"inscribed-circle LP ended outside the polygon (radius {radius:.3g})")
     return Circle(Point2(float(center[0]), float(center[1])), radius)
 
 

@@ -478,11 +478,11 @@ def load_scene(config_text: str) -> Scene:
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     try:
         cfg = yaml.load(config_text, Loader=Loader)
-    except yaml.YAMLError as exc:
+    except yaml.YAMLError as exc:  # one line, not PyYAML's text with its marks and source
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
-            raise parse_error(mark, exc) from exc
-        raise SceneError(f"parse error: {exc}") from exc
+            raise parse_error(mark, " ".join(filter(None, (exc.problem, exc.context)))) from exc
+        raise SceneError(f"parse error: {str(exc).splitlines()[0]}") from exc
     if cfg is None:
         raise SceneError("empty config document")
     return scene_from_dict(cfg)

@@ -15,10 +15,14 @@ plainly, with each step's reading, region and energy formed afresh.
 ``highs_lp`` and
 ``mic_radius_highs`` solve linear programs with scipy's HiGHS (Huangfu &
 Hall, 2018) in place of the package's interior-point solver.
+``mic_radius_exact`` finds the inscribed circle in 60-digit decimal
+arithmetic, where HiGHS's tolerances swamp a sliver's inradius.
 """
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 from typing import Sequence
 
@@ -262,3 +266,33 @@ def mic_radius_highs(vertices) -> float:
     result = highs_lp([0.0, 0.0, -1.0], np.column_stack([-normals, np.ones(len(v))]), -offsets)
     assert result.status == 0, result.message
     return -float(result.fun)
+
+
+def _det3(rows) -> decimal.Decimal:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def mic_radius_exact(vertices) -> float:
+    """``mic_radius_highs`` in 60-digit decimal arithmetic, without a solver:
+    the optimum binds three edges, so it is the largest least edge distance
+    over the centers of the circles tangent to each triple of edge lines
+    (each found by Cramer's rule)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        v = [(decimal.Decimal(x), decimal.Decimal(y)) for x, y in np.asarray(vertices).tolist()]
+        lines = []
+        for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
+            length = ((x1 - x0) ** 2 + (y1 - y0) ** 2).sqrt()
+            nx, ny = (y0 - y1) / length, (x1 - x0) / length
+            lines.append((nx, ny, nx * x0 + ny * y0))
+        best = None
+        for triple in itertools.combinations(lines, 3):
+            det = _det3([(nx, ny, -1) for nx, ny, _ in triple])
+            if det == 0:
+                continue
+            cx = _det3([(d, ny, -1) for _, ny, d in triple]) / det
+            cy = _det3([(nx, d, -1) for nx, _, d in triple]) / det
+            score = min(nx * cx + ny * cy - d for nx, ny, d in lines)
+            best = score if best is None else max(best, score)
+        return float(best)

@@ -15,6 +15,7 @@ import yaml
 import isci
 from isci.cli import main
 from isci.scene import default_scene, dump_scene, scene_to_dict
+from tests.oracles import mic_radius_exact
 
 
 def run(*args):
@@ -33,6 +34,21 @@ def test_regions_csv(tmp_path, capsys):
     hull = next(r for r in rows if r["kind"] == "hull")
     assert hull["radius"] == ""
     assert "mec_radius=" in capsys.readouterr().out
+
+
+def test_regions_of_a_sliver_layout(tmp_path):
+    # four LEDs within 1e-6 m of a line still bound an activity area
+    leds = [(1.0, 1.0), (4.0, 3.999999), (2.0, 2.000001), (3.0, 2.999999)]
+    cfg = tmp_path / "sliver.yaml"
+    cfg.write_text(yaml.safe_dump({"leds": [{"position": [x, y, 3.0]} for x, y in leds],
+                                   "sensing_pds": [{"position": [2.5, 2.5, 3.0]}]}))
+    out = tmp_path / "r"
+    assert run("regions", "--config", str(cfg), "--out", str(out)) == 0
+    rows = list(csv.DictReader((out / "regions.csv").open()))
+    (mic,) = [r for r in rows if r["kind"] == "mic"]
+    hull = [(float(r["x"]), float(r["y"])) for r in rows if r["kind"] == "hull"]
+    exact = mic_radius_exact(hull)
+    assert 0 < float(mic["radius"]) and abs(float(mic["radius"]) - exact) <= 1e-6 * exact
 
 
 def test_field_outputs(tmp_path):
@@ -344,6 +360,17 @@ def test_overflowing_config_exit_one(tmp_path, capsys, section, key, literal, me
     assert run("regions", "--config", str(path), "--out", str(out)) == 1
     line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
     assert capsys.readouterr().err == f"error: {message.format(line=line, column=column)}\n"
+    assert not out.exists()
+
+
+def test_yaml_syntax_error_exit_one(tmp_path, capsys):
+    # PyYAML's own text of this error spans seven lines: marks and source
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("room:\n  size_x: [oops\n")
+    out = tmp_path / "x"
+    assert run("regions", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == ("error: parse error at line 3, column 1: expected ',' or "
+                                       "']', but got '<stream end>' while parsing a flow sequence\n")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from isci.geometry import (ConvexPolygon, GeometryError, Point2,
                            Region, build_partition, classify_points,
                            convex_hull, max_inscribed_circle,
                            min_enclosing_circle)
-from isci.scene import default_scene
-from tests.oracles import mic_radius_highs
+from isci.scene import default_scene, scene_from_dict
+from tests.oracles import mic_radius_exact, mic_radius_highs
 
 
 def _square(size=1.0):
@@ -153,6 +154,32 @@ def test_mic_equilateral_triangle():
 def test_mic_rejects_non_finite_vertex(bad):
     poly = ConvexPolygon((Point2(0, 0), Point2(2, 0), Point2(bad, 1)))
     with pytest.raises(ValueError, match="infs or NaNs"):
+        max_inscribed_circle(poly)
+
+
+def test_mic_sliver_triangle():
+    # a sliver: inradius 4.7e-7 m on a hull 4.2 m long
+    tri = ConvexPolygon((Point2(1, 1), Point2(4, 3.999999), Point2(2, 2.000001)))
+    mic = max_inscribed_circle(tri)
+    exact = mic_radius_exact(tri.as_array())
+    assert abs(exact - 4.714e-7) < 1e-10
+    assert abs(mic.radius - exact) <= 1e-6 * exact
+
+
+def test_mic_rectangle_takes_the_middle_center():
+    # the long sides bind every center from (1, 1) to (3, 1)
+    rect = ConvexPolygon((Point2(0, 0), Point2(4, 0), Point2(4, 2), Point2(0, 2)))
+    mic = max_inscribed_circle(rect)
+    assert abs(mic.center.x - 2) < 1e-12 and abs(mic.center.y - 1) < 1e-12
+    assert abs(mic.radius - 1) < 1e-12
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (1, 0)],
+                                      [(0, 0), (1, 0)]],
+                         ids=["collinear", "clockwise", "two-vertices"])
+def test_mic_without_interior_rejected(vertices):
+    poly = ConvexPolygon(tuple(Point2(*v) for v in vertices))
+    with pytest.raises(GeometryError, match="^polygon has no interior$"):
         max_inscribed_circle(poly)
 
 
@@ -321,6 +348,39 @@ def test_mic_radius_matches_highs():
         assert abs(partition.mic.radius - mic_radius_highs(vertices)) <= 1e-9, layout
 
 
+# Rooms of the benchmark's lattice scenes: (room size m, LEDs per side, grid
+# pitch m, LED spacing m), the LEDs centred on the ceiling and one sensing PD
+# 0.1 m +x of each.
+_LATTICES = ((10.0, 5, 0.05, 1.4), (5.0, 3, 0.1, 5.0 / 3), (10.0, 5, 0.1, 2.0),
+             (10.0, 5, 0.05, 2.0), (20.0, 8, 0.2, 2.5))
+
+
+def _lattice_scene(size, per_side, pitch, spacing):
+    first = (size - (per_side - 1) * spacing) / 2
+    xs = [first + i * spacing for i in range(per_side)]
+    return scene_from_dict({
+        "room": {"size_x": size, "size_y": size},
+        "grid": {"pitch": pitch},
+        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
+        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
+    })
+
+
+# sha256 of the reprs of the scenes' partitions (hull, MEC, MIC and room),
+# taken while the MIC came from the interior-point solver.
+@pytest.mark.parametrize("scenes, digest", [
+    (lambda: map(default_scene, range(200)),
+     "f8fb78c179477ebed6c18a05e4147729c3a9966508942fd0e4a3d44bb1e85c37"),
+    (lambda: (_lattice_scene(*room) for room in _LATTICES),
+     "cb47bedd31f3d1125b6125c932aa680ca361490e614b30cdce2421ba604522aa"),
+], ids=["default-0-199", "lattices"])
+def test_partitions_pinned(scenes, digest):
+    sha = hashlib.sha256()
+    for scene in scenes():
+        sha.update(repr(build_partition(scene)).encode())
+    assert sha.hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # properties on degenerate inputs (hypothesis, derandomized)
 # ---------------------------------------------------------------------------
@@ -338,26 +398,27 @@ _point_sets = st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size
 
 def _check_circles(points, hull):
     """MEC: holds every point, equals the exhaustive search, and lies within
-    Jung's bound.  MIC: inside the polygon, and within the interior-point
-    gap tolerance of HiGHS unless the hull is a sliver (inradius under 1e-4
-    of the MEC radius), which it may refuse or under-fill."""
+    Jung's bound.  MIC: a circle of positive radius inside the polygon,
+    within 1e-8 of HiGHS, or, for a sliver (inradius under 1e-4 of the MEC
+    radius, where HiGHS's tolerances swamp it), within 1e-6 relative of the
+    60-digit oracle plus 4 ulps of the largest coordinate, since a float
+    center can sit an ulp from the true one."""
     pts = np.array(points)
     diameter = max(math.dist(p, q) for p in points for q in points)
     mec = min_enclosing_circle(points)
     assert np.hypot(*(pts - mec.center.as_tuple()).T).max() <= mec.radius * (1 + 1e-12)
     assert diameter / 2 - 1e-12 <= mec.radius <= diameter / math.sqrt(3) + 1e-12
     assert abs(mec.radius - _mec_exhaustive(list(set(points)))) <= 1e-9
-    oracle = mic_radius_highs(hull.as_array())
-    sliver = oracle < 1e-4 * mec.radius
-    try:
-        mic = max_inscribed_circle(hull)
-    except GeometryError:
-        assert sliver
-        return
+    mic = max_inscribed_circle(hull)
     normals, offsets = hull.inward_normals()
     assert 0 < mic.radius <= (normals @ mic.center.as_tuple() - offsets).min() + 1e-12
-    assert mic.radius <= oracle + 1e-8 * (1 + oracle)
-    assert sliver or abs(mic.radius - oracle) <= 1e-8 * (1 + oracle)
+    exact = mic_radius_exact(hull.as_array())
+    if exact < 1e-4 * mec.radius:
+        ulp = np.finfo(float).eps * np.abs(hull.as_array()).max()
+        assert abs(mic.radius - exact) <= 1e-6 * exact + 4 * ulp
+    else:
+        oracle = mic_radius_highs(hull.as_array())
+        assert abs(mic.radius - oracle) <= 1e-8 * (1 + oracle)
 
 
 @_PROPERTY

@@ -1,5 +1,4 @@
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -284,14 +283,6 @@ def test_refined_enhanced_lp_matches_highs(layout):
     assert report.status.value == {0: "optimal", 2: "infeasible"}[oracle.status]
     if oracle.status == 0:
         assert abs(report.objective - oracle.fun) <= 1e-6 * abs(oracle.fun)
-
-
-def test_chebyshev_lp_unit_square():
-    from isci.geometry import ConvexPolygon, Point2, max_inscribed_circle
-    sq = ConvexPolygon((Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)))
-    mic = max_inscribed_circle(sq)
-    assert abs(mic.radius - 0.5) < 1e-9
-    assert math.hypot(mic.center.x - 0.5, mic.center.y - 0.5) < 1e-9
 
 
 # ---------------------------------------------------------------------------
