@@ -12,10 +12,12 @@ against plane-average thresholds.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -87,46 +89,34 @@ def apply_mode(mode: Mode, scene: Scene,
 
 
 class RoomPlan:
-    """Each mode's allocation, SolveReport and fingerprint Prediction: the
-    mode programs are built from the room alone, never from the user's
-    position, so each is formed once, on first use, and shared read-only.
-    NO_USER's p_min is set up front; apply_mode (and any fallback warning)
-    runs once per program, Prediction.at once per mode.  ``modes[k]`` is
-    select_mode at table candidate k, for every k from one classify_points."""
+    """Each mode's allocation, SolveReport and fingerprint Prediction, all
+    formed when the plan is made: the mode programs are built from the room
+    alone, never from the user's position, so no replay step solves or
+    predicts.  ``allocations[mode]`` is apply_mode's powers, read-only, and
+    its report (NO_USER's p_min, with no solve and no report), and
+    ``predictions[mode]`` is Prediction.at the table and those powers; both
+    are read-only mappings, and any fallback warning is logged here, once.
+    ``modes[k]`` is select_mode at table candidate k, for every k from one
+    classify_points."""
 
     def __init__(self, scene: Scene, partition: RegionPartition, table: FingerprintTable):
         self.scene, self.partition, self.table = scene, partition, table
         regions = classify_points(table.candidates, partition)
         self.modes = _read_only(np.array(_REGION_MODES, dtype=object)[regions])
-        self._solved = {Mode.NO_USER: (_read_only(scene.power_bounds()[0]), None)}
-        self._predicted: dict[Mode, Prediction] = {}
-
-    def allocation(self, mode: Mode) -> tuple[np.ndarray, Optional[optimize.SolveReport]]:
-        """apply_mode's read-only powers and its report for ``mode``."""
-        if mode not in self._solved:
-            powers, report = apply_mode(mode, self.scene, self.partition)
-            self._solved[mode] = _read_only(powers), report
-        return self._solved[mode]
-
-    def prediction(self, mode: Mode) -> Prediction:
-        """Prediction.at the table and ``mode``'s powers: what localize
-        matches a step's readings against while ``mode`` is applied."""
-        if mode not in self._predicted:
-            self._predicted[mode] = Prediction.at(self.table, self.allocation(mode)[0])
-        return self._predicted[mode]
+        solved = {Mode.NO_USER: (scene.power_bounds()[0], None)}
+        for mode in (Mode.UNIFORMITY, Mode.ENHANCED):
+            solved[mode] = apply_mode(mode, scene, partition)
+        self.allocations = MappingProxyType({mode: (_read_only(powers), report)
+                                             for mode, (powers, report) in solved.items()})
+        self.predictions = MappingProxyType({mode: Prediction.at(table, powers)
+                                             for mode, (powers, _) in self.allocations.items()})
 
 
-_last_plan: Optional[RoomPlan] = None
-
-
+@functools.lru_cache(maxsize=1)
 def room_plan(scene: Scene, partition: RegionPartition, table: FingerprintTable) -> RoomPlan:
     """The last call's plan when ``table`` is its table and the scene and
     partition compare equal, else a new plan, which is kept in its place."""
-    global _last_plan
-    plan = _last_plan
-    if plan is None or (plan.table, plan.scene, plan.partition) != (table, scene, partition):
-        plan = _last_plan = RoomPlan(scene, partition, table)
-    return plan
+    return RoomPlan(scene, partition, table)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +277,7 @@ class _ModeStep(NamedTuple):
     """What a replay step reads and records while one mode is applied."""
 
     powers: np.ndarray           # the plan's read-only allocation
+    prediction: Prediction       # what localize matches readings against
     baseline: np.ndarray         # the no-user reading (N,) at those powers
     sigma: np.ndarray            # per-PD noise sigma (N,)
     eps: float                   # detection threshold
@@ -304,19 +295,20 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     against the prediction at those powers and selects a mode: NO_USER
     when nobody is matched, else the plan's mode at the matched candidate.
     Powers, predictions and modes come from room_plan(scene, partition,
-    table), so a run on the last run's room solves and predicts nothing
-    again.  Gaussian measurement noise has per-PD sigma ``noise_rel_sigma``
-    (from the scene's controller config) times the no-user baseline
-    reading; the detection threshold is three times the largest sigma, and
-    never below NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are
-    all 0 reads 0 with or without a user and cannot sense one entering.
+    table), taken before the first step, so no step solves or predicts,
+    and a run on the last run's room forms none of them again.  Gaussian
+    measurement noise has per-PD sigma ``noise_rel_sigma`` (from the
+    scene's controller config) times the no-user baseline reading; the
+    detection threshold is three times the largest sigma, and never below
+    NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are all 0 reads 0
+    with or without a user and cannot sense one entering.
 
-    What a mode fixes (its powers, baseline reading, sigma, threshold, and
-    the step record's powers and energy) is formed on the run's first step
-    in that mode, from ``model``.  The with-user gains, model.gains_at, are
-    formed again only when the position differs from the previous step's,
-    so every reading is the floats that model.received_power gives.
-    Positions are recorded as (float, float).
+    What a mode fixes (its powers, prediction, baseline reading, sigma,
+    threshold, and the step record's powers and energy) is formed for every
+    mode before the first step, from the plan and ``model``.  The with-user
+    gains, model.gains_at, are formed again only when the position differs
+    from the previous step's, so every reading is the floats that
+    model.received_power gives.  Positions are recorded as (float, float).
     """
     if model is None:
         model = SensingModel(scene)
@@ -326,19 +318,19 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     dt = scene.controller.step_period_s
 
     def constants(mode: Mode) -> _ModeStep:
-        powers, _ = plan.allocation(mode)
+        powers, _ = plan.allocations[mode]
         baseline = model.received_power(powers)
         sigma = noise_rel * baseline
-        return _ModeStep(powers, baseline, sigma,
+        return _ModeStep(powers, plan.predictions[mode], baseline, sigma,
                          max(3.0 * float(sigma.max()), NOISELESS_DETECT_EPS),
                          tuple(float(p) for p in powers), dt * float(np.sum(powers)))
 
+    per_mode = {mode: constants(mode) for mode in Mode}
     mode = Mode.NO_USER
-    per_mode = {mode: constants(mode)}
     last_xy = gains = None
     steps = []
     for t, pos in trajectory:
-        applied, baseline_reading, sigma, eps, _, _ = per_mode[mode]
+        applied, prediction, baseline_reading, sigma, eps, _, _ = per_mode[mode]
         if pos is None:
             xy, reading = None, baseline_reading
         else:
@@ -349,11 +341,8 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
         last_xy = xy
         measured = (reading + rng.standard_normal(len(reading)) * sigma if noise_rel > 0
                     else reading)
-        loc = localize(measured, baseline_reading, plan.prediction(mode), table,
-                       epsilon_detect=eps)
+        loc = localize(measured, baseline_reading, prediction, table, epsilon_detect=eps)
         mode = Mode.NO_USER if loc.index is None else plan.modes[loc.index]
-        if mode not in per_mode:
-            per_mode[mode] = constants(mode)
         record = per_mode[mode]
         error = None if xy is None or loc.position is None else math.dist(loc.position, xy)
         steps.append(ScenarioStep(t=t, true_pos=xy, estimate=loc.position, mode=mode.value,

@@ -103,9 +103,10 @@ def _check_simplification(leds: Sequence[Led], pd: CommPd) -> None:
 
 
 def snr_constant(drop: float, pd: CommPd, noise: NoiseParams) -> float:
-    """Coefficient C = R*A_c*h^2*n^2 / (2*q*pi*B) of the simplified SNR,
-    where h is the vertical LED-to-plane distance."""
-    return (pd.responsivity_a_per_w * pd.area_m2 * drop**2 * pd.refractive_index**2
+    """Coefficient C = R*A_c*T*h^2*n^2 / (2*q*pi*B) of the simplified SNR,
+    where h is the vertical LED-to-plane distance and T the filter gain."""
+    return (pd.responsivity_a_per_w * pd.area_m2 * pd.filter_gain * drop**2
+            * pd.refractive_index**2
             / (2.0 * noise.electron_charge_c * math.pi * noise.bandwidth_hz))
 
 

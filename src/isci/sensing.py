@@ -102,11 +102,6 @@ def _occluded(scene: Scene, centers: np.ndarray, user_xy: Sequence[float]) -> np
     return box[dist <= limit]
 
 
-def _outer(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
-    """Gains (M, P, N) from the factors (M, P) and (P, N) of P patches."""
-    return emitter[:, :, None] * collector[None, :, :]
-
-
 def _read_only(values) -> np.ndarray:
     arr = np.asarray(values)
     arr.flags.writeable = False
@@ -115,8 +110,9 @@ def _read_only(values) -> np.ndarray:
 
 class _BounceKernel:
     """One-bounce gains LED i -> horizontal patch k at height z -> PD j, as
-    an emitter factor (M, P) and a collector factor (P, N) whose _outer
-    product is the gain, both on photometry's Lambertian geometry.
+    an emitter factor (M, P) and a collector factor (P, N) whose outer
+    product over LEDs and PDs, patch by patch, is the gain, both on
+    photometry's Lambertian geometry.
 
     The per-LED and per-PD constants are computed once, so a per-step call
     for one user patch only evaluates the geometry.
@@ -191,7 +187,8 @@ class SensingModel:
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
         pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        return _outer(*self.user_factors(pt))[:, 0, :]
+        emitter, collector = self.user_factors(pt)
+        return emitter * collector  # (M, 1) by (1, N)
 
     def gains_at(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) LED -> PD with a user at ``user_xy``: the
@@ -200,7 +197,8 @@ class SensingModel:
         caller may keep it while the user stands still."""
         occ = _occluded(self.scene, self.centers, user_xy)
         # einsum without optimize sums the cells in order and calls no
-        # BLAS: the same floats as _outer(...).sum(axis=1), 3x sooner
+        # BLAS: the same floats as summing the (M, P, N) outer product of
+        # the factors over its cells, 3x sooner
         occluded = (np.einsum("ip,pj->ij", self.emitter[:, occ], self.collector[occ])
                     if len(occ) else 0.0)
         return self.baseline_gains - occluded + self.user_gain(user_xy)
@@ -225,27 +223,27 @@ def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
 
 def _stencil_sum(cells: np.ndarray, offsets: Sequence[tuple[int, int]],
                  grid_shape: tuple[int, int]) -> np.ndarray:
-    """For every cell k, the sum of ``cells[:, c, :]`` over the cells
-    c = k + offset that lie on the grid, (L, K, N).
+    """For every cell k, the sum of ``cells[c]`` over the cells c = k + offset
+    that lie on the grid, (K, N).
 
-    ``cells`` is (L, K, N) over the x-major (nx, ny) grid; the sum runs over
+    ``cells`` is (K, N) over the x-major (nx, ny) grid; the sum runs over
     shifted views, offsets in the given order.  It is taken one block of
     grid rows at a time, so a block's partial sums stay in cache across all
     offsets; each output element still gets its additions in offset order.
     """
     nx, ny = grid_shape
-    lead, _, n = cells.shape
-    src = cells.reshape(lead, nx, ny, n)
+    n = cells.shape[1]
+    src = cells.reshape(nx, ny, n)
     out = np.zeros_like(src)
-    rows = max(1, _STENCIL_BLOCK_BYTES // src[:, 0].nbytes)
+    rows = max(1, _STENCIL_BLOCK_BYTES // src[0].nbytes)
     for start in range(0, nx, rows):
         stop = min(start + rows, nx)
         for di, dj in offsets:
             lo, hi = max(start, -di), min(stop, nx - di)
             if lo < hi:
-                block = out[:, lo:hi, max(0, -dj):ny - max(0, dj)]
-                np.add(block, src[:, lo + di:hi + di, max(0, dj):ny + min(0, dj)], out=block)
-    return out.reshape(lead, nx * ny, n)
+                block = out[lo:hi, max(0, -dj):ny - max(0, dj)]
+                np.add(block, src[lo + di:hi + di, max(0, dj):ny + min(0, dj)], out=block)
+    return out.reshape(nx * ny, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,18 +279,18 @@ class FingerprintTable:
 
     @property
     def deltas(self) -> np.ndarray:
-        """The (K, M, N) gain deltas, formed from the factors, read-only."""
-        occluded = _stencil_sum(_outer(self.floor_emitter, self.floor_collector),
-                                self.offsets, self.grid_shape)
-        deltas = _outer(self.user_emitter, self.user_collector) - occluded
-        return _read_only(np.ascontiguousarray(deltas.transpose(1, 0, 2)))
+        """The (K, M, N) gain deltas, read-only: deltas[:, i] is predict at
+        LED i's unit power vector, written in place one LED at a time."""
+        deltas = np.empty(self.shape)
+        for i, unit in enumerate(np.eye(self.shape[1])):
+            deltas[:, i] = self.predict(unit)
+        return _read_only(deltas)
 
     def predict(self, powers: np.ndarray) -> np.ndarray:
         """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
         user = (powers @ self.user_emitter)[:, None] * self.user_collector
         floor = (powers @ self.floor_emitter)[:, None] * self.floor_collector
-        return np.subtract(user, _stencil_sum(floor[None], self.offsets, self.grid_shape)[0],
-                           out=user)
+        return np.subtract(user, _stencil_sum(floor, self.offsets, self.grid_shape), out=user)
 
 
 @dataclass(frozen=True)

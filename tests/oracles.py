@@ -7,8 +7,11 @@ the Lambertian model (Kahn & Barry, Proc. IEEE 1997), independently of the
 array code in ``isci.photometry`` and ``isci.sensing``.
 ``bounce_terms`` forms the one-bounce kernel's LED-side and PD-side terms
 with one geometry call per end of the path.
-``occluded_sum_received_power`` forms a sensing model's reading with the
-occluded cells' gains as a full (M, P, N) tensor summed over its cells.
+``outer`` forms one-bounce gains (M, P, N) from their emitter and collector
+factors.  ``occluded_sum_received_power`` forms a sensing model's reading
+with the occluded cells' gains as a full (M, P, N) tensor summed over its
+cells, and ``dense_deltas`` a fingerprint table's (K, M, N) deltas from
+full gain tensors, the floor's summed over shifted views of the grid.
 ``full_scan`` computes every candidate's fingerprint loss.
 ``reference_replay`` is ``controller.run_scenario``'s loop written out
 plainly, with each step's reading, region and energy formed afresh.
@@ -32,10 +35,10 @@ import pytest
 from isci.controller import Mode, ScenarioStep, ScenarioTrace, room_plan
 from isci.geometry import Region, classify_points
 from isci.photometry import (SimplificationError, _check_simplification, _collector_terms,
-                             _lambertian_geometry, _lambertian_orders, lambertian_order,
-                             snr_constant)
+                             _lambertian_geometry, _lambertian_orders, lambertian_order)
 from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel
-from isci.sensing import NOISELESS_DETECT_EPS, SensingModel, _outer, localize, occluded_set
+from isci.sensing import (NOISELESS_DETECT_EPS, FingerprintTable, SensingModel, localize,
+                          occluded_set)
 
 
 def concentrator_gain(psi_deg: float, refractive_index: float, fov_deg: float) -> float:
@@ -111,7 +114,8 @@ def snr_full_at(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
 
 def snr_simplified(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
                    noise: NoiseParams) -> float:
-    """High-SNR shot-noise-limited SNR: C * sum_i P_i / d_i^4.
+    """High-SNR shot-noise-limited SNR: C * sum_i P_i / d_i^4, with
+    C = R * A * T * h^2 * n^2 / (2 q pi B) written out here.
 
     Requires Lambertian order 1 and a 90 deg FOV; raises SimplificationError
     otherwise.
@@ -119,7 +123,9 @@ def snr_simplified(leds: Sequence[Led], point: Sequence[float], pd: CommPd,
     _check_simplification(leds, pd)
     x, y, z = float(point[0]), float(point[1]), float(point[2])
     dz = _check_below(leds[0].position[2], z)
-    c = snr_constant(dz, pd, noise)
+    c = (pd.responsivity_a_per_w * pd.area_m2 * pd.filter_gain * dz * dz
+         * pd.refractive_index**2 / (2.0 * noise.electron_charge_c * math.pi
+                                     * noise.bandwidth_hz))
     total = 0.0
     for led in leds:
         if abs(led.position[2] - leds[0].position[2]) > 1e-9:
@@ -186,16 +192,38 @@ def bounce_terms(leds: Sequence[Led], pds: Sequence[SensingPd], points: np.ndarr
     return emitter, np.ascontiguousarray(collector.T)
 
 
+def outer(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
+    """Gains (M, P, N) from the factors (M, P) and (P, N) of P patches."""
+    return emitter[:, :, None] * collector[None, :, :]
+
+
 def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndarray:
     """Per-PD received power (N,) with a user at ``user_xy``: the model's
     baseline gains minus the occluded cells' gains, each cell's (M, N) gain
-    formed by ``_outer`` and the cells summed in index order along the
+    formed by ``outer`` and the cells summed in index order along the
     tensor's middle axis, plus the user-patch gain.  A user outside the room
     occludes no cell and subtracts zeros."""
     occ = occluded_set(model.scene, user_xy)
-    occluded = _outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
+    occluded = outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
     return np.asarray(powers, dtype=float) @ (model.baseline_gains - occluded
                                               + model.user_gain(user_xy))
+
+
+def dense_deltas(table: FingerprintTable) -> np.ndarray:
+    """The (K, M, N) gain deltas of ``table`` from full gain tensors: the
+    user patch's gains at every candidate minus, for each candidate k, the
+    floor gains of the cells k + offset on the grid, added in the table's
+    offset order as whole shifted views of the (M, nx, ny, N) floor gains."""
+    nx, ny = table.grid_shape
+    floor = outer(table.floor_emitter, table.floor_collector)
+    m, _, n = floor.shape
+    src = floor.reshape(m, nx, ny, n)
+    occluded = np.zeros_like(src)
+    for di, dj in table.offsets:
+        occluded[:, max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)] += (
+            src[:, max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)])
+    deltas = outer(table.user_emitter, table.user_collector) - occluded.reshape(m, nx * ny, n)
+    return np.ascontiguousarray(deltas.transpose(1, 0, 2))
 
 
 def full_scan(actual: np.ndarray, predicted: np.ndarray) -> tuple[int, float]:
@@ -226,7 +254,7 @@ def reference_replay(scene, partition, table, trajectory, noise_seed: int = 0,
     mode = Mode.NO_USER
     steps = []
     for t, pos in trajectory:
-        applied, _ = plan.allocation(mode)
+        applied, _ = plan.allocations[mode]
         baseline = model.received_power(applied)
         reading = model.received_power(applied, pos) if pos is not None else baseline
         sigma = noise_rel * baseline
@@ -235,12 +263,12 @@ def reference_replay(scene, partition, table, trajectory, noise_seed: int = 0,
         else:
             measured = reading
         eps = max(3.0 * float(sigma.max()), NOISELESS_DETECT_EPS)
-        loc = localize(measured, baseline, plan.prediction(mode), table, epsilon_detect=eps)
+        loc = localize(measured, baseline, plan.predictions[mode], table, epsilon_detect=eps)
         if loc.position is None:
             mode = Mode.NO_USER
         else:
             mode = modes[Region(int(classify_points(np.array([loc.position]), partition)[0]))]
-        powers, _ = plan.allocation(mode)
+        powers, _ = plan.allocations[mode]
         true_pos = None if pos is None else (float(pos[0]), float(pos[1]))
         error = None if pos is None or loc.position is None else math.dist(loc.position, pos)
         steps.append(ScenarioStep(t=t, true_pos=true_pos, estimate=loc.position, mode=mode.value,

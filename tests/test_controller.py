@@ -274,7 +274,7 @@ def test_scenario_reoptimizes_once_per_mode(scene, partition, table):
 @pytest.fixture()
 def solves(monkeypatch):
     """The modes apply_mode is called with, counted with no plan kept."""
-    monkeypatch.setattr(ct, "_last_plan", None)
+    ct.room_plan.cache_clear()
     calls = []
     real = ct.apply_mode
 
@@ -306,19 +306,21 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
     traj = ct.generate_trajectory(partition, seed=3)
     trace = ct.run_scenario(scene, partition, fresh, traj, noise_seed=9)
     assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
+    assert len(predicts) == 3  # p_min and the two mode allocations, once each
 
     # the same loop, with losses from a direct contraction of the deltas
     rng = np.random.default_rng(9)
     noise_rel = scene.controller.noise_rel_sigma
     allocations = {ct.Mode.NO_USER: scene.power_bounds()[0]}
     applied = allocations[ct.Mode.NO_USER]
+    deltas = table.deltas
     for step, (_, pos) in zip(trace.steps, traj):
         base = sensing_model.received_power(applied)
         reading = sensing_model.received_power(applied, pos) if pos is not None else base
         sigma = noise_rel * base
         measured = reading + rng.standard_normal(len(reading)) * sigma
         actual = np.abs(measured - base)
-        predicted = np.abs(np.einsum("kij,i->kj", table.deltas, applied))
+        predicted = np.abs(np.einsum("kij,i->kj", deltas, applied))
         losses = ((actual[None, :] - predicted) ** 2).sum(axis=1)
         detected = bool(actual.max() >= 3.0 * float(sigma.max()))
         k = int(np.argmin(losses)) if detected else None
@@ -330,7 +332,6 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
             allocations[mode], _ = ct.apply_mode(mode, scene, partition)
         assert (step.mode, step.detected, step.estimate) == (mode.value, detected, estimate)
         applied = allocations[mode]
-    assert len(predicts) == 3  # p_min and the two mode allocations, once each
 
 
 def _lattice(size, per_side, pitch, spacing):
@@ -359,7 +360,7 @@ def test_scenario_tile_match_equals_full_scan(monkeypatch):
 
     # the plan run_scenario used, and each of its predictions as (K, N)
     plan = ct.room_plan(scene, partition, table)
-    values = {id(plan.prediction(mode)): sn.predict_power_deltas(table, plan.allocation(mode)[0])
+    values = {id(plan.predictions[mode]): sn.predict_power_deltas(table, plan.allocations[mode][0])
               for mode in ct.Mode}
 
     def full_scan(actual, prediction):
@@ -450,54 +451,79 @@ def test_dark_room_senses_no_user(scene, partition, table):
 
 def test_scenario_reuses_allocations_across_runs(scene, partition, table, solves, predicts):
     traj = ct.generate_trajectory(partition, seed=3)
-    cold = ct.run_scenario(scene, partition, table, traj, noise_seed=9)
+    plan = ct.room_plan(scene, partition, table)
+    # the plan is formed whole: both solves and all three predictions
     assert sorted(m.value for m in solves) == ["enhanced", "uniformity"]
     assert len(predicts) == 3
+    cold = ct.run_scenario(scene, partition, table, traj, noise_seed=9)
+    assert ct.room_plan(scene, partition, table) is plan
     rebuilt = scene_from_dict(scene_to_dict(scene))
     assert rebuilt is not scene and rebuilt == scene
     for room in (scene, rebuilt):
         assert ct.run_scenario(room, partition, table, traj, noise_seed=9) == cold
     assert (len(solves), len(predicts)) == (2, 3)
-    assert ct.room_plan(rebuilt, partition, table) is ct.room_plan(scene, partition, table)
+    assert ct.room_plan(rebuilt, partition, table) is plan
+
+
+def test_no_replay_step_solves_or_predicts(scene, partition, table, sensing_model, solves,
+                                          predicts):
+    # run_scenario takes one trajectory point per step: the solves and
+    # predictions counted when each point is taken, and after the last
+    # step, must all be the plan's, formed before the first step
+    traj = ct.generate_trajectory(partition, seed=3)
+    counts = []
+
+    def points():
+        for point in traj:
+            counts.append((len(solves), len(predicts)))
+            yield point
+
+    trace = ct.run_scenario(scene, partition, replace(table), points(), noise_seed=9,
+                            model=sensing_model)
+    assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
+    assert counts == [(2, 3)] * len(traj)
+    assert (len(solves), len(predicts)) == (2, 3)
 
 
 def test_allocation_solves_again_for_another_room(scene, partition, table, solves):
-    first, _ = ct.room_plan(scene, partition, table).allocation(ct.Mode.ENHANCED)
+    first, _ = ct.room_plan(scene, partition, table).allocations[ct.Mode.ENHANCED]
     ctl = scene.controller
     brighter = replace(scene, controller=replace(ctl, e_enhanced_min_lx=ctl.e_enhanced_min_lx + 50))
     smaller = replace(partition, mic=Circle(partition.mic.center, 0.9 * partition.mic.radius))
     for room, part in ((brighter, partition), (scene, smaller)):
-        powers, _ = ct.room_plan(room, part, table).allocation(ct.Mode.ENHANCED)
+        powers, _ = ct.room_plan(room, part, table).allocations[ct.Mode.ENHANCED]
         assert not np.array_equal(powers, first)
-    assert len(solves) == 3
+    assert solves == [ct.Mode.UNIFORMITY, ct.Mode.ENHANCED] * 3  # one plan per room
 
 
 def test_room_plan_keeps_only_the_last_room(scene, partition, table, solves):
     plan = ct.room_plan(scene, partition, table)
     assert ct.room_plan(scene, partition, table) is plan
-    powers, report = plan.allocation(ct.Mode.UNIFORMITY)
-    assert plan.allocation(ct.Mode.UNIFORMITY)[0] is powers  # shared, not re-solved
+    powers, report = plan.allocations[ct.Mode.UNIFORMITY]
     other = replace(table)
     assert ct.room_plan(scene, partition, other) is not plan  # an equal table is not the same
     again = ct.room_plan(scene, partition, table)
     assert again is not plan
-    np.testing.assert_array_equal(again.allocation(ct.Mode.UNIFORMITY)[0], powers)
-    assert solves == [ct.Mode.UNIFORMITY] * 2
+    np.testing.assert_array_equal(again.allocations[ct.Mode.UNIFORMITY][0], powers)
+    assert solves == [ct.Mode.UNIFORMITY, ct.Mode.ENHANCED] * 3  # three plans, each whole
 
 
 def test_allocations_are_read_only(scene, partition, table, solves):
     plan = ct.RoomPlan(scene, partition, table)
+    assert set(plan.allocations) == set(plan.predictions) == set(ct.Mode)
+    for kept in (plan.allocations, plan.predictions):
+        with pytest.raises(TypeError):
+            kept[ct.Mode.NO_USER] = None
     for mode in ct.Mode:
-        prediction = plan.prediction(mode)
-        for kept in (plan.allocation(mode)[0], prediction.slabs, prediction.lo, prediction.hi,
+        prediction = plan.predictions[mode]
+        for kept in (plan.allocations[mode][0], prediction.slabs, prediction.lo, prediction.hi,
                      prediction.tiles):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.0
-        assert plan.prediction(mode) is prediction
         # the slabs hold predict_power_deltas tile by tile
         real = prediction.tiles >= 0
-        values = sn.predict_power_deltas(table, plan.allocation(mode)[0])
+        values = sn.predict_power_deltas(table, plan.allocations[mode][0])
         assert np.array_equal(prediction.slabs.transpose(0, 2, 1)[real],
                               values[prediction.tiles[real]])
     # apply_mode still hands each caller its own writable array
@@ -508,23 +534,24 @@ def test_allocations_are_read_only(scene, partition, table, solves):
 
 def test_room_plan_keeps_solve_reports(scene, partition, table, solves):
     plan = ct.RoomPlan(scene, partition, table)
-    assert plan.allocation(ct.Mode.NO_USER)[1] is None
+    assert len(solves) == 2
+    powers, report = plan.allocations[ct.Mode.NO_USER]
+    np.testing.assert_array_equal(powers, scene.power_bounds()[0])
+    assert report is None
     for mode in (ct.Mode.UNIFORMITY, ct.Mode.ENHANCED):
-        powers, report = plan.allocation(mode)
+        powers, report = plan.allocations[mode]
         assert report.status is op.SolveStatus.OPTIMAL
         np.testing.assert_array_equal(powers, np.clip(report.x, *scene.power_bounds()))
-        assert plan.allocation(mode)[1] is report
-    assert len(solves) == 2
 
 
 def test_allocation_warns_only_when_it_solves(scene, partition, table, caplog, solves):
     bad = replace(scene, controller=replace(scene.controller, snr_threshold=1e12))
     with caplog.at_level("WARNING"):
         for _ in range(2):
-            powers, report = ct.room_plan(bad, partition, table).allocation(ct.Mode.ENHANCED)
+            powers, report = ct.room_plan(bad, partition, table).allocations[ct.Mode.ENHANCED]
     np.testing.assert_array_equal(powers, scene.power_bounds()[1])
     assert report.status is not op.SolveStatus.OPTIMAL
-    assert len(solves) == 1
+    assert sorted(m.value for m in solves) == ["enhanced", "uniformity"]  # one plan, made once
     assert sum("falling back" in r.message for r in caplog.records) == 1
 
 

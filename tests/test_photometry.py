@@ -289,6 +289,23 @@ def test_snr_simplified_two_route_identity(scene, rng):
     assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(a, b))
 
 
+def test_snr_simplified_carries_the_filter_gain(scene, rng):
+    # the optical filter gain T scales the received power, so it scales the
+    # simplified SNR too, which then still bounds the full model's
+    pd, noise = replace(scene.comm_pd, filter_gain=4.0), scene.noise
+    pts, z = ph.plane_grid(scene.room, 0.1), scene.room.plane_z
+    p = scene.power_vector()
+    factor = pd.responsivity_a_per_w / (2 * noise.electron_charge_c * noise.bandwidth_hz)
+    a = ph.snr_coefficients(scene.leds, pts, z, pd, noise)
+    b = factor * ph._los_gains(scene.leds, pts, z, pd)
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
+    assert np.all(ph.snr_full(scene.leds, pts, z, pd, noise, p) <= a @ p)
+    for _ in range(20):
+        pt = _point_below(rng, scene)
+        for snr_full, snr_simplified in zip(SNR_FULLS, SNR_SIMPLIFIEDS):
+            assert snr_full(scene.leds, pt, pd, noise) <= snr_simplified(scene.leds, pt, pd, noise)
+
+
 def test_snr_simplified_requires_m1_and_wide_fov(scene):
     narrow = replace(scene.comm_pd, fov_deg=60.0)
     pt = (2.5, 2.5, scene.room.plane_z)

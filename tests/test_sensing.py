@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from isci import sensing as sn
 from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
-from tests.oracles import (bounce_terms, concentrator_gain, full_scan, nlos_element_gain,
-                          nlos_user_gain, occluded_sum_received_power)
+from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, full_scan,
+                           nlos_element_gain, nlos_user_gain, occluded_sum_received_power, outer)
 
 
 def _mixed_scene():
@@ -44,7 +44,7 @@ def _bounce_gain_vec(led, patch_xy, z, rho_area, pd):
     """One LED-patch-PD gain from the kernel's factors, as SensingModel forms it."""
     factors = sn._BounceKernel([led], [pd]).factors(np.array([patch_xy], dtype=float),
                                                     z, rho_area)
-    return float(sn._outer(*factors)[0, 0, 0])
+    return float(outer(*factors)[0, 0, 0])
 
 
 def _element_gain_vec(led, element_xy, element_area, reflectance, pd):
@@ -230,7 +230,7 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     # the BLAS product sums the cells in its own order: 2.2e-16 to 3.4e-16
     # relative from the cell-order sum on these scenes
     np.testing.assert_allclose(model.baseline_gains, element.sum(axis=1), rtol=1e-15, atol=0.0)
-    assert np.array_equal(sn._outer(model.emitter, model.collector), element)
+    assert np.array_equal(outer(model.emitter, model.collector), element)
     assert model.collector.flags.c_contiguous and model.emitter.flags.c_contiguous
     user = s.user
     rng = np.random.default_rng(3)
@@ -627,19 +627,19 @@ def _spread(rng, shape):
     (5, 9, 3, 50),    # one block holds the whole grid
 ])
 def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows):
-    lead, n = 2, 3
-    cells = _spread(rng, (lead, nx * ny, n)) * rng.choice([-1.0, 1.0], (lead, nx * ny, n))
+    n = 3
+    cells = _spread(rng, (nx * ny, n)) * rng.choice([-1.0, 1.0], (nx * ny, n))
     disk = [(di, dj) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)
             if math.hypot(di, dj) <= reach]
     offsets = [disk[i] for i in rng.permutation(len(disk))]  # any order is kept
-    monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * lead * ny * n * 8)
+    monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * ny * n * 8)
     got = sn._stencil_sum(cells, offsets, (nx, ny))
     want = np.zeros_like(cells)
     for x in range(nx):
         for y in range(ny):
             for di, dj in offsets:
                 if 0 <= x + di < nx and 0 <= y + dj < ny:
-                    want[:, x * ny + y] += cells[:, (x + di) * ny + y + dj]
+                    want[x * ny + y] += cells[(x + di) * ny + y + dj]
     assert np.array_equal(got, want)
 
 
@@ -1021,3 +1021,21 @@ def test_fingerprint_bytes_pinned(seed, digest):
 def test_fingerprint_deltas_pinned(seed, digest):
     table = sn.build_fingerprint_table(default_scene(seed))
     assert hashlib.sha256(table.deltas.tobytes()).hexdigest() == digest
+
+
+def _reloaded_table():
+    return sn.load_fingerprint(sn.save_fingerprint(sn.build_fingerprint_table(default_scene(3))))
+
+
+@pytest.mark.parametrize("make_table", [
+    lambda: sn.build_fingerprint_table(default_scene()),
+    lambda: sn.build_fingerprint_table(_lattice_scene(size=6.0, per_side=3, pitch=0.1)),
+    _reloaded_table,
+], ids=["default", "lattice", "reloaded"])
+def test_deltas_equal_dense_gain_tensors(make_table):
+    # deltas stacks predict at each LED's unit power vector; the dense
+    # construction from (M, K, N) outer products must give the same bits
+    table = make_table()
+    deltas = table.deltas
+    assert deltas.shape == table.shape and not deltas.flags.writeable
+    assert deltas.tobytes() == dense_deltas(table).tobytes()
