@@ -64,28 +64,35 @@ def _collector_terms(pds: Sequence[CommPd | SensingPd]) -> tuple[np.ndarray, np.
     return cos_fov, gain
 
 
-def _lambertian_geometry(sources: np.ndarray, points: np.ndarray,
+def _lambertian_geometry(sources: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
                          z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances d^2 and cosines dz/d, both (S, P), from downward
-    ``sources`` (S, 3) to ``points`` (P, 2) on the upward plane at height
-    ``z``; dz/d is the cosine of the angle at both ends of the path."""
-    dz = sources[:, 2][:, None] - z
-    dx = sources[:, 0][:, None] - points[:, 0][None, :]
-    dy = sources[:, 1][:, None] - points[:, 1][None, :]
-    d2 = dx * dx + dy * dy + dz * dz
-    return d2, dz / np.sqrt(d2)
+    """Squared distances d^2 and cosines dz/d from downward sources to points
+    on the upward plane at height ``z``; dz/d is the cosine of the angle at
+    both ends of the path.
+
+    ``sources`` is the sources' x, y and z coordinates, three arrays that
+    broadcast with the points' ``x`` and ``y``; the results take the
+    broadcast shape.  A point list is x (P,) and y (P,); a grid is its row
+    coordinates x (nx, 1) and column coordinates y (1, ny), so each square
+    of d^2 = (dx^2 + dy^2) + dz^2 is formed once per source and row or
+    column, and only their sum and what follows touch every point."""
+    sx, sy, sz = sources
+    dx, dy, dz = sx - x, sy - y, sz - z
+    d2 = dx * dx + dy * dy
+    d2 += dz * dz
+    cos_ang = np.sqrt(d2)
+    return d2, np.divide(dz, cos_ang, out=cos_ang)
 
 
 def _plane_geometry(leds: Sequence[Led], points: np.ndarray,
                     plane_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """_lambertian_geometry from the LEDs to receiving-plane points, as
-    C-contiguous (L, M) arrays; the plane must lie below every LED."""
+    """_lambertian_geometry from the LEDs to receiving-plane points, (L, M);
+    the plane must lie below every LED."""
     led_pos = np.array([led.position for led in leds], dtype=float)
     if np.any(led_pos[:, 2] <= plane_z):
         raise ValueError("receiving plane must lie below the LEDs")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d2, cos_ang = _lambertian_geometry(led_pos, pts, plane_z)
-    return np.ascontiguousarray(d2.T), np.ascontiguousarray(cos_ang.T)
+    return _lambertian_geometry(led_pos.T, pts[:, :1], pts[:, 1:], plane_z)
 
 
 def _check_simplification(leds: Sequence[Led], pd: CommPd) -> None:

@@ -204,12 +204,16 @@ class SurfaceGrid:
     def cell_area(self) -> float:
         return self.pitch * self.pitch
 
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell center coordinates as the grid's rows and columns: x (nx, 1)
+        and y (1, ny), so cell (ix, iy) is at (x[ix, 0], y[0, iy])."""
+        return ((np.arange(self.nx)[:, None] + 0.5) * self.pitch,
+                (np.arange(self.ny)[None, :] + 0.5) * self.pitch)
+
     def centers(self) -> np.ndarray:
         """Cell center coordinates, shape (K, 2), x-major order."""
-        ix, iy = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="ij")
-        xs = (ix.ravel() + 0.5) * self.pitch
-        ys = (iy.ravel() + 0.5) * self.pitch
-        return np.column_stack([xs, ys])
+        xs, ys = np.broadcast_arrays(*self.coordinates())
+        return np.column_stack([xs.ravel(), ys.ravel()])
 
     def reflectance_array(self) -> np.ndarray:
         return np.fromiter(self.reflectance, dtype=float, count=len(self.reflectance))

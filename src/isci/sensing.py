@@ -66,14 +66,15 @@ _OCCLUSION_TOL = 1e-9
 # they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
 _STENCIL_BLOCK_BYTES = 1 << 19
 
-# Patches per _lambertian_geometry call in _BounceKernel.factors.  Over the
-# 40 000 cells of a 10 m room at 0.05 m with 25 LEDs and 25 PDs, one call
-# would form two 16 MB (M + N, P) arrays; those and the temporaries around
-# them raised the benchmark's loop-large peak RSS from 122 to 127 MB.  With
-# blocks the factors of its 40 000 cells took a median 54 ms against 64 ms
-# for one call per end, and of the default scene's 2500 cells 1.33 ms
-# against 1.32 ms; 4096-patch blocks took 1.75 ms there.
-_FACTOR_BLOCK = 512
+# Bytes of each array that _BounceKernel.factors forms per block of grid rows
+# over the PDs; a block holds at most four at once.  On loop-large (200-cell
+# rows, 25 PDs) that is 6 rows, and its set-up's two factor calls took a
+# median 41.0 ms against 48.7 ms with 64 KB blocks and 42.9 ms with 2 MB ones
+# (one process, 15 interleaved rounds, one 2-core x86-64 host); the default
+# scene's took 1.23 ms, and 0.96 ms with 64 KB.  With the whole grid in one
+# block the PDs' geometry would hold several (K, N) arrays at once, 8 MB each
+# on loop-large.
+_FACTOR_BLOCK_BYTES = 1 << 18
 
 
 def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
@@ -114,46 +115,56 @@ class _BounceKernel:
     product over LEDs and PDs, patch by patch, is the gain, both on
     photometry's Lambertian geometry.
 
-    The per-LED and per-PD constants are computed once, so a per-step call
-    for one user patch only evaluates the geometry.
+    The per-LED and per-PD constants are computed once, each shaped for the
+    layout its factor is formed in, so a per-step call for one user patch
+    only evaluates the geometry.
     """
 
     def __init__(self, leds: Sequence[Led], pds: Sequence[SensingPd]):
-        # LED rows, then PD rows: one geometry call serves both ends of a path
-        self.ends = np.array([led.position for led in leds] + [pd.position for pd in pds],
-                             dtype=float)
-        self.exponent = _lambertian_orders(leds) + 1.0
+        # x, y, z of the LEDs ahead of a grid's two axes and of the PDs after
+        # them, each contiguous: numpy subtracts from those sooner
+        led_pos = np.array([led.position for led in leds], dtype=float)
+        pd_pos = np.array([pd.position for pd in pds], dtype=float)
+        self.leds = tuple(np.ascontiguousarray(led_pos.T).reshape(3, -1, 1, 1))
+        self.pds = tuple(np.ascontiguousarray(pd_pos.T).reshape(3, 1, 1, -1))
+        # per-LED columns: the Lambertian exponent m + 1 and front (m + 1) / (2 pi^2)
+        self.exponent = (_lambertian_orders(leds) + 1.0)[:, None]
         self.front = self.exponent / (2.0 * math.pi**2)
         # FOV cut-off on cos(psi) and A_s * T_s * g(psi) inside the FOV, per PD
-        self.cos_fov, self.collector_gain = _collector_terms(pds)
+        self.cos_fov, self.collector_gain = (a.reshape(1, 1, -1) for a in _collector_terms(pds))
 
-    def factors(self, points: np.ndarray, z: float,
+    def factors(self, x: np.ndarray, y: np.ndarray, z: float,
                 rho_area) -> tuple[np.ndarray, np.ndarray]:
         """Emitter factor (M, P), front * cos^m(phi) * cos(alpha) / d^2 with
         ``rho_area`` (reflectance times area, per patch or shared by all)
         folded in, and collector factor (P, N),
-        A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 inside each PD's FOV.
+        A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 inside each PD's FOV,
+        over the P = nx * ny patches, x-major, of the grid with row
+        coordinates ``x`` (nx, 1) and column coordinates ``y`` (1, ny).
 
-        One _lambertian_geometry call per block of _FACTOR_BLOCK points
-        serves both ends of every path.  The LEDs' cosines and d^2 are
-        gathered, and the power is taken over all P at once: numpy's power
-        on a broadcast exponent rounds some elements differently with the
-        extent of its loop."""
-        m, p = len(self.exponent), len(points)
-        led_cos, led_d2 = np.empty((m, p)), np.empty((m, p))
-        collector = np.empty((p, len(self.cos_fov)))
-        for start in range(0, p, _FACTOR_BLOCK):
-            block = slice(start, start + _FACTOR_BLOCK)
-            d2, cos_ang = _lambertian_geometry(self.ends, points[block], z)
-            led_cos[:, block], led_d2[:, block] = cos_ang[:m], d2[:m]
-            collector[block] = np.where(cos_ang[m:] >= self.cos_fov[:, None],
-                                        self.collector_gain[:, None] * cos_ang[m:] ** 2 / d2[m:],
-                                        0.0).T
+        The LEDs' geometry is formed over the whole grid in the emitter's
+        (M, nx, ny) layout, and the power taken over all P at once: numpy's
+        power on a broadcast exponent rounds some elements differently with
+        the extent of its loop.  The PDs' is formed a block of grid rows at
+        a time in the collector's (rows, ny, N) layout and written straight
+        into it."""
+        d2, cos_ang = _lambertian_geometry(self.leds, x, y, z)
+        m, nx, ny = cos_ang.shape
         # not in place: numpy's in-place power took 4x as long
-        emitter = np.power(led_cos, self.exponent[:, None])
-        np.divide(emitter, led_d2, out=emitter)
-        np.multiply(self.front[:, None], emitter, out=emitter)
-        return np.multiply(emitter, rho_area, out=emitter), collector
+        emitter = np.power(cos_ang.reshape(m, -1), self.exponent)
+        np.divide(emitter, d2.reshape(m, -1), out=emitter)
+        del d2, cos_ang  # the full (M, P) geometry goes before the collector comes
+        np.multiply(self.front, emitter, out=emitter)
+        np.multiply(emitter, rho_area, out=emitter)
+        # zeros outside each PD's FOV, which the masked divide leaves alone
+        collector = np.zeros((nx, ny, self.cos_fov.shape[2]))
+        rows = _FACTOR_BLOCK_BYTES // collector[0].nbytes or 1
+        y = y[..., None]
+        for start in range(0, nx, rows):
+            d2, cos_ang = _lambertian_geometry(self.pds, x[start:start + rows, :, None], y, z)
+            np.divide(self.collector_gain * (cos_ang * cos_ang), d2,
+                      out=collector[start:start + rows], where=cos_ang >= self.cos_fov)
+        return emitter, collector.reshape(nx * ny, -1)
 
 
 class SensingModel:
@@ -173,21 +184,25 @@ class SensingModel:
         self._kernel = _BounceKernel(scene.leds, scene.sensing_pds)
         self.centers = _read_only(scene.grid.centers())
         emitter, collector = self._kernel.factors(
-            self.centers, 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
+            *scene.grid.coordinates(), 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
         self.baseline_gains = self.emitter @ self.collector
+        # the patch height and reflectance times area as 0-d arrays, which
+        # numpy combines with a small array sooner than Python floats
+        user = scene.user
+        self._patch = (np.array(user.patch_height_m),
+                       np.array(user.reflectance * user.patch_area_m2))
 
-    def user_factors(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def user_factors(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Emitter (M, P) and collector (P, N) factors of the gains through a
-        user patch at each of the P ``points``."""
-        user = self.scene.user
-        return self._kernel.factors(points, user.patch_height_m,
-                                    user.reflectance * user.patch_area_m2)
+        user patch at each of the P = nx * ny cells of the grid with row
+        coordinates ``x`` (nx, 1) and column coordinates ``y`` (1, ny)."""
+        return self._kernel.factors(x, y, *self._patch)
 
     def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
         """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
-        pt = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        emitter, collector = self.user_factors(pt)
+        point = np.array([[float(user_xy[0]), float(user_xy[1])]])
+        emitter, collector = self.user_factors(point[:, :1], point[:, 1:])  # a 1 x 1 grid
         return emitter * collector  # (M, 1) by (1, N)
 
     def gains_at(self, user_xy: Sequence[float]) -> np.ndarray:
@@ -320,8 +335,9 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
     if model is None:
         model = SensingModel(scene)
     return FingerprintTable(model.centers, model.baseline_gains.copy(),
-                            *model.user_factors(model.centers), model.emitter, model.collector,
-                            _stencil_offsets(scene), (scene.grid.nx, scene.grid.ny))
+                            *model.user_factors(*scene.grid.coordinates()), model.emitter,
+                            model.collector, _stencil_offsets(scene),
+                            (scene.grid.nx, scene.grid.ny))
 
 
 def _checked_powers(table: FingerprintTable, powers) -> np.ndarray:

@@ -179,15 +179,16 @@ def bounce_terms(leds: Sequence[Led], pds: Sequence[SensingPd], points: np.ndarr
     (P, 2), height ``z``: cos^m(phi) * cos(alpha) / d^2 per LED-patch pair,
     (M, P), and A_s * T_s * g(psi) * cos(beta) * cos(psi) / d^2 inside each
     PD's FOV per patch-PD pair, (P, N).  Each comes from its own
-    _lambertian_geometry call, over the LED or the PD positions alone, with
-    the same float operations in the same order as the kernel, so the two
-    must agree bit for bit."""
-    led_pos = np.array([led.position for led in leds], dtype=float)
-    pd_pos = np.array([pd.position for pd in pds], dtype=float)
-    d2, cos_ang = _lambertian_geometry(led_pos, points, z)
+    _lambertian_geometry call on the point list, over the LED or the PD
+    positions alone, with the same float operations in the same order as
+    the kernel, so the two must agree bit for bit whatever layout the
+    kernel forms them in."""
+    led_pos = np.array([led.position for led in leds], dtype=float).T[..., None]
+    pd_pos = np.array([pd.position for pd in pds], dtype=float).T[..., None]
+    d2, cos_ang = _lambertian_geometry(led_pos, points[:, 0], points[:, 1], z)
     emitter = cos_ang ** (_lambertian_orders(leds) + 1.0)[:, None] / d2
     cos_fov, gain = _collector_terms(pds)
-    d2, cos_ang = _lambertian_geometry(pd_pos, points, z)
+    d2, cos_ang = _lambertian_geometry(pd_pos, points[:, 0], points[:, 1], z)
     collector = np.where(cos_ang >= cos_fov[:, None], gain[:, None] * cos_ang ** 2 / d2, 0.0)
     return emitter, np.ascontiguousarray(collector.T)
 

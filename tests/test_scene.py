@@ -48,6 +48,22 @@ def test_grid_tiles_floor(scene):
     assert abs(total - area) <= 1e-9 * area
 
 
+@pytest.mark.parametrize("pitch, nx, ny", [(0.1, 50, 50), (0.05, 200, 120), (0.3, 7, 13),
+                                            (0.8, 1, 8), (0.8, 8, 1), (1 / 3, 30, 3)])
+def test_grid_centers_are_its_row_and_column_coordinates(pitch, nx, ny):
+    # the sensing kernel works on the rows and columns, the occlusion test
+    # and the table's candidates on the centers: both must be the same floats
+    grid = SurfaceGrid(pitch, nx, ny, ())
+    x, y = grid.coordinates()
+    assert x.shape == (nx, 1) and y.shape == (1, ny)
+    expected = [((ix + 0.5) * pitch, (iy + 0.5) * pitch) for ix in range(nx) for iy in range(ny)]
+    assert np.array_equal(x[:, 0], [row for row, _ in expected[::ny]])
+    assert np.array_equal(y[0], [col for _, col in expected[:ny]])
+    assert np.array_equal(grid.centers(), expected)
+    assert np.array_equal(grid.centers(),
+                          [(x[ix, 0], y[0, iy]) for ix in range(nx) for iy in range(ny)])
+
+
 def test_emitters_on_ceiling_inside_room(scene):
     for pos in [led.position for led in scene.leds]:
         assert pos[2] == scene.room.size_z

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,14 +37,32 @@ def _lattice_scene(size=10.0, per_side=5, pitch=0.1, spacing=2.0):
     })
 
 
+def _room_scene(size_x, size_y, pitch):
+    """A size_x by size_y room of pitch-wide cells with a seeded reflectance
+    per cell, and four LEDs and three PDs at seeded places on the ceiling,
+    each with its own half-power angle or FOV."""
+    rng = np.random.default_rng(5)
+    nx, ny = round(size_x / pitch), round(size_y / pitch)
+    leds = rng.uniform(0.0, 1.0, (4, 2)) * [size_x, size_y]
+    pds = rng.uniform(0.0, 1.0, (3, 2)) * [size_x, size_y]
+    return scene_from_dict({
+        "room": {"size_x": size_x, "size_y": size_y},
+        "grid": {"pitch": pitch, "reflectance": rng.uniform(0.2, 0.9, nx * ny).tolist()},
+        "leds": [{"position": [x, y, 3.0], "half_power_angle_deg": h}
+                 for (x, y), h in zip(leds.tolist(), (60.0, 35.0, 70.0, 50.0))],
+        "sensing_pds": [{"position": [x, y, 3.0], "fov_deg": f}
+                        for (x, y), f in zip(pds.tolist(), (90.0, 40.0, 65.0))],
+    })
+
+
 # ---------------------------------------------------------------------------
 # one-bounce channel gains
 # ---------------------------------------------------------------------------
 
 def _bounce_gain_vec(led, patch_xy, z, rho_area, pd):
     """One LED-patch-PD gain from the kernel's factors, as SensingModel forms it."""
-    factors = sn._BounceKernel([led], [pd]).factors(np.array([patch_xy], dtype=float),
-                                                    z, rho_area)
+    factors = sn._BounceKernel([led], [pd]).factors(np.array([[float(patch_xy[0])]]),
+                                                    np.array([[float(patch_xy[1])]]), z, rho_area)
     return float(outer(*factors)[0, 0, 0])
 
 
@@ -226,7 +245,8 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     centers = s.grid.centers()
     rho_area = s.grid.reflectance_array() * s.grid.cell_area
     cell_emitter, cell_collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
-    element = np.einsum("i,ik,k,kj->ikj", kernel.front, cell_emitter, rho_area, cell_collector)
+    element = np.einsum("i,ik,k,kj->ikj", kernel.front[:, 0], cell_emitter, rho_area,
+                        cell_collector)
     # the BLAS product sums the cells in its own order: 2.2e-16 to 3.4e-16
     # relative from the cell-order sum on these scenes
     np.testing.assert_allclose(model.baseline_gains, element.sum(axis=1), rtol=1e-15, atol=0.0)
@@ -238,7 +258,7 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     for xy in rng.uniform(-0.2, s.room.size_x + 0.2, (100, 2)):
         user_emitter, user_collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :],
                                                     user.patch_height_m)
-        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front, user_emitter,
+        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front[:, 0], user_emitter,
                               np.full(1, user.reflectance * user.patch_area_m2),
                               user_collector)[:, 0, :]
         occ = (np.flatnonzero(np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
@@ -270,11 +290,12 @@ def test_received_power_matches_occluded_sum_oracle(make_scene):
 @pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene,
                                         lambda: _lattice_scene(pitch=0.05)])
 def test_bounce_factors_match_two_call_reference(make_scene):
-    # the kernel forms both ends of every path from one geometry call over
-    # the LEDs and PDs stacked; one call per end gives the same floats
+    # the kernel forms the factors on the grid's rows and columns, the
+    # oracle with one geometry call per end on the centers as a point list;
+    # both give the same floats
     s = make_scene()
     model = sn.SensingModel(s)
-    front, user = model._kernel.front[:, None], s.user
+    front, user = model._kernel.front, s.user
     centers = s.grid.centers()
     emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
     assert np.array_equal(model.emitter,
@@ -282,7 +303,7 @@ def test_bounce_factors_match_two_call_reference(make_scene):
     assert np.array_equal(model.collector, collector)
     patch = user.reflectance * user.patch_area_m2
     emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, user.patch_height_m)
-    got_emitter, got_collector = model.user_factors(centers)
+    got_emitter, got_collector = model.user_factors(*s.grid.coordinates())
     assert np.array_equal(got_emitter, front * emitter * patch)
     assert np.array_equal(got_collector, collector)
     for xy in np.random.default_rng(12).uniform(0.0, s.room.size_x, (300, 2)):
@@ -292,6 +313,75 @@ def test_bounce_factors_match_two_call_reference(make_scene):
                     if len(occ) else 0.0)
         expected = model.baseline_gains - occluded + (front * emitter * patch) * collector
         assert np.array_equal(model.gains_at(xy), expected), xy
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["budget", "1-row-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("make_scene", [
+    pytest.param(lambda: _room_scene(7.0, 4.2, 0.1), id="non-square"),
+    pytest.param(lambda: _room_scene(0.8, 6.4, 0.8), id="one-row"),
+    pytest.param(lambda: _room_scene(6.4, 0.8, 0.8), id="one-column"),
+    pytest.param(_mixed_scene, id="mixed"),
+])
+def test_grid_factors_match_point_list_oracle(make_scene, rows, monkeypatch):
+    # the model's and the table's factors come from the grid's rows and
+    # columns, the PDs' a block of rows at a time (the last block short where
+    # the rows do not divide nx); a user point is a 1 x 1 grid.  The oracle
+    # calls the geometry on grid.centers() as a point list, one call per end.
+    s = make_scene()
+    if rows is not None:
+        monkeypatch.setattr(sn, "_FACTOR_BLOCK_BYTES", rows * s.grid.ny * len(s.sensing_pds) * 8)
+    model = sn.SensingModel(s)
+    table = sn.build_fingerprint_table(s, model)
+    front, user = model._kernel.front, s.user
+    patch = user.reflectance * user.patch_area_m2
+    centers = s.grid.centers()
+    emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
+    floor = front * emitter * (s.grid.reflectance_array() * s.grid.cell_area)
+    for got in (model.emitter, table.floor_emitter):
+        assert np.array_equal(got, floor)
+    for got in (model.collector, table.floor_collector):
+        assert np.array_equal(got, collector)
+    emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, user.patch_height_m)
+    assert np.array_equal(table.user_emitter, front * emitter * patch)
+    assert np.array_equal(table.user_collector, collector)
+    assert np.array_equal(table.candidates, centers)
+    rng = np.random.default_rng(4)
+    points = [*centers[rng.integers(0, len(centers), 20)],
+              *rng.uniform(0.0, 1.0, (20, 2)) * [s.room.size_x, s.room.size_y]]
+    for xy in points:
+        emitter, collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :], user.patch_height_m)
+        got_emitter, got_collector = model.user_factors(np.array([[xy[0]]]), np.array([[xy[1]]]))
+        assert np.array_equal(got_emitter, front * emitter * patch), xy
+        assert np.array_equal(got_collector, collector), xy
+        assert np.array_equal(model.user_gain(xy), (front * emitter * patch) * collector), xy
+
+
+def test_setup_memory_stays_within_its_arrays(monkeypatch):
+    # At its traced peak, building the model and table of a 10 m room at
+    # 0.05 m (K = 40 000, M = N = 25) may hold what the two keep, the
+    # emitter's two full (M, K) geometry arrays (d^2 and the cosines, which
+    # its power and divide read) and four block-sized arrays of the PDs'
+    # geometry.  With the whole grid in one block the same build overshoots.
+    s = _lattice_scene(pitch=0.05)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            model = sn.SensingModel(s)
+            table = sn.build_fingerprint_table(s, model)
+            return tracemalloc.get_traced_memory()[1], model, table
+        finally:
+            tracemalloc.stop()
+
+    peak, model, table = traced_peak()
+    kept = {id(a): a.nbytes for a in (model.centers, model.emitter, model.collector,
+                                      model.baseline_gains, table.candidates, table.baseline,
+                                      table.user_emitter, table.user_collector,
+                                      table.floor_emitter, table.floor_collector)}
+    bound = sum(kept.values()) + 2 * model.emitter.nbytes + 4 * sn._FACTOR_BLOCK_BYTES
+    assert peak <= bound
+    monkeypatch.setattr(sn, "_FACTOR_BLOCK_BYTES", 1 << 60)
+    assert traced_peak()[0] > bound
 
 
 def test_user_reading_matches_fingerprint_identity(scene, sensing_model, table):
