@@ -61,10 +61,19 @@ _TILE = 8
 # occluded_set agree on cells whose centers sit exactly at the radius.
 _OCCLUSION_TOL = 1e-9
 
-# Bytes of partial sums that _stencil_sum keeps per block of grid rows.  On a
-# 10 m room at 0.05 m with 25 PDs that is 12 rows, which with the source rows
-# they read (the block plus the stencil's reach) fit in a 2 MB L2 cache.
+# Bytes of partial sums that _stencil_sum keeps per block of a band's grid
+# rows.  On a 10 m room at 0.05 m with 25 PDs that is 13 rows, which with
+# the source rows they read (the block plus the stencil's reach) fit in a
+# 2 MB L2 cache.
 _STENCIL_BLOCK_BYTES = 1 << 19
+
+# Bytes of the signed prediction that FingerprintTable._signed_bands forms
+# per band of whole tile rows (one tile row at least).  A band also holds its
+# floor term over the stencil's row reach on either side, so a prediction
+# holds about two bands besides what it keeps, never a (K, N) array.  On
+# loop-large (200-cell rows, 25 PDs) a band is 24 rows; the default scene's
+# 50 x 50 grid is one band.
+_BAND_BYTES = 1 << 20
 
 # Bytes of each array that _BounceKernel.factors forms per block of grid rows
 # over the PDs; a block holds at most four at once.  On loop-large (200-cell
@@ -236,29 +245,29 @@ def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
                  if grid.pitch * math.hypot(di, dj) <= limit)
 
 
-def _stencil_sum(cells: np.ndarray, offsets: Sequence[tuple[int, int]],
-                 grid_shape: tuple[int, int]) -> np.ndarray:
-    """For every cell k, the sum of ``cells[c]`` over the cells c = k + offset
-    that lie on the grid, (K, N).
+def _stencil_sum(src: np.ndarray, first: int, out: np.ndarray, start: int,
+                 offsets: Sequence[tuple[int, int]], nx: int) -> None:
+    """Into ``out``, rows ``start`` on of an x-major (nx, ny, N) grid, the
+    sum for every cell k of ``src[c]`` over the cells c = k + offset that
+    lie on the grid, offsets in the given order.
 
-    ``cells`` is (K, N) over the x-major (nx, ny) grid; the sum runs over
-    shifted views, offsets in the given order.  It is taken one block of
-    grid rows at a time, so a block's partial sums stay in cache across all
-    offsets; each output element still gets its additions in offset order.
+    ``src`` holds the grid's rows from ``first`` on, every row the offsets
+    reach from ``out``'s.  The sum runs over shifted views one block of rows
+    at a time, so a block's partial sums stay in cache across all offsets;
+    each element of ``out`` gets its additions from zero in offset order.
     """
-    nx, ny = grid_shape
-    n = cells.shape[1]
-    src = cells.reshape(nx, ny, n)
-    out = np.zeros_like(src)
-    rows = max(1, _STENCIL_BLOCK_BYTES // src[0].nbytes)
-    for start in range(0, nx, rows):
-        stop = min(start + rows, nx)
+    out.fill(0.0)
+    ny = out.shape[1]
+    stop = start + len(out)
+    rows = max(1, _STENCIL_BLOCK_BYTES // out[0].nbytes)
+    for block in range(start, stop, rows):
+        end = min(block + rows, stop)
         for di, dj in offsets:
-            lo, hi = max(start, -di), min(stop, nx - di)
+            lo, hi = max(block, -di), min(end, nx - di)
             if lo < hi:
-                block = out[lo:hi, max(0, -dj):ny - max(0, dj)]
-                np.add(block, src[lo + di:hi + di, max(0, dj):ny + min(0, dj)], out=block)
-    return out.reshape(nx * ny, n)
+                into = out[lo - start:hi - start, max(0, -dj):ny - max(0, dj)]
+                np.add(into, src[lo + di - first:hi + di - first, max(0, dj):ny + min(0, dj)],
+                       out=into)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,10 +311,46 @@ class FingerprintTable:
         return _read_only(deltas)
 
     def predict(self, powers: np.ndarray) -> np.ndarray:
-        """Signed power variation sum_i P_i * delta[k, i, j], (K, N)."""
-        user = (powers @ self.user_emitter)[:, None] * self.user_collector
-        floor = (powers @ self.floor_emitter)[:, None] * self.floor_collector
-        return np.subtract(user, _stencil_sum(floor, self.offsets, self.grid_shape), out=user)
+        """Signed power variation sum_i P_i * delta[k, i, j], (K, N), filled
+        band by band."""
+        k, _, n = self.shape
+        signed = np.empty((k, n))
+        rows = signed.reshape(*self.grid_shape, n)
+        for start, band in self._signed_bands(powers):
+            rows[start:start + len(band)] = band
+        return signed
+
+    def _signed_bands(self, powers: np.ndarray):
+        """Yield (start, band): the signed prediction at ``powers`` on grid
+        rows ``start`` to ``start + len(band)``, (rows, ny, N), one band of
+        whole tile rows at a time under _BAND_BYTES.  Each band is the user
+        term minus the stencil sum, from zeros, of the floor term formed over
+        the band's rows and the stencil's row reach.  A band lives in a
+        buffer that the next one reuses.
+
+        powers @ emitter is formed once over all K candidates for each term:
+        a matvec over a slice can round differently.  All else is
+        elementwise, so each band holds the floats a whole-grid formation
+        would."""
+        _, _, n = self.shape
+        nx, ny = self.grid_shape
+        user_w = (powers @ self.user_emitter).reshape(nx, ny, 1)
+        floor_w = (powers @ self.floor_emitter).reshape(nx, ny, 1)
+        user_c = self.user_collector.reshape(nx, ny, n)
+        floor_c = self.floor_collector.reshape(nx, ny, n)
+        reach = max((abs(di) for di, _ in self.offsets), default=0)
+        rows = max(1, _BAND_BYTES // (8 * ny * n) // _TILE) * _TILE
+        sums = np.empty((min(rows, nx), ny, n))
+        terms = np.empty((min(rows + 2 * reach, nx), ny, n))
+        for start in range(0, nx, rows):
+            stop = min(start + rows, nx)
+            first, last = max(0, start - reach), min(nx, stop + reach)
+            floor = np.multiply(floor_w[first:last], floor_c[first:last], out=terms[:last - first])
+            band = sums[:stop - start]
+            _stencil_sum(floor, first, band, start, self.offsets, nx)
+            # the floor term is spent, and the user term takes its buffer
+            user = np.multiply(user_w[start:stop], user_c[start:stop], out=terms[:stop - start])
+            yield start, np.subtract(user, band, out=band)
 
 
 @dataclass(frozen=True)
@@ -380,8 +425,10 @@ class Prediction:
     tiles[t, s], and +inf where that is a pad, so a pad never wins a match.
     ``lo`` and ``hi`` (N, T) hold each tile's least and greatest prediction
     per PD over its candidates.  ``shape`` is the (K, N) of the prediction.
-    No (K, N) copy is kept.  The arrays are read-only.  Form one with
-    Prediction.at.
+    No (K, N) array is formed: Prediction.at writes each band of the signed
+    prediction's absolute values straight into the slabs, so forming one
+    holds about two bands (_BAND_BYTES) besides what it keeps.  The arrays
+    are read-only.
     """
 
     slabs: np.ndarray   # (T, N, _TILE ** 2)
@@ -394,17 +441,17 @@ class Prediction:
     def at(cls, table: FingerprintTable, powers) -> "Prediction":
         """The prediction of ``table`` at ``powers`` and its envelopes over
         the table's candidate grid; powers that do not fit raise ValueError."""
-        signed = table.predict(_checked_powers(table, powers))
-        k, n = signed.shape
+        k, _, n = table.shape
         nx, ny = table.grid_shape
-        grid = signed.reshape(nx, ny, n)
         # slab (tile row, tile column): PD, then x and y within the tile
         slabs = np.empty((-(-nx // _TILE), -(-ny // _TILE), n, _TILE, _TILE))
-        for x0, x1, a in _bands(nx):
-            for y0, y1, b in _bands(ny):
-                into = slabs[x0 // _TILE:-(-x1 // _TILE), y0 // _TILE:-(-y1 // _TILE), :, :a, :b]
-                np.abs(grid[x0:x1, y0:y1].reshape((x1 - x0) // a, a, (y1 - y0) // b, b, n),
-                       out=into.transpose(0, 3, 1, 4, 2))
+        for start, band in table._signed_bands(_checked_powers(table, powers)):
+            for x0, x1, a in _runs(len(band)):
+                tile_rows = slabs[(start + x0) // _TILE:-(-(start + x1) // _TILE)]
+                for y0, y1, b in _runs(ny):
+                    into = tile_rows[:, y0 // _TILE:-(-y1 // _TILE), :, :a, :b]
+                    np.abs(band[x0:x1, y0:y1].reshape((x1 - x0) // a, a, (y1 - y0) // b, b, n),
+                           out=into.transpose(0, 3, 1, 4, 2))
         # the slots past the grid's far edges, empty where a side is whole
         pads = (slabs[-1, :, :, nx % _TILE or _TILE:], slabs[:, -1, :, :, ny % _TILE or _TILE:])
         slabs = slabs.reshape(-1, n, _TILE * _TILE)
@@ -423,11 +470,12 @@ class Prediction:
                    (k, n))
 
 
-def _bands(size: int) -> list[tuple[int, int, int]]:
-    """(start, stop, tile width) along one grid axis of the run of whole
-    tiles and of the narrower edge tile, each when present."""
+def _runs(size: int) -> list[tuple[int, int, int]]:
+    """(start, stop, tile width) along ``size`` cells of one grid axis, from
+    a tile's edge, of the run of whole tiles and of the narrower edge tile,
+    each when present."""
     edge = size - size % _TILE
-    return [band for band in ((0, edge, _TILE), (edge, size, size - edge)) if band[1] > band[0]]
+    return [run for run in ((0, edge, _TILE), (edge, size, size - edge)) if run[1] > run[0]]
 
 
 def _tile_losses(actual: np.ndarray, prediction: Prediction, tiles) -> np.ndarray:

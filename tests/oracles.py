@@ -12,6 +12,8 @@ factors.  ``occluded_sum_received_power`` forms a sensing model's reading
 with the occluded cells' gains as a full (M, P, N) tensor summed over its
 cells, and ``dense_deltas`` a fingerprint table's (K, M, N) deltas from
 full gain tensors, the floor's summed over shifted views of the grid.
+``dense_predict`` forms a table's signed (K, N) prediction over the whole
+grid at once, for the package's band-by-band formation to match.
 ``full_scan`` computes every candidate's fingerprint loss.
 ``reference_replay`` is ``controller.run_scenario``'s loop written out
 plainly, with each step's reading, region and energy formed afresh.
@@ -225,6 +227,24 @@ def dense_deltas(table: FingerprintTable) -> np.ndarray:
             src[:, max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)])
     deltas = outer(table.user_emitter, table.user_collector) - occluded.reshape(m, nx * ny, n)
     return np.ascontiguousarray(deltas.transpose(1, 0, 2))
+
+
+def dense_predict(table: FingerprintTable, powers) -> np.ndarray:
+    """The signed (K, N) prediction of ``table`` at ``powers``, formed over
+    the whole grid: the user term minus, for each candidate k, the floor term
+    of the cells k + offset on the grid, added from zeros in the table's
+    offset order as whole shifted views of the (nx, ny, N) floor term."""
+    powers = np.asarray(powers, dtype=float)
+    nx, ny = table.grid_shape
+    user = (powers @ table.user_emitter)[:, None] * table.user_collector
+    floor = (powers @ table.floor_emitter)[:, None] * table.floor_collector
+    n = floor.shape[1]
+    src = floor.reshape(nx, ny, n)
+    occluded = np.zeros_like(src)
+    for di, dj in table.offsets:
+        occluded[max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)] += (
+            src[max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)])
+    return user - occluded.reshape(nx * ny, n)
 
 
 def full_scan(actual: np.ndarray, predicted: np.ndarray) -> tuple[int, float]:

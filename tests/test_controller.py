@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -288,15 +289,17 @@ def solves(monkeypatch):
 
 @pytest.fixture()
 def predicts(monkeypatch):
-    """The power vectors the fingerprint factors are asked to predict at."""
+    """The power vectors the fingerprint factors are asked to predict at: one
+    per signed prediction formed, by FingerprintTable.predict or
+    Prediction.at, each of which walks its bands once."""
     calls = []
-    real = FingerprintTable.predict
+    real = FingerprintTable._signed_bands
 
     def counted(self, powers):
         calls.append(powers)
         return real(self, powers)
 
-    monkeypatch.setattr(FingerprintTable, "predict", counted)
+    monkeypatch.setattr(FingerprintTable, "_signed_bands", counted)
     return calls
 
 
@@ -345,6 +348,33 @@ def _lattice(size, per_side, pitch, spacing):
         "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
         "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
     })
+
+
+def test_room_plan_memory_stays_within_its_predictions(monkeypatch):
+    # At its traced peak, planning the loop-large room (10 m, 5 x 5 lattice
+    # 1.4 m apart, 0.05 m grid: K = 40 000, N = 25) may hold its three
+    # predictions' slabs, envelopes and tiles plus four band budgets: each
+    # prediction is formed band by band, and the solves take less.  With the
+    # whole grid in one band a prediction holds (K, N) arrays and overshoots.
+    scene = _lattice(10.0, 5, 0.05, 1.4)
+    partition = build_partition(scene)
+    table = sn.build_fingerprint_table(scene)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            plan = ct.RoomPlan(scene, partition, table)
+            return tracemalloc.get_traced_memory()[1], plan
+        finally:
+            tracemalloc.stop()
+
+    peak, plan = traced_peak()
+    kept = sum(a.nbytes for p in plan.predictions.values()
+               for a in (p.slabs, p.lo, p.hi, p.tiles))
+    bound = kept + 4 * sn._BAND_BYTES
+    assert peak <= bound
+    monkeypatch.setattr(sn, "_BAND_BYTES", 1 << 60)
+    assert traced_peak()[0] > bound
 
 
 def test_scenario_tile_match_equals_full_scan(monkeypatch):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from isci import sensing as sn
 from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
-from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, full_scan,
-                           nlos_element_gain, nlos_user_gain, occluded_sum_received_power, outer)
+from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, dense_predict,
+                           full_scan, nlos_element_gain, nlos_user_gain,
+                           occluded_sum_received_power, outer)
 
 
 def _mixed_scene():
@@ -500,14 +501,15 @@ def test_localize_below_threshold_not_detected(scene, table):
 
 
 def test_localize_undetected_forms_no_prediction(scene, sensing_model, table, monkeypatch):
+    # one entry per signed prediction formed, whose bands are walked once
     formed = []
-    real = sn.FingerprintTable.predict
+    real = sn.FingerprintTable._signed_bands
 
     def spy(t, powers):
         formed.append(powers)
         return real(t, powers)
 
-    monkeypatch.setattr(sn.FingerprintTable, "predict", spy)
+    monkeypatch.setattr(sn.FingerprintTable, "_signed_bands", spy)
     p = scene.power_vector()
     base = sensing_model.received_power(p)
     measured = sensing_model.received_power(p, (2.5, 2.5))
@@ -710,6 +712,19 @@ def _spread(rng, shape):
     return 10.0 ** rng.uniform(-8.0, 0.0, shape)
 
 
+def _disk(rng, reach):
+    """The offsets within ``reach`` cells of the origin, in a seeded order."""
+    disk = [(di, dj) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)
+            if math.hypot(di, dj) <= reach]
+    return [disk[i] for i in rng.permutation(len(disk))]
+
+
+def _walk_bands(table, powers):
+    """The (start, band) pairs of table._signed_bands, each band copied out
+    of the buffer the next one reuses."""
+    return [(start, band.copy()) for start, band in table._signed_bands(np.asarray(powers))]
+
+
 @pytest.mark.parametrize("nx, ny, reach, rows", [
     (11, 7, 4, 3),    # nx != ny, 3 does not divide 11, stencil 9 rows wide
     (7, 11, 2, 1),
@@ -717,20 +732,120 @@ def _spread(rng, shape):
     (5, 9, 3, 50),    # one block holds the whole grid
 ])
 def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows):
+    # a one-LED table with no user term predicts minus the stencil sum of its
+    # floor collector at unit power, bit for bit
     n = 3
     cells = _spread(rng, (nx * ny, n)) * rng.choice([-1.0, 1.0], (nx * ny, n))
-    disk = [(di, dj) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)
-            if math.hypot(di, dj) <= reach]
-    offsets = [disk[i] for i in rng.permutation(len(disk))]  # any order is kept
+    offsets = _disk(rng, reach)  # any order is kept
+    factors = (np.zeros((1, nx * ny)), np.zeros((nx * ny, n)), np.ones((1, nx * ny)), cells)
+    table = _factored_table(np.zeros((nx * ny, 2)), np.zeros((1, n)), factors, offsets, (nx, ny))
     monkeypatch.setattr(sn, "_STENCIL_BLOCK_BYTES", rows * ny * n * 8)
-    got = sn._stencil_sum(cells, offsets, (nx, ny))
     want = np.zeros_like(cells)
     for x in range(nx):
         for y in range(ny):
             for di, dj in offsets:
                 if 0 <= x + di < nx and 0 <= y + dj < ny:
                     want[x * ny + y] += cells[(x + di) * ny + y + dj]
-    assert np.array_equal(got, want)
+    # bands of one tile row (the stencil reaching across a band's edges),
+    # and the whole grid in one band
+    for band_bytes, starts in ((1, list(range(0, nx, sn._TILE))), (1 << 60, [0])):
+        monkeypatch.setattr(sn, "_BAND_BYTES", band_bytes)
+        bands = _walk_bands(table, [1.0])
+        assert [start for start, _ in bands] == starts
+        got = np.concatenate([band for _, band in bands]).reshape(nx * ny, n)
+        assert np.array_equal(-got, want)
+
+
+def _expected_prediction(values, grid_shape):
+    """slabs, lo, hi and tiles of a Prediction of the (K, N) ``values``,
+    tile by tile from Python loops over the grid: slot (a, b) of a tile, at
+    a * _TILE + b, holds the cell a rows and b columns from its corner, or
+    the pad -1 off the grid."""
+    nx, ny = grid_shape
+    side = sn._TILE
+    tiles = [[(tx + a) * ny + ty + b if tx + a < nx and ty + b < ny else -1
+              for a in range(side) for b in range(side)]
+             for tx in range(0, nx, side) for ty in range(0, ny, side)]
+    tiles = np.array(tiles)
+    real = (tiles >= 0)[:, None, :]
+    slabs = np.where(real, values[tiles].transpose(0, 2, 1), np.inf)
+    lo = np.where(real, slabs, np.inf).min(axis=2).T
+    hi = np.where(real, slabs, -np.inf).max(axis=2).T
+    return slabs, lo, hi, tiles
+
+
+def _assert_banded_prediction_is_dense(table, powers):
+    """Prediction.at and predict at ``powers`` hold dense_predict's floats."""
+    signed = dense_predict(table, powers)
+    assert np.array_equal(table.predict(powers), signed)
+    prediction = sn.Prediction.at(table, powers)
+    expected = _expected_prediction(np.abs(signed), table.grid_shape)
+    for name, want in zip(("slabs", "lo", "hi", "tiles"), expected):
+        assert np.array_equal(getattr(prediction, name), want), name
+    assert prediction.shape == signed.shape
+
+
+@pytest.mark.parametrize("grid, reach, band_bytes, bands", [
+    ((11, 7), 2, 1, 2),          # ragged tiles along both axes, a band per tile row
+    ((7, 11), 2, 1, 1),
+    ((30, 21), 10, 1, 4),        # the stencil reaches past a whole band on either side
+    ((21, 19), 3, 1 << 60, 1),   # the whole grid in one band
+], ids=["11x7", "7x11", "reach-past-a-band", "one-band"])
+def test_banded_prediction_matches_dense_oracle(monkeypatch, grid, reach, band_bytes, bands):
+    rng = np.random.default_rng(grid[0] * 100 + grid[1])
+    nx, ny = grid
+    k, m, n = nx * ny, 3, 4
+    factors = [_spread(rng, shape) for shape in ((m, k), (k, n), (m, k), (k, n))]
+    table = _factored_table(np.zeros((k, 2)), np.zeros((m, n)), factors, _disk(rng, reach), grid)
+    monkeypatch.setattr(sn, "_BAND_BYTES", band_bytes)
+    powers = rng.uniform(0.5, 2.0, m)
+    assert len(_walk_bands(table, powers)) == bands
+    _assert_banded_prediction_is_dense(table, powers)
+
+
+def test_default_scene_predicts_in_one_band(scene, table):
+    assert len(_walk_bands(table, scene.power_vector())) == 1
+    _assert_banded_prediction_is_dense(table, scene.power_vector())
+
+
+@pytest.fixture(scope="module")
+def loop_large():
+    """The loop-large room (10 m, 5 x 5 LED lattice 1.4 m apart, 0.05 m
+    grid: K = 40 000, M = N = 25) and its fingerprint table."""
+    s = _lattice_scene(pitch=0.05, spacing=1.4)
+    return s, sn.build_fingerprint_table(s)
+
+
+def test_loop_large_banded_prediction_matches_dense_oracle(loop_large):
+    s, table = loop_large
+    assert len(_walk_bands(table, s.power_vector())) > 1
+    p_min, p_max = s.power_bounds()
+    for powers in (p_min, p_max, s.power_vector(),
+                   np.random.default_rng(27).uniform(p_min, p_max)):
+        _assert_banded_prediction_is_dense(table, powers)
+
+
+def test_prediction_memory_stays_within_a_band_allowance(monkeypatch, loop_large):
+    # At its traced peak, forming a loop-large Prediction may hold what it
+    # keeps plus four band budgets: a band's stencil sums, its floor term
+    # with the stencil's reach and the two (K,) power-weighted emitters.
+    # With the whole grid in one band it holds (K, N) arrays and overshoots.
+    s, table = loop_large
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            prediction = sn.Prediction.at(table, s.power_vector())
+            return tracemalloc.get_traced_memory()[1], prediction
+        finally:
+            tracemalloc.stop()
+
+    peak, prediction = traced_peak()
+    kept = sum(a.nbytes for a in _owners(_arrays_reachable(prediction)))
+    bound = kept + 4 * sn._BAND_BYTES
+    assert peak <= bound
+    monkeypatch.setattr(sn, "_BAND_BYTES", 1 << 60)
+    assert traced_peak()[0] > bound
 
 
 @pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
