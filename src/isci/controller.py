@@ -305,10 +305,11 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
 
     What a mode fixes (its powers, prediction, baseline reading, sigma,
     threshold, and the step record's powers and energy) is formed for every
-    mode before the first step, from the plan and ``model``.  The with-user
-    gains, model.gains_at, are formed again only when the position differs
-    from the previous step's, so every reading is the floats that
-    model.received_power gives.  Positions are recorded as (float, float).
+    mode before the first step, from the plan and ``model``.  A reading with
+    a user, model.received_power at the mode's powers, is kept under its
+    (position, mode) and formed again only when either differs from the
+    last one's, so a user standing still costs nothing.  Positions are
+    recorded as (float, float).
     """
     if model is None:
         model = SensingModel(scene)
@@ -327,7 +328,7 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
 
     per_mode = {mode: constants(mode) for mode in Mode}
     mode = Mode.NO_USER
-    last_xy = gains = None
+    kept = (None, None)  # the last with-user reading's (position, mode), and the reading
     steps = []
     for t, pos in trajectory:
         applied, prediction, baseline_reading, sigma, eps, _, _ = per_mode[mode]
@@ -335,10 +336,9 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
             xy, reading = None, baseline_reading
         else:
             xy = (float(pos[0]), float(pos[1]))
-            if xy != last_xy:
-                gains = model.gains_at(xy)
-            reading = applied @ gains
-        last_xy = xy
+            if kept[0] != (xy, mode):
+                kept = ((xy, mode), model.received_power(applied, xy))
+            reading = kept[1]
         measured = (reading + rng.standard_normal(len(reading)) * sigma if noise_rel > 0
                     else reading)
         loc = localize(measured, baseline_reading, prediction, table, epsilon_detect=eps)

@@ -87,29 +87,22 @@ _FACTOR_BLOCK_BYTES = 1 << 18
 
 
 def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
-    """Indices of floor cells whose centers fall inside the user footprint.
-
-    A user outside the room occludes nothing.
-    """
-    return _occluded(scene, scene.grid.centers(), user_xy)
-
-
-def _occluded(scene: Scene, centers: np.ndarray, user_xy: Sequence[float]) -> np.ndarray:
+    """Indices, ascending, of the floor cells whose centers fall inside the
+    user footprint.  A user outside the room occludes nothing."""
     ux, uy = float(user_xy[0]), float(user_xy[1])
     radius = scene.user.footprint_radius_m
     if radius <= 0 or not scene.room.contains_xy(ux, uy):
         return np.empty(0, dtype=int)
     # Only cells in the footprint's bounding box, widened by a cell against
-    # rounding, can be inside it; x-major indices keep the result ascending.
+    # rounding, can be inside it; their centers are the grid's (i + 0.5) * pitch
     grid = scene.grid
     limit = radius + _OCCLUSION_TOL
     ix = np.arange(max(0, int((ux - limit) / grid.pitch) - 1),
-                   min(grid.nx, int((ux + limit) / grid.pitch) + 2))
+                   min(grid.nx, int((ux + limit) / grid.pitch) + 2))[:, None]
     iy = np.arange(max(0, int((uy - limit) / grid.pitch) - 1),
                    min(grid.ny, int((uy + limit) / grid.pitch) + 2))
-    box = (ix[:, None] * grid.ny + iy).ravel()
-    dist = np.hypot(centers[box, 0] - ux, centers[box, 1] - uy)
-    return box[dist <= limit]
+    inside = np.hypot((ix + 0.5) * grid.pitch - ux, (iy + 0.5) * grid.pitch - uy) <= limit
+    return (ix * grid.ny + iy)[inside]
 
 
 def _read_only(values) -> np.ndarray:
@@ -124,23 +117,21 @@ class _BounceKernel:
     product over LEDs and PDs, patch by patch, is the gain, both on
     photometry's Lambertian geometry.
 
-    The per-LED and per-PD constants are computed once, each shaped for the
-    layout its factor is formed in, so a per-step call for one user patch
-    only evaluates the geometry.
+    The per-LED and per-PD constants are computed once, so a per-step call
+    for one user patch only evaluates the geometry.
     """
 
     def __init__(self, leds: Sequence[Led], pds: Sequence[SensingPd]):
-        # x, y, z of the LEDs ahead of a grid's two axes and of the PDs after
-        # them, each contiguous: numpy subtracts from those sooner
-        led_pos = np.array([led.position for led in leds], dtype=float)
-        pd_pos = np.array([pd.position for pd in pds], dtype=float)
-        self.leds = tuple(np.ascontiguousarray(led_pos.T).reshape(3, -1, 1, 1))
-        self.pds = tuple(np.ascontiguousarray(pd_pos.T).reshape(3, 1, 1, -1))
+        # x, y and z of the LEDs then the PDs, each contiguous: numpy
+        # subtracts from those sooner.  A point takes them whole, a grid the
+        # LEDs' ahead of its two axes and the PDs' after them.
+        positions = [led.position for led in leds] + [pd.position for pd in pds]
+        self.ends = tuple(np.array(positions, dtype=float).T.copy())
         # per-LED columns: the Lambertian exponent m + 1 and front (m + 1) / (2 pi^2)
         self.exponent = (_lambertian_orders(leds) + 1.0)[:, None]
         self.front = self.exponent / (2.0 * math.pi**2)
         # FOV cut-off on cos(psi) and A_s * T_s * g(psi) inside the FOV, per PD
-        self.cos_fov, self.collector_gain = (a.reshape(1, 1, -1) for a in _collector_terms(pds))
+        self.cos_fov, self.collector_gain = _collector_terms(pds)
 
     def factors(self, x: np.ndarray, y: np.ndarray, z: float,
                 rho_area) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +148,9 @@ class _BounceKernel:
         the extent of its loop.  The PDs' is formed a block of grid rows at
         a time in the collector's (rows, ny, N) layout and written straight
         into it."""
-        d2, cos_ang = _lambertian_geometry(self.leds, x, y, z)
-        m, nx, ny = cos_ang.shape
+        m = len(self.front)
+        d2, cos_ang = _lambertian_geometry([a[:m, None, None] for a in self.ends], x, y, z)
+        _, nx, ny = cos_ang.shape
         # not in place: numpy's in-place power took 4x as long
         emitter = np.power(cos_ang.reshape(m, -1), self.exponent)
         np.divide(emitter, d2.reshape(m, -1), out=emitter)
@@ -166,14 +158,26 @@ class _BounceKernel:
         np.multiply(self.front, emitter, out=emitter)
         np.multiply(emitter, rho_area, out=emitter)
         # zeros outside each PD's FOV, which the masked divide leaves alone
-        collector = np.zeros((nx, ny, self.cos_fov.shape[2]))
+        collector = np.zeros((nx, ny, len(self.cos_fov)))
         rows = _FACTOR_BLOCK_BYTES // collector[0].nbytes or 1
         y = y[..., None]
         for start in range(0, nx, rows):
-            d2, cos_ang = _lambertian_geometry(self.pds, x[start:start + rows, :, None], y, z)
+            d2, cos_ang = _lambertian_geometry([a[m:] for a in self.ends],
+                                               x[start:start + rows, :, None], y, z)
             np.divide(self.collector_gain * (cos_ang * cos_ang), d2,
                       out=collector[start:start + rows], where=cos_ang >= self.cos_fov)
         return emitter, collector.reshape(nx * ny, -1)
+
+    def point(self, x: float, y: float, z, rho_area) -> tuple[np.ndarray, np.ndarray]:
+        """Emitter (M,) and collector (N,) factors through one patch at
+        (``x``, ``y``), the floats ``factors`` gives for a 1 x 1 grid there,
+        from one geometry call over the LEDs and PDs together."""
+        d2, cos_ang = _lambertian_geometry(self.ends, x, y, z)
+        m = len(self.front)
+        emitter = cos_ang[:m] ** self.exponent[:, 0] / d2[:m] * self.front[:, 0] * rho_area
+        cos_pd = cos_ang[m:]
+        # times 1 inside each PD's FOV and 0 outside, where the factor is finite and >= 0
+        return emitter, self.collector_gain * (cos_pd * cos_pd) / d2[m:] * (cos_pd >= self.cos_fov)
 
 
 class SensingModel:
@@ -183,9 +187,10 @@ class SensingModel:
     emitter[i, k] * collector[k, j] (Kahn & Barry, Proc. IEEE 1997):
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
-    read-only.  No (M, K, N) array is kept: ``baseline_gains`` (M, N) is
-    their matrix product, and ``gains_at`` (which ``received_power`` reads
-    through) forms only the occluded cells' gains.
+    read-only.  No (M, K, N) array is kept, and no gain matrix is formed per
+    reading: ``baseline_gains`` (M, N) is their matrix product, and
+    ``received_power`` forms a reading with a user in the power domain, from
+    the occluded cells' factors and the user patch's.
     """
 
     def __init__(self, scene: Scene):
@@ -202,37 +207,25 @@ class SensingModel:
         self._patch = (np.array(user.patch_height_m),
                        np.array(user.reflectance * user.patch_area_m2))
 
-    def user_factors(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Emitter (M, P) and collector (P, N) factors of the gains through a
-        user patch at each of the P = nx * ny cells of the grid with row
-        coordinates ``x`` (nx, 1) and column coordinates ``y`` (1, ny)."""
-        return self._kernel.factors(x, y, *self._patch)
-
-    def user_gain(self, user_xy: Sequence[float]) -> np.ndarray:
-        """Gain matrix (M, N) contributed by the user patch at ``user_xy``."""
-        point = np.array([[float(user_xy[0]), float(user_xy[1])]])
-        emitter, collector = self.user_factors(point[:, :1], point[:, 1:])  # a 1 x 1 grid
-        return emitter * collector  # (M, 1) by (1, N)
-
-    def gains_at(self, user_xy: Sequence[float]) -> np.ndarray:
-        """Gain matrix (M, N) LED -> PD with a user at ``user_xy``: the
-        baseline minus the occluded cells' gains plus the user patch's.
-        A new array on each call; it depends on the position alone, so a
-        caller may keep it while the user stands still."""
-        occ = _occluded(self.scene, self.centers, user_xy)
-        # einsum without optimize sums the cells in order and calls no
-        # BLAS: the same floats as summing the (M, P, N) outer product of
-        # the factors over its cells, 3x sooner
-        occluded = (np.einsum("ip,pj->ij", self.emitter[:, occ], self.collector[occ])
-                    if len(occ) else 0.0)
-        return self.baseline_gains - occluded + self.user_gain(user_xy)
-
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
-        """Per-PD received optical power (N,), with or without a user:
-        ``powers @ baseline_gains``, or ``powers @ gains_at(user_xy)``."""
-        gains = self.baseline_gains if user_xy is None else self.gains_at(user_xy)
-        return np.asarray(powers, dtype=float) @ gains
+        """Per-PD received optical power (N,) at LED ``powers`` (M,):
+        ``powers @ baseline_gains``, and with a user at ``user_xy`` that
+        minus ``(powers @ emitter[:, occ]) @ collector[occ]`` over the
+        occluded cells plus ``(powers @ u_e) * u_c`` for the user patch's
+        factors, in O(M P + P N) for P occluded cells.  Powers that are not
+        M finite values raise ValueError."""
+        powers = _checked_powers(powers, len(self.emitter), "sensing model")
+        reading = powers @ self.baseline_gains
+        if user_xy is None:
+            return reading
+        occ = occluded_set(self.scene, user_xy)
+        # take gathers C-ordered: the matvec on an F-ordered gather rounds differently
+        reading -= (powers @ self.emitter.take(occ, axis=1)) @ self.collector.take(occ, axis=0)
+        user_emitter, user_collector = self._kernel.point(float(user_xy[0]), float(user_xy[1]),
+                                                          *self._patch)
+        reading += (powers @ user_emitter) * user_collector
+        return reading
 
 
 def _stencil_offsets(scene: Scene) -> tuple[tuple[int, int], ...]:
@@ -281,7 +274,8 @@ class FingerprintTable:
     table holds only those factors, as build_fingerprint_table and
     load_fingerprint make them, and no (K, M, N) array: reading ``deltas``
     forms one, on every access.  ``shape`` is (K, M, N).  The arrays are
-    read-only.  Tables compare by identity.
+    read-only.  Tables compare by identity.  An offset that reaches no cell
+    of the (nx, ny) grid, |di| >= nx or |dj| >= ny, raises ValueError.
     """
 
     candidates: np.ndarray       # (K, 2) floor cell centers
@@ -294,6 +288,11 @@ class FingerprintTable:
     grid_shape: tuple[int, int]  # (nx, ny)
 
     def __post_init__(self):
+        nx, ny = self.grid_shape
+        off_grid = [(di, dj) for di, dj in self.offsets if abs(di) >= nx or abs(dj) >= ny]
+        if off_grid:
+            raise ValueError(f"fingerprint stencil offset {off_grid[0]} is off the "
+                             f"{nx} x {ny} grid")
         for name in ("candidates", "baseline", *_FACTORS):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
@@ -380,19 +379,22 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
     if model is None:
         model = SensingModel(scene)
     return FingerprintTable(model.centers, model.baseline_gains.copy(),
-                            *model.user_factors(*scene.grid.coordinates()), model.emitter,
-                            model.collector, _stencil_offsets(scene),
+                            *model._kernel.factors(*scene.grid.coordinates(), *model._patch),
+                            model.emitter, model.collector, _stencil_offsets(scene),
                             (scene.grid.nx, scene.grid.ny))
 
 
-def _checked_powers(table: FingerprintTable, powers) -> np.ndarray:
-    """``powers`` as a float vector, or ValueError if it does not fit the table."""
+def _checked_powers(powers, n_leds: int, owner: str = "fingerprint table") -> np.ndarray:
+    """``powers`` as a float vector, or ValueError if it is not a finite
+    vector of ``n_leds`` powers, the count that ``owner`` has."""
     powers = np.asarray(powers, dtype=float)
-    n_leds = table.shape[1]
     if powers.ndim != 1:
         raise ValueError(f"powers must be a 1-D vector, got shape {powers.shape}")
     if len(powers) != n_leds:
-        raise ValueError(f"{len(powers)} powers but the fingerprint table has {n_leds} LEDs")
+        raise ValueError(f"{len(powers)} powers but the {owner} has {n_leds} LEDs")
+    bad = np.flatnonzero(~np.isfinite(powers))
+    if len(bad):
+        raise ValueError(f"non-finite powers {powers[bad].tolist()} at LEDs {bad.tolist()}")
     return powers
 
 
@@ -406,7 +408,7 @@ def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndar
     transpose view of a C-contiguous (N, K) array, so each PD's predictions
     are one contiguous K-vector.
     """
-    signed = table.predict(_checked_powers(table, powers))
+    signed = table.predict(_checked_powers(powers, table.shape[1]))
     columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
     columns.flags.writeable = False
     return columns.T
@@ -445,7 +447,7 @@ class Prediction:
         nx, ny = table.grid_shape
         # slab (tile row, tile column): PD, then x and y within the tile
         slabs = np.empty((-(-nx // _TILE), -(-ny // _TILE), n, _TILE, _TILE))
-        for start, band in table._signed_bands(_checked_powers(table, powers)):
+        for start, band in table._signed_bands(_checked_powers(powers, table.shape[1])):
             for x0, x1, a in _runs(len(band)):
                 tile_rows = slabs[(start + x0) // _TILE:-(-(start + x1) // _TILE)]
                 for y0, y1, b in _runs(ny):
@@ -562,7 +564,7 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
     if not isinstance(predicted, Prediction):
-        powers = _checked_powers(table, predicted)
+        powers = _checked_powers(predicted, table.shape[1])
     elif predicted.shape != (k, n):
         raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")
@@ -624,8 +626,4 @@ def load_fingerprint(blob: bytes) -> FingerprintTable:
         arrays[name] = values.reshape(shape).copy()
         offset += values.nbytes
     pairs = np.frombuffer(blob, dtype="<i4", offset=offset).reshape(s, 2).tolist()
-    offsets = tuple(map(tuple, pairs))
-    off_grid = [(di, dj) for di, dj in offsets if abs(di) >= nx or abs(dj) >= ny]
-    if off_grid:
-        raise ValueError(f"fingerprint stencil offset {off_grid[0]} is off the {nx} x {ny} grid")
-    return FingerprintTable(**arrays, offsets=offsets, grid_shape=(nx, ny))
+    return FingerprintTable(**arrays, offsets=tuple(map(tuple, pairs)), grid_shape=(nx, ny))

@@ -8,10 +8,13 @@ array code in ``isci.photometry`` and ``isci.sensing``.
 ``bounce_terms`` forms the one-bounce kernel's LED-side and PD-side terms
 with one geometry call per end of the path.
 ``outer`` forms one-bounce gains (M, P, N) from their emitter and collector
-factors.  ``occluded_sum_received_power`` forms a sensing model's reading
-with the occluded cells' gains as a full (M, P, N) tensor summed over its
-cells, and ``dense_deltas`` a fingerprint table's (K, M, N) deltas from
-full gain tensors, the floor's summed over shifted views of the grid.
+factors.  ``gains_at`` is the gain-domain oracle of a sensing model's
+readings: the (M, N) gains with a user, the occluded cells' gains formed as
+a full (M, P, N) tensor and summed over its cells, the user patch's
+(``user_gain``) from the bounce kernel's 1 x 1 grid.
+``occluded_sum_received_power`` is the powers times those gains, and
+``dense_deltas`` a fingerprint table's (K, M, N) deltas from full gain
+tensors, the floor's summed over shifted views of the grid.
 ``dense_predict`` forms a table's signed (K, N) prediction over the whole
 grid at once, for the package's band-by-band formation to match.
 ``full_scan`` computes every candidate's fingerprint loss.
@@ -200,16 +203,29 @@ def outer(emitter: np.ndarray, collector: np.ndarray) -> np.ndarray:
     return emitter[:, :, None] * collector[None, :, :]
 
 
-def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndarray:
-    """Per-PD received power (N,) with a user at ``user_xy``: the model's
+def user_gain(model: SensingModel, user_xy: Sequence[float]) -> np.ndarray:
+    """Gains (M, N) through the user patch at ``user_xy``: the outer product
+    of the model's bounce-kernel factors on a 1 x 1 grid there."""
+    x, y = np.array([[float(user_xy[0])]]), np.array([[float(user_xy[1])]])
+    emitter, collector = model._kernel.factors(x, y, *model._patch)
+    return emitter * collector  # (M, 1) by (1, N)
+
+
+def gains_at(model: SensingModel, user_xy: Sequence[float]) -> np.ndarray:
+    """Gain matrix (M, N) LED -> PD with a user at ``user_xy``: the model's
     baseline gains minus the occluded cells' gains, each cell's (M, N) gain
     formed by ``outer`` and the cells summed in index order along the
-    tensor's middle axis, plus the user-patch gain.  A user outside the room
+    tensor's middle axis, plus ``user_gain``.  A user outside the room
     occludes no cell and subtracts zeros."""
     occ = occluded_set(model.scene, user_xy)
     occluded = outer(model.emitter[:, occ], model.collector[occ]).sum(axis=1)
-    return np.asarray(powers, dtype=float) @ (model.baseline_gains - occluded
-                                              + model.user_gain(user_xy))
+    return model.baseline_gains - occluded + user_gain(model, user_xy)
+
+
+def occluded_sum_received_power(model: SensingModel, powers, user_xy) -> np.ndarray:
+    """Per-PD received power (N,) with a user at ``user_xy`` in the gain
+    domain: ``powers @ gains_at(model, user_xy)``."""
+    return np.asarray(powers, dtype=float) @ gains_at(model, user_xy)
 
 
 def dense_deltas(table: FingerprintTable) -> np.ndarray:

@@ -448,21 +448,34 @@ def test_scenario_takes_array_positions(scene, partition, table, sensing_model):
     assert all(s.true_pos is None or type(s.true_pos[0]) is float for s in trace.steps)
 
 
-def test_scenario_forms_gains_once_per_stationary_run(scene, partition, table, sensing_model,
-                                                     monkeypatch):
+def test_scenario_forms_a_reading_once_per_position_and_mode(scene, partition, table,
+                                                            sensing_model, monkeypatch):
+    # a with-user reading depends on the position and on the mode whose
+    # powers it is read under, and run_scenario keeps the last one: a user
+    # standing still forms it again only when the mode changes
+    plan = ct.room_plan(scene, partition, table)
+    mode_of = {tuple(powers): mode.value for mode, (powers, _) in plan.allocations.items()}
     calls = []
-    real = sn.SensingModel.gains_at
+    real = sn.SensingModel.received_power
 
-    def counted(self, user_xy):
-        calls.append(user_xy)
-        return real(self, user_xy)
+    def counted(self, powers, user_xy=None):
+        if user_xy is not None:
+            calls.append((user_xy, mode_of[tuple(powers)]))
+        return real(self, powers, user_xy)
 
-    monkeypatch.setattr(sn.SensingModel, "gains_at", counted)
+    monkeypatch.setattr(sn.SensingModel, "received_power", counted)
     a, b = (2.0, 2.5), (2.6, 2.4)
     positions = [None, a, a, a, b, np.array(b), b, None, b, a, (np.float64(2.0), 2.5)]
     traj = [(0.5 * i, pos) for i, pos in enumerate(positions)]
     trace = ct.run_scenario(scene, partition, table, traj, noise_seed=4, model=sensing_model)
-    assert calls == [a, b, b, a]
+    modes = [s.mode for s in trace.steps]
+    assert modes == ["no_user", "enhanced", "enhanced", "enhanced", "uniformity", "uniformity",
+                     "uniformity", "no_user", "uniformity", "enhanced", "enhanced"]
+    # each reading is taken under the previous step's mode: a user standing
+    # at a, then at b, is read again when the mode their first step picked
+    # takes over; back at b after an empty step they are read under no_user
+    assert calls == [(a, "no_user"), (a, "enhanced"), (b, "enhanced"), (b, "uniformity"),
+                     (b, "no_user"), (a, "uniformity"), (a, "enhanced")]
     assert trace == reference_replay(scene, partition, table, traj, noise_seed=4,
                                      model=sensing_model)
 

@@ -13,7 +13,7 @@ from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
 from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, dense_predict,
                            full_scan, nlos_element_gain, nlos_user_gain,
-                           occluded_sum_received_power, outer)
+                           occluded_sum_received_power, outer, user_gain)
 
 
 def _mixed_scene():
@@ -60,20 +60,22 @@ def _room_scene(size_x, size_y, pitch):
 # one-bounce channel gains
 # ---------------------------------------------------------------------------
 
-def _bounce_gain_vec(led, patch_xy, z, rho_area, pd):
-    """One LED-patch-PD gain from the kernel's factors, as SensingModel forms it."""
-    factors = sn._BounceKernel([led], [pd]).factors(np.array([[float(patch_xy[0])]]),
-                                                    np.array([[float(patch_xy[1])]]), z, rho_area)
+def _element_gain_vec(led, element_xy, element_area, reflectance, pd):
+    """One LED-cell-PD gain from the kernel's grid factors (a 1 x 1 grid),
+    as SensingModel forms the floor's."""
+    factors = sn._BounceKernel([led], [pd]).factors(np.array([[float(element_xy[0])]]),
+                                                    np.array([[float(element_xy[1])]]), 0.0,
+                                                    reflectance * element_area)
     return float(outer(*factors)[0, 0, 0])
 
 
-def _element_gain_vec(led, element_xy, element_area, reflectance, pd):
-    return _bounce_gain_vec(led, element_xy, 0.0, reflectance * element_area, pd)
-
-
 def _user_gain_vec(led, user_xy, user, pd):
-    return _bounce_gain_vec(led, user_xy, user.patch_height_m,
-                            user.reflectance * user.patch_area_m2, pd)
+    """One LED-patch-PD gain from the kernel's one-point factors, as
+    SensingModel.received_power forms the user patch's."""
+    emitter, collector = sn._BounceKernel([led], [pd]).point(
+        float(user_xy[0]), float(user_xy[1]), user.patch_height_m,
+        user.reflectance * user.patch_area_m2)
+    return float(emitter[0] * collector[0])
 
 
 ELEMENT_GAINS = (nlos_element_gain, _element_gain_vec)
@@ -126,9 +128,11 @@ def test_element_gain_matches_tensor(scene, sensing_model, rng):
 def test_user_gain_zero_reflectance(scene):
     led, pd = scene.leds[0], scene.sensing_pds[0]
     user = replace(scene.user, reflectance=0.0)
-    for user_gain in USER_GAINS:
-        assert user_gain(led, (2.5, 2.5), user, pd) == 0.0
-    assert np.all(sn.SensingModel(replace(scene, user=user)).user_gain((2.5, 2.5)) == 0.0)
+    for patch_gain in USER_GAINS:
+        assert patch_gain(led, (2.5, 2.5), user, pd) == 0.0
+    model = sn.SensingModel(replace(scene, user=user))
+    assert np.all(model._kernel.point(2.5, 2.5, *model._patch)[0] == 0.0)
+    assert np.all(user_gain(model, (2.5, 2.5)) == 0.0)
 
 
 def test_user_gain_outside_fov(scene):
@@ -238,8 +242,12 @@ def test_received_power_linear(scene, sensing_model):
 
 @pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene])
 def test_received_power_bitwise_matches_dense_reference(make_scene):
-    # the reference builds the full (M, K, N) tensor with one einsum, gathers
-    # the occluded cells by a full scan and sums them
+    # the reference builds the full (M, K, N) tensor with one einsum and
+    # gathers the occluded cells by a full scan; a reading with a user is
+    # formed in the power domain from the reference's own factors, in the
+    # model's association: baseline reading - (p @ E_occ) @ C_occ + (p @ u_e) * u_c,
+    # with E_occ gathered C-ordered, as take gives it (numpy's matvec on the
+    # F-ordered E[:, occ] rounds differently)
     s = make_scene()
     model = sn.SensingModel(s)
     kernel = model._kernel
@@ -253,26 +261,34 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
     np.testing.assert_allclose(model.baseline_gains, element.sum(axis=1), rtol=1e-15, atol=0.0)
     assert np.array_equal(outer(model.emitter, model.collector), element)
     assert model.collector.flags.c_contiguous and model.emitter.flags.c_contiguous
+    floor_emitter = kernel.front * cell_emitter * rho_area
     user = s.user
+    patch = user.reflectance * user.patch_area_m2
     rng = np.random.default_rng(3)
     p = s.power_vector() * rng.uniform(0.5, 1.5, s.num_leds)
+    assert np.array_equal(model.received_power(p), p @ model.baseline_gains)
     for xy in rng.uniform(-0.2, s.room.size_x + 0.2, (100, 2)):
         user_emitter, user_collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :],
                                                     user.patch_height_m)
-        user_gain = np.einsum("i,ik,k,kj->ikj", kernel.front[:, 0], user_emitter,
-                              np.full(1, user.reflectance * user.patch_area_m2),
-                              user_collector)[:, 0, :]
         occ = (np.flatnonzero(np.hypot(centers[:, 0] - xy[0], centers[:, 1] - xy[1])
                               <= user.footprint_radius_m + sn._OCCLUSION_TOL)
-               if s.room.contains_xy(*xy) else [])
-        expected = p @ (model.baseline_gains - element[:, occ, :].sum(axis=1) + user_gain)
+               if s.room.contains_xy(*xy) else np.empty(0, dtype=int))
+        expected = (p @ model.baseline_gains
+                    - (p @ floor_emitter.take(occ, axis=1)) @ cell_collector[occ]
+                    + (p @ (kernel.front * user_emitter * patch)[:, 0]) * user_collector[0])
         assert np.array_equal(model.received_power(p, xy), expected), xy
 
 
-@pytest.mark.parametrize("make_scene", [default_scene, lambda: _lattice_scene(pitch=0.05)])
+@pytest.mark.parametrize("make_scene", [
+    default_scene, lambda: _lattice_scene(pitch=0.05), _mixed_scene,
+    pytest.param(lambda: _lattice_scene(pitch=0.05, spacing=1.4), id="loop-large")])
 def test_received_power_matches_occluded_sum_oracle(make_scene):
-    # einsum's fixed-order occluded sum against the (M, P, N) tensor summed
-    # over its cells, bit for bit; wall-adjacent and outside points included
+    # The gain-domain oracle: powers @ gains_at, the occluded cells' (M, P, N)
+    # gain tensor summed over its cells.  received_power associates the terms
+    # in the power domain, so the two part in the last bits: at most 7.1e-16
+    # of the no-user reading per PD over 2000 seeded points (walls and
+    # outside points included) on each of these scenes, and half of the
+    # readings bit for bit.  Bound: 2e-15.
     s = make_scene()
     model = sn.SensingModel(s)
     size = s.room.size_x
@@ -284,18 +300,20 @@ def test_received_power_matches_occluded_sum_oracle(make_scene):
     lo, hi = s.power_bounds()
     for xy in points:
         p = rng.uniform(lo, hi)
-        assert np.array_equal(model.received_power(p, xy),
-                              occluded_sum_received_power(model, p, xy)), xy
+        miss = np.abs(model.received_power(p, xy) - occluded_sum_received_power(model, p, xy))
+        assert np.all(miss <= 2e-15 * model.received_power(p)), xy
 
 
 @pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene,
                                         lambda: _lattice_scene(pitch=0.05)])
 def test_bounce_factors_match_two_call_reference(make_scene):
-    # the kernel forms the factors on the grid's rows and columns, the
-    # oracle with one geometry call per end on the centers as a point list;
-    # both give the same floats
+    # the kernel forms the factors on the grid's rows and columns, and a
+    # user patch's with one geometry call over the LEDs and PDs at a point;
+    # the oracle with one geometry call per end on the centers as a point
+    # list.  All give the same floats, and a reading is formed from them.
     s = make_scene()
     model = sn.SensingModel(s)
+    table = sn.build_fingerprint_table(s, model)
     front, user = model._kernel.front, s.user
     centers = s.grid.centers()
     emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, 0.0)
@@ -304,16 +322,24 @@ def test_bounce_factors_match_two_call_reference(make_scene):
     assert np.array_equal(model.collector, collector)
     patch = user.reflectance * user.patch_area_m2
     emitter, collector = bounce_terms(s.leds, s.sensing_pds, centers, user.patch_height_m)
-    got_emitter, got_collector = model.user_factors(*s.grid.coordinates())
-    assert np.array_equal(got_emitter, front * emitter * patch)
-    assert np.array_equal(got_collector, collector)
-    for xy in np.random.default_rng(12).uniform(0.0, s.room.size_x, (300, 2)):
+    assert np.array_equal(table.user_emitter, front * emitter * patch)
+    assert np.array_equal(table.user_collector, collector)
+    rng = np.random.default_rng(12)
+    lo, hi = s.power_bounds()
+    for xy in rng.uniform(0.0, s.room.size_x, (300, 2)):
         emitter, collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :], user.patch_height_m)
+        user_emitter, user_collector = (front * emitter * patch)[:, 0], collector[0]
+        x, y = float(xy[0]), float(xy[1])
+        point = model._kernel.point(x, y, *model._patch)
+        grid = model._kernel.factors(np.array([[x]]), np.array([[y]]), *model._patch)
+        for got, want, one_cell in zip(point, (user_emitter, user_collector), grid):
+            assert np.array_equal(got, want) and np.array_equal(got, one_cell.ravel()), xy
         occ = sn.occluded_set(s, xy)
-        occluded = (np.einsum("ip,pj->ij", model.emitter[:, occ], model.collector[occ])
-                    if len(occ) else 0.0)
-        expected = model.baseline_gains - occluded + (front * emitter * patch) * collector
-        assert np.array_equal(model.gains_at(xy), expected), xy
+        p = rng.uniform(lo, hi)
+        expected = (p @ model.baseline_gains
+                    - (p @ np.ascontiguousarray(model.emitter[:, occ])) @ model.collector[occ]
+                    + (p @ user_emitter) * user_collector)
+        assert np.array_equal(model.received_power(p, xy), expected), xy
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["budget", "1-row-blocks", "3-row-blocks"])
@@ -351,10 +377,14 @@ def test_grid_factors_match_point_list_oracle(make_scene, rows, monkeypatch):
               *rng.uniform(0.0, 1.0, (20, 2)) * [s.room.size_x, s.room.size_y]]
     for xy in points:
         emitter, collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :], user.patch_height_m)
-        got_emitter, got_collector = model.user_factors(np.array([[xy[0]]]), np.array([[xy[1]]]))
+        x, y = float(xy[0]), float(xy[1])
+        got_emitter, got_collector = model._kernel.factors(np.array([[x]]), np.array([[y]]),
+                                                           *model._patch)
         assert np.array_equal(got_emitter, front * emitter * patch), xy
         assert np.array_equal(got_collector, collector), xy
-        assert np.array_equal(model.user_gain(xy), (front * emitter * patch) * collector), xy
+        got_emitter, got_collector = model._kernel.point(x, y, *model._patch)
+        assert np.array_equal(got_emitter, (front * emitter * patch)[:, 0]), xy
+        assert np.array_equal(got_collector, collector[0]), xy
 
 
 def test_setup_memory_stays_within_its_arrays(monkeypatch):
@@ -638,6 +668,59 @@ def test_localize_rejects_bad_power_vector(scene, table):
         sn.predict_power_deltas(table, np.stack([p, p]))
     with pytest.raises(ValueError, match="9 powers but"):
         sn.localize(base, base, np.append(p, 1.0), table)
+
+
+def test_non_finite_powers_are_rejected_by_name(scene, table, sensing_model):
+    # before, a NaN power gave an all-NaN prediction and reading without an error
+    p = scene.power_vector()
+    nan = np.full(scene.num_leds, np.nan)
+    with pytest.raises(ValueError, match=r"^non-finite powers \[nan(, nan){7}\] at LEDs "
+                                         r"\[0, 1, 2, 3, 4, 5, 6, 7\]$"):
+        sn.predict_power_deltas(table, nan)
+    bad = p.copy()
+    bad[[2, 5]] = np.inf, -np.inf
+    message = r"^non-finite powers \[inf, -inf\] at LEDs \[2, 5\]$"
+    base = np.ones(len(scene.sensing_pds))
+    for call in (lambda: sn.predict_power_deltas(table, bad), lambda: sn.Prediction.at(table, bad),
+                 lambda: sn.localize(2 * base, base, bad, table),
+                 lambda: sensing_model.received_power(bad),
+                 lambda: sensing_model.received_power(bad, (2.5, 2.5))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_received_power_rejects_bad_power_vector(scene, sensing_model):
+    # before, a wrong-length vector failed inside numpy's matmul, naming no LED count
+    p = scene.power_vector()
+    for powers, xy in ((p[:7], None), (p[:7], (2.5, 2.5)), (np.append(p, 1.0), (2.5, 2.5))):
+        with pytest.raises(ValueError, match=rf"^{len(powers)} powers but the sensing model "
+                                             r"has 8 LEDs$"):
+            sensing_model.received_power(powers, xy)
+    with pytest.raises(ValueError, match="1-D"):
+        sensing_model.received_power(np.stack([p, p]))
+
+
+def test_table_rejects_stencil_offsets_off_its_grid():
+    # A disk of reach 10 on a 30 x 5 grid: before, the table took it, predict
+    # failed inside _stencil_sum with numpy's broadcast error, and
+    # save_fingerprint wrote a blob that load_fingerprint refused.  The
+    # constructor refuses it now, with load_fingerprint's message.
+    nx, ny = 30, 5
+    k = nx * ny
+    disk = [(di, dj) for di in range(-10, 11) for dj in range(-10, 11) if math.hypot(di, dj) <= 10]
+    rng = np.random.default_rng(30)
+    factors = (rng.uniform(0.0, 1.0, (2, k)), rng.uniform(0.0, 1.0, (k, 3)),
+               rng.uniform(0.0, 1.0, (2, k)), rng.uniform(0.0, 1.0, (k, 3)))
+    candidates, baseline = np.zeros((k, 2)), np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"^fingerprint stencil offset \(-8, -6\) is off the "
+                                         r"30 x 5 grid$"):
+        _factored_table(candidates, baseline, factors, disk, (nx, ny))
+    # the offsets that reach a cell of the grid make a table that predicts
+    # like the dense oracle
+    table = _factored_table(candidates, baseline, factors,
+                            [(di, dj) for di, dj in disk if abs(dj) < ny], (nx, ny))
+    powers = np.array([0.7, 1.3])
+    assert np.array_equal(table.predict(powers), dense_predict(table, powers))
 
 
 def test_localize_rejects_prediction_that_does_not_fit(scene, table):
