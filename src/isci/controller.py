@@ -61,6 +61,7 @@ class Mode(Enum):
 _REGION_MODES = (Mode.NO_USER, Mode.UNIFORMITY, Mode.ENHANCED)
 
 
+# Kept only for bench/worker.py, which traces it by name (ROADMAP item 1).
 def select_mode(localization: LocalizationResult, partition: RegionPartition) -> Mode:
     """Map a localization outcome to the control mode; no position is NO_USER.
     For any position; run_scenario reads RoomPlan.modes instead."""

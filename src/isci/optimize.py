@@ -295,6 +295,7 @@ def kkt_residual(problem, x: np.ndarray) -> float:
     Zero at an exact optimum; equal to the scaled objective-gradient norm at
     an unconstrained interior point.
     """
+    # src/ passes the tuple; the program form is kept only for bench/worker.py (ROADMAP item 1).
     if isinstance(problem, tuple):
         quad, c, g_mat, h_vec = problem
     else:
@@ -403,7 +404,7 @@ class SampledProgram:
                        illum_coeffs=np.vstack([self.illum_coeffs, _illum_rows(scene, points)]))
 
 
-# Mode tags only: bench/worker.py names solves by class and wraps rows_at per class.
+# Mode tags kept only for bench/worker.py, which names solves by class (ROADMAP item 1).
 class UniformityQp(SampledProgram):
     """SNR-variance QP: Q = (1/L) A' M A with A the per-watt SNR coefficients
     at the receiving-plane samples and M the centering matrix I - (1/L) 11';

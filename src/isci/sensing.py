@@ -31,9 +31,7 @@ __all__ = [
     "FingerprintTable",
     "LocalizationResult",
     "Prediction",
-    "occluded_set",
     "build_fingerprint_table",
-    "predict_power_deltas",
     "localize",
     "save_fingerprint",
     "load_fingerprint",
@@ -300,24 +298,17 @@ class FingerprintTable:
     def shape(self) -> tuple[int, int, int]:
         return (len(self.candidates), *self.baseline.shape)
 
+    # Kept only for bench/worker.py, which sizes a table by its dense deltas (ROADMAP item 1).
     @property
     def deltas(self) -> np.ndarray:
-        """The (K, M, N) gain deltas, read-only: deltas[:, i] is predict at
-        LED i's unit power vector, written in place one LED at a time."""
+        """The (K, M, N) gain deltas, read-only: deltas[:, i] is the signed
+        prediction at LED i's unit power vector, written band by band."""
         deltas = np.empty(self.shape)
+        rows = deltas.reshape(*self.grid_shape, *self.shape[1:])
         for i, unit in enumerate(np.eye(self.shape[1])):
-            deltas[:, i] = self.predict(unit)
+            for start, band in self._signed_bands(unit):
+                rows[start:start + len(band), :, i] = band
         return _read_only(deltas)
-
-    def predict(self, powers: np.ndarray) -> np.ndarray:
-        """Signed power variation sum_i P_i * delta[k, i, j], (K, N), filled
-        band by band."""
-        k, _, n = self.shape
-        signed = np.empty((k, n))
-        rows = signed.reshape(*self.grid_shape, n)
-        for start, band in self._signed_bands(powers):
-            rows[start:start + len(band)] = band
-        return signed
 
     def _signed_bands(self, powers: np.ndarray):
         """Yield (start, band): the signed prediction at ``powers`` on grid
@@ -398,22 +389,6 @@ def _checked_powers(powers, n_leds: int, owner: str = "fingerprint table") -> np
     return powers
 
 
-def predict_power_deltas(table: FingerprintTable, powers: np.ndarray) -> np.ndarray:
-    """Predicted per-PD power variation for every candidate, (K, N).
-
-    The prediction is |sum_i P_i * deltas[k, i, j]|, formed as
-    (P @ user_emitter) times user_collector minus the stencil sum of
-    (P @ floor_emitter) times floor_collector, without the (K, M, N) deltas.
-    Each call forms a new read-only array and keeps nothing.  It is the
-    transpose view of a C-contiguous (N, K) array, so each PD's predictions
-    are one contiguous K-vector.
-    """
-    signed = table.predict(_checked_powers(powers, table.shape[1]))
-    columns = np.abs(signed.T, out=np.empty(signed.shape[::-1]))
-    columns.flags.writeable = False
-    return columns.T
-
-
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """A table's prediction at some powers, laid out tile by tile, with the
@@ -422,8 +397,8 @@ class Prediction:
     The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles,
     smaller at the far edges.  ``tiles`` (T, _TILE ** 2) holds each tile's
     candidate indices in ascending order, padded with -1.  ``slabs``
-    (T, N, _TILE ** 2) holds predict_power_deltas(table, powers) in the same
-    order: slabs[t, j, s] is the prediction at PD j of candidate
+    (T, N, _TILE ** 2) holds the prediction |sum_i P_i * delta[k, i, j]| in
+    the same order: slabs[t, j, s] is the prediction at PD j of candidate
     tiles[t, s], and +inf where that is a pad, so a pad never wins a match.
     ``lo`` and ``hi`` (N, T) hold each tile's least and greatest prediction
     per PD over its candidates.  ``shape`` is the (K, N) of the prediction.
@@ -563,6 +538,7 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
     for name, values in (("measured", measured), ("baseline", baseline)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
+    # The power-vector form is kept only for bench/worker.py's ladder (ROADMAP item 1).
     if not isinstance(predicted, Prediction):
         powers = _checked_powers(predicted, table.shape[1])
     elif predicted.shape != (k, n):

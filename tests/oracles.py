@@ -16,7 +16,8 @@ a full (M, P, N) tensor and summed over its cells, the user patch's
 ``dense_deltas`` a fingerprint table's (K, M, N) deltas from full gain
 tensors, the floor's summed over shifted views of the grid.
 ``dense_predict`` forms a table's signed (K, N) prediction over the whole
-grid at once, for the package's band-by-band formation to match.
+grid at once, for the package's band-by-band formation to match, and
+``prediction_values`` reads a ``Prediction``'s tile slabs back into (K, N).
 ``full_scan`` computes every candidate's fingerprint loss.
 ``reference_replay`` is ``controller.run_scenario``'s loop written out
 plainly, with each step's reading, region and energy formed afresh.
@@ -261,6 +262,16 @@ def dense_predict(table: FingerprintTable, powers) -> np.ndarray:
         occluded[max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)] += (
             src[max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)])
     return user - occluded.reshape(nx * ny, n)
+
+
+def prediction_values(prediction) -> np.ndarray:
+    """The (K, N) values of a ``sensing.Prediction``, row k candidate k's
+    prediction at every PD, read from its slabs through its tile indices;
+    the pads are skipped, and a candidate no tile holds reads NaN."""
+    values = np.full(prediction.shape, np.nan)
+    real = prediction.tiles >= 0
+    values[prediction.tiles[real]] = prediction.slabs.transpose(0, 2, 1)[real]
+    return values
 
 
 def full_scan(actual: np.ndarray, predicted: np.ndarray) -> tuple[int, float]:

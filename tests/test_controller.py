@@ -13,7 +13,7 @@ from isci.geometry import Circle, Region, build_partition, classify_points
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
-from tests.oracles import reference_replay
+from tests.oracles import dense_predict, reference_replay
 
 
 def _loc(pos):
@@ -290,8 +290,7 @@ def solves(monkeypatch):
 @pytest.fixture()
 def predicts(monkeypatch):
     """The power vectors the fingerprint factors are asked to predict at: one
-    per signed prediction formed, by FingerprintTable.predict or
-    Prediction.at, each of which walks its bands once."""
+    per Prediction.at, which walks its bands once."""
     calls = []
     real = FingerprintTable._signed_bands
 
@@ -390,7 +389,7 @@ def test_scenario_tile_match_equals_full_scan(monkeypatch):
 
     # the plan run_scenario used, and each of its predictions as (K, N)
     plan = ct.room_plan(scene, partition, table)
-    values = {id(plan.predictions[mode]): sn.predict_power_deltas(table, plan.allocations[mode][0])
+    values = {id(plan.predictions[mode]): np.abs(dense_predict(table, plan.allocations[mode][0]))
               for mode in ct.Mode}
 
     def full_scan(actual, prediction):
@@ -564,9 +563,9 @@ def test_allocations_are_read_only(scene, partition, table, solves):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.0
-        # the slabs hold predict_power_deltas tile by tile
+        # the slabs hold the dense prediction's absolute values tile by tile
         real = prediction.tiles >= 0
-        values = sn.predict_power_deltas(table, plan.allocations[mode][0])
+        values = np.abs(dense_predict(table, plan.allocations[mode][0]))
         assert np.array_equal(prediction.slabs.transpose(0, 2, 1)[real],
                               values[prediction.tiles[real]])
     # apply_mode still hands each caller its own writable array

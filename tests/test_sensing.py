@@ -13,7 +13,7 @@ from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
 from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, dense_predict,
                            full_scan, nlos_element_gain, nlos_user_gain,
-                           occluded_sum_received_power, outer, user_gain)
+                           occluded_sum_received_power, outer, prediction_values, user_gain)
 
 
 def _mixed_scene():
@@ -473,7 +473,7 @@ def _arrays_reachable(obj):
 def test_model_and_table_hold_no_full_tensor(scene):
     model = sn.SensingModel(scene)
     table = sn.build_fingerprint_table(scene, model)
-    sn.predict_power_deltas(table, scene.power_vector())
+    sn.Prediction.at(table, scene.power_vector())
     full = scene.grid.count * scene.num_leds * len(scene.sensing_pds)
     for _ in range(2):
         arrays = _arrays_reachable(model) + _arrays_reachable(table)
@@ -489,7 +489,7 @@ def test_factored_predictions_match_dense_contraction(make_scene):
     p_min, p_max = s.power_bounds()
     rng = np.random.default_rng(5)
     for p in (s.power_vector(), p_min, p_max, rng.uniform(p_min, p_max)):
-        got = sn.predict_power_deltas(table, p)
+        got = prediction_values(sn.Prediction.at(table, p))
         dense = np.abs(np.einsum("kij,i->kj", deltas, p))
         assert np.abs(got - dense).max() <= 1e-14 * got.max()
 
@@ -631,8 +631,8 @@ def test_localize_power_equivariance(scene, sensing_model, table):
     c = 3.7
     loc2 = sn.localize(c * measured, c * base, c * p, table)
     assert loc1.index == loc2.index
-    pred1 = sn.predict_power_deltas(table, p)
-    pred2 = sn.predict_power_deltas(table, c * p)
+    pred1 = prediction_values(sn.Prediction.at(table, p))
+    pred2 = prediction_values(sn.Prediction.at(table, c * p))
     # entries with heavy cancellation only hold to absolute precision
     np.testing.assert_allclose(pred2, c * pred1, rtol=1e-9,
                                atol=1e-12 * pred1.max())
@@ -663,9 +663,9 @@ def test_localize_rejects_bad_power_vector(scene, table):
     base = np.ones(len(scene.sensing_pds))
     p = scene.power_vector()
     with pytest.raises(ValueError, match="7 powers but the fingerprint table has 8 LEDs"):
-        sn.predict_power_deltas(table, p[:7])
+        sn.Prediction.at(table, p[:7])
     with pytest.raises(ValueError, match="1-D"):
-        sn.predict_power_deltas(table, np.stack([p, p]))
+        sn.Prediction.at(table, np.stack([p, p]))
     with pytest.raises(ValueError, match="9 powers but"):
         sn.localize(base, base, np.append(p, 1.0), table)
 
@@ -676,12 +676,12 @@ def test_non_finite_powers_are_rejected_by_name(scene, table, sensing_model):
     nan = np.full(scene.num_leds, np.nan)
     with pytest.raises(ValueError, match=r"^non-finite powers \[nan(, nan){7}\] at LEDs "
                                          r"\[0, 1, 2, 3, 4, 5, 6, 7\]$"):
-        sn.predict_power_deltas(table, nan)
+        sn.Prediction.at(table, nan)
     bad = p.copy()
     bad[[2, 5]] = np.inf, -np.inf
     message = r"^non-finite powers \[inf, -inf\] at LEDs \[2, 5\]$"
     base = np.ones(len(scene.sensing_pds))
-    for call in (lambda: sn.predict_power_deltas(table, bad), lambda: sn.Prediction.at(table, bad),
+    for call in (lambda: sn.Prediction.at(table, bad),
                  lambda: sn.localize(2 * base, base, bad, table),
                  lambda: sensing_model.received_power(bad),
                  lambda: sensing_model.received_power(bad, (2.5, 2.5))):
@@ -719,8 +719,7 @@ def test_table_rejects_stencil_offsets_off_its_grid():
     # like the dense oracle
     table = _factored_table(candidates, baseline, factors,
                             [(di, dj) for di, dj in disk if abs(dj) < ny], (nx, ny))
-    powers = np.array([0.7, 1.3])
-    assert np.array_equal(table.predict(powers), dense_predict(table, powers))
+    _assert_banded_prediction_is_dense(table, np.array([0.7, 1.3]))
 
 
 def test_localize_rejects_prediction_that_does_not_fit(scene, table):
@@ -733,7 +732,7 @@ def test_localize_rejects_prediction_that_does_not_fit(scene, table):
             sn.localize(base, base, bad, table)
     # a bare (K, N) prediction is not a form localize takes
     with pytest.raises(ValueError, match="1-D"):
-        sn.localize(base, base, sn.predict_power_deltas(table, scene.power_vector()), table)
+        sn.localize(base, base, np.abs(dense_predict(table, scene.power_vector())), table)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (8, 8), (10, 9), (17, 3)])
@@ -858,9 +857,11 @@ def _expected_prediction(values, grid_shape):
 
 
 def _assert_banded_prediction_is_dense(table, powers):
-    """Prediction.at and predict at ``powers`` hold dense_predict's floats."""
+    """The signed bands and Prediction.at at ``powers`` hold dense_predict's
+    floats."""
     signed = dense_predict(table, powers)
-    assert np.array_equal(table.predict(powers), signed)
+    bands = np.concatenate([band for _, band in _walk_bands(table, powers)])
+    assert np.array_equal(bands.reshape(signed.shape), signed)
     prediction = sn.Prediction.at(table, powers)
     expected = _expected_prediction(np.abs(signed), table.grid_shape)
     for name, want in zip(("slabs", "lo", "hi", "tiles"), expected):
@@ -939,7 +940,7 @@ def test_localize_matches_full_scan(make_scene):
     p_min, p_max = s.power_bounds()
     rng = np.random.default_rng(11)
     for p in (p_min, p_max, rng.uniform(p_min, p_max)):
-        predicted = sn.predict_power_deltas(table, p)
+        predicted = np.abs(dense_predict(table, p))
         baseline = model.received_power(p)
         for _ in range(3):
             measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
@@ -1038,7 +1039,7 @@ def test_pruned_match_equals_full_scan_on_random_tables(rescored, n):
             columns[:, low] = actual - 0.5
         table = _column_table(columns, grid)
         loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
-        want = full_scan(actual, sn.predict_power_deltas(table, np.array([1.0])))
+        want = full_scan(actual, np.abs(dense_predict(table, [1.0])))
         assert (loc.index, loc.loss) == want
     survivors = [len(keep) for keep in rescored[1::2]]
     assert len(survivors) == trials
@@ -1067,7 +1068,7 @@ def test_tile_match_equals_full_scan_on_ragged_grids(nx, ny, n, kind, seed):
         actual = np.full(n, rng.integers(1, 9) / 8.0)
     table = _column_table(columns, (nx, ny))
     loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
-    assert (loc.index, loc.loss) == full_scan(actual, sn.predict_power_deltas(table, [1.0]))
+    assert (loc.index, loc.loss) == full_scan(actual, np.abs(dense_predict(table, [1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,12 +1088,13 @@ def test_predict_memo_hits_on_equal_powers(rng):
     t = _small_table(rng)
     state = dict(vars(t))
     p = np.array([1.0, 2.5, 0.75])
-    first = sn.predict_power_deltas(t, p)
+    first = sn.Prediction.at(t, p)
     for again in (p, p.copy(), [1.0, 2.5, 0.75]):
-        got = sn.predict_power_deltas(t, again)
-        assert got is not first and got.base is not first.base
-        assert np.array_equal(got, first)
-    assert np.array_equal(first, np.abs(t.predict(p)))
+        got = sn.Prediction.at(t, again)
+        assert got is not first and not np.shares_memory(got.slabs, first.slabs)
+        for name in ("slabs", "lo", "hi", "tiles"):
+            assert np.array_equal(getattr(got, name), getattr(first, name)), name
+    assert np.array_equal(prediction_values(first), np.abs(dense_predict(t, p)))
     assert vars(t) == state
 
 
@@ -1103,22 +1105,24 @@ def test_predict_memo_never_stale_and_bounded(rng):
     # revisit vectors out of order: each prediction is the factor prediction of its own powers
     for i in list(range(len(vectors))) + [0, 5, 1, 5, 11, 0, 2]:
         p = vectors[i]
-        assert np.array_equal(sn.predict_power_deltas(t, p), np.abs(t.predict(p)))
+        assert np.array_equal(prediction_values(sn.Prediction.at(t, p)),
+                              np.abs(dense_predict(t, p)))
         assert vars(t) == state  # nothing is kept, so nothing grows
     # a vector one ulp away is predicted from its own powers
     nudged = vectors[2].copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
-    assert np.array_equal(sn.predict_power_deltas(t, nudged), np.abs(t.predict(nudged)))
+    assert np.array_equal(prediction_values(sn.Prediction.at(t, nudged)),
+                          np.abs(dense_predict(t, nudged)))
 
 
 def test_predictions_and_table_read_only(rng, table):
     t = _small_table(rng)
-    got = sn.predict_power_deltas(t, np.ones(3))
-    for arr in (got, t.candidates, t.baseline, t.deltas,
+    got = sn.Prediction.at(t, np.ones(3))
+    for arr in (got.slabs, got.lo, got.hi, got.tiles, t.candidates, t.baseline, t.deltas,
                 table.candidates, table.baseline, table.deltas):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        got[0, 0] = 1.0
+        got.slabs[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         t.deltas[0, 0, 0] = 1.0
     loaded = sn.load_fingerprint(sn.save_fingerprint(table))
@@ -1129,10 +1133,9 @@ def test_predictions_and_table_read_only(rng, table):
 @pytest.mark.parametrize("reloaded", [False, True])
 def test_memoized_prediction_read_only_through_every_view(table, reloaded):
     t = sn.load_fingerprint(sn.save_fingerprint(table)) if reloaded else table
-    got = sn.predict_power_deltas(t, 2.0 * np.ones(t.shape[1]))
+    got = sn.Prediction.at(t, 2.0 * np.ones(t.shape[1]))
     assert got.shape == (t.shape[0], t.shape[2])
-    assert got.base.flags.c_contiguous and got.base.shape == (t.shape[2], t.shape[0])
-    for view in (got, got.T, got.base):
+    for view in (got.slabs, got.slabs.T, got.lo, got.lo.T, got.hi, got.hi.T, got.tiles):
         with pytest.raises(ValueError):
             view[0, 0] = 1.0
 
@@ -1179,7 +1182,9 @@ def test_reloaded_table_predicts_bitwise_like_built(make_scene):
     p_min, p_max = s.power_bounds()
     rng = np.random.default_rng(8)
     for p in (s.power_vector(), p_min, p_max, *rng.uniform(p_min, p_max, (3, s.num_leds))):
-        assert np.array_equal(sn.predict_power_deltas(loaded, p), sn.predict_power_deltas(table, p))
+        again, fresh = sn.Prediction.at(loaded, p), sn.Prediction.at(table, p)
+        for name in ("slabs", "lo", "hi", "tiles"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
 
 
 def test_fingerprint_header_layout(table):
