@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -256,7 +257,8 @@ def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
 def _read_traces(trace: Path, baseline: Path):
     """The non-blank rows, as dicts, of a run's trace CSV and of its
     baseline's, which must have the trace's power columns.  A missing
-    column, an empty file or a ragged row is a SceneError."""
+    column, an empty file, a ragged row or a nan or inf (1e999 too) in an
+    energy_J, P_i or error_m column is a SceneError."""
     tables, columns = [], ("energy_J", "mode", "error_m")
     for path in (trace, baseline):
         with path.open(newline="") as fh:
@@ -266,9 +268,13 @@ def _read_traces(trace: Path, baseline: Path):
                 raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
         if not rows:
             raise SceneError(f"{path}: empty trace")
+        numbers = {"energy_J", "error_m", *(c for c in header if c.startswith("P_"))}
         for n, row in enumerate(rows, 1):
             if len(row) != len(header):
                 raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
+            for column, text in zip(header, row):
+                if column in numbers and text and not math.isfinite(float(text)):
+                    raise SceneError(f"{path}: row {n}, column {column}: {text} is not finite")
         tables.append([dict(zip(header, row)) for row in rows])
         columns = ("energy_J", *(c for c in header if c.startswith("P_")))
     return tables

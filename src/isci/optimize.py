@@ -484,11 +484,13 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
     """
     report = solve(problem)
     check_pts = problem.check_points(scene, partition, scene.controller.field_pitch_m)
+    # appended points change no check row, so the rows and scales are formed once
+    g_mat, h_vec = problem.rows_at(scene, partition, check_pts)
+    scales = _row_scales(g_mat, h_vec)
     for _ in range(_REFINE_ROUNDS):
         if report.status is not SolveStatus.OPTIMAL:
             return problem, report
-        g_mat, h_vec = problem.rows_at(scene, partition, check_pts)
-        viol = (g_mat @ report.x - h_vec) / _row_scales(g_mat, h_vec)
+        viol = (g_mat @ report.x - h_vec) / scales
         if viol.max(initial=0.0) <= _REFINE_VIOL_TOL:
             return problem, report
         bad_rows = np.argsort(viol)[::-1][:_REFINE_NEW_POINTS]

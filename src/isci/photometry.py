@@ -64,6 +64,20 @@ def _collector_terms(pds: Sequence[CommPd | SensingPd]) -> tuple[np.ndarray, np.
     return cos_fov, gain
 
 
+def _checked_powers(powers, n_leds: int, owner: str) -> np.ndarray:
+    """``powers`` as a contiguous float vector, or ValueError if it is not a
+    finite vector of ``n_leds`` powers, the count that ``owner`` has."""
+    powers = np.asarray(powers, dtype=float)
+    if powers.ndim != 1:
+        raise ValueError(f"powers must be a 1-D vector, got shape {powers.shape}")
+    if len(powers) != n_leds:
+        raise ValueError(f"{len(powers)} powers but the {owner} has {n_leds} LEDs")
+    bad = np.flatnonzero(~np.isfinite(powers))
+    if len(bad):
+        raise ValueError(f"non-finite powers {powers[bad].tolist()} at LEDs {bad.tolist()}")
+    return np.ascontiguousarray(powers)
+
+
 def _lambertian_geometry(sources: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray,
                          z: float) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances d^2 and cosines dz/d from downward sources to points
@@ -162,8 +176,9 @@ def _los_gains(leds: Sequence[Led], points: np.ndarray, plane_z: float,
 def snr_full(leds: Sequence[Led], points: np.ndarray, plane_z: float, pd: CommPd,
              noise: NoiseParams, powers: Sequence[float]) -> np.ndarray:
     """Electrical SNR (L,) with the full shot + thermal noise model at
-    receiving-plane points, the LEDs emitting ``powers`` (M,) watts."""
-    p_r = _los_gains(leds, points, plane_z, pd) @ np.asarray(powers, dtype=float)
+    receiving-plane points, the LEDs emitting ``powers`` (M,) watts; powers
+    that are not M finite values raise ValueError."""
+    p_r = _los_gains(leds, points, plane_z, pd) @ _checked_powers(powers, len(leds), "LED list")
     q = noise.electron_charge_c
     bw = noise.bandwidth_hz
     shot = (2.0 * q * pd.responsivity_a_per_w * p_r * bw
@@ -210,14 +225,13 @@ def field(scene: Scene, partition: RegionPartition, quantity: str = "snr",
 
     ``snr`` uses the simplified high-SNR model (the one the optimizers see);
     ``snr_full`` the shot+thermal model.  Sample ordering is deterministic
-    (ascending x, then y).
+    (ascending x, then y).  Powers that are not M finite values raise
+    ValueError.
     """
     if quantity not in _FIELD_QUANTITIES:
         raise ValueError(f"quantity must be one of {_FIELD_QUANTITIES}, got {quantity!r}")
-    powers = (scene.power_vector() if powers is None
-              else np.ascontiguousarray(powers, dtype=float))
-    if powers.shape != (scene.num_leds,):
-        raise ValueError(f"power vector of shape {powers.shape} for {scene.num_leds} LEDs")
+    powers = _checked_powers(scene.power_vector() if powers is None else powers,
+                             scene.num_leds, "scene")
     pitch = scene.controller.field_pitch_m
     pts = plane_grid(scene.room, pitch)
     regions = classify_points(pts, partition)

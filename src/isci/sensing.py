@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .photometry import _collector_terms, _lambertian_geometry, _lambertian_orders
+from .photometry import _checked_powers, _collector_terms, _lambertian_geometry, _lambertian_orders
 from .scene import Led, Scene, SensingPd
 
 __all__ = [
@@ -104,8 +104,11 @@ def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
 
 
 def _read_only(values) -> np.ndarray:
-    arr = np.asarray(values)
-    arr.flags.writeable = False
+    """``values`` as an array, read-only down to the array that owns its memory."""
+    arr = view = np.asarray(values)
+    while isinstance(view, np.ndarray):
+        view.flags.writeable = False
+        view = view.base
     return arr
 
 
@@ -186,7 +189,7 @@ class SensingModel:
     ``emitter`` (M, K) holds the LED-side terms with the cell's reflectance
     times area folded in, ``collector`` (K, N) the PD-side terms.  Both are
     read-only.  No (M, K, N) array is kept, and no gain matrix is formed per
-    reading: ``baseline_gains`` (M, N) is their matrix product, and
+    reading: ``baseline_gains`` (M, N), read-only too, is their product, and
     ``received_power`` forms a reading with a user in the power domain, from
     the occluded cells' factors and the user patch's.
     """
@@ -198,7 +201,7 @@ class SensingModel:
         emitter, collector = self._kernel.factors(
             *scene.grid.coordinates(), 0.0, scene.grid.reflectance_array() * scene.grid.cell_area)
         self.emitter, self.collector = _read_only(emitter), _read_only(collector)
-        self.baseline_gains = self.emitter @ self.collector
+        self.baseline_gains = _read_only(self.emitter @ self.collector)
         # the patch height and reflectance times area as 0-d arrays, which
         # numpy combines with a small array sooner than Python floats
         user = scene.user
@@ -307,16 +310,17 @@ class FingerprintTable:
         rows = deltas.reshape(*self.grid_shape, *self.shape[1:])
         for i, unit in enumerate(np.eye(self.shape[1])):
             for start, band in self._signed_bands(unit):
-                rows[start:start + len(band), :, i] = band
+                rows[start:start + len(band), :, i] = band[:len(rows) - start, :rows.shape[1]]
         return _read_only(deltas)
 
     def _signed_bands(self, powers: np.ndarray):
         """Yield (start, band): the signed prediction at ``powers`` on grid
-        rows ``start`` to ``start + len(band)``, (rows, ny, N), one band of
-        whole tile rows at a time under _BAND_BYTES.  Each band is the user
-        term minus the stencil sum, from zeros, of the floor term formed over
-        the band's rows and the stencil's row reach.  A band lives in a
-        buffer that the next one reuses.
+        rows ``start`` on, (rows, columns, N), one band of whole tile rows at
+        a time under _BAND_BYTES.  A band is padded with NaN to whole tiles
+        on both axes, so band[:nx - start, :ny] holds the grid's cells.  Each
+        band is the user term minus the stencil sum, from zeros, of the floor
+        term formed over the band's rows and the stencil's row reach.  A band
+        lives in a buffer that the next one reuses.
 
         powers @ emitter is formed once over all K candidates for each term:
         a matvec over a slice can round differently.  All else is
@@ -330,17 +334,21 @@ class FingerprintTable:
         floor_c = self.floor_collector.reshape(nx, ny, n)
         reach = max((abs(di) for di, _ in self.offsets), default=0)
         rows = max(1, _BAND_BYTES // (8 * ny * n) // _TILE) * _TILE
-        sums = np.empty((min(rows, nx), ny, n))
+        # x + -x % _TILE is x cells rounded up to whole tiles
+        padded = np.full((min(rows, nx + -nx % _TILE), ny + -ny % _TILE, n), np.nan)
         terms = np.empty((min(rows + 2 * reach, nx), ny, n))
         for start in range(0, nx, rows):
             stop = min(start + rows, nx)
             first, last = max(0, start - reach), min(nx, stop + reach)
             floor = np.multiply(floor_w[first:last], floor_c[first:last], out=terms[:last - first])
-            band = sums[:stop - start]
+            band = padded[:stop - start, :ny]
             _stencil_sum(floor, first, band, start, self.offsets, nx)
             # the floor term is spent, and the user term takes its buffer
             user = np.multiply(user_w[start:stop], user_c[start:stop], out=terms[:stop - start])
-            yield start, np.subtract(user, band, out=band)
+            np.subtract(user, band, out=band)
+            band = padded[:stop - start + (start - stop) % _TILE]
+            band[stop - start:] = np.nan  # a short last band's rows past the grid
+            yield start, band
 
 
 @dataclass(frozen=True)
@@ -375,20 +383,6 @@ def build_fingerprint_table(scene: Scene, model: Optional[SensingModel] = None) 
                             (scene.grid.nx, scene.grid.ny))
 
 
-def _checked_powers(powers, n_leds: int, owner: str = "fingerprint table") -> np.ndarray:
-    """``powers`` as a float vector, or ValueError if it is not a finite
-    vector of ``n_leds`` powers, the count that ``owner`` has."""
-    powers = np.asarray(powers, dtype=float)
-    if powers.ndim != 1:
-        raise ValueError(f"powers must be a 1-D vector, got shape {powers.shape}")
-    if len(powers) != n_leds:
-        raise ValueError(f"{len(powers)} powers but the {owner} has {n_leds} LEDs")
-    bad = np.flatnonzero(~np.isfinite(powers))
-    if len(bad):
-        raise ValueError(f"non-finite powers {powers[bad].tolist()} at LEDs {bad.tolist()}")
-    return powers
-
-
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """A table's prediction at some powers, laid out tile by tile, with the
@@ -418,41 +412,27 @@ class Prediction:
     def at(cls, table: FingerprintTable, powers) -> "Prediction":
         """The prediction of ``table`` at ``powers`` and its envelopes over
         the table's candidate grid; powers that do not fit raise ValueError."""
-        k, _, n = table.shape
+        k, m, n = table.shape
         nx, ny = table.grid_shape
+        columns = -(-ny // _TILE)
         # slab (tile row, tile column): PD, then x and y within the tile
-        slabs = np.empty((-(-nx // _TILE), -(-ny // _TILE), n, _TILE, _TILE))
-        for start, band in table._signed_bands(_checked_powers(powers, table.shape[1])):
-            for x0, x1, a in _runs(len(band)):
-                tile_rows = slabs[(start + x0) // _TILE:-(-(start + x1) // _TILE)]
-                for y0, y1, b in _runs(ny):
-                    into = tile_rows[:, y0 // _TILE:-(-y1 // _TILE), :, :a, :b]
-                    np.abs(band[x0:x1, y0:y1].reshape((x1 - x0) // a, a, (y1 - y0) // b, b, n),
-                           out=into.transpose(0, 3, 1, 4, 2))
+        slabs = np.empty((-(-nx // _TILE), columns, n, _TILE, _TILE))
+        for start, band in table._signed_bands(_checked_powers(powers, m, "fingerprint table")):
+            into = slabs[start // _TILE:(start + len(band)) // _TILE]
+            np.abs(band.reshape(-1, _TILE, columns, _TILE, n), out=into.transpose(0, 3, 1, 4, 2))
         # the slots past the grid's far edges, empty where a side is whole
         pads = (slabs[-1, :, :, nx % _TILE or _TILE:], slabs[:, -1, :, :, ny % _TILE or _TILE:])
         slabs = slabs.reshape(-1, n, _TILE * _TILE)
-        # each envelope is taken with the pads set to the value it ignores,
-        # and the pads are left at +inf
-        envelopes = []
-        for pad, reduce in ((-np.inf, np.maximum), (np.inf, np.minimum)):
-            for view in pads:
-                view[...] = pad
-            envelopes.append(_read_only(np.ascontiguousarray(reduce.reduce(slabs, axis=2).T)))
-        hi, lo = envelopes
+        # the envelopes skip the pads' NaN, and the pads are then set to +inf
+        hi, lo = (_read_only(np.ascontiguousarray(reduce.reduce(slabs, axis=2).T))
+                  for reduce in (np.fmax, np.fmin))
+        for view in pads:
+            view[...] = np.inf
         padded = np.pad(np.arange(nx * ny).reshape(nx, ny),
                         ((0, -nx % _TILE), (0, -ny % _TILE)), constant_values=-1)
-        tiles = padded.reshape(-1, _TILE, -(-ny // _TILE), _TILE).swapaxes(1, 2)
+        tiles = padded.reshape(-1, _TILE, columns, _TILE).swapaxes(1, 2)
         return cls(_read_only(slabs), lo, hi, _read_only(tiles.reshape(-1, _TILE * _TILE)),
                    (k, n))
-
-
-def _runs(size: int) -> list[tuple[int, int, int]]:
-    """(start, stop, tile width) along ``size`` cells of one grid axis, from
-    a tile's edge, of the run of whole tiles and of the narrower edge tile,
-    each when present."""
-    edge = size - size % _TILE
-    return [run for run in ((0, edge, _TILE), (edge, size, size - edge)) if run[1] > run[0]]
 
 
 def _tile_losses(actual: np.ndarray, prediction: Prediction, tiles) -> np.ndarray:
@@ -540,7 +520,7 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
             raise ValueError(f"{name} holds a non-finite value")
     # The power-vector form is kept only for bench/worker.py's ladder (ROADMAP item 1).
     if not isinstance(predicted, Prediction):
-        powers = _checked_powers(predicted, table.shape[1])
+        powers = _checked_powers(predicted, table.shape[1], "fingerprint table")
     elif predicted.shape != (k, n):
         raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")

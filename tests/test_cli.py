@@ -537,6 +537,48 @@ def test_report_ragged_row_exit_one(tmp_path, capsys, file, row, extra):
                                        f"{header + extra} fields, header has {header}\n")
 
 
+def _set_cells(path, cells):
+    """Set ``{(row, column): text}`` in a trace CSV, rows counted from 1
+    after the header."""
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for (row, column), text in cells.items():
+        rows[row - 1][column] = text
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
+@pytest.mark.parametrize("column", ["energy_J", "P_1", "error_m"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+Infinity"])
+def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value):
+    # before, a nan compared false against both power bounds and was reported
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _set_cells(tmp_path / file, {(2, column): value})
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / file}: row 2, column {column}: "
+                            f"{value} is not finite\n")
+
+
+def test_report_names_the_first_non_finite_row(tmp_path, capsys):
+    # nan and inf powers on two rows once printed violations=1 and exited 0
+    sim = tmp_path / "simulate"
+    assert run("simulate", "--out", str(sim)) == 0
+    _set_cells(sim / "trace.csv", {(3, "P_1"): "nan", (5, "P_1"): "inf"})
+    capsys.readouterr()
+    assert run("report", "--trace", str(sim / "trace.csv"),
+               "--baseline", str(sim / "baseline_trace.csv")) == 1
+    assert capsys.readouterr().err == (f"error: {sim / 'trace.csv'}: row 3, column P_1: "
+                                       f"nan is not finite\n")
+
+
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
     # numpy 1.x imports numpy.ma with numpy; on 2.x only calls like
     # np.unique load it, so simulate must load none beyond numpy's own

@@ -349,6 +349,28 @@ def test_refinement_clears_fine_grid(scene, partition):
     assert viol.max() <= 1e-9
 
 
+@pytest.mark.parametrize("build", [op.build_uniformity_qp, op.build_enhanced_lp])
+def test_refinement_forms_check_rows_once(monkeypatch, scene, partition, build):
+    # appended points change no check row, so each call forms them once,
+    # however many rounds re-solve
+    problem = build(scene, partition)
+    rows_at, solve = type(problem).rows_at, op.solve
+    calls = {"rows_at": 0, "solve": 0}
+
+    def count(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(type(problem), "rows_at", count("rows_at", rows_at))
+    monkeypatch.setattr(op, "solve", count("solve", solve))
+    refined, report = op.solve_refined(problem, scene, partition)
+    assert report.status is op.SolveStatus.OPTIMAL
+    assert len(refined.points) > len(problem.points)  # some round re-solved
+    assert calls["rows_at"] == 1 and calls["solve"] >= 2
+
+
 def test_refinement_keeps_objective_samples(scene, partition):
     qp = op.build_uniformity_qp(scene, partition)
     problem, _ = op.solve_refined(qp, scene, partition)

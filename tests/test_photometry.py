@@ -503,8 +503,26 @@ def test_field_at_given_powers(scene, partition, rng):
         assert np.array_equal(default, coeffs @ scene.power_vector())
     full = ph.field(scene, partition, quantity="snr_full", powers=strided).values
     assert np.array_equal(full, ph.snr_full(scene.leds, pts, z, pd, noise, p))
-    with pytest.raises(ValueError, match=r"^power vector of shape \(1,\) for 8 LEDs$"):
+    with pytest.raises(ValueError, match=r"^1 powers but the scene has 8 LEDs$"):
         ph.field(scene, partition, powers=[10.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_and_snr_full_reject_non_finite_powers(scene, partition, bad):
+    # before, one NaN power gave a field of NaN values with no error, and
+    # snr_full checked nothing
+    p = scene.power_vector().copy()
+    p[3] = bad
+    message = rf"^non-finite powers \[{bad}\] at LEDs \[3\]$"
+    for quantity in ph._FIELD_QUANTITIES:
+        with pytest.raises(ValueError, match=message):
+            ph.field(scene, partition, quantity=quantity, powers=p)
+    pts = ph.plane_grid(scene.room, 1.0)
+    args = (scene.leds, pts, scene.room.plane_z, scene.comm_pd, scene.noise)
+    with pytest.raises(ValueError, match=message):
+        ph.snr_full(*args, p)
+    with pytest.raises(ValueError, match=r"^7 powers but the LED list has 8 LEDs$"):
+        ph.snr_full(*args, p[:7])
 
 
 def test_plane_grid_samples_inside_the_room(scene):

@@ -802,9 +802,17 @@ def _disk(rng, reach):
 
 
 def _walk_bands(table, powers):
-    """The (start, band) pairs of table._signed_bands, each band copied out
-    of the buffer the next one reuses."""
-    return [(start, band.copy()) for start, band in table._signed_bands(np.asarray(powers))]
+    """The (start, band) pairs of table._signed_bands, each band's grid cells
+    copied out of the buffer the next one reuses, after checking that the
+    band is padded to whole tiles with NaN past the grid's edges."""
+    nx, ny = table.grid_shape
+    walked = []
+    for start, band in table._signed_bands(np.asarray(powers)):
+        assert len(band) % sn._TILE == 0 and band.shape[1] == -(-ny // sn._TILE) * sn._TILE
+        cells = band[:nx - start, :ny]
+        assert np.isnan(band).sum() == band.size - cells.size
+        walked.append((start, cells.copy()))
+    return walked
 
 
 @pytest.mark.parametrize("nx, ny, reach, rows", [
@@ -1128,6 +1136,20 @@ def test_predictions_and_table_read_only(rng, table):
     loaded = sn.load_fingerprint(sn.save_fingerprint(table))
     for arr in _arrays_reachable(loaded) + [loaded.deltas]:
         assert not arr.flags.writeable
+
+
+def test_kept_arrays_read_only_through_their_base(scene, sensing_model, table):
+    # before, slabs.base and tiles.base stayed writable, so a write through
+    # them changed a kept prediction; a write to baseline_gains changed every reading
+    got = sn.Prediction.at(table, scene.power_vector())
+    assert got.slabs.base is not None and got.tiles.base is not None
+    model = [sensing_model.centers, sensing_model.emitter, sensing_model.collector,
+             sensing_model.baseline_gains]
+    for arr in _arrays_reachable(got) + _arrays_reachable(table) + model:
+        while isinstance(arr, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+            arr = arr.base
 
 
 @pytest.mark.parametrize("reloaded", [False, True])
