@@ -257,8 +257,9 @@ def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
 def _read_traces(trace: Path, baseline: Path):
     """The non-blank rows, as dicts, of a run's trace CSV and of its
     baseline's, which must have the trace's power columns.  A missing
-    column, an empty file, a ragged row or a nan or inf (1e999 too) in an
-    energy_J, P_i or error_m column is a SceneError."""
+    column, an empty file, a ragged row, or a cell that is not a number or
+    is nan or inf (1e999 too) in an energy_J, P_i or error_m column is a
+    SceneError."""
     tables, columns = [], ("energy_J", "mode", "error_m")
     for path in (trace, baseline):
         with path.open(newline="") as fh:
@@ -273,8 +274,14 @@ def _read_traces(trace: Path, baseline: Path):
             if len(row) != len(header):
                 raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
             for column, text in zip(header, row):
-                if column in numbers and text and not math.isfinite(float(text)):
-                    raise SceneError(f"{path}: row {n}, column {column}: {text} is not finite")
+                if column in numbers and text:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise SceneError(f"{path}: row {n}, column {column}: "
+                                         f"{text} is not a number") from None
+                    if not math.isfinite(value):
+                        raise SceneError(f"{path}: row {n}, column {column}: {text} is not finite")
         tables.append([dict(zip(header, row)) for row in rows])
         columns = ("energy_J", *(c for c in header if c.startswith("P_")))
     return tables

@@ -170,30 +170,20 @@ def _segment_avoids_mic(a, b, partition: RegionPartition) -> bool:
 
 
 def _walk(points: Sequence[tuple[float, float]], speed: float, dt: float):
-    """Positions sampled every dt while moving along the polyline at ``speed``."""
-    out = []
+    """Positions sampled every dt while moving along the polyline at
+    ``speed``, ending at its last point; none for fewer than two points."""
     if len(points) < 2:
-        return out
-    seg_start = 0
-    pos = points[0]
-    remaining = speed * dt
-    while seg_start < len(points) - 1:
-        a = pos
-        b = points[seg_start + 1]
-        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
-        if seg_len <= remaining:
-            remaining -= seg_len
-            pos = b
-            seg_start += 1
-            if seg_start == len(points) - 1:
-                out.append(pos)
-                break
-            continue
-        f = remaining / seg_len
-        pos = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        out.append(pos)
-        remaining = speed * dt
-    return out
+        return []
+    out, a, remaining = [], points[0], speed * dt
+    for b in points[1:]:
+        while (seg_len := math.hypot(b[0] - a[0], b[1] - a[1])) > remaining:
+            f = remaining / seg_len
+            a = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+            out.append(a)
+            remaining = speed * dt
+        remaining -= seg_len
+        a = b
+    return out + [a]
 
 
 def generate_trajectory(partition: RegionPartition, seed: int,
@@ -264,11 +254,6 @@ class ScenarioStep:
 @dataclass(frozen=True)
 class ScenarioTrace:
     steps: tuple[ScenarioStep, ...]
-    dt: float
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(s.energy_j for s in self.steps)
 
     def errors(self) -> np.ndarray:
         return np.array([s.error_m for s in self.steps if s.error_m is not None])
@@ -349,7 +334,7 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
         steps.append(ScenarioStep(t=t, true_pos=xy, estimate=loc.position, mode=mode.value,
                                   powers=record.recorded, energy_j=record.energy_j,
                                   error_m=error))
-    return ScenarioTrace(steps=tuple(steps), dt=dt)
+    return ScenarioTrace(steps=tuple(steps))
 
 
 def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint]) -> ScenarioTrace:
@@ -363,7 +348,7 @@ def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint]) -> Sc
                      energy_j=energy, error_m=None)
         for t, pos in trajectory
     )
-    return ScenarioTrace(steps=steps, dt=dt)
+    return ScenarioTrace(steps=steps)
 
 
 def savings(energy_j: float, base_energy_j: float) -> float:
@@ -377,7 +362,8 @@ def energy_report(trace: ScenarioTrace, baseline: ScenarioTrace) -> float:
     """Fractional energy savings of the adaptive run versus the baseline."""
     if len(trace.steps) != len(baseline.steps):
         raise ValueError(f"step count mismatch: {len(trace.steps)} vs {len(baseline.steps)}")
-    return savings(trace.total_energy_j, baseline.total_energy_j)
+    return savings(sum(s.energy_j for s in trace.steps),
+                   sum(s.energy_j for s in baseline.steps))
 
 
 # ---------------------------------------------------------------------------

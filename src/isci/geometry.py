@@ -230,7 +230,8 @@ def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
     normal form) binds three edges, so each edge triple's tangent circle is a
     candidate, scored by its least edge distance: O(E^4) work for E edges (a
     64-gon takes about 0.15 s).  Where parallel edges bind, the best centers
-    tie along a segment and its midpoint is taken.  The radius is the least
+    tie along a segment, to 1e-12 of the best score, and its midpoint is
+    taken, so the center mirrors with the polygon.  The radius is the least
     center-to-edge distance; a polygon without interior raises GeometryError.
     """
     # A non-finite vertex raises ValueError here, before solve and lstsq
@@ -241,9 +242,10 @@ def max_inscribed_circle(poly: ConvexPolygon) -> Circle:
     triples = triples[np.linalg.det(rows[triples]) != 0.0]
     centers = np.linalg.solve(rows[triples], offsets[triples][..., None])[:, :2, 0]
     scores = (centers @ normals.T - offsets).min(axis=1)
-    if not scores.max(initial=0.0) > 0:
+    best = scores.max(initial=0.0)
+    if not best > 0:
         raise GeometryError("polygon has no interior")
-    tied = centers[scores == scores.max()]
+    tied = centers[scores >= best - 1e-12 * max(1.0, best)]
     center = (tied.min(axis=0) + tied.max(axis=0)) / 2
     radius = float(np.min(normals @ center - offsets))
     # Polish onto the near-binding edges: where more than three bind (a

@@ -194,13 +194,16 @@ def snr_full(leds: Sequence[Led], points: np.ndarray, plane_z: float, pd: CommPd
 
 
 def plane_grid(room: Room, pitch: float) -> np.ndarray:
-    """Cell-centered sample grid covering the room footprint, shape (L, 2),
+    """Cell-centered sample grid of round(side / pitch) cells an axis, centered
+    on the room footprint so that it mirrors with the room, shape (L, 2),
     ordered by ascending x then y.  ValueError unless 0 < pitch <= the room's shorter side."""
     side = min(room.size_x, room.size_y)
     if not 0 < pitch <= side:
         raise ValueError(f"pitch {pitch} m must be positive and no wider than the room's "
                          f"shorter side, {side} m")
-    return SurfaceGrid(pitch, round(room.size_x / pitch), round(room.size_y / pitch), ()).centers()
+    nx, ny = round(room.size_x / pitch), round(room.size_y / pitch)
+    shift = ((room.size_x - nx * pitch) / 2, (room.size_y - ny * pitch) / 2)
+    return SurfaceGrid(pitch, nx, ny, ()).centers() + shift
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,6 @@ class FieldGrid:
     points: np.ndarray    # (L, 2)
     values: np.ndarray    # (L,)
     regions: np.ndarray   # (L,) int8 Region codes
-    pitch: float
     quantity: str
 
 
@@ -232,8 +234,7 @@ def field(scene: Scene, partition: RegionPartition, quantity: str = "snr",
         raise ValueError(f"quantity must be one of {_FIELD_QUANTITIES}, got {quantity!r}")
     powers = _checked_powers(scene.power_vector() if powers is None else powers,
                              scene.num_leds, "scene")
-    pitch = scene.controller.field_pitch_m
-    pts = plane_grid(scene.room, pitch)
+    pts = plane_grid(scene.room, scene.controller.field_pitch_m)
     regions = classify_points(pts, partition)
     plane_z = scene.room.plane_z
     if quantity == "illuminance":
@@ -242,5 +243,4 @@ def field(scene: Scene, partition: RegionPartition, quantity: str = "snr",
         values = snr_coefficients(scene.leds, pts, plane_z, scene.comm_pd, scene.noise) @ powers
     else:
         values = snr_full(scene.leds, pts, plane_z, scene.comm_pd, scene.noise, powers)
-    return FieldGrid(points=pts, values=values, regions=regions,
-                     pitch=pitch, quantity=quantity)
+    return FieldGrid(points=pts, values=values, regions=regions, quantity=quantity)

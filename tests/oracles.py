@@ -322,7 +322,7 @@ def reference_replay(scene, partition, table, trajectory, noise_seed: int = 0,
         steps.append(ScenarioStep(t=t, true_pos=true_pos, estimate=loc.position, mode=mode.value,
                                   powers=tuple(float(p) for p in powers),
                                   energy_j=dt * float(np.sum(powers)), error_m=error))
-    return ScenarioTrace(steps=tuple(steps), dt=dt)
+    return ScenarioTrace(steps=tuple(steps))
 
 
 def highs_lp(c, g_mat, h_vec):

@@ -552,9 +552,10 @@ def _set_cells(path, cells):
 
 @pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
 @pytest.mark.parametrize("column", ["energy_J", "P_1", "error_m"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+Infinity"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+Infinity", "ten"])
 def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value):
-    # before, a nan compared false against both power bounds and was reported
+    # before, a nan compared false against both power bounds and was reported,
+    # and ten was float()'s error, naming no file, row or column
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
     _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
@@ -563,8 +564,9 @@ def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value)
                "--baseline", str(tmp_path / "base.csv")) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    problem = "a number" if value == "ten" else "finite"
     assert captured.err == (f"error: {tmp_path / file}: row 2, column {column}: "
-                            f"{value} is not finite\n")
+                            f"{value} is not {problem}\n")
 
 
 def test_report_names_the_first_non_finite_row(tmp_path, capsys):

@@ -643,7 +643,7 @@ def _const_field(value, n=10):
     pts = np.column_stack([np.linspace(0, 1, n), np.zeros(n)])
     return ph.FieldGrid(points=pts, values=np.full(n, value),
                         regions=np.full(n, Region.NON_ACTIVITY.value, dtype=np.int8),
-                        pitch=0.1, quantity="snr")
+                        quantity="snr")
 
 
 def test_benchmark_constant_field():
@@ -658,7 +658,7 @@ def test_benchmark_two_value_field():
     values = np.array([1.0] * 5 + [3.0] * 5)
     grid = ph.FieldGrid(points=pts, values=values,
                         regions=np.full(10, Region.NON_ACTIVITY.value, dtype=np.int8),
-                        pitch=0.1, quantity="snr")
+                        quantity="snr")
     bench = ct.benchmark(grid)
     assert bench.average == 2.0
     assert bench.minimum == 1.0
@@ -685,6 +685,6 @@ def test_benchmark_region_nesting(scene, partition):
 
 def test_benchmark_empty_field_rejected():
     grid = ph.FieldGrid(points=np.zeros((0, 2)), values=np.zeros(0),
-                        regions=np.zeros(0, dtype=np.int8), pitch=0.1, quantity="snr")
+                        regions=np.zeros(0, dtype=np.int8), quantity="snr")
     with pytest.raises(ValueError):
         ct.benchmark(grid)

@@ -174,6 +174,23 @@ def test_mic_rectangle_takes_the_middle_center():
     assert abs(mic.radius - 1) < 1e-12
 
 
+def test_mic_of_a_rectangular_lattice_mirrors_with_the_room(rng):
+    # parallel hull edges bind a segment of centers, and an exact tie on the
+    # best score once let rounding pick a point off its middle
+    for _ in range(40):
+        size = rng.uniform(3.0, 6.0, 2)
+        spans = rng.uniform(0.3, 0.7, 2) * size.min()
+        corner = rng.uniform(0.15, size - spans - 0.15)
+        xs, ys = (np.linspace(c, c + span, n)
+                  for c, span, n in zip(corner, spans, rng.integers(2, 4, 2)))
+        lattice = np.array([(x, y) for x in xs for y in ys])
+        center = np.array(max_inscribed_circle(convex_hull(lattice)).center.as_tuple())
+        for move in (lambda p: p[..., ::-1], lambda p: p * [-1, 1] + [size[0], 0],
+                     lambda p: p * [1, -1] + [0, size[1]]):
+            moved = max_inscribed_circle(convex_hull(move(lattice)))
+            assert np.allclose(moved.center.as_tuple(), move(center), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("vertices", [[(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (1, 0)],
                                       [(0, 0), (1, 0)]],
                          ids=["collinear", "clockwise", "two-vertices"])

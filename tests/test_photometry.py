@@ -527,10 +527,13 @@ def test_field_and_snr_full_reject_non_finite_powers(scene, partition, bad):
 
 def test_plane_grid_samples_inside_the_room(scene):
     room = replace(scene.room, size_y=3.0)
-    assert ph.plane_grid(room, 3.0).tolist() == [[1.5, 1.5], [4.5, 1.5]]
+    assert ph.plane_grid(room, 3.0).tolist() == [[1.0, 1.5], [4.0, 1.5]]
     for pitch in (3.0, 1.0, 0.3):
         pts = ph.plane_grid(room, pitch)
         assert np.all((pts > 0) & (pts < [room.size_x, room.size_y]))
+        # centered: the grid mirrors with the room
+        xs, ys = np.unique(pts[:, 0]), np.unique(pts[:, 1])
+        assert np.allclose(xs + xs[::-1], room.size_x) and np.allclose(ys + ys[::-1], room.size_y)
     for pitch in (3.5, 0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match=rf"^pitch {pitch} m must be positive and no wider "
                                              r"than the room's shorter side, 3.0 m$"):
