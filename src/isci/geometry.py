@@ -171,55 +171,33 @@ def _in_circle(c, p) -> bool:
 
 
 def _mec_with_two(pts, p, q):
-    circ = _circle_two(p, q)
-    left = None
-    right = None
+    # Smallest circle through p and q holding pts: each point outside the
+    # current circle becomes its third support point.
+    c = _circle_two(p, q)
     for r in pts:
-        if _in_circle(circ, r):
-            continue
-        cross = _cross(p, q, r)
-        c = _circle_three(p, q, r)
-        if c is None:
-            continue
-        cc = _cross(p, q, (c[0], c[1]))
-        if cross > 0.0 and (left is None or cc > _cross(p, q, (left[0], left[1]))):
-            left = c
-        elif cross < 0.0 and (right is None or cc < _cross(p, q, (right[0], right[1]))):
-            right = c
-    if left is None:
-        return circ if right is None else right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
-
-
-def _mec_with_one(pts, p):
-    c = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _in_circle(c, q):
-            c = _circle_two(p, q) if c[2] == 0.0 else _mec_with_two(pts[: i + 1], p, q)
+        if not _in_circle(c, r):
+            c = _circle_three(p, q, r) or c
     return c
 
 
 def min_enclosing_circle(poly: Union[ConvexPolygon, Iterable[PointLike]]) -> Circle:
     """Smallest circle containing the polygon (equivalently, its vertices).
 
-    Randomized incremental construction, expected linear time; the shuffle
-    uses a fixed seed so results are reproducible.  The circle is determined
-    by at most three support points.
+    Welzl's randomized incremental construction, expected linear time; the
+    shuffle uses a fixed seed so results are reproducible.  The circle is
+    determined by at most three support points.
     """
-    if isinstance(poly, ConvexPolygon):
-        pts = [v.as_tuple() for v in poly.vertices]
-    else:
-        pts = [_coerce_xy(p) for p in poly]
+    pts = [_coerce_xy(p) for p in (poly.vertices if isinstance(poly, ConvexPolygon) else poly)]
     if not pts:
         raise GeometryError("no points given")
-    shuffled = list(pts)
-    random.Random(_MEC_SHUFFLE_SEED).shuffle(shuffled)
+    random.Random(_MEC_SHUFFLE_SEED).shuffle(pts)
     c = None
-    for i, p in enumerate(shuffled):
+    for i, p in enumerate(pts):
         if not _in_circle(c, p):
-            c = _mec_with_one(shuffled[:i], p)
+            c = (p[0], p[1], 0.0)
+            for j, q in enumerate(pts[:i]):
+                if not _in_circle(c, q):
+                    c = _mec_with_two(pts[:j], p, q)
     return Circle(Point2(c[0], c[1]), c[2])
 
 

@@ -188,7 +188,11 @@ def solve_inequality_program(quad: Optional[np.ndarray], c: np.ndarray,
     A phase-1 solve finds a strictly feasible interior point first; if the
     best achievable worst-violation is not strictly negative the problem is
     reported infeasible, naming the most-violated row.  Non-finite program
-    data raises ValueError.
+    data raises ValueError.  OPTIMAL does not yet require kkt_residual <=
+    1e-6 (default_scene(57)'s uniformity QP ends OPTIMAL at 1.6e-6): any
+    other status sends apply_mode to its p_max fallback, 3.8-4.8 klx against
+    the 2000 lx cap, which is worse than missing the certificate by 6e-7,
+    so the least-violation fallback of ROADMAP item 2 must land first.
     """
     quad_arr = None if quad is None else np.asarray_chkfinite(quad, dtype=float)
     c = np.asarray_chkfinite(c, dtype=float)

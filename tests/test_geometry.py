@@ -96,7 +96,7 @@ def _mec_exhaustive(pts):
     for a, b in itertools.combinations(pts, 2):
         cx, cy = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
         r = max(math.hypot(cx - p[0], cy - p[1]) for p in (a, b))
-        if contains_all((cx, cy, r)) and (best is None or r < best):
+        if (best is None or r < best) and contains_all((cx, cy, r)):
             best = r
     for a, b, c in itertools.combinations(pts, 3):
         d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
@@ -107,18 +107,42 @@ def _mec_exhaustive(pts):
         uy = ((a[0]**2 + a[1]**2) * (c[0] - b[0]) + (b[0]**2 + b[1]**2) * (a[0] - c[0])
               + (c[0]**2 + c[1]**2) * (b[0] - a[0])) / d
         r = max(math.hypot(ux - p[0], uy - p[1]) for p in (a, b, c))
-        if contains_all((ux, uy, r)) and (best is None or r < best):
+        if (best is None or r < best) and contains_all((ux, uy, r)):
             best = r
     return best
 
 
+def _ring(radii):
+    n = len(radii)
+    return [(2.5 + r * math.cos(2 * math.pi * k / n), 2.5 + r * math.sin(2 * math.pi * k / n))
+            for k, r in enumerate(radii)]
+
+
+def _degenerate_point_sets(rng):
+    """Point sets whose MEC support is not unique, or is not a triangle."""
+    sets = [_ring([2.0] * n) for n in range(3, 65)]  # regular n-gons: all cocircular
+    # Rectangular lattices: their four corners are cocircular.
+    sets += [[(0.3 + x * sx, 0.7 + y * sy) for x in range(nx) for y in range(ny)]
+             for nx, ny, sx, sy in ((2, 2, 1.0, 1.0), (2, 3, 1.4, 1.0), (3, 3, 1.25, 1.25),
+                                    (4, 2, 0.5, 2.0), (5, 5, 1.4, 1.4), (3, 5, 5.0 / 3, 1.1))]
+    sets += [_ring(2.0 + rng.uniform(-1e-12, 1e-12, n)) for n in (3, 4, 8, 16, 33)]
+    t = rng.uniform(-2.0, 3.0, 7)
+    sets += [[(1.0 + 0.5 * u, 2.0 - 1.5 * u) for u in t], [(u, 0.0) for u in t],
+             [(1.0, u) for u in t], [(0.1 * u, 0.1 * u) for u in t]]  # collinear
+    pts = [tuple(p) for p in rng.uniform(0, 5, (5, 2))]
+    sets += [[(1.5, 2.5)] * 4, [(0.0, 0.0), (0.0, 0.0), (3.0, 1.0), (3.0, 1.0)],
+             pts + pts[::-1], pts[:2] * 3]  # repeated points
+    return sets
+
+
 def test_mec_matches_exhaustive_oracle(rng):
-    for _ in range(30):
-        pts = [tuple(p) for p in rng.uniform(0, 5, (8, 2))]
+    sets = [[tuple(p) for p in rng.uniform(0, 5, (8, 2))] for _ in range(30)]
+    for pts in sets + _degenerate_point_sets(rng):
         mec = min_enclosing_circle(pts)
         assert abs(mec.radius - _mec_exhaustive(pts)) < 1e-9
         dists = [math.hypot(p[0] - mec.center.x, p[1] - mec.center.y) for p in pts]
         assert max(dists) <= mec.radius + 1e-9
+        assert max(dists) <= mec.radius * (1 + 1e-12)
 
 
 def test_mec_minimality_witness(rng):

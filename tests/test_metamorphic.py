@@ -23,8 +23,8 @@ Each tolerance is stated next to the largest error measured over about
 750 random scenes of these strategies per relation, at OPENBLAS_NUM_THREADS=1
 and again at =2, on a 2-core x86-64 host.  An error is taken relative to the
 largest magnitude of the output compared: the largest radius, gain,
-prediction, reading or p_max, or for a loss the sum of the squared
-variations it matches.
+prediction, reading or p_max, or for a loss its first-order rounding
+scale (see _Room.match).
 """
 
 import copy
@@ -52,7 +52,7 @@ _TOL = {
     "gains": 5e-14,         # baseline gains: 6.2e-15
     "prediction": 1e-14,    # Prediction.at's values and envelopes: 1.9e-15
     "reading": 1e-14,       # received_power: 1.5e-15
-    "loss": 2e-13,          # a match's loss, over the squared variation's sum: 1.96e-13
+    "loss": 1e-14,          # a match's loss, over its first-order rounding scale: 2.7e-16
     "powers": 1e-5,         # refined solves' powers, over the largest p_max: 1.3e-9
 }
 
@@ -154,11 +154,18 @@ class _Room:
         self.values = prediction_values(self.prediction)
 
     def match(self, xy):
-        """The noiseless variation at ``xy`` and its match."""
+        """The scale of the loss's rounding error and the match of the
+        noiseless reading at ``xy``.  The loss sums (a - v) ** 2 over the
+        PDs, a = |reading - baseline| and v the matched prediction, each
+        rounded relative to its own magnitude, so to first order its error
+        is a multiple of the roundoff times
+        2 * sum |a - v| * (|reading| + |baseline| + |v|)."""
         baseline = self.model.received_power(self.powers)
         reading = self.model.received_power(self.powers, xy)
-        return (np.abs(reading - baseline),
-                sn.localize(reading, baseline, self.prediction, self.table))
+        loc = sn.localize(reading, baseline, self.prediction, self.table)
+        v = self.values[loc.index]
+        miss = np.abs(reading - baseline) - v
+        return float(2 * np.abs(miss) @ (np.abs(reading) + np.abs(baseline) + np.abs(v))), loc
 
     def solves(self):
         return [op.solve_refined(build(self.scene, self.partition), self.scene, self.partition)[1]
@@ -215,10 +222,10 @@ def test_transposes_and_mirrors_keep_the_room_outputs(cfg):
         # what were the first cells of the grid
         _check_envelopes(other.prediction, room.values[np.argsort(cell_map)])
         _check_solves(other.solves(), solves, slice(None), room.scene.power_bounds()[1].max())
-        for xy, (actual, loc) in zip(positions, matches):
+        for xy, (scale, loc) in zip(positions, matches):
             _, moved = other.match(move(*xy))
             assert moved.index == cell_map[loc.index]
-            _check("loss", moved.loss, loc.loss, float(actual @ actual))
+            _check("loss", moved.loss, loc.loss, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +247,13 @@ def test_permuting_the_leds_permutes_the_outputs(cfg, seed):
     _check_envelopes(other.prediction, room.values)
     _check_solves(other.solves(), room.solves(), order, room.scene.power_bounds()[1].max())
     for xy in _positions(room):
-        actual, loc = room.match(xy)
+        scale, loc = room.match(xy)
         reading = room.model.received_power(room.powers, xy)
         _check("reading", other.model.received_power(other.powers, xy), reading,
                np.abs(reading).max())
         _, moved = other.match(xy)
         assert moved.index == loc.index
-        _check("loss", moved.loss, loc.loss, float(actual @ actual))
+        _check("loss", moved.loss, loc.loss, scale)
 
 
 @_PROPERTY
@@ -260,13 +267,13 @@ def test_permuting_the_pds_permutes_the_outputs(cfg, seed):
     # each PD's prediction is formed elementwise from its own factors: no tolerance
     assert np.array_equal(other.values, room.values[:, order])
     for xy in _positions(room):
-        actual, loc = room.match(xy)
+        scale, loc = room.match(xy)
         reading = room.model.received_power(room.powers, xy)
         _check("reading", other.model.received_power(room.powers, xy), reading[order],
                np.abs(reading).max())
         _, moved = other.match(xy)
         assert moved.index == loc.index
-        _check("loss", moved.loss, loc.loss, float(actual @ actual))
+        _check("loss", moved.loss, loc.loss, scale)
 
 
 # ---------------------------------------------------------------------------
