@@ -18,5 +18,5 @@ from .sensing import (FingerprintTable, LocalizationResult, SensingModel,  # noq
 from .optimize import (SampledProgram, SolveReport, SolveStatus,  # noqa: F401
                        build_enhanced_lp, build_uniformity_qp, solve_refined)
 from .controller import (BenchmarkThresholds, Mode, ScenarioTrace,  # noqa: F401
-                         baseline_scenario, benchmark, energy_report,
+                         apply_mode, baseline_scenario, benchmark, energy_report,
                          generate_trajectory, run_scenario)

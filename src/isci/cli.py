@@ -174,12 +174,9 @@ def _cmd_fingerprint(args, scene: Scene, out: _OutputDir) -> int:
 
 
 def _cmd_optimize(args, scene: Scene, out: _OutputDir) -> int:
-    partition = build_partition(scene)
-    build = (optimize.build_uniformity_qp if args.mode == "uniformity"
-             else optimize.build_enhanced_lp)
-    _, report = optimize.solve_refined(build(scene, partition), scene, partition)
-    value = report.status.value
-    status = "MaxIter" if value == "max_iter" else value.capitalize()
+    mode = controller.Mode(args.mode)
+    powers, report = controller.apply_mode(mode, scene, build_partition(scene))
+    status = report.status.value.title().replace("_", "")  # Optimal, Infeasible, MaxIter
     lines = [
         f"mode={args.mode}",
         f"status={status}",
@@ -192,9 +189,8 @@ def _cmd_optimize(args, scene: Scene, out: _OutputDir) -> int:
         lines.append(f"worst_row={report.worst_row}")
     summary = f"status={status}"
     if report.status is optimize.SolveStatus.OPTIMAL:
-        out.write_csv("powers.csv", ["led", "power_w"],
-                      [[i, p] for i, p in enumerate(report.x)])
-        total = f"total_W={_fmt(float(np.sum(report.x)))}"
+        out.write_csv("powers.csv", ["led", "power_w"], [[i, p] for i, p in enumerate(powers)])
+        total = f"total_W={_fmt(float(np.sum(powers)))}"
         lines.append(total)
         summary += f" {total}"
     out.write_text("report.txt", "\n".join(lines) + "\n")
@@ -257,13 +253,17 @@ def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
 def _read_traces(trace: Path, baseline: Path):
     """The non-blank rows, as dicts, of a run's trace CSV and of its
     baseline's, which must have the trace's power columns.  A missing
-    column, an empty file, a ragged row, or a cell that is not a number or
-    is nan or inf (1e999 too) in an energy_J, P_i or error_m column is a
-    SceneError."""
+    column, an empty file, a ragged row, a field past csv's size limit, or
+    a cell that is not a number or is nan or inf (1e999 too) in an
+    energy_J, P_i or error_m column is a SceneError."""
     tables, columns = [], ("energy_J", "mode", "error_m")
     for path in (trace, baseline):
         with path.open(newline="") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+            reader = csv.reader(fh)
+            try:
+                header, *rows = [row for row in reader if row] or [[]]
+            except csv.Error as exc:  # a field longer than csv.field_size_limit()
+                raise SceneError(f"{path}: line {reader.line_num}: {exc}") from None
         for column in columns:
             if column not in header:
                 raise SceneError(f"{path}: not a trace CSV (missing {column} column)")

@@ -300,14 +300,13 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     if model is None:
         model = SensingModel(scene)
     plan = room_plan(scene, partition, table)
-    noise_rel = scene.controller.noise_rel_sigma
     rng = np.random.default_rng(noise_seed)
     dt = scene.controller.step_period_s
 
     def constants(mode: Mode) -> _ModeStep:
         powers, _ = plan.allocations[mode]
         baseline = model.received_power(powers)
-        sigma = noise_rel * baseline
+        sigma = scene.controller.noise_rel_sigma * baseline
         return _ModeStep(powers, plan.predictions[mode], baseline, sigma,
                          max(3.0 * float(sigma.max()), NOISELESS_DETECT_EPS),
                          tuple(float(p) for p in powers), dt * float(np.sum(powers)))
@@ -325,8 +324,7 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
             if kept[0] != (xy, mode):
                 kept = ((xy, mode), model.received_power(applied, xy))
             reading = kept[1]
-        measured = (reading + rng.standard_normal(len(reading)) * sigma if noise_rel > 0
-                    else reading)
+        measured = reading + rng.standard_normal(len(reading)) * sigma
         loc = localize(measured, baseline_reading, prediction, table, epsilon_detect=eps)
         mode = Mode.NO_USER if loc.index is None else plan.modes[loc.index]
         record = per_mode[mode]

@@ -482,11 +482,13 @@ def load_scene(config_text: str) -> Scene:
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     try:
         cfg = yaml.load(config_text, Loader=Loader)
-    except yaml.YAMLError as exc:  # one line, not PyYAML's text with its marks and source
+    except (yaml.YAMLError, OverflowError) as exc:  # OverflowError: a base-60 float past 1e308
         mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
+        if mark is not None:  # one line, not PyYAML's text with its marks and source
             raise parse_error(mark, " ".join(filter(None, (exc.problem, exc.context)))) from exc
         raise SceneError(f"parse error: {str(exc).splitlines()[0]}") from exc
+    except RecursionError:  # PyYAML composes each nested collection by recursion
+        raise SceneError("parse error: collections nested too deeply to read") from None
     if cfg is None:
         raise SceneError("empty config document")
     return scene_from_dict(cfg)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import isci
-from isci.cli import main
+from isci.cli import _read_traces, _run_metrics, main
 from isci.scene import default_scene, dump_scene, scene_to_dict
 from tests.oracles import mic_radius_exact
 
@@ -103,6 +106,20 @@ def test_optimize_enhanced_summary(tmp_path, capsys):
     rows = list(csv.DictReader((out / "powers.csv").open()))
     assert len(rows) == 8
     assert abs(sum(float(r["power_w"]) for r in rows) - total) < 1e-9
+
+
+@pytest.mark.parametrize("mode", ["uniformity", "enhanced"])
+def test_optimize_writes_the_powers_simulate_applies(tmp_path, mode):
+    # both take the mode's powers from controller.apply_mode: powers.csv holds,
+    # as text, the P_i cells of the first trace.csv row in that mode
+    assert run("optimize", "--mode", mode, "--out", str(tmp_path / "o")) == 0
+    assert run("simulate", "--out", str(tmp_path / "s")) == 0
+    with (tmp_path / "o" / "powers.csv").open(newline="") as fh:
+        powers = [row["power_w"] for row in csv.DictReader(fh)]
+    with (tmp_path / "s" / "trace.csv").open(newline="") as fh:
+        first = next(row for row in csv.DictReader(fh) if row["mode"] == mode)
+    assert len(powers) == 8
+    assert powers == [first[f"P_{i + 1}"] for i in range(len(powers))]
 
 
 def test_optimize_infeasible_exit_code(tmp_path):
@@ -346,10 +363,14 @@ def test_invalid_config_exit_one(tmp_path, capsys):
      f"noise.temperature_k: must be a finite number, got {10**400}"),
     ("noise", "temperature_k", "1" * 5000,
      "parse error at line {line}, column {column}: an integer of 5000 digits is too long to read"),
-], ids=["huge-room", "fine-pitch", "int-past-float", "int-past-str-digits"])
+    ("room", "size_x", "[" * 5000, "parse error: collections nested too deeply to read"),
+    ("room", "size_x", "1" + ":59" * 200 + ".5", "parse error: int too large to convert to float"),
+], ids=["huge-room", "fine-pitch", "int-past-float", "int-past-str-digits", "nested-past-recursion",
+        "sexagesimal-past-float"])
 def test_overflowing_config_exit_one(tmp_path, capsys, section, key, literal, message):
-    # the first three used to end in an OverflowError traceback, the last in
-    # Python's ValueError on converting a string of over 4300 digits to an int
+    # the first three used to end in an OverflowError traceback, the fourth in
+    # Python's ValueError on converting a string of over 4300 digits to an int,
+    # the fifth in PyYAML's RecursionError and the last in its OverflowError
     cfg = scene_to_dict(default_scene())
     cfg[section][key] = "VALUE"
     text = yaml.safe_dump(cfg)
@@ -569,6 +590,22 @@ def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value)
                             f"{value} is not {problem}\n")
 
 
+@pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
+def test_report_field_past_the_csv_limit_exit_one(tmp_path, capsys, file):
+    # a 200 000-character cell ended in csv's "field larger than field limit"
+    # traceback; the error names the file and the line that holds it
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _set_cells(tmp_path / file, {(2, "mode"): "x" * 200_000})
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / file}: line 3: field larger than field limit "
+                            f"({csv.field_size_limit()})\n")
+
+
 def test_report_names_the_first_non_finite_row(tmp_path, capsys):
     # nan and inf powers on two rows once printed violations=1 and exited 0
     sim = tmp_path / "simulate"
@@ -579,6 +616,81 @@ def test_report_names_the_first_non_finite_row(tmp_path, capsys):
                "--baseline", str(sim / "baseline_trace.csv")) == 1
     assert capsys.readouterr().err == (f"error: {sim / 'trace.csv'}: row 3, column P_1: "
                                        f"nan is not finite\n")
+
+
+# ---------------------------------------------------------------------------
+# report's reader on mutated traces (hypothesis, derandomized)
+# ---------------------------------------------------------------------------
+
+_TRACES = ("trace.csv", "baseline_trace.csv")
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """A default simulate run's directory and the text of its two traces."""
+    out = tmp_path_factory.mktemp("simulated")
+    assert run("simulate", "--out", str(out)) == 0
+    return out, {name: (out / name).read_text() for name in _TRACES}
+
+
+_TRACE_TEXTS = ("x" * 200_000, "", "nan", "-inf", "1e999", "1e-400", "-0", "ten", " 1 ",
+                "1" * 5000, '"', "a,b", "a\nb", "\x00", "no_user", "uniformity", "enhanced",
+                "P_1", "P_9", "mode", "energy_J", "error_m")
+_ROW, _COLUMN, _OFFSET = st.integers(0, 80), st.integers(0, 20), st.integers(0, 10_000)
+_TRACE_EDITS = st.one_of(
+    st.tuples(st.just("cell"), _ROW, _COLUMN, st.sampled_from(_TRACE_TEXTS)),
+    st.tuples(st.sampled_from(("delete", "duplicate", "blank", "extend")), _ROW),
+    st.tuples(st.just("cut"), _ROW, _COLUMN),
+    st.tuples(st.just("char"), _OFFSET, st.sampled_from(('"', ",", "\n", "\r", "\x00"))),
+)
+
+
+def _edited(text, edits):
+    """A trace CSV's text with each edit applied: a cell rewritten (the
+    header's names too), a row deleted, duplicated, cut short or extended, a
+    blank row put in, and then a character put into the text itself.  Row,
+    column and offset indices wrap."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for kind, i, *rest in edits:
+        if kind == "char" or not rows:
+            continue
+        i %= len(rows)
+        if kind == "cell" and rows[i]:
+            rows[i][rest[0] % len(rows[i])] = rest[1]
+        elif kind == "delete":
+            del rows[i]
+        elif kind == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif kind == "blank":
+            rows.insert(i, [])
+        elif kind == "extend":
+            rows[i].append("1.0")
+        elif kind == "cut":
+            rows[i] = rows[i][:rest[0]]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    for kind, i, *rest in edits:
+        if kind == "char":
+            i %= len(text) + 1
+            text = text[:i] + rest[0] + text[i:]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@example(file="trace.csv", edits=[("cell", 2, 6, "x" * 200_000)])  # csv.Error
+@given(file=st.sampled_from(_TRACES), edits=st.lists(_TRACE_EDITS, min_size=1, max_size=4))
+def test_report_reads_or_refuses_mutated_traces(simulated, scene, partition, file, edits):
+    # what report runs on a pair of traces either gives its metrics or
+    # refuses them with a ValueError (SceneError is one), which exits 1
+    out, texts = simulated
+    paths = {name: out / name for name in _TRACES}
+    paths[file] = out / f"mutated-{file}"
+    paths[file].write_bytes(_edited(texts[file], edits).encode())
+    try:
+        _run_metrics(scene, partition, *_read_traces(*paths.values()))
+    except ValueError:
+        pass
 
 
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):

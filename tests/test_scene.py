@@ -90,6 +90,14 @@ def test_parse_error_carries_line():
         load_scene("room:\n  size_x: [oops\n")
 
 
+@pytest.mark.parametrize("text", ["[" * 5000, "{a: " * 3000], ids=["sequences", "mappings"])
+def test_deeply_nested_config_is_a_parse_error(text):
+    # PyYAML composes each nested collection by recursion: these ended in a
+    # RecursionError from inside it
+    with pytest.raises(SceneError, match="^parse error: collections nested too deeply to read$"):
+        load_scene(text)
+
+
 def test_led_off_ceiling_rejected(scene):
     cfg = scene_to_dict(scene)
     cfg["leds"][0]["position"][2] = 2.5
@@ -270,3 +278,71 @@ def test_loader_names_the_field_of_each_bound(scene, case):
     else:
         assert inside
         assert _at(scene_to_dict(built), path) == value
+
+
+# ---------------------------------------------------------------------------
+# load_scene on mutated configs (hypothesis, derandomized)
+# ---------------------------------------------------------------------------
+
+_CONFIG_LINES = dump_scene(default_scene()).splitlines()
+
+# Values at the edges of YAML's and Python's number readers.  None of them,
+# as a room side or a pitch, cuts the floor into a count of cells that is
+# refused only once it is allocated (no budget refuses those yet), so each
+# example stays small.
+_EDGE_LITERALS = ("1" + ":59" * 200 + ".5", "1" * 5000, "9" * 400, "1e999", "1.8e308",
+                  "1.7976931348623157e+308", "-1e308", "5e-324", "2.2250738585072014e-308", "0",
+                  "-0.0", ".nan", ".inf", "-.inf", "nan", "0x1f", "0o17", "1_0", "0:02.15", "true",
+                  "~", "''", "2001-02-30", "&a [*a]", "!!binary aGk=", "[]", "{}", "? [1]")
+
+
+@st.composite
+def _mutated_configs(draw):
+    """The default config's YAML with one to four line edits: a line spliced
+    in from elsewhere, deleted or duplicated, a value nested in flow
+    collections (past the parser's recursion limit too) or written as an
+    edge literal."""
+    lines = list(_CONFIG_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, colon, value = lines[i].partition(": ")
+        op = draw(st.sampled_from(("splice", "delete", "duplicate", "nest", "literal")))
+        if op == "splice":
+            lines.insert(i, draw(st.sampled_from(_CONFIG_LINES)))
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "nest" and colon:
+            depth = draw(st.sampled_from((600, 3, 1)))
+            opener, closer = draw(st.sampled_from((("[", "]"), ("{a: ", "}"))))
+            lines[i] = f"{key}: {opener * depth}{value}{closer * depth}"
+        elif op == "literal":
+            literal = draw(st.sampled_from(_EDGE_LITERALS))
+            if colon:
+                lines[i] = f"{key}: {literal}"
+            elif lines[i].lstrip().startswith("- "):  # a list item: "  - 3.0"
+                lines[i] = lines[i][:lines[i].index("- ") + 2] + literal
+            else:  # a section's line, such as "room:"
+                lines[i] = f"{lines[i]} {literal}"
+    return "\n".join(lines) + "\n"
+
+
+def _with_value(key, value):
+    """The default config's YAML with the first ``key`` line's value replaced."""
+    i = next(i for i, line in enumerate(_CONFIG_LINES) if line.strip().startswith(f"{key}: "))
+    return "\n".join([*_CONFIG_LINES[:i], f"{_CONFIG_LINES[i].split(':')[0]}: {value}",
+                      *_CONFIG_LINES[i + 1:]]) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@example(text=_with_value("power_w", "[" * 600 + "45.2" + "]" * 600))  # a RecursionError
+@example(text=_with_value("size_x", _EDGE_LITERALS[0]))  # an OverflowError from PyYAML
+@given(text=_mutated_configs())
+def test_load_scene_builds_or_refuses_mutated_configs(text):
+    # a config either builds a Scene or is refused with a ValueError
+    # (SceneError is one), which the commands turn into exit 1
+    try:
+        load_scene(text)
+    except ValueError:
+        pass
