@@ -198,23 +198,17 @@ def _cmd_optimize(args, scene: Scene, out: _OutputDir) -> int:
     return EXIT_OK if report.status is optimize.SolveStatus.OPTIMAL else EXIT_NO_ALLOCATION
 
 
-_TRACE_BASE_HEADER = ["t", "x_true", "y_true", "x_est", "y_est", "mode"]
-
-
-def _trace_rows(trace: controller.ScenarioTrace):
-    for s in trace.steps:
-        yield ([s.t,
-                None if s.true_pos is None else s.true_pos[0],
-                None if s.true_pos is None else s.true_pos[1],
-                None if s.estimate is None else s.estimate[0],
-                None if s.estimate is None else s.estimate[1],
-                s.mode]
-               + list(s.powers) + [s.energy_j, s.error_m])
+def _trace_header(m: int) -> list[str]:
+    """A trace CSV's columns for m LEDs: ScenarioStep's fields in order, a
+    position or estimate as two columns and the powers as P_1..P_m."""
+    return (["t", "x_true", "y_true", "x_est", "y_est", "mode"]
+            + [f"P_{i + 1}" for i in range(m)] + ["energy_J", "error_m"])
 
 
 def _write_trace(out: _OutputDir, name: str, trace: controller.ScenarioTrace, m: int):
-    header = _TRACE_BASE_HEADER + [f"P_{i + 1}" for i in range(m)] + ["energy_J", "error_m"]
-    out.write_csv(name, header, _trace_rows(trace))
+    out.write_csv(name, _trace_header(m),
+                  ([s.t, *(s.true_pos or (None, None)), *(s.estimate or (None, None)), s.mode,
+                    *s.powers, s.energy_j, s.error_m] for s in trace.steps))
 
 
 def _benchmark_rows(scene, partition):
@@ -250,13 +244,27 @@ def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
     return EXIT_OK
 
 
-def _read_traces(trace: Path, baseline: Path):
-    """The non-blank rows, as dicts, of a run's trace CSV and of its
-    baseline's, which must have the trace's power columns.  A missing
-    column, an empty file, a ragged row, a field past csv's size limit, or
-    a cell that is not a number or is nan or inf (1e999 too) in an
-    energy_J, P_i or error_m column is a SceneError."""
-    tables, columns = [], ("energy_J", "mode", "error_m")
+def _trace_number(path: Path, n: int, column: str, text: str, may_be_empty: bool):
+    """A trace cell's finite float, or None for an empty cell that may be empty."""
+    if may_be_empty and not text:
+        return None
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+        problem = "finite"
+    except ValueError:
+        problem = "a number"
+    raise SceneError(f"{path}: row {n}, column {column}: {text!r} is not {problem}")
+
+
+def _read_traces(trace: Path, baseline: Path) -> list[controller.ScenarioTrace]:
+    """The ScenarioTraces that _write_trace wrote to a run's trace CSV and its
+    baseline's.  A header's length gives its LED count, its columns may come
+    in any order, and blank rows are skipped.  mode is text and every other
+    cell a finite float; only a position or an estimate (both its cells) or
+    error_m may be empty, and reads as None.  Anything else is a one-line
+    SceneError naming the file, and a bad cell's row, column and text's repr."""
+    traces = []
     for path in (trace, baseline):
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -264,45 +272,42 @@ def _read_traces(trace: Path, baseline: Path):
                 header, *rows = [row for row in reader if row] or [[]]
             except csv.Error as exc:  # a field longer than csv.field_size_limit()
                 raise SceneError(f"{path}: line {reader.line_num}: {exc}") from None
+        columns = _trace_header(len(header) - len(_trace_header(0)))
         for column in columns:
             if column not in header:
                 raise SceneError(f"{path}: not a trace CSV (missing {column} column)")
         if not rows:
             raise SceneError(f"{path}: empty trace")
-        numbers = {"energy_J", "error_m", *(c for c in header if c.startswith("P_"))}
+        order = [header.index(column) for column in columns]  # all found, as many: a permutation
+        may_be_empty = {1, 2, 3, 4, len(columns) - 1}  # the position, the estimate and error_m
+        steps = []
         for n, row in enumerate(rows, 1):
             if len(row) != len(header):
                 raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
-            for column, text in zip(header, row):
-                if column in numbers and text:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise SceneError(f"{path}: row {n}, column {column}: "
-                                         f"{text} is not a number") from None
-                    if not math.isfinite(value):
-                        raise SceneError(f"{path}: row {n}, column {column}: {text} is not finite")
-        tables.append([dict(zip(header, row)) for row in rows])
-        columns = ("energy_J", *(c for c in header if c.startswith("P_")))
-    return tables
+            v = [row[i] if j == 5 else _trace_number(path, n, columns[j], row[i], j in may_be_empty)
+                 for j, i in enumerate(order)]
+            for j in (1, 3):  # (x_true, y_true) and (x_est, y_est)
+                if v[j:j + 2].count(None) == 1:
+                    column = columns[j + v[j:j + 2].index(None)]
+                    raise SceneError(f"{path}: row {n}, column {column}: '' in a half-empty pair")
+            xy, est = (None if v[j] is None else (v[j], v[j + 1]) for j in (1, 3))
+            steps.append(controller.ScenarioStep(v[0], xy, est, v[5], tuple(v[6:-2]), v[-2], v[-1]))
+        traces.append(controller.ScenarioTrace(steps=tuple(steps)))
+    return traces
 
 
-def _run_metrics(scene: Scene, partition, rows, base_rows) -> dict:
-    """summary.txt's metrics, by key, of trace and baseline rows as
-    _read_traces gives them.  A mode's keys are present only when some step
-    is in that mode, the errors' only when some step localized the user.
-    Each mode's powers, and the baseline's, are those of its first row."""
-    if len(rows) != len(base_rows):
-        raise SceneError("trace and baseline step counts differ")
-    savings = controller.savings(sum(float(r["energy_J"]) for r in rows),
-                                 sum(float(r["energy_J"]) for r in base_rows))
-    power_cols = [c for c in rows[0] if c.startswith("P_")]
+def _run_metrics(scene: Scene, partition, trace, baseline) -> dict:
+    """summary.txt's metrics, by key, of a run's trace and its baseline's.
+    A mode's keys are present only when some step is in that mode, the
+    errors' only when some step localized the user.  Each mode's powers,
+    and the baseline's, are those of its first step."""
+    savings = controller.energy_report(trace, baseline)
     lo_b, hi_b = scene.power_bounds()
-    if len(power_cols) != len(lo_b):
-        raise ValueError(f"trace has {len(power_cols)} power columns "
-                         f"but the scene has {len(lo_b)} LEDs")
-    powers = np.array([[float(r[c]) for c in power_cols] for r in rows])
-    first = {r["mode"]: p for r, p in zip(rows[::-1], powers[::-1])}  # each mode's first row
+    powers = np.array([s.powers for s in trace.steps])
+    for name, n in (("trace", powers.shape[1]), ("baseline", len(baseline.steps[0].powers))):
+        if n != len(lo_b):
+            raise ValueError(f"{name} has {n} power columns but the scene has {len(lo_b)} LEDs")
+    first = {s.mode: p for s, p in zip(trace.steps[::-1], powers[::-1])}  # each mode's first step
 
     def plane(p, quantity, activity_only=False):
         grid = photometry.field(scene, partition, quantity=quantity, powers=p)
@@ -314,8 +319,8 @@ def _run_metrics(scene: Scene, partition, rows, base_rows) -> dict:
         vals = plane(p, "illuminance", activity_only)
         return float(vals.min()), float(vals.max())
 
-    var_before = float(np.var(plane([float(base_rows[0][c]) for c in power_cols], "snr")))
-    m = {"steps": len(rows), "savings_pct": 100.0 * savings, "snr_variance_baseline": var_before}
+    var_before = float(np.var(plane(baseline.steps[0].powers, "snr")))
+    m = {"steps": len(powers), "savings_pct": 100.0 * savings, "snr_variance_baseline": var_before}
     p_unif = first.get(controller.Mode.UNIFORMITY.value)
     if p_unif is not None:
         if var_before == 0:
@@ -328,8 +333,8 @@ def _run_metrics(scene: Scene, partition, rows, base_rows) -> dict:
     if p_enh is not None:
         m["illuminance_enhanced_lx"] = illuminance_lx(p_enh, activity_only=True)
         m["enhanced_total_W"] = float(p_enh.sum())
-    errors = [float(r["error_m"]) for r in rows if r["error_m"] != ""]
-    if errors:
+    errors = trace.errors()
+    if errors.size:
         m["mean_error_m"], m["max_error_m"] = float(np.mean(errors)), float(np.max(errors))
     outside = (powers < lo_b - 1e-9) | (powers > hi_b + 1e-9)
     m["power_violations"] = int(np.count_nonzero(outside.any(axis=1)))
@@ -348,8 +353,8 @@ def _summary_text(metrics: dict) -> str:
 
 
 def _cmd_report(args, scene: Scene, out: Optional[_OutputDir]) -> int:
-    rows, base_rows = _read_traces(Path(args.trace), Path(args.baseline))
-    m = _run_metrics(scene, build_partition(scene), rows, base_rows)
+    m = _run_metrics(scene, build_partition(scene),
+                     *_read_traces(Path(args.trace), Path(args.baseline)))
     lines = [f"savings={m['savings_pct']:.2f}%"]
     if "snr_variance_reduction_pct" in m:
         lines.append(f"variance_reduction={m['snr_variance_reduction_pct']:.2f}%")

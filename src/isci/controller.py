@@ -41,7 +41,6 @@ __all__ = [
     "generate_trajectory",
     "run_scenario",
     "baseline_scenario",
-    "savings",
     "energy_report",
     "benchmark",
 ]
@@ -170,10 +169,8 @@ def _segment_avoids_mic(a, b, partition: RegionPartition) -> bool:
 
 
 def _walk(points: Sequence[tuple[float, float]], speed: float, dt: float):
-    """Positions sampled every dt while moving along the polyline at
-    ``speed``, ending at its last point; none for fewer than two points."""
-    if len(points) < 2:
-        return []
+    """Positions sampled every dt while moving along the polyline of two or
+    more points at ``speed``, ending at its last point."""
     out, a, remaining = [], points[0], speed * dt
     for b in points[1:]:
         while (seg_len := math.hypot(b[0] - a[0], b[1] - a[1])) > remaining:
@@ -349,19 +346,14 @@ def baseline_scenario(scene: Scene, trajectory: Sequence[TrajectoryPoint]) -> Sc
     return ScenarioTrace(steps=steps)
 
 
-def savings(energy_j: float, base_energy_j: float) -> float:
-    """Fractional energy saved against a baseline run's total energy."""
-    if base_energy_j <= 0:
-        raise ValueError("baseline trace has no energy")
-    return 1.0 - energy_j / base_energy_j
-
-
 def energy_report(trace: ScenarioTrace, baseline: ScenarioTrace) -> float:
     """Fractional energy savings of the adaptive run versus the baseline."""
     if len(trace.steps) != len(baseline.steps):
         raise ValueError(f"step count mismatch: {len(trace.steps)} vs {len(baseline.steps)}")
-    return savings(sum(s.energy_j for s in trace.steps),
-                   sum(s.energy_j for s in baseline.steps))
+    energy_j = sum(s.energy_j for s in trace.steps)
+    if (base_energy_j := sum(s.energy_j for s in baseline.steps)) <= 0:
+        raise ValueError("baseline trace has no energy")
+    return 1.0 - energy_j / base_energy_j
 
 
 # ---------------------------------------------------------------------------

@@ -467,8 +467,9 @@ def load_scene(config_text: str) -> Scene:
 
     class Loader(yaml.SafeLoader):
         """SafeLoader that also reads YAML 1.2 floats: YAML 1.1 leaves 1e-2
-        and 1.5e3 strings (its floats need a dot and a signed exponent).  An
-        int with more digits than Python converts is a parse error at its mark."""
+        and 1.5e3 strings (its floats need a dot and a signed exponent).  A date
+        stays its text, so a number's field names it.  An int with more digits
+        than Python converts is a parse error at its mark."""
 
         def construct_yaml_int(self, node):
             try:
@@ -479,6 +480,7 @@ def load_scene(config_text: str) -> Scene:
                                   f"an integer of {digits} digits is too long to read") from None
 
     Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
+    Loader.add_constructor("tag:yaml.org,2002:timestamp", Loader.construct_scalar)
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     try:
         cfg = yaml.load(config_text, Loader=Loader)

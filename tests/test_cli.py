@@ -16,8 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isci
+from isci import cli
 from isci.cli import _read_traces, _run_metrics, main
-from isci.scene import default_scene, dump_scene, scene_to_dict
+from isci.controller import baseline_scenario, generate_trajectory, run_scenario
+from isci.geometry import build_partition
+from isci.scene import SceneError, default_scene, dump_scene, scene_to_dict
+from isci.sensing import SensingModel, build_fingerprint_table
 from tests.oracles import mic_radius_exact
 
 
@@ -365,12 +369,16 @@ def test_invalid_config_exit_one(tmp_path, capsys):
      "parse error at line {line}, column {column}: an integer of 5000 digits is too long to read"),
     ("room", "size_x", "[" * 5000, "parse error: collections nested too deeply to read"),
     ("room", "size_x", "1" + ":59" * 200 + ".5", "parse error: int too large to convert to float"),
+    ("room", "size_x", "2001-02-30", "room.size_x: must be a finite number, got '2001-02-30'"),
+    ("room", "size_x", "2001-02-03", "room.size_x: must be a finite number, got '2001-02-03'"),
 ], ids=["huge-room", "fine-pitch", "int-past-float", "int-past-str-digits", "nested-past-recursion",
-        "sexagesimal-past-float"])
+        "sexagesimal-past-float", "no-such-date", "date"])
 def test_overflowing_config_exit_one(tmp_path, capsys, section, key, literal, message):
     # the first three used to end in an OverflowError traceback, the fourth in
     # Python's ValueError on converting a string of over 4300 digits to an int,
-    # the fifth in PyYAML's RecursionError and the last in its OverflowError
+    # the fifth in PyYAML's RecursionError, the sixth in its OverflowError and
+    # the seventh in its "day is out of range for month", naming no field; a
+    # YAML timestamp is read as its text
     cfg = scene_to_dict(default_scene())
     cfg[section][key] = "VALUE"
     text = yaml.safe_dump(cfg)
@@ -573,10 +581,12 @@ def _set_cells(path, cells):
 
 @pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
 @pytest.mark.parametrize("column", ["energy_J", "P_1", "error_m"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+Infinity", "ten"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+Infinity", "ten",
+                                   "a\nb", "inf\n"])
 def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value):
     # before, a nan compared false against both power bounds and was reported,
-    # and ten was float()'s error, naming no file, row or column
+    # ten was float()'s error, naming no file, row or column, and a cell's
+    # newline split the one error line in two; the cell is echoed by repr
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
     _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
@@ -585,9 +595,63 @@ def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value)
                "--baseline", str(tmp_path / "base.csv")) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    problem = "a number" if value == "ten" else "finite"
+    problem = "a number" if value in ("ten", "a\nb") else "finite"
     assert captured.err == (f"error: {tmp_path / file}: row 2, column {column}: "
-                            f"{value} is not {problem}\n")
+                            f"{value!r} is not {problem}\n")
+
+
+def test_report_header_only_trace_exit_one(tmp_path, capsys):
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0, steps=0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'trace.csv'}: empty trace\n"
+
+
+@pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
+@pytest.mark.parametrize("column, problem", [
+    ("energy_J", "is not a number"),
+    ("P_1", "is not a number"),
+    ("x_true", "in a half-empty pair"),
+    ("y_est", "in a half-empty pair"),
+])
+def test_report_empty_cell_exit_one(tmp_path, capsys, file, column, problem):
+    # only a position, an estimate (both cells) or error_m may be empty; an
+    # empty energy_J or P_1 cell was float()'s error, naming no file, row or
+    # column, and half a position was accepted
+    p_min, _ = default_scene().power_bounds()
+    _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _set_cells(tmp_path / file, {(k, c): "0.5" for k in (1, 2, 3)
+                                 for c in ("x_true", "y_true", "x_est", "y_est")})
+    _set_cells(tmp_path / file, {(2, column): ""})
+    assert run("report", "--trace", str(tmp_path / "trace.csv"),
+               "--baseline", str(tmp_path / "base.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / file}: row 2, column {column}: '' {problem}\n"
+
+
+@pytest.mark.parametrize("layout, trajectory_seed, noise_seed", [(3, 7, 1), (5, 0, 0), (11, 3, 9)])
+def test_read_traces_inverts_write_trace(tmp_path, layout, trajectory_seed, noise_seed):
+    # %.17g round-trips every float, so report reads back the very
+    # ScenarioTraces that simulate wrote
+    scene = default_scene(layout)
+    partition = build_partition(scene)
+    model = SensingModel(scene)
+    ctl = scene.controller
+    trajectory = generate_trajectory(partition, seed=trajectory_seed, dt=ctl.step_period_s,
+                                     speed=ctl.user_speed_m_per_s, dwell_time=ctl.dwell_time_s)
+    written = (run_scenario(scene, partition, build_fingerprint_table(scene, model), trajectory,
+                            noise_seed=noise_seed, model=model),
+               baseline_scenario(scene, trajectory))
+    steps = written[0].steps
+    assert {s.mode for s in steps} == {"no_user", "uniformity", "enhanced"}
+    assert {s.detected for s in steps} == {True, False}
+    for name, trace in zip(_TRACES, written):
+        cli._write_trace(cli._OutputDir(tmp_path), name, trace, scene.num_leds)
+    assert tuple(_read_traces(*(tmp_path / name for name in _TRACES))) == written
 
 
 @pytest.mark.parametrize("file", ["trace.csv", "base.csv"])
@@ -615,7 +679,7 @@ def test_report_names_the_first_non_finite_row(tmp_path, capsys):
     assert run("report", "--trace", str(sim / "trace.csv"),
                "--baseline", str(sim / "baseline_trace.csv")) == 1
     assert capsys.readouterr().err == (f"error: {sim / 'trace.csv'}: row 3, column P_1: "
-                                       f"nan is not finite\n")
+                                       f"'nan' is not finite\n")
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +743,34 @@ def _edited(text, edits):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @example(file="trace.csv", edits=[("cell", 2, 6, "x" * 200_000)])  # csv.Error
+@example(file="trace.csv", edits=[("cell", 2, 14, "")])  # energy_J
+@example(file="baseline_trace.csv", edits=[("cell", 2, 6, "")])  # P_1
+@example(file="trace.csv", edits=[("cell", 2, 6, "a\nb")])
+@example(file="trace.csv", edits=[("cell", 2, 14, "inf\n")])
 @given(file=st.sampled_from(_TRACES), edits=st.lists(_TRACE_EDITS, min_size=1, max_size=4))
 def test_report_reads_or_refuses_mutated_traces(simulated, scene, partition, file, edits):
     # what report runs on a pair of traces either gives its metrics or
-    # refuses them with a ValueError (SceneError is one), which exits 1
+    # refuses them with a one-line ValueError, which exits 1.  The reader
+    # refuses a file with a SceneError that names it; what it accepts it
+    # reads back the same from the trace files that _write_trace writes
     out, texts = simulated
     paths = {name: out / name for name in _TRACES}
     paths[file] = out / f"mutated-{file}"
     paths[file].write_bytes(_edited(texts[file], edits).encode())
     try:
-        _run_metrics(scene, partition, *_read_traces(*paths.values()))
-    except ValueError:
-        pass
+        traces = _read_traces(*paths.values())
+    except ValueError as exc:
+        assert isinstance(exc, SceneError) and str(exc).startswith(f"{paths[file]}: "), exc
+        assert str(exc).splitlines() == [str(exc)]
+        return
+    again = out / "again"
+    for name, trace in zip(_TRACES, traces):
+        cli._write_trace(cli._OutputDir(again), name, trace, len(trace.steps[0].powers))
+    assert _read_traces(*(again / name for name in _TRACES)) == traces
+    try:
+        _run_metrics(scene, partition, *traces)
+    except ValueError as exc:
+        assert str(exc).splitlines() == [str(exc)]
 
 
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):

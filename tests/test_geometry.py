@@ -78,6 +78,11 @@ def test_mec_right_triangle():
     assert abs(mec.radius - 2.5) < 1e-12
 
 
+def test_mec_of_no_points():
+    with pytest.raises(GeometryError, match="^no points given$"):
+        min_enclosing_circle([])
+
+
 def test_mec_unit_square():
     mec = min_enclosing_circle(_square())
     assert math.hypot(mec.center.x - 0.5, mec.center.y - 0.5) < 1e-12
