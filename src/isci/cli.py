@@ -215,9 +215,9 @@ def _benchmark_rows(scene, partition):
     for quantity in ("snr", "illuminance"):
         grid = photometry.field(scene, partition, quantity=quantity)
         bench = controller.benchmark(grid)
-        for region in ("reference", "mec", "mic"):
-            yield [quantity, region, bench.average, bench.deviation, bench.minimum,
-                   bench.frac_above_avg[region], bench.frac_below_dev[region]]
+        for region, above in bench.frac_above_avg.items():
+            yield [quantity, region, bench.average, bench.deviation, bench.minimum, above,
+                   bench.frac_below_dev[region]]
 
 
 def _cmd_simulate(args, scene: Scene, out: _OutputDir) -> int:
@@ -260,12 +260,16 @@ def _trace_number(path: Path, n: int, column: str, text: str, may_be_empty: bool
 def _read_traces(trace: Path, baseline: Path) -> list[controller.ScenarioTrace]:
     """The ScenarioTraces that _write_trace wrote to a run's trace CSV and its
     baseline's.  A header's length gives its LED count, its columns may come
-    in any order, and blank rows are skipped.  mode is text and every other
-    cell a finite float; only a position or an estimate (both its cells) or
-    error_m may be empty, and reads as None.  Anything else is a one-line
-    SceneError naming the file, and a bad cell's row, column and text's repr."""
+    in any order, and blank rows are skipped.  mode reads baseline in the
+    baseline's file, as _write_trace writes it, and a controller.Mode value
+    or baseline in the run's (a baseline reported against itself saves
+    nothing); every other cell is a finite float.  Only a position or an
+    estimate (both its cells) or error_m may be empty, and reads as None.
+    Anything else is a one-line SceneError naming the file, and a bad cell's
+    row, column and text's repr."""
+    run_modes = {mode.value for mode in controller.Mode} | {"baseline"}
     traces = []
-    for path in (trace, baseline):
+    for path, modes in ((trace, run_modes), (baseline, {"baseline"})):
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -286,6 +290,9 @@ def _read_traces(trace: Path, baseline: Path) -> list[controller.ScenarioTrace]:
                 raise SceneError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
             v = [row[i] if j == 5 else _trace_number(path, n, columns[j], row[i], j in may_be_empty)
                  for j, i in enumerate(order)]
+            if v[5] not in modes:
+                raise SceneError(f"{path}: row {n}, column mode: {v[5]!r} is not one of "
+                                 f"{sorted(modes)}")
             for j in (1, 3):  # (x_true, y_true) and (x_est, y_est)
                 if v[j:j + 2].count(None) == 1:
                     column = columns[j + v[j:j + 2].index(None)]
@@ -443,7 +450,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

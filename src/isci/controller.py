@@ -360,9 +360,6 @@ def energy_report(trace: ScenarioTrace, baseline: ScenarioTrace) -> float:
 # Coverage benchmarks
 # ---------------------------------------------------------------------------
 
-_BENCH_REGIONS = ("reference", "mec", "mic")
-
-
 @dataclass(frozen=True)
 class BenchmarkThresholds:
     """Plane-average / deviation thresholds with per-region coverage.
@@ -394,8 +391,8 @@ def benchmark(field: FieldGrid) -> BenchmarkThresholds:
     }
     frac_above = {}
     frac_below = {}
-    for name in _BENCH_REGIONS:
-        sel = values[masks[name]]
+    for name, mask in masks.items():
+        sel = values[mask]
         if len(sel) == 0:
             frac_above[name] = float("nan")
             frac_below[name] = float("nan")

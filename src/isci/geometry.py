@@ -149,15 +149,13 @@ def _circle_two(a, b):
 
 
 def _circle_three(a, b, c):
-    # Circumcircle; None when the triangle is degenerate.
+    # Circumcircle; by Welzl's invariant a, b and c are never collinear here.
     ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
     oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
     ax, ay = a[0] - ox, a[1] - oy
     bx, by = b[0] - ox, b[1] - oy
     cx, cy = c[0] - ox, c[1] - oy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        return None
     x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
@@ -176,7 +174,7 @@ def _mec_with_two(pts, p, q):
     c = _circle_two(p, q)
     for r in pts:
         if not _in_circle(c, r):
-            c = _circle_three(p, q, r) or c
+            c = _circle_three(p, q, r)
     return c
 
 

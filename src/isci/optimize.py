@@ -6,10 +6,12 @@ Uniformity mode minimizes the spatial variance of the simplified SNR over the
 receiving plane (a QP); enhanced mode minimizes total LED power under SNR
 floors over the activity area (an LP, Q = None).  One small dense primal-dual
 interior-point solver (Mehrotra-style predictor-corrector) handles both,
-after a phase-1 feasibility solve that detects infeasible instances cleanly
-rather than by divergence.  The KKT certificate fits its multipliers with a
-numpy Lawson-Hanson nonnegative least-squares solve (``_nnls``), so the
-module needs only numpy.
+after a phase-1 feasibility solve.  Phase 1 can stop at its iteration cap
+and report INFEASIBLE at a strictly feasible point (ROADMAP item 2); the
+strict xfails test_refined_enhanced_lp_matches_highs[23] and
+test_refinement_round_status_agrees_with_highs[loop-large-round-1] pin it.
+The KKT certificate fits its multipliers with a numpy Lawson-Hanson
+nonnegative least-squares solve (``_nnls``), so the module needs only numpy.
 
 Rows are sampled on a coarse grid for tractability; solve_refined re-checks
 a finer grid and appends violated points as extra rows, which converges in a
@@ -451,16 +453,11 @@ def default_snr_threshold(scene: Scene, partition: RegionPartition) -> float:
 
 def build_enhanced_lp(scene: Scene, partition: RegionPartition) -> EnhancedLp:
     """Assemble the total-power LP on the activity-area grid at the scene's
-    ``opt_pitch_m``.  The range checks guard scenes that skipped validation."""
+    ``opt_pitch_m``."""
     ctl = scene.controller
     snr_threshold = ctl.snr_threshold
     if snr_threshold is None:
         snr_threshold = default_snr_threshold(scene, partition)
-    if snr_threshold < 0:
-        raise ValueError(f"SNR threshold must be nonnegative, got {snr_threshold}")
-    e_min, e_max = ctl.e_enhanced_min_lx, ctl.e_enhanced_max_lx
-    if not 0 <= e_min <= e_max:
-        raise ValueError(f"invalid illuminance range [{e_min}, {e_max}]")
     pts = _region_points(scene, partition, ctl.opt_pitch_m, activity_only=True)
     if len(pts) == 0:
         # Tiny activity areas can fall between grid points; sample the center.
@@ -468,8 +465,9 @@ def build_enhanced_lp(scene: Scene, partition: RegionPartition) -> EnhancedLp:
     p_min, p_max = scene.power_bounds()
     return EnhancedLp(q_matrix=None, linear=np.ones(len(p_min)), points=pts,
                       snr_coeffs=_snr_rows(scene, pts), illum_coeffs=_illum_rows(scene, pts),
-                      snr_threshold=float(snr_threshold), e_min=float(e_min),
-                      e_max=float(e_max), p_min=p_min, p_max=p_max, activity_only=True)
+                      snr_threshold=float(snr_threshold), e_min=float(ctl.e_enhanced_min_lx),
+                      e_max=float(ctl.e_enhanced_max_lx), p_min=p_min, p_max=p_max,
+                      activity_only=True)
 
 
 def solve(problem: SampledProgram) -> SolveReport:
@@ -484,7 +482,8 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
     and re-solve with violated points appended until that grid is clean.
 
     Returns (problem, report); the returned problem contains any appended
-    constraint points.
+    constraint points.  After _REFINE_ROUNDS re-solves, it returns the last
+    problem and report unchecked: the field grid may still be violated.
     """
     report = solve(problem)
     check_pts = problem.check_points(scene, partition, scene.controller.field_pitch_m)

@@ -226,6 +226,20 @@ def test_pitch_wider_than_room_exit_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_optimize_without_plane_samples_exit_one(tmp_path, capsys):
+    # three LEDs in one corner: the 5 m pitch's one sample, the room's
+    # centre, lies outside their MEC, so the uniformity QP has no rows
+    cfg = tmp_path / "corner.yaml"
+    cfg.write_text(yaml.safe_dump({"leds": [{"position": [x, y, 3.0]}
+                                            for x, y in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0))],
+                                   "sensing_pds": [{"position": [2.5, 2.5, 3.0]}]}))
+    out = tmp_path / "x"
+    assert run("optimize", "--mode", "uniformity", "--pitch", "5", "--config", str(cfg),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: no receiving-plane samples at this pitch\n"
+    assert not out.exists()
+
+
 def test_optimize_zero_snr_threshold(tmp_path, capsys):
     out = tmp_path / "z"
     assert run("optimize", "--mode", "enhanced", "--snr-threshold", "0",
@@ -490,7 +504,7 @@ def _write_trace(path, powers, energy_j, steps=3, mode="no_user"):
 def test_report_zero_energy_baseline_exit_one(tmp_path, capsys):
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 0.5 * float(p_min.sum()))
-    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 0.0)
+    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 0.0, mode="baseline")
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
     assert "error: baseline trace has no energy" in capsys.readouterr().err
@@ -500,7 +514,7 @@ def test_report_uniform_baseline_snr_exit_one(tmp_path, capsys):
     # dark LEDs give an SNR of 0 everywhere: the variance reduction would divide by 0
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0, mode="uniformity")
-    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", [0.0] * len(p_min), 2.0, mode="baseline")
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
     assert capsys.readouterr().err == ("error: the baseline's SNR is uniform, "
@@ -511,7 +525,7 @@ def test_report_power_column_mismatch_exit_one(tmp_path, capsys):
     p_min, _ = default_scene().power_bounds()
     short = list(p_min[:-1])
     _write_trace(tmp_path / "trace.csv", short, 1.0)
-    _write_trace(tmp_path / "base.csv", short, 2.0)
+    _write_trace(tmp_path / "base.csv", short, 2.0, mode="baseline")
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
     err = capsys.readouterr().err
@@ -537,7 +551,7 @@ def _drop_column(path, column):
 def test_report_missing_column_exit_one(tmp_path, capsys, file, column):
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     _drop_column(tmp_path / file, column)
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
@@ -553,7 +567,7 @@ def test_report_missing_column_exit_one(tmp_path, capsys, file, column):
 def test_report_ragged_row_exit_one(tmp_path, capsys, file, row, extra):
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     lines = (tmp_path / file).read_text().splitlines()
     fields = lines[row].split(",")
     fields = fields[:extra] if extra < 0 else fields + ["1.0"] * extra
@@ -589,7 +603,7 @@ def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value)
     # newline split the one error line in two; the cell is echoed by repr
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     _set_cells(tmp_path / file, {(2, column): value})
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
@@ -603,7 +617,7 @@ def test_report_non_finite_value_exit_one(tmp_path, capsys, file, column, value)
 def test_report_header_only_trace_exit_one(tmp_path, capsys):
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0, steps=0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'trace.csv'}: empty trace\n"
@@ -622,7 +636,7 @@ def test_report_empty_cell_exit_one(tmp_path, capsys, file, column, problem):
     # column, and half a position was accepted
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     _set_cells(tmp_path / file, {(k, c): "0.5" for k in (1, 2, 3)
                                  for c in ("x_true", "y_true", "x_est", "y_est")})
     _set_cells(tmp_path / file, {(2, column): ""})
@@ -660,7 +674,7 @@ def test_report_field_past_the_csv_limit_exit_one(tmp_path, capsys, file):
     # traceback; the error names the file and the line that holds it
     p_min, _ = default_scene().power_bounds()
     _write_trace(tmp_path / "trace.csv", list(p_min), 1.0)
-    _write_trace(tmp_path / "base.csv", list(p_min), 2.0)
+    _write_trace(tmp_path / "base.csv", list(p_min), 2.0, mode="baseline")
     _set_cells(tmp_path / file, {(2, "mode"): "x" * 200_000})
     assert run("report", "--trace", str(tmp_path / "trace.csv"),
                "--baseline", str(tmp_path / "base.csv")) == 1
@@ -668,6 +682,39 @@ def test_report_field_past_the_csv_limit_exit_one(tmp_path, capsys, file):
     assert captured.out == ""
     assert captured.err == (f"error: {tmp_path / file}: line 3: field larger than field limit "
                             f"({csv.field_size_limit()})\n")
+
+
+@pytest.mark.parametrize("file, mode", [("trace.csv", "uniformty"), ("trace.csv", ""),
+                                        ("baseline_trace.csv", "Baseline"),
+                                        ("baseline_trace.csv", "no_user")])
+def test_report_refuses_an_unknown_mode(tmp_path, capsys, file, mode):
+    # a misspelt mode was reported with exit 0, as if no step were in that
+    # mode; a baseline's steps read baseline, a run's a mode or baseline
+    sim = tmp_path / "simulate"
+    assert run("simulate", "--out", str(sim)) == 0
+    with (sim / file).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    replaced = [n for n, row in enumerate(rows, 1) if row["mode"] in ("uniformity", "baseline")]
+    _set_cells(sim / file, {(n, "mode"): mode for n in replaced})
+    capsys.readouterr()
+    assert run("report", "--trace", str(sim / "trace.csv"),
+               "--baseline", str(sim / "baseline_trace.csv")) == 1
+    modes = ["baseline"] + (["enhanced", "no_user", "uniformity"] if file == "trace.csv" else [])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {sim / file}: row {replaced[0]}, column mode: "
+                            f"{mode!r} is not one of {modes}\n")
+
+
+def test_report_refuses_swapped_traces(tmp_path, capsys):
+    # the run's trace given as the baseline was reported as -99.69% savings
+    sim = tmp_path / "simulate"
+    assert run("simulate", "--out", str(sim)) == 0
+    capsys.readouterr()
+    assert run("report", "--trace", str(sim / "baseline_trace.csv"),
+               "--baseline", str(sim / "trace.csv")) == 1
+    assert capsys.readouterr().err == (f"error: {sim / 'trace.csv'}: row 1, column mode: "
+                                       f"'no_user' is not one of ['baseline']\n")
 
 
 def test_report_names_the_first_non_finite_row(tmp_path, capsys):
@@ -699,7 +746,7 @@ def simulated(tmp_path_factory):
 
 _TRACE_TEXTS = ("x" * 200_000, "", "nan", "-inf", "1e999", "1e-400", "-0", "ten", " 1 ",
                 "1" * 5000, '"', "a,b", "a\nb", "\x00", "no_user", "uniformity", "enhanced",
-                "P_1", "P_9", "mode", "energy_J", "error_m")
+                "uniformty", "baseline", "P_1", "P_9", "mode", "energy_J", "error_m")
 _ROW, _COLUMN, _OFFSET = st.integers(0, 80), st.integers(0, 20), st.integers(0, 10_000)
 _TRACE_EDITS = st.one_of(
     st.tuples(st.just("cell"), _ROW, _COLUMN, st.sampled_from(_TRACE_TEXTS)),

@@ -219,6 +219,24 @@ def test_trajectory_rejects_a_ring_narrower_than_the_margins(partition, ring, ok
             ct.generate_trajectory(narrow, seed=1)
 
 
+def test_trajectory_gives_up_on_a_ring_of_exactly_the_margins(partition):
+    # concentric MEC and MIC, 1.1 and 1.0 m: the ring passes the width check,
+    # but a waypoint must lie both within 1.05 m and at least 1.05 m of the centre
+    centre = partition.mec.center
+    ring = replace(partition, mec=Circle(centre, 1.1), mic=Circle(centre, 1.0))
+    with pytest.raises(ValueError, match="^could not sample a non-activity waypoint$"):
+        ct.generate_trajectory(ring, seed=1)
+
+
+def test_a_point_segment_avoids_the_mic_by_its_distance(partition):
+    # a segment avoids the MIC when it passes more than 0.02 m outside it
+    mic = partition.mic
+    inside = (mic.center.x, mic.center.y)
+    outside = (mic.center.x + mic.radius + 0.03, mic.center.y)
+    assert not ct._segment_avoids_mic(inside, inside, partition)
+    assert ct._segment_avoids_mic(outside, outside, partition)
+
+
 # ---------------------------------------------------------------------------
 # scenario replay
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isci import controller as ct
 from isci import optimize as op
 from isci.geometry import Region, build_partition, classify_points
 from isci.photometry import plane_grid, snr_coefficients
-from isci.scene import default_scene
+from isci.scene import default_scene, scene_from_dict
 from tests.oracles import highs_lp
 
 
@@ -196,6 +197,17 @@ def test_default_scene_qp_solves(scene, partition):
     assert np.all(report.x >= lo - 1e-9) and np.all(report.x <= hi + 1e-9)
 
 
+def test_uniformity_qp_needs_a_plane_sample():
+    # three LEDs in one corner: the one 5 m sample, the room's centre, lies
+    # outside their MEC
+    scene = scene_from_dict({"leds": [{"position": [x, y, 3.0]}
+                                      for x, y in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0))],
+                             "sensing_pds": [{"position": [2.5, 2.5, 3.0]}],
+                             "controller": {"opt_pitch_m": 5.0}})
+    with pytest.raises(ValueError, match="^no receiving-plane samples at this pitch$"):
+        op.build_uniformity_qp(scene, build_partition(scene))
+
+
 # ---------------------------------------------------------------------------
 # LP solving
 # ---------------------------------------------------------------------------
@@ -236,6 +248,30 @@ def test_lp_infeasible_reports_worst_row(scene, partition):
     report = op.solve(lp)
     assert report.status is op.SolveStatus.INFEASIBLE
     assert report.worst_row is not None and report.worst_row.startswith("snr_min")
+
+
+def test_lp_of_unvalidated_ranges_has_a_defined_outcome(scene, partition):
+    # ControllerConfig.validate refuses both; a scene made by replace() skips
+    # it, and its LP still solves to a defined status
+    swapped = _with_controller(scene, e_enhanced_min_lx=scene.controller.e_enhanced_max_lx,
+                               e_enhanced_max_lx=scene.controller.e_enhanced_min_lx)
+    report = op.solve(op.build_enhanced_lp(swapped, partition))
+    assert report.status is op.SolveStatus.INFEASIBLE
+    assert report.worst_row.startswith("illuminance_max[")
+    report = op.solve(op.build_enhanced_lp(_with_controller(scene, snr_threshold=-1.0), partition))
+    assert report.status is op.SolveStatus.OPTIMAL
+
+
+def test_sliver_lp_samples_the_mic_centre():
+    # four LEDs within 1e-6 m of a line: no grid point falls in the activity area
+    scene = scene_from_dict({"leds": [{"position": [x, y, 3.0]} for x, y in
+                                      ((1.0, 1.0), (4.0, 3.999999), (2.0, 2.000001),
+                                       (3.0, 2.999999))],
+                             "sensing_pds": [{"position": [2.5, 2.5, 3.0]}]})
+    partition = build_partition(scene)
+    lp = op.build_enhanced_lp(scene, partition)
+    assert lp.points.tolist() == [[partition.mic.center.x, partition.mic.center.y]]
+    assert lp.snr_coeffs.shape == lp.illum_coeffs.shape == (1, 4)
 
 
 def test_lp_zero_threshold_hits_power_floor(scene, partition):
@@ -381,6 +417,21 @@ def test_refinement_forms_check_rows_once(monkeypatch, scene, partition, build):
     assert report.status is op.SolveStatus.OPTIMAL
     assert len(refined.points) > len(problem.points)  # some round re-solved
     assert calls["rows_at"] == 1 and calls["solve"] >= 2
+
+
+def test_refinement_returns_its_last_round_unchecked(monkeypatch, scene, partition):
+    # the default enhanced LP needs two rounds; after one, solve_refined
+    # returns that round's problem and report though the field grid is not clean
+    monkeypatch.setattr(op, "_REFINE_ROUNDS", 1)
+    lp = op.build_enhanced_lp(scene, partition)
+    problem, report = op.solve_refined(lp, scene, partition)
+    assert len(problem.points) > len(lp.points)
+    again = op.solve(problem)
+    assert report.status is again.status is op.SolveStatus.OPTIMAL
+    assert np.array_equal(report.x, again.x)
+    g_mat, h_vec = problem.rows_at(scene, partition, problem.check_points(
+        scene, partition, scene.controller.field_pitch_m))
+    assert ((g_mat @ report.x - h_vec) / op._row_scales(g_mat, h_vec)).max() > op._REFINE_VIOL_TOL
 
 
 def test_refinement_keeps_objective_samples(scene, partition):
@@ -549,7 +600,48 @@ def test_lstsq_fallback_rejects_nan_matrix():
         op.solve_inequality_program(quad, np.ones(2), g_mat, np.ones(4))
 
 
+def test_lstsq_fallback_solves_like_cholesky(monkeypatch, scene, partition):
+    # with every Cholesky factorization failing, each Newton solve takes lstsq
+    lp = op.build_enhanced_lp(scene, partition)
+    want = op.solve(lp)
+
+    def fail(k_mat):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    report = op.solve(lp)
+    assert report.status is want.status is op.SolveStatus.OPTIMAL
+    assert report.iterations == want.iterations
+    assert abs(report.objective - want.objective) <= 1e-9 * want.objective
+    assert round(report.objective, 4) == 260.2099
+
+
+def test_predictor_corrector_nudges_an_infeasible_start_inward():
+    # 0.5 <= x <= 1 from x0 = 0, where the first two slacks are negative
+    g_mat = np.vstack([-np.eye(2), np.eye(2)])
+    x, _, _, status = op._predictor_corrector(None, np.ones(2), g_mat,
+                                              np.array([-0.5, -0.5, 1.0, 1.0]), np.zeros(2))
+    assert status is op.SolveStatus.OPTIMAL
+    np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-8)
+
+
+def test_iteration_cap_falls_back_to_p_max(monkeypatch, scene, partition):
+    # phase 1 stops at the cap and reports INFEASIBLE today (ROADMAP item 2
+    # would change that status); either way it is not OPTIMAL, so apply_mode
+    # takes p_max
+    monkeypatch.setattr(op, "_MAX_ITER", 3)
+    assert op.solve(op.build_enhanced_lp(scene, partition)).status is not op.SolveStatus.OPTIMAL
+    powers, report = ct.apply_mode(ct.Mode.ENHANCED, scene, partition)
+    assert report.status is not op.SolveStatus.OPTIMAL
+    assert np.array_equal(powers, scene.power_bounds()[1])
+
+
 _BOX = np.vstack([np.eye(2), -np.eye(2)])  # -1 <= x <= 1 with h = ones(4)
+
+
+def test_solver_rejects_mismatched_row_counts():
+    with pytest.raises(ValueError, match="^G and h row counts differ$"):
+        op.solve_inequality_program(None, np.ones(2), _BOX, np.ones(3))
 
 
 @pytest.mark.parametrize("quad, c, g_mat, h_vec", [

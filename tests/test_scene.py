@@ -184,13 +184,38 @@ def _at(cfg, path):
     (("controller", "dwell_time_s"), -1.0, "controller.dwell_time_s: must be nonnegative"),
     (("controller", "e_uniform_min_lx"), 2000.0,
      "controller.e_uniform_min_lx: lower bound 2000.0 exceeds upper bound 1500.0"),
+    (("room",), [5.0], "room: expected a mapping, got list"),
+    (("leds",), [], "leds: at least one LED entry is required"),
+    (("sensing_pds",), [], "sensing_pds: at least one sensing PD entry is required"),
+    (("leds",), [[1.0, 1.0, 3.0]], "leds[0]: expected a mapping"),
+    (("sensing_pds",), [{"area_m2": 1e-4}], "sensing_pds[0].position: required"),
 ])
 def test_out_of_range_messages(scene, path, value, message):
-    # each single-field message is derived from the field's declared interval
+    # each single-field message is derived from the field's declared
+    # interval; a section or list of the wrong shape is named with its path
     cfg = scene_to_dict(scene)
     _at(cfg, path[:-1])[path[-1]] = value
     with pytest.raises(SceneError, match=f"^{re.escape(message)}$"):
         scene_from_dict(cfg)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty config document"),
+    ("# comments only\n", "empty config document"),
+    ("- room\n", "top level: expected a mapping, got list"),
+    ("5\n", "top level: expected a mapping, got int"),
+])
+def test_document_that_is_no_mapping(text, message):
+    with pytest.raises(SceneError, match=f"^{re.escape(message)}$"):
+        load_scene(text)
+
+
+@pytest.mark.parametrize("section", ["room", "comm_pd", "user", "noise", "grid", "controller"])
+def test_null_section_reads_as_absent(scene, section):
+    # "room:" with nothing after it is YAML's null: the section's defaults
+    cfg = scene_to_dict(scene)
+    absent = {key: value for key, value in cfg.items() if key != section}
+    assert scene_from_dict({**cfg, section: None}) == scene_from_dict(absent)
 
 
 def test_constructed_scene_refuses_nonfinite_fields(scene):

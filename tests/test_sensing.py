@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -1312,6 +1313,54 @@ def test_fingerprint_rejects_offset_off_the_grid(table, offset):
     with pytest.raises(ValueError, match=rf"^fingerprint stencil offset \({offset[0]}, "
                                          rf"{offset[1]}\) is off the 50 x 50 grid$"):
         sn.load_fingerprint(bytes(blob))
+
+
+_SMALL_BLOB = sn.save_fingerprint(sn.build_fingerprint_table(
+    _lattice_scene(size=1.0, per_side=1, pitch=0.25)))  # 846 bytes: K = 16, M = N = 1, S = 5
+_BLOB_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(_SMALL_BLOB) - 1), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, len(_SMALL_BLOB))),
+    st.tuples(st.just("word"), st.integers(0, 6),  # version, then K, M, N, S, nx, ny
+              st.one_of(st.sampled_from((0, 1, 2, 4, 5, 16, 2**16 - 1, 2**32 - 1)),
+                        st.integers(0, 2**32 - 1))),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+)
+
+
+def _mutated_blob(edits):
+    """_SMALL_BLOB with each edit applied: a byte xor-ed, the blob cut, a
+    header word rewritten (the u16 version is taken mod 2**16) or bytes
+    appended.  Offsets past a cut blob's end wrap."""
+    blob = bytearray(_SMALL_BLOB)
+    for kind, *rest in edits:
+        if kind == "flip" and blob:
+            blob[rest[0] % len(blob)] ^= rest[1]
+        elif kind == "cut":
+            del blob[rest[0]:]
+        elif kind == "word" and len(blob) >= 30:
+            at, fmt = (4, "<H") if rest[0] == 0 else (2 + 4 * rest[0], "<I")
+            struct.pack_into(fmt, blob, at, rest[1] % 2 ** (8 * struct.calcsize(fmt)))
+        elif kind == "append":
+            blob += rest[0]
+    return bytes(blob)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@example(edits=[("flip", 830, 0x80)])  # a stencil offset (0, 1) read as (128, 1): off the grid
+@example(edits=[("word", 5, 2), ("word", 6, 8)])  # the 4 x 4 grid read as 2 x 8
+@example(edits=[("cut", 29)])
+@given(edits=st.lists(_BLOB_EDITS, min_size=1, max_size=4))
+def test_load_fingerprint_loads_or_refuses_mutated_blobs(edits):
+    # a blob either loads into a table that Prediction.at takes or is
+    # refused with one ValueError; no other exception escapes
+    try:
+        table = sn.load_fingerprint(_mutated_blob(edits))
+    except ValueError as exc:
+        assert str(exc).splitlines() == [str(exc)]
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # flipped exponents overflow
+        prediction = sn.Prediction.at(table, np.ones(table.shape[1]))
+    assert prediction.slabs.shape[1] == table.shape[2]
 
 
 # sha256 of the LFPT v2 bytes of default_scene(seed)'s built table.
