@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -40,8 +39,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NO_ALLOCATION = 2
 EXIT_IO = 3
-
-_CONFIG_ENV = "ISCI_CONFIG"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,11 +103,8 @@ class _OutputDir:
 def _resolve_scene(args) -> Scene:
     """The configured scene with every given flag whose dest names a
     ControllerConfig field written into its controller, then validated."""
-    source = args.config
-    if source is None:
-        source = os.environ.get(_CONFIG_ENV, "default")
-    scene = (default_scene(args.scene_seed) if source == "default"
-             else load_scene(Path(source).read_text()))
+    scene = (default_scene(args.scene_seed) if args.config == "default"
+             else load_scene(Path(args.config).read_text()))
     names = {f.name for f in fields(scene.controller)}
     overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
     ctl = replace(scene.controller, **overrides)
@@ -386,8 +380,7 @@ def _build_parser() -> _Parser:
     def command(name, handler, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", default=None,
-                       help=f"scene config path or 'default' (env {_CONFIG_ENV})")
+        p.add_argument("--config", default="default", help="scene config path or 'default'")
         p.add_argument("--scene-seed", type=int, default=DEFAULT_LAYOUT_SEED,
                        help="layout seed for the built-in default scene")
         p.add_argument("--out", default="isci-out", help="output directory")

@@ -6,13 +6,6 @@ from isci.scene import default_scene
 from isci.sensing import SensingModel, build_fingerprint_table
 
 
-@pytest.fixture(autouse=True)
-def _no_config_env(monkeypatch):
-    # isci commands without --config read ISCI_CONFIG; a developer's setting
-    # must not reach the tests
-    monkeypatch.delenv("ISCI_CONFIG", raising=False)
-
-
 @pytest.fixture(scope="session")
 def scene():
     return default_scene()

@@ -58,6 +58,28 @@ def test_regions_of_a_sliver_layout(tmp_path):
     assert 0 < float(mic["radius"]) and abs(float(mic["radius"]) - exact) <= 1e-6 * exact
 
 
+def test_regions_of_a_ring_layout(tmp_path):
+    # 64 LEDs on a 2 m circle about the room centre: every hull vertex lies
+    # on the MEC, and the MIC is the circle through the edges' midpoints
+    angles = [2 * math.pi * k / 64 for k in range(64)]
+    cfg = tmp_path / "ring.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "leds": [{"position": [2.5 + 2 * math.cos(a), 2.5 + 2 * math.sin(a), 3.0]} for a in angles],
+        "sensing_pds": [{"position": [2.5, 2.5, 3.0]}]}))
+    out = tmp_path / "r"
+    assert run("regions", "--config", str(cfg), "--out", str(out)) == 0
+    rows = list(csv.DictReader((out / "regions.csv").open()))
+    (mec,) = [r for r in rows if r["kind"] == "mec"]
+    (mic,) = [r for r in rows if r["kind"] == "mic"]
+    assert float(mec["radius"]) == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert float(mic["radius"]) == pytest.approx(2 * math.cos(math.pi / 64), rel=1e-12, abs=0)
+    centre = (float(mec["x"]), float(mec["y"]))
+    for r in rows:
+        if r["kind"] == "hull":
+            distance = math.dist((float(r["x"]), float(r["y"])), centre)
+            assert abs(distance - float(mec["radius"])) <= 1e-9
+
+
 def test_field_outputs(tmp_path):
     out = tmp_path / "f"
     assert run("field", "--quantity", "illuminance", "--pitch", "0.5",
@@ -347,18 +369,15 @@ def test_config_file_resolution(tmp_path, capsys):
     assert run("regions", "--config", str(cfg), "--out", str(out)) == 0
 
 
-def test_config_env_applies_without_config_flag(tmp_path, monkeypatch):
+def test_environment_does_not_choose_the_config(tmp_path, monkeypatch):
+    # the same argv loads the same scene, whatever the environment holds
     cfg = tmp_path / "scene.yaml"
     cfg.write_text(dump_scene(default_scene(seed=5)))
     monkeypatch.setenv("ISCI_CONFIG", str(cfg))
-
-    def config(*flags):
-        out = tmp_path / f"out{len(flags)}"
-        assert run("regions", *flags, "--out", str(out)) == 0
-        return json.loads((out / "manifest.json").read_text())["config"]
-
-    assert config() == scene_to_dict(default_scene(seed=5))
-    assert config("--config", "default") == scene_to_dict(default_scene())
+    out = tmp_path / "regions"
+    assert run("regions", "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == scene_to_dict(default_scene())
 
 
 def test_invalid_config_exit_one(tmp_path, capsys):
@@ -821,22 +840,28 @@ def test_report_reads_or_refuses_mutated_traces(simulated, scene, partition, fil
 
 
 def test_simulate_runtime_imports_neither_scipy_nor_yaml(tmp_path):
-    # numpy 1.x imports numpy.ma with numpy; on 2.x only calls like
-    # np.unique load it, so simulate must load none beyond numpy's own
+    # the commands users run load no scipy, no yaml (read only for a YAML
+    # config or dump) and no numpy.ma beyond numpy's own: numpy 1.x imports
+    # it with numpy, on 2.x only calls like np.unique load it
+    commands = [["simulate", "--config", "default"], ["optimize", "--mode", "enhanced"],
+                ["field"]]
     code = (
-        "import sys, numpy\n"
+        "import contextlib, io, sys, numpy\n"
         "ma = {m for m in sys.modules if m.startswith('numpy.ma')}\n"
         "from isci.cli import main\n"
-        f"assert main(['simulate', '--config', 'default', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted({m for m in sys.modules if m.startswith('numpy.ma')} - ma))\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))\n"
+        f"for args in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        status = main([*args, '--out', {str(tmp_path)!r} + '/' + args[0]])\n"
+        "    loaded = {m for m in sys.modules if m.startswith('numpy.ma')} - ma\n"
+        "    loaded |= {m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}\n"
+        "    print(args[0], status, sorted(loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(isci.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
-    assert (tmp_path / "trace.csv").is_file()
+    assert proc.stdout.splitlines() == [f"{args[0]} 0 []" for args in commands]
+    assert (tmp_path / "simulate" / "trace.csv").is_file()
 
 
 # sha256 of every file the default-scene commands write, manifests included,

@@ -1,12 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isci
+from isci import geometry
 from isci.geometry import (ConvexPolygon, GeometryError, Point2,
                            Region, build_partition, classify_points,
                            convex_hull, max_inscribed_circle,
@@ -425,6 +431,29 @@ def test_partitions_pinned(scenes, digest):
     for scene in scenes():
         sha.update(repr(build_partition(scene)).encode())
     assert sha.hexdigest() == digest
+
+
+def test_geometry_stands_apart_from_the_solvers():
+    # isci/geometry.py, loaded by itself outside the package (whose __init__
+    # loads every module), finds a hull's circles with no isci module loaded
+    points = [(0, 0), (4, 0), (4, 2), (0, 2), (1, 1)]
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('geometry', {geometry.__file__!r})\n"
+        "geometry = sys.modules['geometry'] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(geometry)\n"
+        f"hull = geometry.convex_hull({points!r})\n"
+        "circles = geometry.min_enclosing_circle(hull), geometry.max_inscribed_circle(hull)\n"
+        "print(repr((hull, *circles)))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'isci'))\n"
+    )
+    hull = convex_hull(points)
+    found = (hull, min_enclosing_circle(hull), max_inscribed_circle(hull))
+    env = dict(os.environ, PYTHONPATH=str(Path(isci.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [repr(found), "[]"]
 
 
 # ---------------------------------------------------------------------------
