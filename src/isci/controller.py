@@ -201,9 +201,9 @@ def generate_trajectory(partition: RegionPartition, seed: int,
     if not (math.isfinite(dwell_time) and dwell_time >= 0):
         raise ValueError(f"dwell_time must be finite and nonnegative, got {dwell_time}")
     mec, mic = partition.mec.radius, partition.mic.radius
-    if mec - mic < 2 * _REGION_MARGIN:
+    if mec - _REGION_MARGIN <= mic + _REGION_MARGIN:
         raise ValueError(f"no trajectory fits the ring: MEC radius {mec:.3f} m minus MIC radius "
-                         f"{mic:.3f} m is under twice the {_REGION_MARGIN} m waypoint margin")
+                         f"{mic:.3f} m is not over twice the {_REGION_MARGIN} m waypoint margin")
     rng = np.random.default_rng(seed)
 
     def ring_waypoints(start, count):

@@ -336,10 +336,6 @@ class Scene:
 # Config ingestion
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("room", "grid", "leds", "comm_pd", "sensing_pds", "user", "noise",
-             "controller")
-
-
 def _check_keys(where: str, data: Mapping[str, Any], allowed: Sequence[str]) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
@@ -429,7 +425,7 @@ def scene_from_dict(cfg: Mapping[str, Any]) -> Scene:
     """Build and validate a Scene from a nested config mapping."""
     if not isinstance(cfg, Mapping):
         raise SceneError(f"top level: expected a mapping, got {type(cfg).__name__}")
-    _check_keys("top level", cfg, _SECTIONS)
+    _check_keys("top level", cfg, [f.name for f in fields(Scene)])
 
     room = _build(Room, _section(cfg, "room"), "room")
     room.validate()  # before its sides are cut into grid cells

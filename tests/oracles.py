@@ -26,13 +26,21 @@ plainly, with each step's reading, region and energy formed afresh.
 Hall, 2018) in place of the package's interior-point solver.
 ``mic_radius_exact`` finds the inscribed circle in 60-digit decimal
 arithmetic, where HiGHS's tolerances swamp a sliver's inradius.
+
+The benchmark's rooms are defined once, in ``bench/common.py``:
+``lattice_scene`` builds a lattice room from its ``lattice_config``,
+``LOOP_LARGE`` and ``LADDER`` are its rooms' arguments, and ``loop_seeds``
+gives the loop-large workload's trajectory and noise seeds.
 """
 
 from __future__ import annotations
 
 import decimal
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +50,7 @@ from isci.controller import Mode, ScenarioStep, ScenarioTrace, room_plan
 from isci.geometry import Region, classify_points
 from isci.photometry import (SimplificationError, _check_simplification, _collector_terms,
                              _lambertian_geometry, _lambertian_orders, lambertian_order)
-from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel
+from isci.scene import CommPd, Led, NoiseParams, SensingPd, UserModel, scene_from_dict
 from isci.sensing import (NOISELESS_DETECT_EPS, FingerprintTable, SensingModel, localize,
                           occluded_set)
 
@@ -372,3 +380,31 @@ def mic_radius_exact(vertices) -> float:
             score = min(nx * cx + ny * cy - d for nx, ny, d in lines)
             best = score if best is None else max(best, score)
         return float(best)
+
+
+def _load_bench_common():
+    """bench/common.py, loaded by its path under a name of its own: bench/
+    stays off sys.path, where its bare module names would shadow others, and
+    no bytecode is written there."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "common.py"
+    spec = importlib.util.spec_from_file_location("bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write
+    return module
+
+
+_BENCH = _load_bench_common()
+LOOP_LARGE = _BENCH.LOOP_LARGE
+LADDER = _BENCH.LADDER
+loop_seeds = _BENCH.loop_seeds
+
+
+def lattice_scene(size: float, per_side: int, pitch: float, spacing: float):
+    """The benchmark's lattice room: a size x size room on a pitch floor grid,
+    a per_side x per_side LED lattice at spacing centred on the ceiling and
+    one sensing PD beside each LED."""
+    return scene_from_dict(_BENCH.lattice_config(size, per_side, pitch, spacing))

@@ -9,11 +9,11 @@ from isci import controller as ct
 from isci import optimize as op
 from isci import photometry as ph
 from isci import sensing as sn
-from isci.geometry import Circle, Region, build_partition, classify_points
+from isci.geometry import Circle, Point2, Region, build_partition, classify_points
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
-from tests.oracles import dense_predict, reference_replay
+from tests.oracles import dense_predict, lattice_scene, loop_seeds, reference_replay
 
 
 def _loc(pos):
@@ -92,7 +92,7 @@ def test_plan_modes_are_select_mode_at_every_candidate(scene, partition, table):
 
 def test_plan_modes_classify_boundary_candidates_inward():
     # a 10 m room whose 5 x 5 LED lattice spans 1 m to 9 m: its MEC crosses every wall
-    scene = _lattice(10.0, 5, 0.5, 2.0)
+    scene = lattice_scene(10.0, 5, 0.5, 2.0)
     partition = build_partition(scene)
     pts = _boundary_lattice(partition)
     modes = _plan_modes(scene, partition, replace(sn.build_fingerprint_table(scene),
@@ -205,25 +205,33 @@ def test_trajectory_accepts_zero_dwell(partition):
     assert traj[0][1] is None and traj[-1][1] is None
 
 
-@pytest.mark.parametrize("ring, ok", [(0.09, False), (0.0999, False), (0.3, True)])
-def test_trajectory_rejects_a_ring_narrower_than_the_margins(partition, ring, ok):
+@pytest.mark.parametrize("mec_radius, ring, ok", [
+    pytest.param(None, 0.09, False, id="0.09-False"),
+    pytest.param(None, 0.0999, False, id="0.0999-False"),
+    pytest.param(None, 0.3, True, id="0.3-True"),
+    # radii 1.1 and 1.0 m: 1.1 - 1.0 rounds above 0.1
+    pytest.param(1.1, 0.1, False, id="1.1-1.0-False"),
+])
+def test_trajectory_rejects_a_ring_narrower_than_the_margins(partition, mec_radius, ring, ok):
     # waypoints keep 0.05 m from the MEC and from the MIC, so a ring (MEC
-    # radius minus MIC radius) under 0.1 m holds none, and the sampler
+    # radius minus MIC radius) of at most 0.1 m holds none, and the sampler
     # would only give up after 10 000 tries
-    mec = partition.mec
-    narrow = replace(partition, mic=Circle(mec.center, mec.radius - ring))
+    centre = partition.mec.center
+    outer = partition.mec.radius if mec_radius is None else mec_radius
+    narrow = replace(partition, mec=Circle(centre, outer), mic=Circle(centre, outer - ring))
     if ok:
         assert len(ct.generate_trajectory(narrow, seed=1)) > 10
     else:
-        with pytest.raises(ValueError, match=rf"MEC radius {mec.radius:.3f} m minus MIC radius"):
+        with pytest.raises(ValueError, match=rf"MEC radius {outer:.3f} m minus MIC radius"):
             ct.generate_trajectory(narrow, seed=1)
 
 
-def test_trajectory_gives_up_on_a_ring_of_exactly_the_margins(partition):
-    # concentric MEC and MIC, 1.1 and 1.0 m: the ring passes the width check,
-    # but a waypoint must lie both within 1.05 m and at least 1.05 m of the centre
-    centre = partition.mec.center
-    ring = replace(partition, mec=Circle(centre, 1.1), mic=Circle(centre, 1.0))
+def test_trajectory_gives_up_on_a_ring_beyond_the_wall_margin(partition):
+    # a wide ring centred 1 m outside the room's x = 0 wall reaches 0.08 m
+    # in, but a waypoint keeps 0.05 m inside the MEC, so no further in than
+    # 0.03 m, and 0.05 m from the walls
+    centre = Point2(-1.0, partition.mec.center.y)
+    ring = replace(partition, mec=Circle(centre, 1.08), mic=Circle(centre, 0.5))
     with pytest.raises(ValueError, match="^could not sample a non-activity waypoint$"):
         ct.generate_trajectory(ring, seed=1)
 
@@ -354,28 +362,13 @@ def test_scenario_matches_unmemoized_loop(scene, partition, table, sensing_model
         applied = allocations[mode]
 
 
-def _lattice(size, per_side, pitch, spacing):
-    """A square room with a per_side x per_side LED lattice centred on the
-    ceiling and one sensing PD 0.1 m +x of each LED."""
-    first = (size - (per_side - 1) * spacing) / 2
-    xs = [first + i * spacing for i in range(per_side)]
-    return scene_from_dict({
-        "room": {"size_x": size, "size_y": size},
-        "grid": {"pitch": pitch},
-        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
-        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
-    })
-
-
-def test_room_plan_memory_stays_within_its_predictions(monkeypatch):
+def test_room_plan_memory_stays_within_its_predictions(monkeypatch, loop_large):
     # At its traced peak, planning the loop-large room (10 m, 5 x 5 lattice
     # 1.4 m apart, 0.05 m grid: K = 40 000, N = 25) may hold its three
     # predictions' slabs, envelopes and tiles plus four band budgets: each
     # prediction is formed band by band, and the solves take less.  With the
     # whole grid in one band a prediction holds (K, N) arrays and overshoots.
-    scene = _lattice(10.0, 5, 0.05, 1.4)
-    partition = build_partition(scene)
-    table = sn.build_fingerprint_table(scene)
+    scene, partition, _, table = loop_large
 
     def traced_peak():
         tracemalloc.start()
@@ -397,7 +390,7 @@ def test_room_plan_memory_stays_within_its_predictions(monkeypatch):
 def test_scenario_tile_match_equals_full_scan(monkeypatch):
     # a 6 m room with a 3 x 3 LED/PD lattice at 0.05 m: 14 400 candidates in
     # 15 x 15 tiles; the trace must not change when every loss is computed
-    scene = _lattice(6.0, 3, 0.05, 2.0)
+    scene = lattice_scene(6.0, 3, 0.05, 2.0)
     partition = build_partition(scene)
     model = sn.SensingModel(scene)
     table = sn.build_fingerprint_table(scene, model)
@@ -434,15 +427,17 @@ def test_scenario_equals_reference_loop(scene, partition, table, sensing_model, 
                                          model=sensing_model)
 
 
-def test_scenario_equals_reference_loop_on_a_large_lattice():
-    scene = _lattice(10.0, 5, 0.1, 1.4)
-    partition = build_partition(scene)
-    model = sn.SensingModel(scene)
-    table = sn.build_fingerprint_table(scene, model)
-    traj = ct.generate_trajectory(partition, seed=2)
-    trace = ct.run_scenario(scene, partition, table, traj, noise_seed=5, model=model)
-    assert sum(s.detected for s in trace.steps) > len(traj) // 2
-    assert trace == reference_replay(scene, partition, table, traj, noise_seed=5, model=model)
+def test_scenario_equals_reference_loop_on_a_large_lattice(loop_large):
+    # the benchmark's loop-large room at its workload seed 1's first two replays
+    scene, partition, model, table = loop_large
+    ctl = scene.controller
+    for trajectory_seed, noise_seed in loop_seeds(1, 2):
+        traj = ct.generate_trajectory(partition, seed=trajectory_seed, dt=ctl.step_period_s,
+                                      speed=ctl.user_speed_m_per_s, dwell_time=ctl.dwell_time_s)
+        trace = ct.run_scenario(scene, partition, table, traj, noise_seed=noise_seed, model=model)
+        assert sum(s.detected for s in trace.steps) > len(traj) // 2
+        assert trace == reference_replay(scene, partition, table, traj, noise_seed=noise_seed,
+                                         model=model)
 
 
 def test_scenario_with_a_mismatched_model_equals_reference_loop(scene, partition, table):

@@ -17,8 +17,8 @@ from isci.geometry import (ConvexPolygon, GeometryError, Point2,
                            Region, build_partition, classify_points,
                            convex_hull, max_inscribed_circle,
                            min_enclosing_circle)
-from isci.scene import default_scene, scene_from_dict
-from tests.oracles import mic_radius_exact, mic_radius_highs
+from isci.scene import default_scene
+from tests.oracles import LADDER, LOOP_LARGE, lattice_scene, mic_radius_exact, mic_radius_highs
 
 
 def _square(size=1.0):
@@ -400,22 +400,8 @@ def test_mic_radius_matches_highs():
         assert abs(partition.mic.radius - mic_radius_highs(vertices)) <= 1e-9, layout
 
 
-# Rooms of the benchmark's lattice scenes: (room size m, LEDs per side, grid
-# pitch m, LED spacing m), the LEDs centred on the ceiling and one sensing PD
-# 0.1 m +x of each.
-_LATTICES = ((10.0, 5, 0.05, 1.4), (5.0, 3, 0.1, 5.0 / 3), (10.0, 5, 0.1, 2.0),
-             (10.0, 5, 0.05, 2.0), (20.0, 8, 0.2, 2.5))
-
-
-def _lattice_scene(size, per_side, pitch, spacing):
-    first = (size - (per_side - 1) * spacing) / 2
-    xs = [first + i * spacing for i in range(per_side)]
-    return scene_from_dict({
-        "room": {"size_x": size, "size_y": size},
-        "grid": {"pitch": pitch},
-        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
-        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
-    })
+# The benchmark's lattice rooms, as bench/common.py defines them.
+_LATTICES = (LOOP_LARGE, *LADDER.values())
 
 
 # sha256 of the reprs of the scenes' partitions (hull, MEC, MIC and room),
@@ -423,7 +409,7 @@ def _lattice_scene(size, per_side, pitch, spacing):
 @pytest.mark.parametrize("scenes, digest", [
     (lambda: map(default_scene, range(200)),
      "f8fb78c179477ebed6c18a05e4147729c3a9966508942fd0e4a3d44bb1e85c37"),
-    (lambda: (_lattice_scene(*room) for room in _LATTICES),
+    (lambda: (lattice_scene(*room) for room in _LATTICES),
      "cb47bedd31f3d1125b6125c932aa680ca361490e614b30cdce2421ba604522aa"),
 ], ids=["default-0-199", "lattices"])
 def test_partitions_pinned(scenes, digest):

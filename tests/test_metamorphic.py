@@ -301,31 +301,21 @@ def test_predictions_and_readings_are_linear_in_the_powers(cfg, scale, seed):
 # the enhanced LP's sample points
 # ---------------------------------------------------------------------------
 
-def _loop_large_scene():
-    """The benchmark's large room: 10 m, a 5 x 5 LED lattice 1.4 m apart,
-    each PD 0.1 m from its LED, on a 0.05 m floor grid."""
-    xs = [2.2 + 1.4 * i for i in range(5)]
-    return scene_from_dict({
-        "room": {"size_x": 10.0, "size_y": 10.0},
-        "grid": {"pitch": 0.05},
-        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
-        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
-    })
-
-
-_LP_CASES = {f"layout-{seed}": functools.partial(default_scene, seed) for seed in range(8)}
-_LP_CASES["loop-large"] = _loop_large_scene
+_LP_CASES = [*(f"layout-{seed}" for seed in range(8)), "loop-large"]
 
 
 @pytest.fixture(scope="module")
-def rounds():
+def rounds(loop_large):
     """rounds(case): each solve that solve_refined makes of the case's
     enhanced LP, in order, as (problem, report, HiGHS result), formed once
     per case."""
     @functools.cache
     def of(case):
-        scene = _LP_CASES[case]()
-        partition = build_partition(scene)
+        if case == "loop-large":
+            scene, partition, _, _ = loop_large
+        else:
+            scene = default_scene(int(case.removeprefix("layout-")))
+            partition = build_partition(scene)
         solved, real = [], op.solve
 
         def spy(problem):
@@ -371,7 +361,7 @@ def test_appending_random_sample_points_never_lowers_the_lp_optimum(layout, coun
                     *(highs_lp(p.linear, *p.constraint_system()[:2]) for p in (problem, more)))
 
 
-@pytest.mark.parametrize("case", list(_LP_CASES))
+@pytest.mark.parametrize("case", _LP_CASES)
 def test_appending_sample_points_never_lowers_the_lp_optimum(rounds, case):
     solves = rounds(case)
     for (before, report, oracle), (after, next_report, next_oracle) in zip(solves, solves[1:]):

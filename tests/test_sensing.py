@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isci import controller as ct
 from isci import sensing as sn
 from isci.photometry import lambertian_order
 from isci.scene import SurfaceGrid, UserModel, default_scene, scene_from_dict
-from tests.oracles import (bounce_terms, concentrator_gain, dense_deltas, dense_predict,
-                           full_scan, nlos_element_gain, nlos_user_gain,
-                           occluded_sum_received_power, outer, prediction_values, user_gain)
+from tests.oracles import (LADDER, LOOP_LARGE, bounce_terms, concentrator_gain, dense_deltas,
+                           dense_predict, full_scan, lattice_scene, nlos_element_gain,
+                           nlos_user_gain, occluded_sum_received_power, outer,
+                           prediction_values, user_gain)
 
 
 def _mixed_scene():
@@ -25,18 +27,6 @@ def _mixed_scene():
     leds = tuple(replace(led, half_power_angle_deg=h)
                  for led, h in zip(s.leds, (30, 45, 60, 75, 50, 40, 65, 70)))
     return replace(s, sensing_pds=pds, leds=leds)
-
-
-def _lattice_scene(size=10.0, per_side=5, pitch=0.1, spacing=2.0):
-    """Square room with an n x n LED lattice and one PD beside each LED."""
-    first = (size - (per_side - 1) * spacing) / 2
-    xs = [first + i * spacing for i in range(per_side)]
-    return scene_from_dict({
-        "room": {"size_x": size, "size_y": size},
-        "grid": {"pitch": pitch},
-        "leds": [{"position": [x, y, 3.0]} for x in xs for y in xs],
-        "sensing_pds": [{"position": [x + 0.1, y, 3.0]} for x in xs for y in xs],
-    })
 
 
 def _room_scene(size_x, size_y, pitch):
@@ -281,8 +271,8 @@ def test_received_power_bitwise_matches_dense_reference(make_scene):
 
 
 @pytest.mark.parametrize("make_scene", [
-    default_scene, lambda: _lattice_scene(pitch=0.05), _mixed_scene,
-    pytest.param(lambda: _lattice_scene(pitch=0.05, spacing=1.4), id="loop-large")])
+    default_scene, lambda: lattice_scene(*LADDER["10m-25led-0.05"]), _mixed_scene,
+    pytest.param(lambda: lattice_scene(*LOOP_LARGE), id="loop-large")])
 def test_received_power_matches_occluded_sum_oracle(make_scene):
     # The gain-domain oracle: powers @ gains_at, the occluded cells' (M, P, N)
     # gain tensor summed over its cells.  received_power associates the terms
@@ -306,7 +296,7 @@ def test_received_power_matches_occluded_sum_oracle(make_scene):
 
 
 @pytest.mark.parametrize("make_scene", [default_scene, _mixed_scene,
-                                        lambda: _lattice_scene(pitch=0.05)])
+                                        lambda: lattice_scene(*LADDER["10m-25led-0.05"])])
 def test_bounce_factors_match_two_call_reference(make_scene):
     # the kernel forms the factors on the grid's rows and columns, and a
     # user patch's with one geometry call over the LEDs and PDs at a point;
@@ -394,7 +384,7 @@ def test_setup_memory_stays_within_its_arrays(monkeypatch):
     # emitter's two full (M, K) geometry arrays (d^2 and the cosines, which
     # its power and divide read) and four block-sized arrays of the PDs'
     # geometry.  With the whole grid in one block the same build overshoots.
-    s = _lattice_scene(pitch=0.05)
+    s = lattice_scene(*LADDER["10m-25led-0.05"])
 
     def traced_peak():
         tracemalloc.start()
@@ -482,7 +472,8 @@ def test_model_and_table_hold_no_full_tensor(scene):
         assert table.deltas.size == full  # built on request, not kept
 
 
-@pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
+@pytest.mark.parametrize("make_scene", [
+    default_scene, pytest.param(lambda: lattice_scene(*LADDER["10m-25led"]), id="10m-25led")])
 def test_factored_predictions_match_dense_contraction(make_scene):
     s = make_scene()
     table = sn.build_fingerprint_table(s)
@@ -776,7 +767,7 @@ def _owners(arrays):
     return list(owners.values())
 
 
-@pytest.mark.parametrize("make_scene", [default_scene, lambda: _lattice_scene(size=5.0, per_side=3)])
+@pytest.mark.parametrize("make_scene", [default_scene, lambda: lattice_scene(5.0, 3, 0.1, 2.0)])
 def test_prediction_keeps_no_full_copy(make_scene):
     s = make_scene()
     prediction = sn.Prediction.at(sn.build_fingerprint_table(s), s.power_vector())
@@ -901,16 +892,8 @@ def test_default_scene_predicts_in_one_band(scene, table):
     _assert_banded_prediction_is_dense(table, scene.power_vector())
 
 
-@pytest.fixture(scope="module")
-def loop_large():
-    """The loop-large room (10 m, 5 x 5 LED lattice 1.4 m apart, 0.05 m
-    grid: K = 40 000, M = N = 25) and its fingerprint table."""
-    s = _lattice_scene(pitch=0.05, spacing=1.4)
-    return s, sn.build_fingerprint_table(s)
-
-
 def test_loop_large_banded_prediction_matches_dense_oracle(loop_large):
-    s, table = loop_large
+    s, _, _, table = loop_large
     assert len(_walk_bands(table, s.power_vector())) > 1
     p_min, p_max = s.power_bounds()
     for powers in (p_min, p_max, s.power_vector(),
@@ -923,7 +906,7 @@ def test_prediction_memory_stays_within_a_band_allowance(monkeypatch, loop_large
     # keeps plus four band budgets: a band's stencil sums, its floor term
     # with the stencil's reach and the two (K,) power-weighted emitters.
     # With the whole grid in one band it holds (K, N) arrays and overshoots.
-    s, table = loop_large
+    s, _, _, table = loop_large
 
     def traced_peak():
         tracemalloc.start()
@@ -941,21 +924,53 @@ def test_prediction_memory_stays_within_a_band_allowance(monkeypatch, loop_large
     assert traced_peak()[0] > bound
 
 
-@pytest.mark.parametrize("make_scene", [default_scene, _lattice_scene])
-def test_localize_matches_full_scan(make_scene):
-    s = make_scene()
-    model = sn.SensingModel(s)
-    table = sn.build_fingerprint_table(s, model)
+def _readings_at_the_bounds(s, model):
+    """p_min, p_max and seeded powers, each with three readings at seeded
+    points under 1e-3 relative noise; localize is given the powers."""
     p_min, p_max = s.power_bounds()
     rng = np.random.default_rng(11)
     for p in (p_min, p_max, rng.uniform(p_min, p_max)):
-        predicted = np.abs(dense_predict(table, p))
-        baseline = model.received_power(p)
+        readings = []
         for _ in range(3):
             measured = model.received_power(p, rng.uniform(0.0, s.room.size_x, 2))
-            measured = measured * (1.0 + 1e-3 * rng.standard_normal(len(measured)))
-            loc = sn.localize(measured, baseline, p, table)
-            assert (loc.index, loc.loss) == full_scan(np.abs(measured - baseline), predicted)
+            readings.append(measured * (1.0 + 1e-3 * rng.standard_normal(len(measured))))
+        yield p, p, readings
+
+
+def _readings_of_the_plan(s, model, plan):
+    """Each mode's powers in the room plan, each with 100 readings under the
+    scene's noise: 68 at seeded points, 16 at the corners and 16 along the
+    walls; localize is given the plan's prediction."""
+    size = s.room.size_x
+    rng = np.random.default_rng(21)
+    walls = (0.0, 1e-3, size - 1e-3, size)
+    for mode in ct.Mode:
+        powers = plan.allocations[mode][0]
+        sigma = s.controller.noise_rel_sigma * model.received_power(powers)
+        along = rng.uniform(0.0, size, 8)
+        points = [*rng.uniform(0.0, size, (68, 2)), *((x, y) for x in walls for y in walls),
+                  *zip(walls * 2, along), *zip(along, walls * 2)]
+        yield powers, plan.predictions[mode], [
+            model.received_power(powers, xy) + rng.standard_normal(len(sigma)) * sigma
+            for xy in points]
+
+
+@pytest.mark.parametrize("room", ["default_scene", "10m-25led", "loop-large"])
+def test_localize_matches_full_scan(request, room):
+    if room == "loop-large":
+        s, partition, model, table = request.getfixturevalue("loop_large")
+        readings = _readings_of_the_plan(s, model, ct.room_plan(s, partition, table))
+    else:
+        s = default_scene() if room == "default_scene" else lattice_scene(*LADDER[room])
+        model = sn.SensingModel(s)
+        table = sn.build_fingerprint_table(s, model)
+        readings = _readings_at_the_bounds(s, model)
+    for powers, predicted, measured_at in readings:
+        values = np.abs(dense_predict(table, powers))
+        baseline = model.received_power(powers)
+        for measured in measured_at:
+            loc = sn.localize(measured, baseline, predicted, table)
+            assert (loc.index, loc.loss) == full_scan(np.abs(measured - baseline), values)
 
 
 def _factored_table(candidates, baseline, factors, offsets, grid_shape):
@@ -1192,12 +1207,8 @@ def test_fingerprint_round_trip(table):
     assert sn.save_fingerprint(again) == blob
 
 
-def _loop_large_scene():
-    """The benchmark's large room: 10 m, 5 x 5 lattice at 1.4 m, 0.05 m grid."""
-    return _lattice_scene(pitch=0.05, spacing=1.4)
-
-
-@pytest.mark.parametrize("make_scene", [default_scene, _loop_large_scene])
+@pytest.mark.parametrize("make_scene", [
+    default_scene, pytest.param(lambda: lattice_scene(*LOOP_LARGE), id="loop-large")])
 def test_reloaded_table_predicts_bitwise_like_built(make_scene):
     s = make_scene()
     table = sn.build_fingerprint_table(s)
@@ -1316,7 +1327,7 @@ def test_fingerprint_rejects_offset_off_the_grid(table, offset):
 
 
 _SMALL_BLOB = sn.save_fingerprint(sn.build_fingerprint_table(
-    _lattice_scene(size=1.0, per_side=1, pitch=0.25)))  # 846 bytes: K = 16, M = N = 1, S = 5
+    lattice_scene(1.0, 1, 0.25, 2.0)))  # 846 bytes: K = 16, M = N = 1, S = 5
 _BLOB_EDITS = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, len(_SMALL_BLOB) - 1), st.integers(1, 255)),
     st.tuples(st.just("cut"), st.integers(0, len(_SMALL_BLOB))),
@@ -1393,7 +1404,7 @@ def _reloaded_table():
 
 @pytest.mark.parametrize("make_table", [
     lambda: sn.build_fingerprint_table(default_scene()),
-    lambda: sn.build_fingerprint_table(_lattice_scene(size=6.0, per_side=3, pitch=0.1)),
+    lambda: sn.build_fingerprint_table(lattice_scene(6.0, 3, 0.1, 2.0)),
     _reloaded_table,
 ], ids=["default", "lattice", "reloaded"])
 def test_deltas_equal_dense_gain_tensors(make_table):
