@@ -26,8 +26,9 @@ from . import optimize
 from .geometry import Region, RegionPartition, classify_points
 from .photometry import FieldGrid
 from .scene import ControllerConfig, Scene
+# localize only for bench/worker.py, which traces it here by name (ROADMAP item 1)
 from .sensing import (FingerprintTable, LocalizationResult, Prediction, SensingModel,
-                      NOISELESS_DETECT_EPS, _read_only, localize)
+                      NOISELESS_DETECT_EPS, _located, _read_only, localize)
 
 __all__ = [
     "Mode",
@@ -286,13 +287,12 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
     NOISELESS_DETECT_EPS.  So a room whose NO_USER powers are all 0 reads 0
     with or without a user and cannot sense one entering.
 
-    What a mode fixes (its powers, prediction, baseline reading, sigma,
-    threshold, and the step record's powers and energy) is formed for every
-    mode before the first step, from the plan and ``model``.  A reading with
-    a user, model.received_power at the mode's powers, is kept under its
-    (position, mode) and formed again only when either differs from the
-    last one's, so a user standing still costs nothing.  Positions are
-    recorded as (float, float).
+    What a mode fixes (its powers, checked once by received_power, its
+    prediction, no-user reading, sigma, threshold, and the step record's
+    powers and energy) is formed before the first step.  A step forms a
+    reading with a user from the mode's no-user one only when its (position,
+    mode) changes, checks |measured - baseline| is finite (else ValueError)
+    and matches it as localize does.  Positions are recorded as (float, float).
     """
     if model is None:
         model = SensingModel(scene)
@@ -319,10 +319,12 @@ def run_scenario(scene: Scene, partition: RegionPartition, table: FingerprintTab
         else:
             xy = (float(pos[0]), float(pos[1]))
             if kept[0] != (xy, mode):
-                kept = ((xy, mode), model.received_power(applied, xy))
+                kept = ((xy, mode), model._with_user(applied, baseline_reading, *xy))
             reading = kept[1]
-        measured = reading + rng.standard_normal(len(reading)) * sigma
-        loc = localize(measured, baseline_reading, prediction, table, epsilon_detect=eps)
+        actual = np.abs(reading + rng.standard_normal(len(reading)) * sigma - baseline_reading)
+        if not np.isfinite(actual).all():
+            raise ValueError(f"the reading at t = {t} holds a non-finite value")
+        loc = _located(actual, prediction, table, eps)
         mode = Mode.NO_USER if loc.index is None else plan.modes[loc.index]
         record = per_mode[mode]
         error = None if xy is None or loc.position is None else math.dist(loc.position, xy)

@@ -482,20 +482,23 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
     and re-solve with violated points appended until that grid is clean.
 
     Returns (problem, report); the returned problem contains any appended
-    constraint points.  After _REFINE_ROUNDS re-solves, it returns the last
-    problem and report unchecked: the field grid may still be violated.
+    constraint points.  A field grid still violated after _REFINE_ROUNDS
+    re-solves makes the last report MAX_ITER, naming the grid's worst row.
     """
     report = solve(problem)
     check_pts = problem.check_points(scene, partition, scene.controller.field_pitch_m)
     # appended points change no check row, so the rows and scales are formed once
     g_mat, h_vec = problem.rows_at(scene, partition, check_pts)
     scales = _row_scales(g_mat, h_vec)
-    for _ in range(_REFINE_ROUNDS):
+    for rounds in range(_REFINE_ROUNDS + 1):
         if report.status is not SolveStatus.OPTIMAL:
             return problem, report
         viol = (g_mat @ report.x - h_vec) / scales
         if viol.max(initial=0.0) <= _REFINE_VIOL_TOL:
             return problem, report
+        if rounds == _REFINE_ROUNDS:
+            return problem, replace(report, status=SolveStatus.MAX_ITER,
+                                    worst_row=f"field-grid row {int(np.argmax(viol))}")
         bad_rows = np.argsort(viol)[::-1][:_REFINE_NEW_POINTS]
         bad_rows = bad_rows[viol[bad_rows] > _REFINE_VIOL_TOL]
         # rows_at gives each sampled family one row per point, so row index
@@ -505,4 +508,3 @@ def solve_refined(problem, scene: Scene, partition: RegionPartition):
         bad[bad_rows % len(check_pts)] = True
         problem = problem.with_extra_points(scene, partition, check_pts[bad])
         report = solve(problem)
-    return problem, report

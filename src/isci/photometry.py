@@ -91,9 +91,14 @@ def _lambertian_geometry(sources: Sequence[np.ndarray], x: np.ndarray, y: np.nda
     of d^2 = (dx^2 + dy^2) + dz^2 is formed once per source and row or
     column, and only their sum and what follows touch every point."""
     sx, sy, sz = sources
-    dx, dy, dz = sx - x, sy - y, sz - z
+    dz = sz - z
+    return _offset_geometry(sx - x, sy - y, dz, dz * dz)
+
+
+def _offset_geometry(dx, dy, dz, dz2) -> tuple[np.ndarray, np.ndarray]:
+    """_lambertian_geometry from offsets, with dz ** 2 given: a fixed height's is formed once."""
     d2 = dx * dx + dy * dy
-    d2 += dz * dz
+    d2 += dz2
     cos_ang = np.sqrt(d2)
     return d2, np.divide(dz, cos_ang, out=cos_ang)
 

@@ -210,6 +210,14 @@ class SurfaceGrid:
         return ((np.arange(self.nx)[:, None] + 0.5) * self.pitch,
                 (np.arange(self.ny)[None, :] + 0.5) * self.pitch)
 
+    @functools.cached_property
+    def _cell_axes(self) -> tuple[np.ndarray, ...]:
+        """coordinates(), then ix * ny (nx, 1) and iy (ny,): their sum is k.  Read-only."""
+        axes = (*self.coordinates(), np.arange(self.nx)[:, None] * self.ny, np.arange(self.ny))
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
+
     def centers(self) -> np.ndarray:
         """Cell center coordinates, shape (K, 2), x-major order."""
         xs, ys = np.broadcast_arrays(*self.coordinates())

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .photometry import _checked_powers, _collector_terms, _lambertian_geometry, _lambertian_orders
+from .photometry import (_checked_powers, _collector_terms, _lambertian_geometry,
+                         _lambertian_orders, _offset_geometry)
 from .scene import Led, Scene, SensingPd
 
 __all__ = [
@@ -46,14 +47,12 @@ _FACTORS = ("user_emitter", "user_collector", "floor_emitter", "floor_collector"
 
 NOISELESS_DETECT_EPS = 1e-12
 
-# Side, in grid cells, of the square tiles whose prediction envelopes bound
-# _best_candidate's losses; a Prediction holds one slab per tile.  On
-# loop-large (K = 40 000, N = 25), with slabs, a detected step's match took
-# a median 97 us with 8 x 8 tiles, 187 us with 4 x 4 (four times the bounds
-# to form), 70 us with 12 x 12 and 94 us with 16 x 16 (more candidates left
-# to rescore), in one process on one 2-core x86-64 host; yet whole replays
-# with 12 x 12 ran 5% fewer steps a second (faster in 3 of 16 rounds).
-_TILE = 8
+# Tile side in grid cells (a Prediction holds a slab per tile), group side in
+# tiles (_best_candidate bounds groups, then their tiles) and the most tiles it
+# rescores at once.  On loop-large a detected step's match took a median 64 us
+# at 8 and 5, within 1% of it with 4 x 4 tiles or groups, 5% more with 3 x 3
+# groups, 8% with 7 x 7, 20% with 12 x 12 tiles (2-core 2.1 GHz Xeon host).
+_TILE, _GROUP, _CHUNK = 8, 5, 64
 
 # Shared footprint-boundary guard so the per-candidate occlusion stencil and
 # occluded_set agree on cells whose centers sit exactly at the radius.
@@ -92,15 +91,14 @@ def occluded_set(scene: Scene, user_xy: Sequence[float]) -> np.ndarray:
     if radius <= 0 or not scene.room.contains_xy(ux, uy):
         return np.empty(0, dtype=int)
     # Only cells in the footprint's bounding box, widened by a cell against
-    # rounding, can be inside it; their centers are the grid's (i + 0.5) * pitch
+    # rounding, can be inside it; slices past the grid's far edges stop there
     grid = scene.grid
+    x, y, row_starts, columns = grid._cell_axes
     limit = radius + _OCCLUSION_TOL
-    ix = np.arange(max(0, int((ux - limit) / grid.pitch) - 1),
-                   min(grid.nx, int((ux + limit) / grid.pitch) + 2))[:, None]
-    iy = np.arange(max(0, int((uy - limit) / grid.pitch) - 1),
-                   min(grid.ny, int((uy + limit) / grid.pitch) + 2))
-    inside = np.hypot((ix + 0.5) * grid.pitch - ux, (iy + 0.5) * grid.pitch - uy) <= limit
-    return (ix * grid.ny + iy)[inside]
+    rows = slice(max(0, int((ux - limit) / grid.pitch) - 1), int((ux + limit) / grid.pitch) + 2)
+    cols = slice(max(0, int((uy - limit) / grid.pitch) - 1), int((uy + limit) / grid.pitch) + 2)
+    inside = np.hypot(x[rows] - ux, y[0, cols] - uy) <= limit
+    return (row_starts[rows] + columns[cols])[inside]
 
 
 def _read_only(values) -> np.ndarray:
@@ -169,11 +167,11 @@ class _BounceKernel:
                       out=collector[start:start + rows], where=cos_ang >= self.cos_fov)
         return emitter, collector.reshape(nx * ny, -1)
 
-    def point(self, x: float, y: float, z, rho_area) -> tuple[np.ndarray, np.ndarray]:
-        """Emitter (M,) and collector (N,) factors through one patch at
-        (``x``, ``y``), the floats ``factors`` gives for a 1 x 1 grid there,
-        from one geometry call over the LEDs and PDs together."""
-        d2, cos_ang = _lambertian_geometry(self.ends, x, y, z)
+    def point(self, x: float, y: float, drop, rho_area) -> tuple[np.ndarray, np.ndarray]:
+        """Emitter (M,) and collector (N,) factors through a patch at (``x``, ``y``)
+        and ``drop`` (dz, dz ** 2) below the LEDs then the PDs: ``factors``'s
+        floats for a 1 x 1 grid there, from one geometry call over both ends."""
+        d2, cos_ang = _offset_geometry(self.ends[0] - x, self.ends[1] - y, *drop)
         m = len(self.front)
         emitter = cos_ang[:m] ** self.exponent[:, 0] / d2[:m] * self.front[:, 0] * rho_area
         cos_pd = cos_ang[m:]
@@ -207,6 +205,7 @@ class SensingModel:
         user = scene.user
         self._patch = (np.array(user.patch_height_m),
                        np.array(user.reflectance * user.patch_area_m2))
+        self._drop = (dz := self._kernel.ends[2] - self._patch[0], dz * dz)
 
     def received_power(self, powers: np.ndarray,
                        user_xy: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -220,11 +219,14 @@ class SensingModel:
         reading = powers @ self.baseline_gains
         if user_xy is None:
             return reading
-        occ = occluded_set(self.scene, user_xy)
+        return self._with_user(powers, reading, float(user_xy[0]), float(user_xy[1]))
+
+    def _with_user(self, powers, no_user: np.ndarray, x: float, y: float) -> np.ndarray:
+        """``no_user`` (powers @ baseline_gains) with the terms of a user at (x, y) added."""
+        occ = occluded_set(self.scene, (x, y))
         # take gathers C-ordered: the matvec on an F-ordered gather rounds differently
-        reading -= (powers @ self.emitter.take(occ, axis=1)) @ self.collector.take(occ, axis=0)
-        user_emitter, user_collector = self._kernel.point(float(user_xy[0]), float(user_xy[1]),
-                                                          *self._patch)
+        reading = no_user - (powers @ self.emitter.take(occ, 1)) @ self.collector.take(occ, 0)
+        user_emitter, user_collector = self._kernel.point(x, y, self._drop, self._patch[1])
         reading += (powers @ user_emitter) * user_collector
         return reading
 
@@ -388,24 +390,28 @@ class Prediction:
     """A table's prediction at some powers, laid out tile by tile, with the
     envelopes that _best_candidate bounds losses by.
 
-    The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles,
-    smaller at the far edges.  ``tiles`` (T, _TILE ** 2) holds each tile's
-    candidate indices in ascending order, padded with -1.  ``slabs``
-    (T, N, _TILE ** 2) holds the prediction |sum_i P_i * delta[k, i, j]| in
-    the same order: slabs[t, j, s] is the prediction at PD j of candidate
-    tiles[t, s], and +inf where that is a pad, so a pad never wins a match.
-    ``lo`` and ``hi`` (N, T) hold each tile's least and greatest prediction
-    per PD over its candidates.  ``shape`` is the (K, N) of the prediction.
-    No (K, N) array is formed: Prediction.at writes each band of the signed
-    prediction's absolute values straight into the slabs, so forming one
-    holds about two bands (_BAND_BYTES) besides what it keeps.  The arrays
-    are read-only.
+    The x-major (nx, ny) candidate grid is cut into _TILE x _TILE tiles and
+    those into _GROUP x _GROUP groups, both smaller at the far edges, x-major
+    within and across groups: group g is tiles ``groups[g]`` to
+    ``groups[g + 1]``.  ``tiles`` (T, _TILE ** 2) holds each tile's candidate
+    indices in ascending order, padded with -1.  ``slabs`` (T, N, _TILE ** 2)
+    holds the prediction |sum_i P_i * delta[k, i, j]| in the same order:
+    slabs[t, j, s] is the prediction at PD j of candidate tiles[t, s], and
+    +inf where that is a pad, so a pad never wins a match.  ``lo`` and ``hi``
+    (N, T) hold each tile's least and greatest prediction per PD over its
+    candidates, ``group_lo`` and ``group_hi`` (N, G) each group's.  ``shape``
+    is the (K, N) of the prediction.  Prediction.at writes each band into the
+    slabs, holding two bands (_BAND_BYTES) besides what it keeps, never a
+    (K, N) array.  The arrays are read-only.
     """
 
-    slabs: np.ndarray   # (T, N, _TILE ** 2)
-    lo: np.ndarray      # (N, T)
-    hi: np.ndarray      # (N, T)
-    tiles: np.ndarray   # (T, _TILE ** 2)
+    slabs: np.ndarray     # (T, N, _TILE ** 2)
+    lo: np.ndarray        # (N, T)
+    hi: np.ndarray        # (N, T)
+    tiles: np.ndarray     # (T, _TILE ** 2)
+    group_lo: np.ndarray  # (N, G)
+    group_hi: np.ndarray  # (N, G)
+    groups: np.ndarray    # (G + 1,)
     shape: tuple[int, int]
 
     @classmethod
@@ -414,24 +420,31 @@ class Prediction:
         the table's candidate grid; powers that do not fit raise ValueError."""
         k, m, n = table.shape
         nx, ny = table.grid_shape
-        columns = -(-ny // _TILE)
-        # slab (tile row, tile column): PD, then x and y within the tile
-        slabs = np.empty((-(-nx // _TILE), columns, n, _TILE, _TILE))
+        rows, columns = -(-nx // _TILE), -(-ny // _TILE)
+        # order[t] is the x-major tile in place t, and slot its inverse
+        r, c = np.divmod(np.arange(rows * columns), columns)
+        order = np.lexsort((c, r, c // _GROUP, r // _GROUP))
+        slot = np.argsort(order).reshape(rows, columns)
+        slabs = np.empty((rows * columns, n, _TILE, _TILE))
         for start, band in table._signed_bands(_checked_powers(powers, m, "fingerprint table")):
-            into = slabs[start // _TILE:(start + len(band)) // _TILE]
-            np.abs(band.reshape(-1, _TILE, columns, _TILE, n), out=into.transpose(0, 3, 1, 4, 2))
-        # the slots past the grid's far edges, empty where a side is whole
-        pads = (slabs[-1, :, :, nx % _TILE or _TILE:], slabs[:, -1, :, :, ny % _TILE or _TILE:])
+            # the band's buffer is the next band's, so it takes its absolute values in place
+            band = np.abs(band, out=band).reshape(-1, _TILE, columns, _TILE, n)
+            slabs[slot[start // _TILE:start // _TILE + len(band)]] = band.transpose(0, 2, 4, 1, 3)
         slabs = slabs.reshape(-1, n, _TILE * _TILE)
         # the envelopes skip the pads' NaN, and the pads are then set to +inf
-        hi, lo = (_read_only(np.ascontiguousarray(reduce.reduce(slabs, axis=2).T))
+        hi, lo = (np.ascontiguousarray(reduce.reduce(slabs, axis=2).T)
                   for reduce in (np.fmax, np.fmin))
-        for view in pads:
-            view[...] = np.inf
         padded = np.pad(np.arange(nx * ny).reshape(nx, ny),
                         ((0, -nx % _TILE), (0, -ny % _TILE)), constant_values=-1)
-        tiles = padded.reshape(-1, _TILE, columns, _TILE).swapaxes(1, 2)
-        return cls(_read_only(slabs), lo, hi, _read_only(tiles.reshape(-1, _TILE * _TILE)),
+        tiles = padded.reshape(rows, _TILE, columns, _TILE).swapaxes(1, 2)
+        tiles = tiles.reshape(-1, _TILE, _TILE)[order].reshape(-1, _TILE * _TILE)
+        slabs.transpose(0, 2, 1)[tiles < 0] = np.inf
+        # a group's tiles are its tile rows times its tile columns
+        sides = (np.minimum(_GROUP, np.arange(count, 0, -_GROUP)) for count in (rows, columns))
+        groups = np.concatenate(([0], np.cumsum(np.outer(*sides))))
+        return cls(*map(_read_only, (slabs, lo, hi, tiles,
+                                     np.minimum.reduceat(lo, groups[:-1], axis=1),
+                                     np.maximum.reduceat(hi, groups[:-1], axis=1), groups)),
                    (k, n))
 
 
@@ -459,33 +472,62 @@ def _pd_order_sums(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _bounds(reading: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per envelope (N, C) column, the PD-order sum of (min(max(a, lo), hi) - a) ** 2."""
+    gaps = np.maximum(reading, lo)
+    np.minimum(gaps, hi, out=gaps)
+    np.subtract(gaps, reading, out=gaps)
+    return _pd_order_sums(np.multiply(gaps, gaps, out=gaps))
+
+
 def _best_candidate(actual: np.ndarray, prediction: Prediction) -> tuple[int, float]:
     """Index and loss of the first candidate with the least PD-order loss
     sum over j of (actual[j] - predicted[k, j]) ** 2, bit for bit as a full
     scan finds them (branch and bound, Fukunaga & Narendra 1975).
 
-    A tile's bound sums, in the same PD order, d ** 2 for
-    d = min(max(a, lo), hi) - a: that is lo - a below the envelope, hi - a
-    above it (rounding is symmetric, so it is exactly -(a - hi)) and 0
-    inside, so d ** 2 is max(lo - a, a - hi, 0) ** 2 for every float.  Each of its terms is at most the matching
-    term of every candidate in the tile, since rounding is monotone, so the
-    bound is at most each member's loss, bit for bit.  The least loss in
-    the lowest-bound tile caps the minimum, so only tiles whose bound does
-    not exceed it are rescored.  Ties survive the ``<=``, and the least
-    index among the least losses wins; pads are never it.  When every tile
-    survives, the rescore costs about twice a full scan.
+    An envelope's bound sums, in the same PD order, d ** 2 for
+    d = min(max(a, lo), hi) - a: lo - a below the envelope, hi - a above it
+    (exactly -(a - hi): rounding is symmetric) and 0 inside.  A group's
+    envelope holds its tiles', a tile's its candidates', and rounding is
+    monotone, so a group's bound is at most its tiles', a tile's at most its
+    candidates' losses.  The least loss in the lowest-bound tile of the
+    lowest-bound group caps the minimum; only tiles within it in groups
+    within it are rescored, _CHUNK at a time.  Ties survive the ``<=``; the
+    least index among the least losses wins, never a pad.
     """
     reading = actual[:, None]
-    gaps = np.maximum(reading, prediction.lo)
-    np.minimum(gaps, prediction.hi, out=gaps)
-    np.subtract(gaps, reading, out=gaps)
-    bounds = _pd_order_sums(np.multiply(gaps, gaps, out=gaps))
-    cap = _tile_losses(actual, prediction, int(np.argmin(bounds))).min()
-    kept = np.flatnonzero(bounds <= cap)
-    losses = _tile_losses(actual, prediction, kept)
-    least = losses.min()
-    members = prediction.tiles[kept][losses == least]
-    return int(members[members >= 0].min()), float(least)
+    group_bounds = _bounds(reading, prediction.group_lo, prediction.group_hi)
+    start, stop = prediction.groups[group_bounds.argmin():][:2]
+    bounds = _bounds(reading, prediction.lo[:, start:stop], prediction.hi[:, start:stop])
+    cap = _tile_losses(actual, prediction, start + bounds.argmin()).min()
+    # the kept groups' tiles, whose bounds are formed again unless only the first is kept
+    groups = prediction.groups
+    tiles = (group_bounds <= cap).repeat(groups[1:] - groups[:-1]).nonzero()[0]
+    if len(tiles) > stop - start:
+        bounds = _bounds(reading, prediction.lo.take(tiles, 1), prediction.hi.take(tiles, 1))
+    kept = tiles[bounds <= cap]
+    best, least = prediction.shape[0], np.inf
+    for start in range(0, len(kept), _CHUNK):
+        chunk = kept[start:start + _CHUNK]
+        losses = _tile_losses(actual, prediction, chunk)
+        low = losses.min()
+        if low <= least:
+            members = prediction.tiles.take(chunk, axis=0)[losses == low]
+            # a pad's loss is +inf, so it is among the members only when low is
+            index = members[members >= 0].min() if math.isinf(low) else members.min()
+            best, least = (min(best, index) if low == least else index), low
+    return int(best), float(least)
+
+
+def _located(actual: np.ndarray, predicted, table, epsilon_detect: float) -> LocalizationResult:
+    """localize's result for the finite |measured - baseline| ``actual`` and
+    a ``predicted`` that fits ``table``: a Prediction, or checked powers."""
+    if actual.max() < epsilon_detect:
+        return LocalizationResult(position=None, index=None, loss=None)
+    if not isinstance(predicted, Prediction):
+        predicted = Prediction.at(table, predicted)
+    best, loss = _best_candidate(actual, predicted)
+    return LocalizationResult(tuple(table.candidates[best].tolist()), best, loss)
 
 
 def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: FingerprintTable,
@@ -498,13 +540,11 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
     detected when any PD's variation reaches ``epsilon_detect``; otherwise
     the call returns at once.  A detected user is placed at the candidate
     whose loss, the squared misses (actual - predicted) ** 2 added one PD at
-    a time in PD order, is least, ties broken toward the lowest index, and
-    _best_candidate finds it and its loss bit for bit as a full scan would,
-    reading the slabs of only the tiles its bound cannot rule out.  A
-    Prediction whose ``shape`` is not the table's (K, N), non-finite
-    readings, inputs that do not fit the table and an
-    ``epsilon_detect`` that is not finite and positive raise ValueError: at
-    0 an empty room's zero variation would count as a user.
+    a time in PD order, is least, ties broken toward the lowest index, as
+    _best_candidate finds it bit for bit.  A Prediction whose ``shape`` is
+    not the table's (K, N), non-finite readings, inputs that do not fit the
+    table and an ``epsilon_detect`` that is not finite and positive raise
+    ValueError: at 0 an empty room's zero variation would count as a user.
     """
     if not (math.isfinite(epsilon_detect) and epsilon_detect > 0):
         raise ValueError(f"epsilon_detect must be finite and positive, got {epsilon_detect}")
@@ -520,18 +560,11 @@ def localize(measured: np.ndarray, baseline: np.ndarray, predicted, table: Finge
             raise ValueError(f"{name} holds a non-finite value")
     # The power-vector form is kept only for bench/worker.py's ladder (ROADMAP item 1).
     if not isinstance(predicted, Prediction):
-        powers = _checked_powers(predicted, table.shape[1], "fingerprint table")
+        predicted = _checked_powers(predicted, table.shape[1], "fingerprint table")
     elif predicted.shape != (k, n):
         raise ValueError(f"prediction shape {predicted.shape} does not fit a fingerprint "
                          f"table of {k} candidates and {n} PDs, ({k}, {n})")
-    actual = np.abs(measured - baseline)
-    if actual.max() < epsilon_detect:
-        return LocalizationResult(position=None, index=None, loss=None)
-    if not isinstance(predicted, Prediction):
-        predicted = Prediction.at(table, powers)
-    best, loss = _best_candidate(actual, predicted)
-    pos = (float(table.candidates[best, 0]), float(table.candidates[best, 1]))
-    return LocalizationResult(position=pos, index=best, loss=loss)
+    return _located(np.abs(measured - baseline), predicted, table, epsilon_detect)
 
 
 # ---------------------------------------------------------------------------

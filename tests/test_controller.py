@@ -13,7 +13,7 @@ from isci.geometry import Circle, Point2, Region, build_partition, classify_poin
 from isci.scene import scene_from_dict, scene_to_dict
 from isci.sensing import FingerprintTable, LocalizationResult
 
-from tests.oracles import dense_predict, lattice_scene, loop_seeds, reference_replay
+from tests.oracles import LADDER, dense_predict, lattice_scene, loop_seeds, reference_replay
 
 
 def _loc(pos):
@@ -147,6 +147,18 @@ def test_apply_infeasible_falls_back_to_max(scene, partition, caplog):
     assert report.status is op.SolveStatus.INFEASIBLE
     np.testing.assert_allclose(powers, scene.power_bounds()[1])
     assert any("falling back" in r.message for r in caplog.records)
+
+
+def test_apply_falls_back_when_refinement_runs_out(monkeypatch, scene, partition, caplog):
+    # one re-solve leaves the default enhanced LP's field grid violated, so
+    # the refined solve is no OPTIMAL allocation and apply_mode falls back
+    monkeypatch.setattr(op, "_REFINE_ROUNDS", 1)
+    with caplog.at_level("WARNING"):
+        powers, report = ct.apply_mode(ct.Mode.ENHANCED, scene, partition)
+    assert report.status is op.SolveStatus.MAX_ITER
+    assert np.array_equal(powers, scene.power_bounds()[1])
+    assert any("returned max_iter" in r.message and report.worst_row in r.message
+               for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +452,64 @@ def test_scenario_equals_reference_loop_on_a_large_lattice(loop_large):
                                          model=model)
 
 
+def test_scenario_equals_reference_loop_on_ragged_groups():
+    # the 10m-25led rung: a 100 x 100 grid is 13 x 13 tiles, so its groups
+    # of 5 x 5 tiles end in groups of 3 tiles along each side
+    scene = lattice_scene(*LADDER["10m-25led"])
+    partition = build_partition(scene)
+    model = sn.SensingModel(scene)
+    table = sn.build_fingerprint_table(scene, model)
+    assert np.diff(ct.room_plan(scene, partition, table).predictions[ct.Mode.NO_USER].groups)[
+        [0, 2, -1]].tolist() == [25, 15, 9]
+    ctl = scene.controller
+    for trajectory_seed, noise_seed in loop_seeds(1, 2):
+        traj = ct.generate_trajectory(partition, seed=trajectory_seed, dt=ctl.step_period_s,
+                                      speed=ctl.user_speed_m_per_s, dwell_time=ctl.dwell_time_s)
+        trace = ct.run_scenario(scene, partition, table, traj, noise_seed=noise_seed, model=model)
+        assert {s.mode for s in trace.steps} == {m.value for m in ct.Mode}
+        assert sum(s.detected for s in trace.steps) > len(traj) // 3
+        assert trace == reference_replay(scene, partition, table, traj, noise_seed=noise_seed,
+                                         model=model)
+
+
+def test_replay_memory_stays_within_a_chunk_of_slabs(monkeypatch, loop_large):
+    # With its room plan formed, a loop-large replay's traced peak may hold
+    # the slabs of the most tiles a match rescores at once, plus 256 KB for
+    # their losses, numpy's reduction buffer and the steps recorded.  The
+    # benchmark's third seed-1 replay has a step whose bound keeps 544 tiles,
+    # which rescored at once overshoot.
+    scene, partition, model, table = loop_large
+    plan = ct.room_plan(scene, partition, table)
+    bound = sn._CHUNK * plan.predictions[ct.Mode.NO_USER].slabs[0].nbytes + (1 << 18)
+    ctl = scene.controller
+    trajectory_seed, noise_seed = loop_seeds(1, 3)[2]
+    traj = ct.generate_trajectory(partition, seed=trajectory_seed, dt=ctl.step_period_s,
+                                  speed=ctl.user_speed_m_per_s, dwell_time=ctl.dwell_time_s)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            ct.run_scenario(scene, partition, table, traj, noise_seed=noise_seed, model=model)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak() <= bound
+    monkeypatch.setattr(sn, "_CHUNK", 1 << 20)
+    assert traced_peak() > bound
+
+
+def test_scenario_refuses_a_non_finite_reading(scene, partition, table):
+    class Overflowing(sn.SensingModel):
+        def _with_user(self, powers, no_user, x, y):
+            return np.full_like(no_user, np.inf)
+
+    traj = ct.generate_trajectory(partition, seed=3)
+    entry = next(t for t, pos in traj if pos is not None)
+    with pytest.raises(ValueError, match=f"^the reading at t = {entry} holds a non-finite value"):
+        ct.run_scenario(scene, partition, table, traj, noise_seed=9, model=Overflowing(scene))
+
+
 def test_scenario_with_a_mismatched_model_equals_reference_loop(scene, partition, table):
     # the readings' floor, and so their no-user baseline, differ from the table's
     floor = replace(scene.grid, reflectance=tuple(0.9 * r for r in scene.grid.reflectance))
@@ -464,18 +534,18 @@ def test_scenario_forms_a_reading_once_per_position_and_mode(scene, partition, t
                                                             sensing_model, monkeypatch):
     # a with-user reading depends on the position and on the mode whose
     # powers it is read under, and run_scenario keeps the last one: a user
-    # standing still forms it again only when the mode changes
+    # standing still forms it again only when the mode changes.  The replay
+    # forms it with the reading helper that received_power also calls.
     plan = ct.room_plan(scene, partition, table)
     mode_of = {tuple(powers): mode.value for mode, (powers, _) in plan.allocations.items()}
     calls = []
-    real = sn.SensingModel.received_power
+    real = sn.SensingModel._with_user
 
-    def counted(self, powers, user_xy=None):
-        if user_xy is not None:
-            calls.append((user_xy, mode_of[tuple(powers)]))
-        return real(self, powers, user_xy)
+    def counted(self, powers, no_user, x, y):
+        calls.append(((x, y), mode_of[tuple(powers)]))
+        return real(self, powers, no_user, x, y)
 
-    monkeypatch.setattr(sn.SensingModel, "received_power", counted)
+    monkeypatch.setattr(sn.SensingModel, "_with_user", counted)
     a, b = (2.0, 2.5), (2.6, 2.4)
     positions = [None, a, a, a, b, np.array(b), b, None, b, a, (np.float64(2.0), 2.5)]
     traj = [(0.5 * i, pos) for i, pos in enumerate(positions)]

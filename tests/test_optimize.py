@@ -419,19 +419,23 @@ def test_refinement_forms_check_rows_once(monkeypatch, scene, partition, build):
     assert calls["rows_at"] == 1 and calls["solve"] >= 2
 
 
-def test_refinement_returns_its_last_round_unchecked(monkeypatch, scene, partition):
+def test_refinement_reports_max_iter_when_its_rounds_run_out(monkeypatch, scene, partition):
     # the default enhanced LP needs two rounds; after one, solve_refined
-    # returns that round's problem and report though the field grid is not clean
+    # returns that round's problem and solution, the field grid not clean,
+    # as MAX_ITER naming the grid's most violated row (rows_at's order)
     monkeypatch.setattr(op, "_REFINE_ROUNDS", 1)
     lp = op.build_enhanced_lp(scene, partition)
     problem, report = op.solve_refined(lp, scene, partition)
     assert len(problem.points) > len(lp.points)
     again = op.solve(problem)
-    assert report.status is again.status is op.SolveStatus.OPTIMAL
+    assert again.status is op.SolveStatus.OPTIMAL
+    assert report.status is op.SolveStatus.MAX_ITER
     assert np.array_equal(report.x, again.x)
-    g_mat, h_vec = problem.rows_at(scene, partition, problem.check_points(
-        scene, partition, scene.controller.field_pitch_m))
-    assert ((g_mat @ report.x - h_vec) / op._row_scales(g_mat, h_vec)).max() > op._REFINE_VIOL_TOL
+    points = problem.check_points(scene, partition, scene.controller.field_pitch_m)
+    g_mat, h_vec = problem.rows_at(scene, partition, points)
+    viol = (g_mat @ report.x - h_vec) / op._row_scales(g_mat, h_vec)
+    assert viol.max() > op._REFINE_VIOL_TOL
+    assert report.worst_row == f"field-grid row {int(viol.argmax())}"
 
 
 def test_refinement_keeps_objective_samples(scene, partition):

@@ -63,9 +63,10 @@ def _element_gain_vec(led, element_xy, element_area, reflectance, pd):
 def _user_gain_vec(led, user_xy, user, pd):
     """One LED-patch-PD gain from the kernel's one-point factors, as
     SensingModel.received_power forms the user patch's."""
-    emitter, collector = sn._BounceKernel([led], [pd]).point(
-        float(user_xy[0]), float(user_xy[1]), user.patch_height_m,
-        user.reflectance * user.patch_area_m2)
+    kernel = sn._BounceKernel([led], [pd])
+    dz = kernel.ends[2] - user.patch_height_m
+    emitter, collector = kernel.point(float(user_xy[0]), float(user_xy[1]), (dz, dz * dz),
+                                      user.reflectance * user.patch_area_m2)
     return float(emitter[0] * collector[0])
 
 
@@ -122,7 +123,7 @@ def test_user_gain_zero_reflectance(scene):
     for patch_gain in USER_GAINS:
         assert patch_gain(led, (2.5, 2.5), user, pd) == 0.0
     model = sn.SensingModel(replace(scene, user=user))
-    assert np.all(model._kernel.point(2.5, 2.5, *model._patch)[0] == 0.0)
+    assert np.all(model._kernel.point(2.5, 2.5, model._drop, model._patch[1])[0] == 0.0)
     assert np.all(user_gain(model, (2.5, 2.5)) == 0.0)
 
 
@@ -321,7 +322,7 @@ def test_bounce_factors_match_two_call_reference(make_scene):
         emitter, collector = bounce_terms(s.leds, s.sensing_pds, xy[None, :], user.patch_height_m)
         user_emitter, user_collector = (front * emitter * patch)[:, 0], collector[0]
         x, y = float(xy[0]), float(xy[1])
-        point = model._kernel.point(x, y, *model._patch)
+        point = model._kernel.point(x, y, model._drop, model._patch[1])
         grid = model._kernel.factors(np.array([[x]]), np.array([[y]]), *model._patch)
         for got, want, one_cell in zip(point, (user_emitter, user_collector), grid):
             assert np.array_equal(got, want) and np.array_equal(got, one_cell.ravel()), xy
@@ -373,7 +374,7 @@ def test_grid_factors_match_point_list_oracle(make_scene, rows, monkeypatch):
                                                            *model._patch)
         assert np.array_equal(got_emitter, front * emitter * patch), xy
         assert np.array_equal(got_collector, collector), xy
-        got_emitter, got_collector = model._kernel.point(x, y, *model._patch)
+        got_emitter, got_collector = model._kernel.point(x, y, model._drop, model._patch[1])
         assert np.array_equal(got_emitter, (front * emitter * patch)[:, 0]), xy
         assert np.array_equal(got_collector, collector[0]), xy
 
@@ -772,9 +773,12 @@ def test_prediction_keeps_no_full_copy(make_scene):
     s = make_scene()
     prediction = sn.Prediction.at(sn.build_fingerprint_table(s), s.power_vector())
     t, n, slots = prediction.slabs.shape
-    # the slabs, the two envelopes and the tile indices, and no (K, N) copy
+    g = len(prediction.groups) - 1
+    # the slabs, the tiles' and groups' envelopes, the tile indices and the
+    # group bounds, and no (K, N) copy
     kept = sum(a.nbytes for a in _owners(_arrays_reachable(prediction)))
-    assert kept <= 8 * (t * n * slots + 2 * n * t) + prediction.tiles.nbytes
+    assert kept <= (8 * (t * n * slots + 2 * n * t + 2 * n * g) + prediction.tiles.nbytes
+                    + prediction.groups.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -839,21 +843,29 @@ def test_stencil_sum_matches_per_cell_loop(monkeypatch, rng, nx, ny, reach, rows
 
 
 def _expected_prediction(values, grid_shape):
-    """slabs, lo, hi and tiles of a Prediction of the (K, N) ``values``,
-    tile by tile from Python loops over the grid: slot (a, b) of a tile, at
-    a * _TILE + b, holds the cell a rows and b columns from its corner, or
-    the pad -1 off the grid."""
+    """slabs, lo, hi, tiles, group_lo, group_hi and groups of a Prediction
+    of the (K, N) ``values``, tile by tile from Python loops over the grid:
+    the groups of _GROUP x _GROUP tiles x-major, the tiles x-major within
+    each; slot (a, b) of a tile, at a * _TILE + b, holds the cell a rows and
+    b columns from its corner, or the pad -1 off the grid."""
     nx, ny = grid_shape
-    side = sn._TILE
-    tiles = [[(tx + a) * ny + ty + b if tx + a < nx and ty + b < ny else -1
-              for a in range(side) for b in range(side)]
-             for tx in range(0, nx, side) for ty in range(0, ny, side)]
-    tiles = np.array(tiles)
+    side, group = sn._TILE, sn._GROUP
+    rows, columns = -(-nx // side), -(-ny // side)
+    corners = [[(tx * side, ty * side)
+                for tx in range(gx, min(gx + group, rows))
+                for ty in range(gy, min(gy + group, columns))]
+               for gx in range(0, rows, group) for gy in range(0, columns, group)]
+    tiles = np.array([[(x + a) * ny + y + b if x + a < nx and y + b < ny else -1
+                       for a in range(side) for b in range(side)]
+                      for members in corners for x, y in members])
     real = (tiles >= 0)[:, None, :]
     slabs = np.where(real, values[tiles].transpose(0, 2, 1), np.inf)
     lo = np.where(real, slabs, np.inf).min(axis=2).T
     hi = np.where(real, slabs, -np.inf).max(axis=2).T
-    return slabs, lo, hi, tiles
+    groups = np.cumsum([0] + [len(members) for members in corners])
+    group_lo = np.array([lo[:, a:b].min(axis=1) for a, b in zip(groups, groups[1:])]).T
+    group_hi = np.array([hi[:, a:b].max(axis=1) for a, b in zip(groups, groups[1:])]).T
+    return slabs, lo, hi, tiles, group_lo, group_hi, groups
 
 
 def _assert_banded_prediction_is_dense(table, powers):
@@ -864,7 +876,8 @@ def _assert_banded_prediction_is_dense(table, powers):
     assert np.array_equal(bands.reshape(signed.shape), signed)
     prediction = sn.Prediction.at(table, powers)
     expected = _expected_prediction(np.abs(signed), table.grid_shape)
-    for name, want in zip(("slabs", "lo", "hi", "tiles"), expected):
+    for name, want in zip(("slabs", "lo", "hi", "tiles", "group_lo", "group_hi", "groups"),
+                          expected):
         assert np.array_equal(getattr(prediction, name), want), name
     assert prediction.shape == signed.shape
 
@@ -1093,6 +1106,40 @@ def test_tile_match_equals_full_scan_on_ragged_grids(nx, ny, n, kind, seed):
     table = _column_table(columns, (nx, ny))
     loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
     assert (loc.index, loc.loss) == full_scan(actual, np.abs(dense_predict(table, [1.0])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@example(nx=1, ny=1, n=30, kind="far", seed=0)      # less than one tile
+@example(nx=70, ny=70, n=3, kind="every", seed=1)   # 81 tiles in 9 groups, all kept
+@example(nx=70, ny=69, n=2, kind="ties", seed=2)    # ties past the first 64-tile chunk
+@example(nx=43, ny=5, n=1, kind="near", seed=3)     # one group column, ragged rows
+@given(nx=st.integers(1, 70), ny=st.integers(1, 70), n=st.integers(1, 30),
+       kind=st.sampled_from(["near", "ties", "every", "far"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_match_equals_full_scan(nx, ny, n, kind, seed):
+    # Predictions take a few values, so exact ties are common, and every
+    # reading is detected.  "every" gives every candidate the same
+    # prediction, so every tile is kept and the least index wins; "ties"
+    # gives a seeded fifth of the candidates the least loss, so every tile
+    # holding one is kept; "far" overflows every loss to +inf, as the pads'
+    # are, and a pad must not win.
+    rng = np.random.default_rng(seed)
+    k = nx * ny
+    columns = rng.choice([0.25, 0.5, 0.75, 1.0], (n, k))
+    if kind == "near":
+        actual = columns[:, rng.integers(k)] + rng.choice([0.0, 0.125], n)
+    elif kind == "every":
+        columns[:] = columns[:, :1]
+        actual = rng.choice([0.25, 0.5, 0.75, 1.0], n)
+    elif kind == "ties":
+        columns = np.where(rng.uniform(size=k) < 0.2, 0.25, 0.0) * np.ones((n, 1))
+        actual = np.full(n, 0.5)
+    else:
+        actual = np.full(n, 1e200)
+    table = _column_table(columns, (nx, ny))
+    with np.errstate(over="ignore"):
+        loc = sn.localize(actual, np.zeros(n), np.array([1.0]), table)
+        assert (loc.index, loc.loss) == full_scan(actual, columns.T)
 
 
 # ---------------------------------------------------------------------------
